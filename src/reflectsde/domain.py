@@ -58,6 +58,15 @@ def _vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _rows_times(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Rows X[i] @ A.T, rounded the same way whatever the number of rows:
+    a BLAS product rounds one row differently from a batch of them."""
+    out = X[:, :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + X[:, j : j + 1] * A[:, j]
+    return out
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     """Nearest point in the closed domain plus diagnostics.
@@ -180,7 +189,7 @@ class HalfSpace(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        s = X @ self.normal - self.offset
+        s = _rows_times(X, self.normal[None, :])[:, 0] - self.offset
         return np.where(s[:, None] >= 0.0, X, X - s[:, None] * self.normal)
 
     def boundary_distance(self, x) -> float:

@@ -9,20 +9,14 @@ config, including all seeds, so reruns reproduce outputs byte for byte.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
 
-from .domain import (
-    Ball,
-    Box,
-    ConvexDomain,
-    HalfSpace,
-    NumericalError,
-    Polyhedron,
-)
+from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
 from .path import StepPath
-from .penalty import penalty_bounds, solve_penalized
+from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import (
     Brownian,
@@ -38,10 +32,8 @@ from .sde import (
     JumpSizes,
     PowerDiagonal,
     TablePath,
-    euler_penalized,
     euler_penalized_batch,
     euler_projected_batch,
-    sample_driver,
     sample_driver_batch,
 )
 from .stats import (
@@ -69,10 +61,7 @@ __all__ = [
     "refinement_study",
     "tail_bound_terms",
     "tail_structure_study",
-    "SUP_TAIL_FACTOR",
 ]
-
-SUP_TAIL_FACTOR = 2.0 * np.sqrt(7.0)
 
 
 class ConfigError(ValueError):
@@ -338,6 +327,10 @@ def run_simulate(cfg: dict):
         raise ConfigError("simulate: driver and domain dimensions differ")
     grid = build_grid(_require(cfg, "grid", "simulate"))
     f = build_coefficient(cfg.get("coefficient", {"kind": "identity"}), spec.dim)
+    if f.dim != domain.dim:
+        raise ConfigError(
+            f"simulate: coefficient dimension {f.dim} does not match domain {domain.dim}"
+        )
     n = float(cfg.get("n", 1e4))
     if not n > 0:
         raise ConfigError("simulate: n must be positive")
@@ -348,19 +341,27 @@ def run_simulate(cfg: dict):
     keep = min(int(cfg.get("keep_paths", 5)), paths)
     max_failures = int(cfg.get("max_numerical_failures", 0))
 
-    finals = np.empty((paths, spec.dim))
-    variations = np.empty(paths)
+    H, Z = sample_driver_batch(spec, grid, seed, paths)
+    try:
+        inside = all(domain.contains(x0) for x0 in np.unique(H[:, 0], axis=0))
+    except ValueError as exc:
+        raise ConfigError(f"simulate: driver.h start: {exc}") from exc
+    if not inside:
+        raise ConfigError("simulate: driver.h must start inside the domain")
+    states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
+
+    finals = np.full((paths, spec.dim), np.nan)
+    variations = np.full(paths, np.nan)
     failures = []
     kept = {}
     for i in range(paths):
-        H, Z = sample_driver(spec, grid, seed, i)
-        try:
-            sol = euler_penalized(domain, f, H, Z, n, grid)
-        except NumericalError as exc:
-            failures.append({"path": i, "error": str(exc)})
-            finals[i] = np.nan
-            variations[i] = np.nan
+        if np.isnan(states[i, 0, 0]):
+            reason = "state not finite or projection did not converge"
+            if not (np.isfinite(H[i]).all() and np.isfinite(Z[i]).all()):
+                reason = "driver values not finite"
+            failures.append({"path": i, "error": reason})
             continue
+        sol = PenalizedPath(n, grid.times, states[i], projections[i], grid.q)
         finals[i] = sol.eval(grid.q)
         variations[i] = sol.penalty_variation()
         if i < keep:
@@ -489,12 +490,12 @@ def oscillation_benchmark(
         z_components=(CompoundPoisson(rate, JumpSizes("normal", (0.0, 0.6))),),
     )
     grid = Grid.regular(q, cells)
-    xs = []
-    zs = []
-    for i in range(paths):
-        H, Z = sample_driver(spec, grid, seed, i)
-        xs.append(euler_penalized(domain, Identity(1), H, Z, n, grid))
-        zs.append(Z)
+    H, Z = sample_driver_batch(spec, grid, seed, paths)
+    states, projections = euler_penalized_batch(domain, Identity(1), H, Z, n, grid)
+    xs = [
+        PenalizedPath(n, grid.times, s, p, grid.q) for s, p in zip(states, projections)
+    ]
+    zs = [StepPath(grid.times, z, grid.q) for z in Z]
     table = oscillation_diagnostic(xs, zs, deltas, epsilons, q)
     report = ExperimentReport(
         params={
@@ -632,7 +633,7 @@ def tail_bound_terms(
     carries C2 = 4 C(1).  Returns (rhs_deviation, rhs_variation).
     """
     r = int(np.floor(q / delta)) + 1
-    c_prime = SUP_TAIL_FACTOR * r
+    c_prime = SUP_FACTOR * r
     c1 = 2.0 * c_prime
     c2 = 4.0 * c_one
     p_modulus = float(np.mean(h_modulus_samples >= clearance / 2.0))
@@ -687,7 +688,7 @@ def tail_structure_study(
         return out
 
     r = int(np.floor(q / delta)) + 1
-    c1 = 2.0 * SUP_TAIL_FACTOR * r
+    c1 = 2.0 * SUP_FACTOR * r
 
     cal = empirical_tails(calibration_seed)
     worst = 0.0
@@ -750,52 +751,42 @@ def tail_structure_study(
     return report
 
 
+# The convergence studies by benchmark tag.  A study's keyword defaults are
+# the one table of its parameters: the built-in configs copy them, and
+# run_converge casts config values to their types.
+_STUDIES = {
+    "rbm": rbm_benchmark,
+    "cp-oscillation": oscillation_benchmark,
+    "strong-refinement": refinement_study,
+    "tail-structure": tail_structure_study,
+}
+
+
+def _study_defaults(benchmark: str) -> dict:
+    params = inspect.signature(_STUDIES[benchmark]).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def _converge_config(benchmark: str) -> dict:
+    cfg = {"experiment": "converge", "benchmark": benchmark, "seed": 20260817}
+    return json.loads(json.dumps({**cfg, **_study_defaults(benchmark)}))
+
+
+def _coerce(default, value):
+    """Cast a config value to the type of the study default it replaces,
+    element by element for lists (pairs position by position)."""
+    if not isinstance(default, tuple):
+        return type(default)(value)
+    if isinstance(default[0], tuple):
+        return tuple(tuple(map(_coerce, default[0], v)) for v in value)
+    return tuple(_coerce(default[0], v) for v in value)
+
+
 BUILTIN_CONFIGS = {
-    "rbm-benchmark": {
-        "experiment": "converge",
-        "benchmark": "rbm",
-        "seed": 20260817,
-        "paths": 10_000,
-        "n": 2.0**12,
-        "cells": 2**10,
-        "q": 1.0,
-        "ks_threshold": 0.05,
-        "mean_sigmas": 3.0,
-    },
-    "cp-oscillation": {
-        "experiment": "converge",
-        "benchmark": "cp-oscillation",
-        "seed": 20260817,
-        "paths": 400,
-        "n": 256.0,
-        "cells": 2**8,
-        "q": 1.0,
-        "rate": 2.0,
-        "deltas": [0.4, 0.2, 0.1, 0.05],
-        "epsilons": [0.05, 0.1, 0.2],
-    },
-    "strong-refinement": {
-        "experiment": "converge",
-        "benchmark": "strong-refinement",
-        "seed": 20260817,
-        "paths": 200,
-        "q": 1.0,
-        "levels": [[1e2, 2**4], [1e4, 2**6], [1e6, 2**8]],
-        "reference_factor": 4,
-    },
-    "tail-structure": {
-        "experiment": "converge",
-        "benchmark": "tail-structure",
-        "seed": 20260817,
-        "calibration_seed": 31337,
-        "paths": 10_000,
-        "cells": 2**8,
-        "q": 1.0,
-        "n_list": [16.0, 256.0, 4096.0],
-        "etas": [0.5, 1.0, 2.0, 4.0],
-        "delta": 0.25,
-        "headroom": 1.2,
-    },
+    "rbm-benchmark": _converge_config("rbm"),
+    "cp-oscillation": _converge_config("cp-oscillation"),
+    "strong-refinement": _converge_config("strong-refinement"),
+    "tail-structure": _converge_config("tail-structure"),
     "halfline-threejump": {
         "experiment": "skorokhod",
         "domain": {"variant": "halfline"},
@@ -817,54 +808,20 @@ def builtin_config(name: str) -> dict:
 
 
 def run_converge(cfg: dict):
-    """Dispatch a convergence benchmark by its tag."""
+    """Run a convergence study by its tag; keys of the config override the
+    study's defaults."""
     benchmark = _require(cfg, "benchmark", "converge")
-    seed = int(cfg.get("seed", 0))
-    if benchmark == "rbm":
-        report = rbm_benchmark(
-            seed,
-            paths=int(cfg.get("paths", 10_000)),
-            n=float(cfg.get("n", 2.0**12)),
-            cells=int(cfg.get("cells", 2**10)),
-            q=float(cfg.get("q", 1.0)),
-            ks_threshold=float(cfg.get("ks_threshold", 0.05)),
-            mean_sigmas=float(cfg.get("mean_sigmas", 3.0)),
-        )
-    elif benchmark == "cp-oscillation":
-        report = oscillation_benchmark(
-            seed,
-            paths=int(cfg.get("paths", 400)),
-            cells=int(cfg.get("cells", 2**8)),
-            n=float(cfg.get("n", 256.0)),
-            q=float(cfg.get("q", 1.0)),
-            rate=float(cfg.get("rate", 2.0)),
-            deltas=tuple(cfg.get("deltas", (0.4, 0.2, 0.1, 0.05))),
-            epsilons=tuple(cfg.get("epsilons", (0.05, 0.1, 0.2))),
-        )
-    elif benchmark == "strong-refinement":
-        report = refinement_study(
-            seed,
-            paths=int(cfg.get("paths", 200)),
-            q=float(cfg.get("q", 1.0)),
-            levels=tuple(
-                (float(n), int(c)) for n, c in cfg.get(
-                    "levels", [[1e2, 2**4], [1e4, 2**6], [1e6, 2**8]]
-                )
-            ),
-            reference_factor=int(cfg.get("reference_factor", 4)),
-        )
-    elif benchmark == "tail-structure":
-        report = tail_structure_study(
-            seed,
-            calibration_seed=int(cfg.get("calibration_seed", 31337)),
-            paths=int(cfg.get("paths", 10_000)),
-            q=float(cfg.get("q", 1.0)),
-            cells=int(cfg.get("cells", 2**8)),
-            n_list=tuple(float(n) for n in cfg.get("n_list", (16.0, 256.0, 4096.0))),
-            etas=tuple(float(e) for e in cfg.get("etas", (0.5, 1.0, 2.0, 4.0))),
-            delta=float(cfg.get("delta", 0.25)),
-            headroom=float(cfg.get("headroom", 1.2)),
-        )
-    else:
+    if not isinstance(benchmark, str) or benchmark not in _STUDIES:
         raise ConfigError(f"converge: unknown benchmark {benchmark!r}")
-    return report, {}
+    try:
+        seed = int(cfg.get("seed", 0))
+        params = {
+            key: _coerce(default, cfg[key])
+            for key, default in _study_defaults(benchmark).items()
+            if key in cfg
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"converge: {exc}") from exc
+    if params.get("paths", 1) < 1:
+        raise ConfigError("converge: need at least one path")
+    return _STUDIES[benchmark](seed, **params), {}

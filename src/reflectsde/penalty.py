@@ -8,6 +8,10 @@ projection of the current state between jumps, at rate ``n``:
 with p_j the projection of the breakpoint state x_j.  The formula is exact
 because the projection of every point on the segment from x_j to p_j is
 p_j itself, so the pull direction is frozen within a segment.
+
+The same relax-and-step recurrence, batched over paths and with an
+optional integrator term, is the one kernel every solver and Euler scheme
+of the package runs (``_relax_and_step``); reflection is its n = inf case.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConvexDomain, DomainViolationError
+from .domain import ConvexDomain, DomainViolationError, NumericalError
 from .path import StepPath, modulus_prime
 
 __all__ = [
@@ -185,6 +189,74 @@ class PenalizedPath:
         )
 
 
+def _point_or_nan(domain, x):
+    try:
+        return domain.project_point(x)
+    except NumericalError:
+        return np.full_like(x, np.nan)
+
+
+def _project_live(domain, X, failed, strict):
+    """Projections of the rows of X.
+
+    A row that is not finite, or whose projection raises NumericalError,
+    is marked in ``failed`` and gets NaN; a failed row is not projected
+    again.  With ``strict`` the first failure raises instead.
+    """
+    fresh = not failed.any() and np.isfinite(X).all()
+    if not fresh:
+        if strict:
+            raise ValueError("point has non-finite coordinates")
+        failed |= ~np.isfinite(X).all(axis=1)
+    live = slice(None) if fresh else np.flatnonzero(~failed)
+    try:
+        P = domain.project_points(X[live])
+    except NumericalError:
+        if strict:
+            raise
+        P = np.array([_point_or_nan(domain, x) for x in X[live]])
+        failed[live] |= np.isnan(P[:, 0])
+    if fresh:
+        return P
+    out = np.full_like(X, np.nan)
+    out[live] = P
+    return out
+
+
+def _relax_and_step(domain, f, H, Z, n, times, strict=False):
+    """The relax-and-step recurrence behind every solver in the package.
+
+    Over rows of (M, K+1, d) values H of the free term and Z of the
+    integrator (None for none) on the breakpoints ``times``, starting
+    from x_0 = H_0:
+
+        pre_k   = P(x_k) + (x_k - P(x_k)) exp(-n (t_{k+1} - t_k)),
+        x_{k+1} = pre_k + (H_{k+1} - H_k) + f(pre_k) (Z_{k+1} - Z_k).
+
+    At n = inf the relaxation is the projection itself, pre_k = P(x_k).
+    Returns (states, projections, failed) with ``failed`` a per-row mask;
+    see :func:`_project_live` for when a row fails.
+    """
+    M, K1, d = H.shape
+    states = np.empty((M, K1, d))
+    projections = np.empty_like(states)
+    failed = np.zeros(M, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = states[:, 0] = H[:, 0]
+        p = projections[:, 0] = _project_live(domain, x, failed, strict)
+        for k in range(K1 - 1):
+            pre = p
+            if n != np.inf:
+                pre = p + (x - p) * np.exp(-n * (times[k + 1] - times[k]))
+            x = pre + (H[:, k + 1] - H[:, k])
+            if Z is not None:
+                x += f.contract(pre, Z[:, k + 1] - Z[:, k])
+            p = _project_live(domain, x, failed, strict)
+            states[:, k + 1] = x
+            projections[:, k + 1] = p
+    return states, projections, failed
+
+
 def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> PenalizedPath:
     """Solve the penalized equation exactly for a step driver.
 
@@ -199,21 +271,12 @@ def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> Penaliz
     if not float(n) > 0:
         raise ValueError("penalization rate must be positive")
     n = float(n)
-    y = driver.values
-    if not domain.contains(y[0]):
+    if not domain.contains(driver.values[0]):
         raise DomainViolationError("driver must start inside the domain")
-    m = y.shape[0]
-    states = np.empty_like(y)
-    projections = np.empty_like(y)
-    states[0] = y[0]
-    projections[0] = domain.project_point(y[0])
-    for j in range(1, m):
-        dt = driver.times[j] - driver.times[j - 1]
-        decay = np.exp(-n * dt)
-        pre = projections[j - 1] + (states[j - 1] - projections[j - 1]) * decay
-        states[j] = pre + (y[j] - y[j - 1])
-        projections[j] = domain.project_point(states[j])
-    return PenalizedPath(n, driver.times, states, projections, driver.q)
+    states, projections, _ = _relax_and_step(
+        domain, None, driver.values[None], None, n, driver.times, strict=True
+    )
+    return PenalizedPath(n, driver.times, states[0], projections[0], driver.q)
 
 
 @dataclass(frozen=True)

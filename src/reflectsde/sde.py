@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConvexDomain, DomainViolationError
+from .domain import ConvexDomain, DomainViolationError, _rows_times
 from .path import StepPath
-from .penalty import PenalizedPath
+from .penalty import PenalizedPath, _relax_and_step
 
 __all__ = [
     "Grid",
@@ -296,6 +296,16 @@ def _component_gen(seed: int, path_index: int, component: int) -> np.random.Gene
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw_path(spec, times, dt, seed, path_index, h_out, z_out) -> None:
+    """Write path ``path_index``'s H and Z values at ``times`` into the
+    preallocated (K+1, d) rows ``h_out`` and ``z_out``."""
+    h_out[...] = spec.h.values(_component_gen(seed, path_index, 0), times, spec.dim)
+    z_out[...] = 0.0
+    for c, comp in enumerate(spec.z_components, start=1):
+        inc = comp.increments(_component_gen(seed, path_index, c), dt, spec.dim)
+        z_out[1:] += np.cumsum(inc, axis=0)
+
+
 def sample_driver(
     spec: DriverSpec, grid: Grid, seed: int, path_index: int = 0
 ) -> tuple[StepPath, StepPath]:
@@ -304,16 +314,11 @@ def sample_driver(
     Reproducible bit for bit from (seed, path_index); refining the grid
     redraws the increments.
     """
-    times = grid.times
-    dt = np.diff(times)
-    h_vals = spec.h.values(_component_gen(seed, path_index, 0), times, spec.dim)
-    z_vals = np.zeros((times.shape[0], spec.dim))
-    for c, comp in enumerate(spec.z_components, start=1):
-        inc = comp.increments(_component_gen(seed, path_index, c), dt, spec.dim)
-        z_vals[1:] += np.cumsum(inc, axis=0)
+    h_vals, z_vals = np.empty((2, grid.times.shape[0], spec.dim))
+    _draw_path(spec, grid.times, np.diff(grid.times), seed, path_index, h_vals, z_vals)
     return (
-        StepPath(times, h_vals, grid.q),
-        StepPath(times, z_vals, grid.q),
+        StepPath(grid.times, h_vals, grid.q),
+        StepPath(grid.times, z_vals, grid.q),
     )
 
 
@@ -325,18 +330,11 @@ def sample_driver_batch(
     Row i carries path index ``first_index + i`` and is bit-identical to
     the corresponding :func:`sample_driver` output.
     """
-    K1 = grid.times.shape[0]
-    H = np.empty((paths, K1, spec.dim))
-    Z = np.empty((paths, K1, spec.dim))
+    H = np.empty((paths, grid.times.shape[0], spec.dim))
+    Z = np.empty_like(H)
     dt = np.diff(grid.times)
     for i in range(paths):
-        idx = first_index + i
-        H[i] = spec.h.values(_component_gen(seed, idx, 0), grid.times, spec.dim)
-        acc = np.zeros((K1, spec.dim))
-        for c, comp in enumerate(spec.z_components, start=1):
-            inc = comp.increments(_component_gen(seed, idx, c), dt, spec.dim)
-            acc[1:] += np.cumsum(inc, axis=0)
-        Z[i] = acc
+        _draw_path(spec, grid.times, dt, seed, first_index + i, H[i], Z[i])
     return H, Z
 
 
@@ -391,7 +389,7 @@ class ConstantMatrix(Coefficient):
         return self.matrix.copy()
 
     def contract(self, X, dZ):
-        return dZ @ self.matrix.T
+        return _rows_times(dZ, self.matrix)
 
 
 class DiagAffine(Coefficient):
@@ -451,7 +449,9 @@ class PowerDiagonal(Coefficient):
         return self.dim * gap2**self.alpha - float(np.sum(fdiff**2))
 
 
-def _check_euler_inputs(domain, f, H, Z, grid):
+def _path_values(domain, f, H, Z, grid):
+    """Check one path's inputs; H and Z at the grid points as one-row
+    (1, K+1, d) batches."""
     if H.dim != domain.dim or Z.dim != domain.dim:
         raise ValueError("driver dimensions must match the domain")
     if f.dim != domain.dim:
@@ -462,6 +462,7 @@ def _check_euler_inputs(domain, f, H, Z, grid):
         raise ValueError("driver horizons must equal the grid horizon")
     if not domain.contains(H.values[0]):
         raise DomainViolationError("H must start inside the domain")
+    return H.eval_many(grid.times)[None], Z.eval_many(grid.times)[None]
 
 
 def euler_penalized(
@@ -480,23 +481,10 @@ def euler_penalized(
     """
     if not float(n) > 0:
         raise ValueError("penalization rate must be positive")
-    _check_euler_inputs(domain, f, H, Z, grid)
+    hv, zv = _path_values(domain, f, H, Z, grid)
     n = float(n)
-    times = grid.times
-    hv = H.eval_many(times)
-    zv = Z.eval_many(times)
-    K = times.shape[0] - 1
-    states = np.empty((K + 1, domain.dim))
-    projections = np.empty_like(states)
-    states[0] = hv[0]
-    projections[0] = domain.project_point(states[0])
-    for k in range(K):
-        decay = np.exp(-n * (times[k + 1] - times[k]))
-        pre = projections[k] + (states[k] - projections[k]) * decay
-        dz = zv[k + 1] - zv[k]
-        states[k + 1] = pre + (hv[k + 1] - hv[k]) + f.mat(pre) @ dz
-        projections[k + 1] = domain.project_point(states[k + 1])
-    return PenalizedPath(n, times, states, projections, grid.q)
+    states, projections, _ = _relax_and_step(domain, f, hv, zv, n, grid.times, strict=True)
+    return PenalizedPath(n, grid.times, states[0], projections[0], grid.q)
 
 
 def euler_projected(
@@ -508,18 +496,15 @@ def euler_projected(
 ) -> StepPath:
     """Projected Euler path: same update with projection instead of
     relaxation (the penalized scheme's rate-to-infinity limit)."""
-    _check_euler_inputs(domain, f, H, Z, grid)
-    times = grid.times
-    hv = H.eval_many(times)
-    zv = Z.eval_many(times)
-    K = times.shape[0] - 1
-    values = np.empty((K + 1, domain.dim))
-    values[0] = hv[0]
-    for k in range(K):
-        pre = domain.project_point(values[k])
-        dz = zv[k + 1] - zv[k]
-        values[k + 1] = pre + (hv[k + 1] - hv[k]) + f.mat(pre) @ dz
-    return StepPath(times, values, grid.q)
+    hv, zv = _path_values(domain, f, H, Z, grid)
+    states, _, _ = _relax_and_step(domain, f, hv, zv, np.inf, grid.times, strict=True)
+    return StepPath(grid.times, states[0], grid.q)
+
+
+def _check_batch_inputs(domain, H_vals, Z_vals, grid):
+    M, K1, d = H_vals.shape
+    if Z_vals.shape != (M, K1, d) or K1 != grid.times.shape[0] or d != domain.dim:
+        raise ValueError("driver value arrays do not match the grid/domain")
 
 
 def euler_penalized_batch(
@@ -532,28 +517,18 @@ def euler_penalized_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized penalized scheme over (M, K+1, d) driver values.
 
-    Returns (states, projections) of the same shape; row i agrees with
-    the per-path scheme on the same driver to floating round-off (the
-    arithmetic is identical in dimension one, where projections and
-    contractions are elementwise).
+    Returns (states, projections) of the same shape.  Single paths and
+    batches run the same kernel, so row i agrees bit for bit with
+    :func:`euler_penalized` on the same driver.  A row whose state stops
+    being finite or whose projection does not converge is NaN throughout.
     """
     if not float(n) > 0:
         raise ValueError("penalization rate must be positive")
-    n = float(n)
-    times = grid.times
-    M, K1, d = H_vals.shape
-    if Z_vals.shape != (M, K1, d) or K1 != times.shape[0] or d != domain.dim:
-        raise ValueError("driver value arrays do not match the grid/domain")
-    states = np.empty((M, K1, d))
-    projections = np.empty_like(states)
-    states[:, 0] = H_vals[:, 0]
-    projections[:, 0] = domain.project_points(states[:, 0])
-    for k in range(K1 - 1):
-        decay = np.exp(-n * (times[k + 1] - times[k]))
-        pre = projections[:, k] + (states[:, k] - projections[:, k]) * decay
-        dz = Z_vals[:, k + 1] - Z_vals[:, k]
-        states[:, k + 1] = pre + (H_vals[:, k + 1] - H_vals[:, k]) + f.contract(pre, dz)
-        projections[:, k + 1] = domain.project_points(states[:, k + 1])
+    _check_batch_inputs(domain, H_vals, Z_vals, grid)
+    states, projections, failed = _relax_and_step(
+        domain, f, H_vals, Z_vals, float(n), grid.times
+    )
+    states[failed] = projections[failed] = np.nan
     return states, projections
 
 
@@ -564,18 +539,12 @@ def euler_projected_batch(
     Z_vals: np.ndarray,
     grid: Grid,
 ) -> np.ndarray:
-    """Vectorized projected scheme over (M, K+1, d) driver values."""
-    times = grid.times
-    M, K1, d = H_vals.shape
-    if Z_vals.shape != (M, K1, d) or K1 != times.shape[0] or d != domain.dim:
-        raise ValueError("driver value arrays do not match the grid/domain")
-    values = np.empty((M, K1, d))
-    values[:, 0] = H_vals[:, 0]
-    for k in range(K1 - 1):
-        pre = domain.project_points(values[:, k])
-        dz = Z_vals[:, k + 1] - Z_vals[:, k]
-        values[:, k + 1] = pre + (H_vals[:, k + 1] - H_vals[:, k]) + f.contract(pre, dz)
-    return values
+    """Vectorized projected scheme over (M, K+1, d) driver values; rows
+    agree bit for bit with :func:`euler_projected`, failed rows are NaN."""
+    _check_batch_inputs(domain, H_vals, Z_vals, grid)
+    states, _, failed = _relax_and_step(domain, f, H_vals, Z_vals, np.inf, grid.times)
+    states[failed] = np.nan
+    return states
 
 
 def stochastic_integral(

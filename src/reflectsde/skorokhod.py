@@ -19,6 +19,7 @@ from .domain import (
     normal_cone_check,
 )
 from .path import StepPath
+from .penalty import _relax_and_step
 
 __all__ = [
     "SkorokhodSolution",
@@ -48,22 +49,14 @@ def solve_skorokhod(domain: ConvexDomain, driver: StepPath) -> SkorokhodSolution
         raise ValueError(
             f"driver dimension {driver.dim} does not match domain {domain.dim}"
         )
-    y = driver.values
-    if not domain.contains(y[0]):
+    if not domain.contains(driver.values[0]):
         raise DomainViolationError("driver must start inside the domain")
-    m = y.shape[0]
-    xs = np.empty_like(y)
-    ks = np.empty_like(y)
-    state = domain.project_point(y[0])
-    reg = np.zeros(driver.dim)
-    xs[0] = state
-    ks[0] = reg
-    for j in range(1, m):
-        moved = state + (y[j] - y[j - 1])
-        state = domain.project_point(moved)
-        reg = reg + (state - moved)
-        xs[j] = state
-        ks[j] = reg
+    moved, xs, _ = _relax_and_step(
+        domain, None, driver.values[None], None, np.inf, driver.times, strict=True
+    )
+    xs = xs[0]
+    ks = np.zeros_like(xs)
+    np.cumsum(xs[1:] - moved[0, 1:], axis=0, out=ks[1:])
     return SkorokhodSolution(
         x=StepPath(driver.times, xs, driver.q),
         k=StepPath(driver.times, ks, driver.q),

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from reflectsde.cli import main
-from reflectsde.domain import NumericalError
-from reflectsde.experiments import config_digest
+from reflectsde.domain import HalfSpace, NumericalError
+from reflectsde.experiments import build_driver, config_digest
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
+from reflectsde.sde import Grid, Identity, euler_penalized_batch, sample_driver_batch
 from reflectsde.skorokhod import oracle_halfline
 
 THREEJUMP = StepPath(
@@ -112,6 +113,29 @@ class TestConfigErrors:
         assert code == 1
         assert "skorokhod" in capsys.readouterr().err
 
+    def test_h_outside_domain(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        driver = dict(SIMULATE_CFG["driver"], h={"kind": "constant", "x0": -1.0})
+        cfg.write_text(json.dumps(dict(SIMULATE_CFG, driver=driver)))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "inside the domain" in err
+
+    def test_coefficient_dimension(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        coefficient = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg.write_text(json.dumps(dict(SIMULATE_CFG, coefficient=coefficient)))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "coefficient dimension" in err
+
+    def test_converge_needs_a_path(self, tmp_path, capsys):
+        argv = ["converge", "--config", "cp-oscillation", "--paths", "0"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert "at least one path" in capsys.readouterr().err
+
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "simulate"}))
@@ -169,20 +193,61 @@ class TestSimulateCommand:
         assert sol.q == 1.0
         assert sol.times.shape[0] == 33
 
-    def test_numerical_failures_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(*args, **kwargs):
-            raise NumericalError("forced failure")
-
-        monkeypatch.setattr("reflectsde.experiments.euler_penalized", boom)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SIMULATE_CFG))
+    def test_numerical_failures_exit_code(self, tmp_path, capsys):
+        # jumps of scale 1e308 overflow: every path they touch fails
+        cfg = dict(SIMULATE_CFG)
+        cfg["driver"] = dict(
+            SIMULATE_CFG["driver"],
+            z=[
+                {
+                    "kind": "compound_poisson",
+                    "rate": 2.0,
+                    "jumps": {"tag": "normal", "params": [0.0, 1e308]},
+                }
+            ],
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
         assert code == 2
         assert "numerical failures" in capsys.readouterr().err
         # outputs still written for diagnosis
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is False
+        failures = report["params"]["numerical_failures"]
+        assert failures and all(f["error"] for f in failures)
+        assert len({f["path"] for f in failures}) == len(failures)
+        assert report["entries"][0]["value"] == len(failures)
+
+    def test_projection_failure_counts_only_its_path(self, tmp_path, monkeypatch):
+        # a projection that diverges below a cut only the lowest path crosses
+        spec = build_driver(SIMULATE_CFG["driver"])
+        grid = Grid.regular(1.0, 32)
+        H, Z = sample_driver_batch(spec, grid, 3, 20)
+        halfline = HalfSpace([1.0], 0.0)
+        states, _ = euler_penalized_batch(halfline, Identity(1), H, Z, 100.0, grid)
+        lows = states.min(axis=(1, 2))
+        worst = int(np.argmin(lows))
+        cut = 0.5 * (lows[worst] + np.min(np.delete(lows, worst)))
+
+        def flaky(method):
+            def project(self, X):
+                if np.any(np.asarray(X) < cut):
+                    raise NumericalError("forced failure")
+                return method(self, X)
+
+            return project
+
+        monkeypatch.setattr(HalfSpace, "project_point", flaky(HalfSpace.project_point))
+        monkeypatch.setattr(HalfSpace, "project_points", flaky(HalfSpace.project_points))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SIMULATE_CFG))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        failures = report["params"]["numerical_failures"]
+        assert [f["path"] for f in failures] == [worst]
 
     def test_numerical_error_during_run(self, tmp_path, monkeypatch, capsys):
         import reflectsde.cli as cli_mod

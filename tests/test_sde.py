@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from reflectsde.domain import Ball, DomainViolationError, HalfSpace
+from reflectsde.domain import (
+    Ball,
+    Box,
+    DomainViolationError,
+    HalfSpace,
+    NumericalError,
+    Polyhedron,
+)
 from reflectsde.path import StepPath
 from reflectsde.penalty import solve_penalized
 from reflectsde.sde import (
@@ -31,6 +38,21 @@ from reflectsde.sde import (
 
 HALFLINE = HalfSpace([1.0], 0.0, anchor=[1.0])
 BIGBALL = Ball([0.0], 1e6)
+# a 30-degree wedge cut off at x = 4: Dykstra's projection at an acute corner
+WEDGE = Polyhedron(
+    [
+        HalfSpace([0.0, 1.0], 0.0),
+        HalfSpace([0.5, -0.8660254037844387], 0.0),
+        HalfSpace([-1.0, 0.0], -4.0),
+    ],
+    anchor=[2.0, 0.5358983848622454],
+)
+DOMAINS_2D = {
+    "halfspace": HalfSpace([0.6, 0.8], 0.0),
+    "box": Box([0.0, 0.0], [1.0, 1.0]),
+    "ball": Ball([0.0, 0.0], 1.0),
+    "wedge": WEDGE,
+}
 
 
 class TestGrid:
@@ -349,21 +371,66 @@ class TestEulerSchemes:
                 vals[i], euler_projected(HALFLINE, f, h, z, grid=grid).values
             )
 
-    def test_batch_matches_single_2d(self, rng):
+    def test_batch_matches_single_2d(self):
+        # one kernel: the single path is the one-row batch, bit for bit
         grid = Grid.regular(1.0, 25)
-        ball = Ball([0.0, 0.0], 1.0)
-        spec = DriverSpec(
-            dim=2,
-            h=ConstantStart([0.1, 0.1]),
-            z_components=(Brownian(0.8),),
-        )
-        H, Z = sample_driver_batch(spec, grid, seed=9, paths=3)
-        f = ConstantMatrix([[0.5, 0.0], [0.2, 0.4]])
-        states, _ = euler_penalized_batch(ball, f, H, Z, n=32.0, grid=grid)
-        for i in range(3):
-            h, z = sample_driver(spec, grid, seed=9, path_index=i)
-            one = euler_penalized(ball, f, h, z, n=32.0, grid=grid)
-            assert np.allclose(states[i], one.states, atol=1e-12)
+        f = ConstantMatrix([[0.5, 0.3], [0.2, 0.4]])
+        for name, domain in DOMAINS_2D.items():
+            spec = DriverSpec(
+                dim=2,
+                h=ConstantStart(domain.anchor),
+                z_components=(
+                    Brownian(0.8),
+                    Drift([-2.0, -1.0]),
+                    CompoundPoisson(2.0, JumpSizes("normal", (0.0, 0.5))),
+                ),
+            )
+            H, Z = sample_driver_batch(spec, grid, seed=9, paths=6)
+            states, projections = euler_penalized_batch(domain, f, H, Z, 32.0, grid)
+            vals = euler_projected_batch(domain, f, H, Z, grid=grid)
+            assert np.any(states != projections), name
+            for i in range(6):
+                h, z = sample_driver(spec, grid, seed=9, path_index=i)
+                one = euler_penalized(domain, f, h, z, n=32.0, grid=grid)
+                assert np.array_equal(states[i], one.states), name
+                assert np.array_equal(projections[i], one.projections), name
+                proj = euler_projected(domain, f, h, z, grid=grid)
+                assert np.array_equal(vals[i], proj.values), name
+
+    def test_failed_rows_are_nan(self):
+        # a projection that diverges at one point fails only its own row;
+        # a non-finite driver row fails too; the rest match single paths
+        class Flaky(HalfSpace):
+            def project_point(self, x):
+                if x[0] > 50.0:
+                    raise NumericalError("forced")
+                return super().project_point(x)
+
+            def project_points(self, X):
+                if np.any(X[:, 0] > 50.0):
+                    raise NumericalError("forced")
+                return super().project_points(X)
+
+        domain = Flaky([1.0], 0.0)
+        grid = Grid.regular(1.0, 8)
+        H = np.full((4, 9, 1), 0.5)
+        H[1, 5:] = 100.0
+        Z = np.zeros((4, 9, 1))
+        Z[:, :, 0] = np.linspace(0.0, -1.0, 9)
+        Z[2, 3:] = np.inf
+        states, projections = euler_penalized_batch(domain, Identity(1), H, Z, 10.0, grid)
+        assert np.isnan(states[1:3]).all() and np.isnan(projections[1:3]).all()
+        assert np.isnan(euler_projected_batch(domain, Identity(1), H, Z, grid)[1:3]).all()
+        paths = [
+            (StepPath(grid.times, H[i], q=1.0), StepPath(grid.times, Z[0], q=1.0))
+            for i in range(4)
+        ]
+        for i in (0, 3):
+            one = euler_penalized(domain, Identity(1), *paths[i], n=10.0, grid=grid)
+            assert np.array_equal(states[i], one.states)
+        # the single path raises where the batch row fails
+        with pytest.raises(NumericalError):
+            euler_penalized(domain, Identity(1), *paths[1], n=10.0, grid=grid)
 
     def test_input_validation(self, rng):
         grid = Grid.regular(1.0, 10)

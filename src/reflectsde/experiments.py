@@ -329,7 +329,8 @@ def run_simulate(cfg: dict):
     f = build_coefficient(cfg.get("coefficient", {"kind": "identity"}), spec.dim)
     if f.dim != domain.dim:
         raise ConfigError(
-            f"simulate: coefficient dimension {f.dim} does not match domain {domain.dim}"
+            f"simulate: coefficient dimension {f.dim} does not match "
+            f"domain {domain.dim}"
         )
     n = float(cfg.get("n", 1e4))
     if not n > 0:

@@ -483,7 +483,9 @@ def euler_penalized(
         raise ValueError("penalization rate must be positive")
     hv, zv = _path_values(domain, f, H, Z, grid)
     n = float(n)
-    states, projections, _ = _relax_and_step(domain, f, hv, zv, n, grid.times, strict=True)
+    states, projections, _ = _relax_and_step(
+        domain, f, hv, zv, n, grid.times, strict=True
+    )
     return PenalizedPath(n, grid.times, states[0], projections[0], grid.q)
 
 

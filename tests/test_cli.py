@@ -239,8 +239,8 @@ class TestSimulateCommand:
 
             return project
 
-        monkeypatch.setattr(HalfSpace, "project_point", flaky(HalfSpace.project_point))
-        monkeypatch.setattr(HalfSpace, "project_points", flaky(HalfSpace.project_points))
+        for name in ("project_point", "project_points"):
+            monkeypatch.setattr(HalfSpace, name, flaky(getattr(HalfSpace, name)))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SIMULATE_CFG))
         out = tmp_path / "run"

@@ -418,19 +418,20 @@ class TestEulerSchemes:
         Z = np.zeros((4, 9, 1))
         Z[:, :, 0] = np.linspace(0.0, -1.0, 9)
         Z[2, 3:] = np.inf
-        states, projections = euler_penalized_batch(domain, Identity(1), H, Z, 10.0, grid)
+        f = Identity(1)
+        states, projections = euler_penalized_batch(domain, f, H, Z, 10.0, grid)
         assert np.isnan(states[1:3]).all() and np.isnan(projections[1:3]).all()
-        assert np.isnan(euler_projected_batch(domain, Identity(1), H, Z, grid)[1:3]).all()
+        assert np.isnan(euler_projected_batch(domain, f, H, Z, grid)[1:3]).all()
         paths = [
             (StepPath(grid.times, H[i], q=1.0), StepPath(grid.times, Z[0], q=1.0))
             for i in range(4)
         ]
         for i in (0, 3):
-            one = euler_penalized(domain, Identity(1), *paths[i], n=10.0, grid=grid)
+            one = euler_penalized(domain, f, *paths[i], n=10.0, grid=grid)
             assert np.array_equal(states[i], one.states)
         # the single path raises where the batch row fails
         with pytest.raises(NumericalError):
-            euler_penalized(domain, Identity(1), *paths[1], n=10.0, grid=grid)
+            euler_penalized(domain, f, *paths[1], n=10.0, grid=grid)
 
     def test_input_validation(self, rng):
         grid = Grid.regular(1.0, 10)

@@ -1,10 +1,12 @@
 """Convex domains with Euclidean nearest-point projection.
 
 Four shapes: half-space, axis-aligned box, ball, and a finite intersection
-of half-spaces (projected iteratively).  Every domain carries a designated
-strictly interior anchor point together with a validated lower bound on its
-distance to the boundary; the a-priori bounds in :mod:`reflectsde.penalty`
-are stated relative to that anchor.
+of half-spaces (projected iteratively).  Each projects the rows of an
+(m, d) array (``project_points``); ``project_point`` is the one-row case,
+so a point gets the same bits alone or in any batch.  Every domain carries
+a designated strictly interior anchor point together with a validated lower
+bound on its distance to the boundary; the a-priori bounds in
+:mod:`reflectsde.penalty` are stated relative to that anchor.
 """
 
 from __future__ import annotations
@@ -84,13 +86,14 @@ class ProjectionResult:
 class ConvexDomain:
     """Closed convex subset of R^d with an interior anchor.
 
-    Subclasses provide ``project_point`` (exact nearest point, or iterative
-    for half-space intersections), ``boundary_distance`` (distance to the
-    topological boundary, from either side), and the active inward normals
-    at a boundary point.  ``anchor_clearance`` is validated at construction:
-    it must be positive and must not exceed the exact boundary distance of
-    the anchor, so a conservative value is allowed and every bound built on
-    it stays valid.
+    Subclasses provide ``project_points`` (row-wise nearest points of an
+    (m, d) array: exact, or iterative for half-space intersections; the
+    single-point ``project_point`` is its one-row case),
+    ``boundary_distance`` (distance to the topological boundary, from
+    either side), and the active inward normals at a boundary point.
+    ``anchor_clearance`` is validated at construction: it must be positive
+    and must not exceed the exact boundary distance of the anchor, so a
+    conservative value is allowed and every bound built on it stays valid.
     """
 
     dim: int
@@ -125,16 +128,13 @@ class ConvexDomain:
         """Signed distance to the boundary, positive inside."""
         raise NotImplementedError
 
-    def project_point(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def project_points(self, X: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (m, d) array."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.project_point(X[i])
-        return out
+        raise NotImplementedError
+
+    def project_point(self, x) -> np.ndarray:
+        """Nearest point of one point: the one-row ``project_points``."""
+        return self.project_points(_vec(x, self.dim)[None])[0]
 
     def boundary_distance(self, x) -> float:
         x = _vec(x, self.dim)
@@ -180,13 +180,6 @@ class HalfSpace(ConvexDomain):
     def _interior_clearance(self, point: np.ndarray) -> float:
         return float(self.normal @ point - self.offset)
 
-    def project_point(self, x) -> np.ndarray:
-        x = _vec(x, self.dim)
-        s = self.normal @ x - self.offset
-        if s >= 0.0:
-            return x.copy()
-        return x - s * self.normal
-
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         s = _rows_times(X, self.normal[None, :])[:, 0] - self.offset
@@ -221,9 +214,6 @@ class Box(ConvexDomain):
 
     def _interior_clearance(self, point: np.ndarray) -> float:
         return float(min(np.min(point - self.lower), np.min(self.upper - point)))
-
-    def project_point(self, x) -> np.ndarray:
-        return np.clip(_vec(x, self.dim), self.lower, self.upper)
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(X, dtype=float), self.lower, self.upper)
@@ -264,21 +254,12 @@ class Ball(ConvexDomain):
     def _interior_clearance(self, point: np.ndarray) -> float:
         return self.radius - float(np.linalg.norm(point - self.center))
 
-    def project_point(self, x) -> np.ndarray:
-        x = _vec(x, self.dim)
-        v = x - self.center
-        r = np.linalg.norm(v)
-        if r <= self.radius:
-            return x.copy()
-        return self.center + v * (self.radius / r)
-
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         V = X - self.center
         r = np.linalg.norm(V, axis=1)
-        outside = r > self.radius
         scaled = self.center + V * (self.radius / np.maximum(r, 1e-300))[:, None]
-        return np.where(outside[:, None], scaled, X)
+        return np.where((r > self.radius)[:, None], scaled, X)
 
     def boundary_distance(self, x) -> float:
         return abs(self._interior_clearance(_vec(x, self.dim)))
@@ -296,10 +277,12 @@ class Polyhedron(ConvexDomain):
     """Finite intersection of half-spaces.
 
     No closed-form nearest point exists in general, so projection runs
-    Dykstra's cyclic corrections over the faces until the per-sweep
-    displacement drops below ``PROJECTION_TOL``.  The anchor is required
-    (it certifies the interior is nonempty) and its clearance is checked
-    against the exact value min_i(<n_i, anchor> - c_i).
+    Dykstra's cyclic corrections over the faces, batched over rows: each
+    row keeps its own corrections and stops once a sweep moves it at most
+    ``PROJECTION_TOL``; a row still moving after ``MAX_PROJECTION_SWEEPS``
+    sweeps raises ``NumericalError``.  The anchor is required (it certifies
+    the interior is nonempty) and its clearance is checked against the
+    exact value min_i(<n_i, anchor> - c_i).
     """
 
     def __init__(self, halfspaces, anchor, anchor_clearance=None):
@@ -322,33 +305,41 @@ class Polyhedron(ConvexDomain):
     def _interior_clearance(self, point: np.ndarray) -> float:
         return float(np.min(self._normals @ point - self._offsets))
 
-    def _slacks(self, x: np.ndarray) -> np.ndarray:
-        return self._normals @ x - self._offsets
+    def _slacks(self, X: np.ndarray) -> np.ndarray:
+        """Face margins of the rows of X, positive inside, (m, faces)."""
+        return _rows_times(X, self._normals) - self._offsets
 
-    def project_point(self, x) -> np.ndarray:
-        x = _vec(x, self.dim)
-        if np.min(self._slacks(x)) >= 0.0:
-            return x.copy()
-        point = x.copy()
-        corrections = np.zeros((len(self.faces), self.dim))
+    def project_points(self, X: np.ndarray) -> np.ndarray:
+        out = np.array(X, dtype=float)
+        rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
+        point = out[rows]
+        corrections = np.zeros((len(self.faces),) + point.shape)
         for _ in range(MAX_PROJECTION_SWEEPS):
-            previous = point.copy()
-            for i in range(len(self.faces)):
+            if not rows.size:
+                break
+            previous = point
+            for i, normal in enumerate(self._normals[:, None]):
                 shifted = point + corrections[i]
-                s = self._normals[i] @ shifted - self._offsets[i]
-                point = shifted if s >= 0.0 else shifted - s * self._normals[i]
+                s = _rows_times(shifted, normal) - self._offsets[i]
+                point = shifted - np.minimum(s, 0.0) * normal
                 corrections[i] = shifted - point
-            if np.linalg.norm(point - previous) <= PROJECTION_TOL:
-                return point
-        residual = float(np.linalg.norm(point - previous))
-        raise NumericalError(
-            f"cyclic projection did not converge in {MAX_PROJECTION_SWEEPS} "
-            f"sweeps (last displacement {residual:.3e})"
-        )
+            step = np.linalg.norm(point - previous, axis=1)
+            done = step <= PROJECTION_TOL
+            if np.count_nonzero(done):
+                out[rows[done]] = point[done]
+                rows, point, step = rows[~done], point[~done], step[~done]
+                corrections = corrections[:, ~done]
+        if rows.size:
+            raise NumericalError(
+                f"cyclic projection of {rows.size} point(s) did not converge in "
+                f"{MAX_PROJECTION_SWEEPS} sweeps (largest last displacement "
+                f"{step.max():.3e})"
+            )
+        return out
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
         b = _vec(b, self.dim)
-        slacks = self._slacks(b)
+        slacks = self._slacks(b[None])[0]
         if np.min(slacks) < -tol:
             return np.empty((0, self.dim))
         active = np.abs(slacks) <= tol

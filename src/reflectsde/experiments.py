@@ -74,6 +74,22 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+class _Section:
+    """Context in which a ValueError or TypeError from building or checking
+    a config section becomes a ConfigError naming the section; a
+    ConfigError passes unchanged."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (TypeError, ValueError)) and kind is not ConfigError:
+            raise ConfigError(f"{self.name}: {exc}") from exc
+
+
 def _require(cfg: dict, key: str, context: str):
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")
@@ -126,45 +142,48 @@ def build_domain(cfg: dict) -> ConvexDomain:
 
 def _build_h(cfg: dict):
     kind = _require(cfg, "kind", "driver.h")
-    if kind == "constant":
-        return ConstantStart(_require(cfg, "x0", "driver.h"))
-    if kind == "brownian":
-        return BrownianDrift(
-            _require(cfg, "x0", "driver.h"),
-            sigma=cfg.get("sigma", 1.0),
-            drift=cfg.get("drift", 0.0),
-        )
-    if kind == "table":
-        return TablePath(
-            StepPath(
-                _require(cfg, "times", "driver.h"),
-                _require(cfg, "values", "driver.h"),
-                q=cfg.get("q"),
+    with _Section("driver.h"):
+        if kind == "constant":
+            return ConstantStart(_require(cfg, "x0", "driver.h"))
+        if kind == "brownian":
+            return BrownianDrift(
+                _require(cfg, "x0", "driver.h"),
+                sigma=cfg.get("sigma", 1.0),
+                drift=cfg.get("drift", 0.0),
             )
-        )
+        if kind == "table":
+            return TablePath(
+                StepPath(
+                    _require(cfg, "times", "driver.h"),
+                    _require(cfg, "values", "driver.h"),
+                    q=cfg.get("q"),
+                )
+            )
     raise ConfigError(f"driver.h: unknown kind {kind!r}")
 
 
 def _build_z_component(cfg: dict):
     kind = _require(cfg, "kind", "driver.z")
-    if kind == "brownian":
-        return Brownian(sigma=cfg.get("sigma", 1.0))
-    if kind == "compound_poisson":
-        jumps = _require(cfg, "jumps", "driver.z")
-        return CompoundPoisson(
-            rate=float(_require(cfg, "rate", "driver.z")),
-            jumps=JumpSizes(
-                tag=_require(jumps, "tag", "driver.z.jumps"),
-                params=tuple(jumps.get("params", ())),
-            ),
-        )
-    if kind == "drift":
-        return Drift(rate=_require(cfg, "rate", "driver.z"))
+    with _Section("driver.z"):
+        if kind == "brownian":
+            return Brownian(sigma=cfg.get("sigma", 1.0))
+        if kind == "compound_poisson":
+            jumps = _require(cfg, "jumps", "driver.z")
+            return CompoundPoisson(
+                rate=float(_require(cfg, "rate", "driver.z")),
+                jumps=JumpSizes(
+                    tag=_require(jumps, "tag", "driver.z.jumps"),
+                    params=tuple(jumps.get("params", ())),
+                ),
+            )
+        if kind == "drift":
+            return Drift(rate=_require(cfg, "rate", "driver.z"))
     raise ConfigError(f"driver.z: unknown kind {kind!r}")
 
 
 def build_driver(cfg: dict) -> DriverSpec:
-    dim = int(_require(cfg, "dim", "driver"))
+    with _Section("driver"):
+        dim = int(_require(cfg, "dim", "driver"))
     h = _build_h(_require(cfg, "h", "driver"))
     z = tuple(_build_z_component(c) for c in cfg.get("z", []))
     return DriverSpec(dim=dim, h=h, z_components=z)
@@ -172,54 +191,49 @@ def build_driver(cfg: dict) -> DriverSpec:
 
 def build_coefficient(cfg: dict, dim: int):
     kind = _require(cfg, "kind", "coefficient")
-    if kind == "identity":
-        return Identity(dim)
-    if kind == "constant":
-        return ConstantMatrix(_require(cfg, "matrix", "coefficient"))
-    if kind == "diag_affine":
-        return DiagAffine(
-            dim,
-            base=float(_require(cfg, "base", "coefficient")),
-            slope=float(_require(cfg, "slope", "coefficient")),
-        )
-    if kind == "power_diag":
-        return PowerDiagonal(
-            dim,
-            alpha=float(_require(cfg, "alpha", "coefficient")),
-            cap=float(cfg.get("cap", np.inf)),
-        )
+    with _Section("coefficient"):
+        if kind == "identity":
+            return Identity(dim)
+        if kind == "constant":
+            return ConstantMatrix(_require(cfg, "matrix", "coefficient"))
+        if kind == "diag_affine":
+            return DiagAffine(
+                dim,
+                base=float(_require(cfg, "base", "coefficient")),
+                slope=float(_require(cfg, "slope", "coefficient")),
+            )
+        if kind == "power_diag":
+            return PowerDiagonal(
+                dim,
+                alpha=float(_require(cfg, "alpha", "coefficient")),
+                cap=float(cfg.get("cap", np.inf)),
+            )
     raise ConfigError(f"coefficient: unknown kind {kind!r}")
 
 
 def build_grid(cfg: dict) -> Grid:
-    q = float(_require(cfg, "q", "grid"))
-    cells = int(_require(cfg, "cells", "grid"))
-    try:
-        return Grid.regular(q, cells)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    with _Section("grid"):
+        return Grid.regular(
+            float(_require(cfg, "q", "grid")), int(_require(cfg, "cells", "grid"))
+        )
 
 
 def _build_input_path(cfg: dict) -> StepPath:
     spec = _require(cfg, "path", "experiment")
-    try:
+    with _Section("path"):
         return StepPath(
             _require(spec, "times", "path"),
             _require(spec, "values", "path"),
             q=spec.get("q"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"path: {exc}") from exc
 
 
 def run_skorokhod(cfg: dict):
     """Reflect a configured step driver and verify the solution."""
     domain = build_domain(_require(cfg, "domain", "skorokhod"))
     driver = _build_input_path(cfg)
-    try:
+    with _Section("skorokhod"):
         solution = solve_skorokhod(domain, driver)
-    except ValueError as exc:
-        raise ConfigError(f"skorokhod: {exc}") from exc
     tol = float(cfg.get("tol", 1e-9))
     report_data = verify_solution(domain, solution, tol=tol)
     report = ExperimentReport(params={"experiment": "skorokhod", "tol": tol})
@@ -271,10 +285,8 @@ def run_penalize(cfg: dict):
     rows = []
     delta = cfg.get("delta")
     for n in rates:
-        try:
+        with _Section("penalize"):
             sol = solve_penalized(domain, driver, float(n))
-        except ValueError as exc:
-            raise ConfigError(f"penalize: {exc}") from exc
         artifacts[f"penalized_n{n:g}"] = sol
         rows.append(
             {
@@ -343,18 +355,13 @@ def run_simulate(cfg: dict):
     max_failures = int(cfg.get("max_numerical_failures", 0))
 
     H, Z = sample_driver_batch(spec, grid, seed, paths)
-    try:
+    with _Section("simulate: driver.h start"):
         inside = all(domain.contains(x0) for x0 in np.unique(H[:, 0], axis=0))
-    except ValueError as exc:
-        raise ConfigError(f"simulate: driver.h start: {exc}") from exc
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
     states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
 
-    finals = np.full((paths, spec.dim), np.nan)
-    variations = np.full(paths, np.nan)
-    failures = []
-    kept = {}
+    finals, variations, failures, kept = [], [], [], {}
     for i in range(paths):
         if np.isnan(states[i, 0, 0]):
             reason = "state not finite or projection did not converge"
@@ -363,12 +370,15 @@ def run_simulate(cfg: dict):
             failures.append({"path": i, "error": reason})
             continue
         sol = PenalizedPath(n, grid.times, states[i], projections[i], grid.q)
-        finals[i] = sol.eval(grid.q)
-        variations[i] = sol.penalty_variation()
         if i < keep:
             kept[f"path_{i}"] = sol
+        variation = sol.penalty_variation()
+        if not np.isfinite(variation):
+            failures.append({"path": i, "error": "penalty variation not finite"})
+            continue
+        finals.append(sol.eval(grid.q))
+        variations.append(variation)
 
-    ok = np.isfinite(variations)
     report = ExperimentReport(
         params={
             "experiment": "simulate",
@@ -388,11 +398,11 @@ def run_simulate(cfg: dict):
         paths,
         f"seed={seed}",
     )
-    if ok.any():
-        for j in range(spec.dim):
-            report.params[f"final_mean_{j + 1}"] = float(np.mean(finals[ok, j]))
-            report.params[f"final_std_{j + 1}"] = float(np.std(finals[ok, j]))
-        report.params["mean_penalty_variation"] = float(np.mean(variations[ok]))
+    if variations:
+        for j, column in enumerate(np.array(finals).T, start=1):
+            report.params[f"final_mean_{j}"] = float(np.mean(column))
+            report.params[f"final_std_{j}"] = float(np.std(column))
+        report.params["mean_penalty_variation"] = float(np.mean(variations))
     return report, kept
 
 
@@ -567,21 +577,13 @@ def refinement_study(
         Hc = H_fine[:, ::factor]
         Zc = Z_fine[:, ::factor]
         states, projections = euler_penalized_batch(domain, f, Hc, Zc, float(n), coarse)
-        # evaluate the penalized path at every fine grid point
-        sup = np.zeros(paths)
-        for k in range(coarse.cells):
-            t0 = coarse.times[k]
-            seg_x = states[:, k]
-            seg_p = projections[:, k]
-            for j in range(factor):
-                t = fine.times[k * factor + j]
-                decay = np.exp(-float(n) * (t - t0))
-                val = seg_p + (seg_x - seg_p) * decay
-                err = np.abs(val[:, 0] - ref_vals[:, k * factor + j, 0])
-                sup = np.maximum(sup, err)
-        final_err = np.abs(states[:, -1, 0] - ref_vals[:, -1, 0])
-        sup = np.maximum(sup, final_err)
-        med = float(np.median(sup))
+        # evaluate the penalized path at every fine grid point: fine point
+        # k * factor + j lies in coarse cell k
+        cell = np.arange(coarse.cells).repeat(factor)
+        decay = np.exp(-float(n) * (fine.times[:-1] - coarse.times[cell]))
+        x, p = states[:, cell, 0], projections[:, cell, 0]
+        vals = np.hstack([p + (x - p) * decay, states[:, -1:, 0]])
+        med = float(np.median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
         medians.append(med)
         rows.append(
             {
@@ -814,15 +816,13 @@ def run_converge(cfg: dict):
     benchmark = _require(cfg, "benchmark", "converge")
     if not isinstance(benchmark, str) or benchmark not in _STUDIES:
         raise ConfigError(f"converge: unknown benchmark {benchmark!r}")
-    try:
+    with _Section("converge"):
         seed = int(cfg.get("seed", 0))
         params = {
             key: _coerce(default, cfg[key])
             for key, default in _study_defaults(benchmark).items()
             if key in cfg
         }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"converge: {exc}") from exc
     if params.get("paths", 1) < 1:
         raise ConfigError("converge: need at least one path")
     return _STUDIES[benchmark](seed, **params), {}

@@ -109,6 +109,15 @@ class JumpSizes:
     tag: str
     params: tuple = ()
 
+    def __post_init__(self):
+        count = {"normal": 2, "uniform": 2, "exponential": 1}.get(self.tag)
+        if count is None and self.tag != "constant":
+            raise ValueError(f"unknown jump size tag {self.tag!r}")
+        if count is not None and len(self.params) != count:
+            raise ValueError(f"{self.tag} jumps take {count} parameter(s)")
+        if self.tag in ("normal", "exponential") and not self.params[-1] >= 0:
+            raise ValueError(f"{self.tag} jump scale must be nonnegative")
+
     def sample(self, gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
         if self.tag == "normal":
             loc, scale = self.params
@@ -124,7 +133,6 @@ class JumpSizes:
             if vec.shape[0] != dim:
                 raise ValueError("constant jump vector has wrong dimension")
             return np.tile(vec, (count, 1))
-        raise ValueError(f"unknown jump size tag {self.tag!r}")
 
     def second_moment(self, dim: int) -> float:
         """E |xi|^2 of a single jump."""
@@ -140,7 +148,6 @@ class JumpSizes:
         if self.tag == "constant":
             vec = np.atleast_1d(np.asarray(self.params, dtype=float))
             return float(vec @ vec)
-        raise ValueError(f"unknown jump size tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,10 @@ class CompoundPoisson:
 
     rate: float
     jumps: JumpSizes
+
+    def __post_init__(self):
+        if not self.rate >= 0:
+            raise ValueError("compound Poisson rate must be nonnegative")
 
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
         counts = gen.poisson(self.rate * dt)

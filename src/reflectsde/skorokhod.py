@@ -128,10 +128,7 @@ def verify_solution(
     ys = y.eval_many(times)
 
     dec = float(np.max(np.linalg.norm(xs - ys - ks, axis=1)))
-    contain = 0.0
-    for row in xs:
-        pen = float(np.linalg.norm(row - domain.project_point(row)))
-        contain = max(contain, pen)
+    contain = float(np.max(np.linalg.norm(xs - domain.project_points(xs), axis=1)))
 
     support = 0.0
     normal = 0.0

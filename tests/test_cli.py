@@ -36,6 +36,16 @@ SIMULATE_CFG = {
 }
 
 
+def with_jumps(tag, params, rate=2.0):
+    """Config override: SIMULATE_CFG's driver with compound Poisson jumps."""
+    jumps = {
+        "kind": "compound_poisson",
+        "rate": rate,
+        "jumps": {"tag": tag, "params": params},
+    }
+    return {"driver": dict(SIMULATE_CFG["driver"], z=[jumps])}
+
+
 class TestSkorokhodCommand:
     def test_builtin_config_writes_verified_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -136,6 +146,48 @@ class TestConfigErrors:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert "at least one path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, override",
+        [
+            pytest.param(
+                "coefficient",
+                {"coefficient": {"kind": "constant", "matrix": [[1.0, 2.0]]}},
+                id="non-square-matrix",
+            ),
+            pytest.param(
+                "coefficient",
+                {"coefficient": {"kind": "diag_affine", "base": -1.0, "slope": 0.0}},
+                id="negative-base",
+            ),
+            pytest.param(
+                "coefficient",
+                {"coefficient": {"kind": "power_diag", "alpha": 2.0}},
+                id="alpha-above-one",
+            ),
+            pytest.param(
+                "driver.z", with_jumps("exponential", [-1.0]), id="negative-scale"
+            ),
+            pytest.param("driver.z", with_jumps("cauchy", [1.0]), id="unknown-tag"),
+            pytest.param(
+                "driver.z",
+                with_jumps("normal", [0.0, 1.0], rate=-2.0),
+                id="negative-rate",
+            ),
+            pytest.param(
+                "driver.z", with_jumps("normal", [1.0]), id="one-normal-param"
+            ),
+        ],
+    )
+    def test_builder_errors(self, tmp_path, capsys, section, override):
+        # rejected while the config is built, before any sampling
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SIMULATE_CFG, **override)))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: {section}: ")
+
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "simulate"}))
@@ -219,6 +271,28 @@ class TestSimulateCommand:
         assert failures and all(f["error"] for f in failures)
         assert len({f["path"] for f in failures}) == len(failures)
         assert report["entries"][0]["value"] == len(failures)
+        # every path left out of the statistics is listed: a non-finite
+        # state, or finite states whose penalty variation overflows
+        grid = Grid.regular(1.0, 32)
+        H, Z = sample_driver_batch(build_driver(cfg["driver"]), grid, 3, 20)
+        halfline = HalfSpace([1.0], 0.0)
+        with np.errstate(over="ignore"):
+            states, projections = euler_penalized_batch(
+                halfline, Identity(1), H, Z, 100.0, grid
+            )
+            bad = [
+                i
+                for i in range(20)
+                if not np.isfinite(states[i]).all()
+                or not np.isfinite(
+                    PenalizedPath(
+                        100.0, grid.times, states[i], projections[i], 1.0
+                    ).penalty_variation()
+                )
+            ]
+        assert sorted(f["path"] for f in failures) == bad
+        reasons = {f["error"] for f in failures}
+        assert "penalty variation not finite" in reasons
 
     def test_projection_failure_counts_only_its_path(self, tmp_path, monkeypatch):
         # a projection that diverges below a cut only the lowest path crosses

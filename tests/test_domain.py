@@ -7,11 +7,24 @@ from reflectsde.domain import (
     Ball,
     Box,
     HalfSpace,
+    NumericalError,
     Polyhedron,
     anchor_gap,
     normal_cone_check,
     project,
 )
+from reflectsde.sde import Grid, Identity, euler_penalized_batch
+
+
+def make_domains_1d():
+    return {
+        "halfspace": HalfSpace([1.0], -0.2),
+        "box": Box([0.0], [2.0]),
+        "ball": Ball([0.5], 1.5),
+        "polyhedron": Polyhedron(
+            [HalfSpace([1.0], 0.0), HalfSpace([-1.0], -2.0)], anchor=[0.5]
+        ),
+    }
 
 
 def make_domains():
@@ -225,26 +238,46 @@ class TestNormalCone:
 
 
 class TestVectorizedAgreement:
-    @pytest.mark.parametrize("name", ["box", "polyhedron"])
-    def test_batch_identical_where_same_arithmetic(self, name, rng):
-        d = make_domains()[name]
-        X = rng.uniform(-3.0, 3.0, size=(50, d.dim))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", ["halfspace", "box", "ball", "polyhedron"])
+    def test_batch_rows_equal_single_point(self, name, dim, rng):
+        # one projection per domain: a point projects to the same bits
+        # alone as in a batch, in every dimension
+        d = make_domains()[name] if dim == 2 else make_domains_1d()[name]
+        X = rng.uniform(-3.0, 3.0, size=(200, dim))
         P = d.project_points(X)
+        assert np.any(P != X)
         for i, x in enumerate(X):
             assert np.array_equal(P[i], d.project_point(x))
 
-    @pytest.mark.parametrize("name", ["halfspace", "ball"])
-    def test_batch_matches_single_to_roundoff(self, name, rng):
-        # vectorized dot products may round differently from scalar ones
-        d = make_domains()[name]
-        X = rng.uniform(-3.0, 3.0, size=(50, d.dim))
-        P = d.project_points(X)
-        for i, x in enumerate(X):
-            assert np.linalg.norm(P[i] - d.project_point(x)) <= 1e-13
 
-    def test_batch_identical_in_dimension_one(self, rng):
-        d = HalfSpace([1.0], 0.0)
-        X = rng.uniform(-3.0, 3.0, size=(200, 1))
-        P = d.project_points(X)
-        for i, x in enumerate(X):
-            assert np.array_equal(P[i], d.project_point(x))
+class TestBatchedDykstra:
+    def test_stuck_row_fails_alone(self, monkeypatch):
+        # a 10-degree wedge: points past the apex need many sweeps, points
+        # outside one face far from the apex need two
+        monkeypatch.setattr("reflectsde.domain.MAX_PROJECTION_SWEEPS", 5)
+        angle = np.radians(10.0)
+        wedge = Polyhedron(
+            [
+                HalfSpace([0.0, 1.0], 0.0),
+                HalfSpace([np.sin(angle), -np.cos(angle)], 0.0),
+            ],
+            anchor=[2.0, 0.1],
+        )
+        easy = np.array([[2.0, 0.1], [3.0, -0.5], [5.0, 2.0], [4.0, 0.3]])
+        corner = np.array([-1.0, 0.3])
+        assert np.array_equal(wedge.project_points(easy)[1], [3.0, 0.0])
+        with pytest.raises(NumericalError):
+            wedge.project_points(np.vstack([easy, corner]))
+        with pytest.raises(NumericalError):
+            wedge.project_point(corner)
+
+        grid = Grid.regular(1.0, 2)
+        H = np.repeat(wedge.anchor[None, None], 5, axis=0).repeat(3, axis=1)
+        H[:4, 1:] = easy[:, None]
+        H[4, 1:] = corner
+        states, projections = euler_penalized_batch(
+            wedge, Identity(2), H, np.zeros_like(H), 10.0, grid
+        )
+        assert np.isnan(states[4]).all() and np.isnan(projections[4]).all()
+        assert np.isfinite(states[:4]).all() and np.isfinite(projections[:4]).all()

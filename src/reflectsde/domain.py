@@ -40,7 +40,12 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Iterative projection failed to reach its tolerance."""
+    """Iterative projection failed to reach its tolerance; ``result``, when
+    given, is the batch's projections with NaN in the rows that failed."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class DomainViolationError(ValueError):
@@ -280,7 +285,8 @@ class Polyhedron(ConvexDomain):
     Dykstra's cyclic corrections over the faces, batched over rows: each
     row keeps its own corrections and stops once a sweep moves it at most
     ``PROJECTION_TOL``; a row still moving after ``MAX_PROJECTION_SWEEPS``
-    sweeps raises ``NumericalError``.  The anchor is required (it certifies
+    sweeps makes the batch raise ``NumericalError``, carrying the result
+    with NaN in that row.  The anchor is required (it certifies
     the interior is nonempty) and its clearance is checked against the
     exact value min_i(<n_i, anchor> - c_i).
     """
@@ -330,10 +336,12 @@ class Polyhedron(ConvexDomain):
                 rows, point, step = rows[~done], point[~done], step[~done]
                 corrections = corrections[:, ~done]
         if rows.size:
+            out[rows] = np.nan
             raise NumericalError(
                 f"cyclic projection of {rows.size} point(s) did not converge in "
                 f"{MAX_PROJECTION_SWEEPS} sweeps (largest last displacement "
-                f"{step.max():.3e})"
+                f"{step.max():.3e})",
+                out,
             )
         return out
 

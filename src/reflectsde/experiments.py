@@ -17,6 +17,7 @@ import numpy as np
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
 from .path import StepPath
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
+from .penalty import _penalty_variation, _relaxed, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import (
     Brownian,
@@ -88,6 +89,12 @@ class _Section:
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, (TypeError, ValueError)) and kind is not ConfigError:
             raise ConfigError(f"{self.name}: {exc}") from exc
+
+
+def _row(n, mesh, M, statistic, value, threshold=float("nan"), passed=True) -> dict:
+    """One row of a convergence table."""
+    keys = ("n", "mesh", "M", "statistic", "value", "threshold", "pass")
+    return dict(zip(keys, (n, mesh, M, statistic, value, threshold, bool(passed))))
 
 
 def _require(cfg: dict, key: str, context: str):
@@ -186,7 +193,8 @@ def build_driver(cfg: dict) -> DriverSpec:
         dim = int(_require(cfg, "dim", "driver"))
     h = _build_h(_require(cfg, "h", "driver"))
     z = tuple(_build_z_component(c) for c in cfg.get("z", []))
-    return DriverSpec(dim=dim, h=h, z_components=z)
+    with _Section("driver"):
+        return DriverSpec(dim=dim, h=h, z_components=z)
 
 
 def build_coefficient(cfg: dict, dim: int):
@@ -284,21 +292,11 @@ def run_penalize(cfg: dict):
     artifacts = {}
     rows = []
     delta = cfg.get("delta")
-    for n in rates:
+    for n in map(float, rates):
         with _Section("penalize"):
-            sol = solve_penalized(domain, driver, float(n))
+            sol = solve_penalized(domain, driver, n)
         artifacts[f"penalized_n{n:g}"] = sol
-        rows.append(
-            {
-                "n": float(n),
-                "mesh": 0.0,
-                "M": 1,
-                "statistic": "penalty_variation",
-                "value": sol.penalty_variation(),
-                "threshold": float("nan"),
-                "pass": True,
-            }
-        )
+        rows.append(_row(n, 0.0, 1, "penalty_variation", sol.penalty_variation()))
     if delta is not None:
         bounds = penalty_bounds(domain, driver, float(delta))
         report.params["delta"] = float(delta)
@@ -311,22 +309,12 @@ def run_penalize(cfg: dict):
             "deterministic",
         )
         for key, sol in artifacts.items():
-            report.add_entry(
-                f"sup_bound[{key}]",
-                sol.sup_deviation(domain.anchor),
-                bounds.bound_sup,
-                sol.sup_deviation(domain.anchor) <= bounds.bound_sup + 1e-9,
-                1,
-                "deterministic",
-            )
-            report.add_entry(
-                f"variation_bound[{key}]",
-                sol.penalty_variation(),
-                bounds.bound_var,
-                sol.penalty_variation() <= bounds.bound_var + 1e-9,
-                1,
-                "deterministic",
-            )
+            for name, value, bound in (
+                ("sup_bound", sol.sup_deviation(domain.anchor), bounds.bound_sup),
+                ("variation_bound", sol.penalty_variation(), bounds.bound_var),
+            ):
+                entry = (f"{name}[{key}]", value, bound, value <= bound + 1e-9)
+                report.add_entry(*entry, 1, "deterministic")
     report.tables["rates"] = rows
     return report, artifacts
 
@@ -354,30 +342,34 @@ def run_simulate(cfg: dict):
     keep = min(int(cfg.get("keep_paths", 5)), paths)
     max_failures = int(cfg.get("max_numerical_failures", 0))
 
-    H, Z = sample_driver_batch(spec, grid, seed, paths)
+    # overflowing draws leave non-finite rows, counted as failures below
+    with np.errstate(over="ignore"):
+        H, Z = sample_driver_batch(spec, grid, seed, paths)
     with _Section("simulate: driver.h start"):
         inside = all(domain.contains(x0) for x0 in np.unique(H[:, 0], axis=0))
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
     states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
-
-    finals, variations, failures, kept = [], [], [], {}
-    for i in range(paths):
+    kept = {
+        f"path_{i}": PenalizedPath(n, grid.times, states[i], projections[i], grid.q)
+        for i in range(keep)
+        if not np.isnan(states[i, 0, 0])
+    }
+    # failed rows are NaN; a finite gap above about 1e154 overflows it
+    with np.errstate(over="ignore"):
+        variations = _penalty_variation(
+            states, projections, n, grid.times, grid.q, grid.q
+        )
+    finals = _relaxed(states[:, -1], projections[:, -1], n, 0.0)
+    ok = np.isfinite(variations)
+    failures = []
+    for i in np.flatnonzero(~ok):
+        reason = "penalty variation not finite"
         if np.isnan(states[i, 0, 0]):
             reason = "state not finite or projection did not converge"
             if not (np.isfinite(H[i]).all() and np.isfinite(Z[i]).all()):
                 reason = "driver values not finite"
-            failures.append({"path": i, "error": reason})
-            continue
-        sol = PenalizedPath(n, grid.times, states[i], projections[i], grid.q)
-        if i < keep:
-            kept[f"path_{i}"] = sol
-        variation = sol.penalty_variation()
-        if not np.isfinite(variation):
-            failures.append({"path": i, "error": "penalty variation not finite"})
-            continue
-        finals.append(sol.eval(grid.q))
-        variations.append(variation)
+        failures.append({"path": int(i), "error": reason})
 
     report = ExperimentReport(
         params={
@@ -387,9 +379,9 @@ def run_simulate(cfg: dict):
             "seed": seed,
             "cells": grid.cells,
             "q": grid.q,
+            "numerical_failures": failures,
         }
     )
-    report.params["numerical_failures"] = failures
     report.add_entry(
         "numerical_failures",
         len(failures),
@@ -398,12 +390,18 @@ def run_simulate(cfg: dict):
         paths,
         f"seed={seed}",
     )
-    if variations:
-        for j, column in enumerate(np.array(finals).T, start=1):
-            report.params[f"final_mean_{j}"] = float(np.mean(column))
-            report.params[f"final_std_{j}"] = float(np.std(column))
-        report.params["mean_penalty_variation"] = float(np.mean(variations))
+    if ok.any():
+        # finite finals can sum past the float range: that statistic is null
+        with np.errstate(over="ignore"):
+            for j, column in enumerate(finals[ok].T, start=1):
+                report.params[f"final_mean_{j}"] = _finite_or_none(np.mean(column))
+                report.params[f"final_std_{j}"] = _finite_or_none(np.std(column))
+        report.params["mean_penalty_variation"] = float(np.mean(variations[ok]))
     return report, kept
+
+
+def _finite_or_none(value):
+    return float(value) if np.isfinite(value) else None
 
 
 def rbm_benchmark(
@@ -445,37 +443,13 @@ def rbm_benchmark(
             "q": q,
         }
     )
-    report.add_entry(
-        "ks_half_normal", ks, ks_threshold, ks < ks_threshold, paths, f"seed={seed}"
-    )
-    report.add_entry(
-        "abs_mean_error",
-        mean_err,
-        mean_sigmas * se,
-        mean_err <= mean_sigmas * se,
-        paths,
-        f"seed={seed}",
-    )
-    report.tables["convergence"] = [
-        {
-            "n": n,
-            "mesh": q / cells,
-            "M": paths,
-            "statistic": "ks_half_normal",
-            "value": ks,
-            "threshold": ks_threshold,
-            "pass": bool(ks < ks_threshold),
-        },
-        {
-            "n": n,
-            "mesh": q / cells,
-            "M": paths,
-            "statistic": "abs_mean_error",
-            "value": mean_err,
-            "threshold": mean_sigmas * se,
-            "pass": bool(mean_err <= mean_sigmas * se),
-        },
-    ]
+    rows = report.tables["convergence"] = []
+    for name, value, threshold, passed in (
+        ("ks_half_normal", ks, ks_threshold, ks < ks_threshold),
+        ("abs_mean_error", mean_err, mean_sigmas * se, mean_err <= mean_sigmas * se),
+    ):
+        report.add_entry(name, value, threshold, passed, paths, f"seed={seed}")
+        rows.append(_row(n, q / cells, paths, name, value, threshold, passed))
     return report
 
 
@@ -502,10 +476,9 @@ def oscillation_benchmark(
     )
     grid = Grid.regular(q, cells)
     H, Z = sample_driver_batch(spec, grid, seed, paths)
-    states, projections = euler_penalized_batch(domain, Identity(1), H, Z, n, grid)
-    xs = [
-        PenalizedPath(n, grid.times, s, p, grid.q) for s, p in zip(states, projections)
-    ]
+    states, _ = euler_penalized_batch(domain, Identity(1), H, Z, n, grid)
+    # penalized paths enter moduli through their breakpoint states
+    xs = [StepPath(grid.times, s, grid.q) for s in states]
     zs = [StepPath(grid.times, z, grid.q) for z in Z]
     table = oscillation_diagnostic(xs, zs, deltas, epsilons, q)
     report = ExperimentReport(
@@ -528,21 +501,11 @@ def oscillation_benchmark(
         paths,
         f"seed={seed}",
     )
-    rows = []
-    for e, eps in enumerate(table.epsilons):
-        for d, delta in enumerate(table.deltas):
-            rows.append(
-                {
-                    "n": n,
-                    "mesh": q / cells,
-                    "M": paths,
-                    "statistic": f"tail[eps={eps:g},delta={delta:g}]",
-                    "value": float(table.probabilities[e, d]),
-                    "threshold": band,
-                    "pass": True,
-                }
-            )
-    report.tables["oscillation"] = rows
+    report.tables["oscillation"] = [
+        _row(n, q / cells, paths, f"tail[eps={eps:g},delta={delta:g}]", float(p), band)
+        for eps, tails in zip(table.epsilons, table.probabilities)
+        for delta, p in zip(table.deltas, tails)
+    ]
     report.params["band"] = band
     return report
 
@@ -580,22 +543,12 @@ def refinement_study(
         # evaluate the penalized path at every fine grid point: fine point
         # k * factor + j lies in coarse cell k
         cell = np.arange(coarse.cells).repeat(factor)
-        decay = np.exp(-float(n) * (fine.times[:-1] - coarse.times[cell]))
-        x, p = states[:, cell, 0], projections[:, cell, 0]
-        vals = np.hstack([p + (x - p) * decay, states[:, -1:, 0]])
+        elapsed = fine.times[:-1] - coarse.times[cell]
+        inner = _relaxed(states[:, cell], projections[:, cell], float(n), elapsed)
+        vals = np.hstack([inner[:, :, 0], states[:, -1:, 0]])
         med = float(np.median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
         medians.append(med)
-        rows.append(
-            {
-                "n": float(n),
-                "mesh": q / cells,
-                "M": paths,
-                "statistic": "median_sup_distance",
-                "value": med,
-                "threshold": float("nan"),
-                "pass": True,
-            }
-        )
+        rows.append(_row(float(n), q / cells, paths, "median_sup_distance", med))
 
     report = ExperimentReport(
         params={
@@ -676,18 +629,10 @@ def tail_structure_study(
         H, Z = sample_driver_batch(spec, grid, run_seed, paths)
         out = {}
         for n in n_list:
-            states, projections = euler_penalized_batch(
-                domain, Identity(1), H, Z, float(n), grid
-            )
-            decay = np.exp(-float(n) * np.diff(grid.times))[None, :, None]
-            pre = projections[:, :-1] + (states[:, :-1] - projections[:, :-1]) * decay
-            sup_dev = np.maximum(
-                np.max(np.abs(states[:, :, 0] - 1.0), axis=1),
-                np.max(np.abs(pre[:, :, 0] - 1.0), axis=1),
-            )
-            gaps = np.abs(states - projections)[:, :-1, 0]
-            variation = np.sum(gaps * (1.0 - decay[:, :, 0]), axis=1)
-            out[n] = (sup_dev, variation)
+            X, P = euler_penalized_batch(domain, Identity(1), H, Z, float(n), grid)
+            batch = (X, P, float(n), grid.times, grid.q)
+            sup_dev = _sup_deviation(*batch, domain.anchor)
+            out[n] = (sup_dev, _penalty_variation(*batch, grid.q))
         return out
 
     r = int(np.floor(q / delta)) + 1
@@ -739,17 +684,8 @@ def tail_structure_study(
                     paths,
                     f"seed={seed}",
                 )
-                rows.append(
-                    {
-                        "n": float(n),
-                        "mesh": q / cells,
-                        "M": paths,
-                        "statistic": f"tail_{form}[eta={eta:g}]",
-                        "value": lhs,
-                        "threshold": rhs,
-                        "pass": bool(passed),
-                    }
-                )
+                stat = f"tail_{form}[eta={eta:g}]"
+                rows.append(_row(float(n), q / cells, paths, stat, lhs, rhs, passed))
     report.tables["tails"] = rows
     return report
 

@@ -84,34 +84,35 @@ class PenalizedPath:
             raise ValueError(f"time {t} outside [0, {self.q}]")
         return t
 
+    def _rows(self):
+        """This path as the one-row batch of the closed-form functions."""
+        return self.states[None], self.projections[None], self.n, self.times, self.q
+
+    def _from(self, j, t) -> np.ndarray:
+        """Value at time(s) t relaxed from breakpoint(s) j."""
+        return _relaxed(self.states[j], self.projections[j], self.n, t - self.times[j])
+
     def eval(self, t) -> np.ndarray:
         t = self._check_time(t)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        decay = np.exp(-self.n * (t - self.times[j]))
-        return self.projections[j] + (self.states[j] - self.projections[j]) * decay
+        return self._from(int(np.searchsorted(self.times, t, side="right")) - 1, t)
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < 0.0 or ts.max() > self.q):
             raise ValueError("evaluation times outside the horizon")
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        decay = np.exp(-self.n * (ts - self.times[idx]))[:, None]
-        return self.projections[idx] + (self.states[idx] - self.projections[idx]) * decay
+        return self._from(np.searchsorted(self.times, ts, side="right") - 1, ts)
 
     def left_limit(self, t) -> np.ndarray:
         t = self._check_time(t)
         if t == 0.0:
             return self.states[0].copy()
         j = max(int(np.searchsorted(self.times, t, side="left")) - 1, 0)
-        decay = np.exp(-self.n * (t - self.times[j]))
-        return self.projections[j] + (self.states[j] - self.projections[j]) * decay
+        return self._from(j, t)
 
     def segment_end_values(self) -> np.ndarray:
         """Value approached at the right end of each segment (the last one
         evaluated at the horizon)."""
-        ends = np.append(self.times[1:], self.q)
-        decay = np.exp(-self.n * (ends - self.times))[:, None]
-        return self.projections + (self.states - self.projections) * decay
+        return _segment_ends(*self._rows())[0]
 
     def skeleton_values(self) -> np.ndarray:
         """Breakpoint and segment-end values interleaved in time order.
@@ -120,18 +121,15 @@ class PenalizedPath:
         coordinatewise extremum or crossing of the continuous path is
         witnessed by this (2m, d) array.
         """
-        ends = self.segment_end_values()
-        out = np.empty((2 * self.states.shape[0], self.dim))
-        out[0::2] = self.states
-        out[1::2] = ends
+        out = np.repeat(self.states, 2, axis=0)
+        out[1::2] = self.segment_end_values()
         return out
 
     def sup_deviation(self, point) -> float:
         """Supremum over [0, q] of the distance to a fixed point; exact,
         since the norm is convex and segments are line-segment images."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        sk = self.skeleton_values()
-        return float(np.max(np.linalg.norm(sk - point[None, :], axis=1)))
+        return float(_sup_deviation(*self._rows(), point)[0])
 
     def penalty_variation(self, t=None) -> float:
         """Euclidean variation of the penalty term up to t.
@@ -141,13 +139,7 @@ class PenalizedPath:
         is constant, so the sum over segments is exact.
         """
         t = self.q if t is None else self._check_time(t)
-        ends = np.minimum(np.append(self.times[1:], self.q), t)
-        spans = ends - self.times
-        active = spans > 0
-        gaps = np.linalg.norm(self.states - self.projections, axis=1)
-        return float(
-            np.sum(gaps[active] * (1.0 - np.exp(-self.n * spans[active])))
-        )
+        return float(_penalty_variation(*self._rows(), t)[0])
 
     def to_step(self, times) -> StepPath:
         """Sample onto the given breakpoints as a step path."""
@@ -189,19 +181,50 @@ class PenalizedPath:
         )
 
 
-def _point_or_nan(domain, x):
-    try:
-        return domain.project_point(x)
-    except NumericalError:
-        return np.full_like(x, np.nan)
+# The closed form over rows: (M, K+1, d) breakpoint states and projections
+# on one breakpoint array ``times`` and horizon q.  PenalizedPath is the
+# one-row case, and a row gets the same bits alone or in any batch.
+
+
+def _relaxed(states, projections, n, elapsed):
+    """P + (X - P) exp(-n elapsed): the value reached from states X with
+    projections P after ``elapsed`` time (broadcast against X[..., 0])."""
+    decay = np.exp(-n * np.asarray(elapsed))[..., None]
+    return projections + (states - projections) * decay
+
+
+def _segment_ends(states, projections, n, times, q):
+    """Values approached at the right end of each segment, the last one at
+    the horizon; with the breakpoint states they form the path's skeleton."""
+    return _relaxed(states, projections, n, np.append(times[1:], q) - times)
+
+
+def _sup_deviation(states, projections, n, times, q, point):
+    """Per-row supremum over [0, q] of the distance to ``point``, attained
+    on the skeleton since the norm is convex."""
+    ends = _segment_ends(states, projections, n, times, q)
+    sups = [np.max(np.linalg.norm(X - point, axis=2), axis=1) for X in (states, ends)]
+    return np.maximum(*sups)
+
+
+def _penalty_variation(states, projections, n, times, q, t):
+    """Per-row Euclidean variation of the penalty term up to t: each
+    segment starting before t adds |x_j - p_j| (1 - exp(-n span)).  The
+    sum runs over a C-ordered (M, m) array, which numpy sums row by row in
+    the order it sums one path; a column-ordered one drifts in the last bit."""
+    m = int(np.searchsorted(times, t))
+    spans = (np.minimum(np.append(times[1:], q), t) - times)[:m]
+    gaps = np.linalg.norm(states[:, :m] - projections[:, :m], axis=2)
+    return np.sum(gaps * (1.0 - np.exp(-n * spans)), axis=1)
 
 
 def _project_live(domain, X, failed, strict):
     """Projections of the rows of X.
 
-    A row that is not finite, or whose projection raises NumericalError,
-    is marked in ``failed`` and gets NaN; a failed row is not projected
-    again.  With ``strict`` the first failure raises instead.
+    A row that is not finite, or whose projection does not converge (NaN
+    in the result a NumericalError carries), is marked in ``failed`` and
+    gets NaN; a failed row is not projected again.  With ``strict`` the
+    first failure raises instead.
     """
     fresh = not failed.any() and np.isfinite(X).all()
     if not fresh:
@@ -211,10 +234,10 @@ def _project_live(domain, X, failed, strict):
     live = slice(None) if fresh else np.flatnonzero(~failed)
     try:
         P = domain.project_points(X[live])
-    except NumericalError:
-        if strict:
+    except NumericalError as exc:
+        if strict or exc.result is None:
             raise
-        P = np.array([_point_or_nan(domain, x) for x in X[live]])
+        P = exc.result
         failed[live] |= np.isnan(P[:, 0])
     if fresh:
         return P
@@ -247,7 +270,7 @@ def _relax_and_step(domain, f, H, Z, n, times, strict=False):
         for k in range(K1 - 1):
             pre = p
             if n != np.inf:
-                pre = p + (x - p) * np.exp(-n * (times[k + 1] - times[k]))
+                pre = _relaxed(x, p, n, times[k + 1] - times[k])
             x = pre + (H[:, k + 1] - H[:, k])
             if Z is not None:
                 x += f.contract(pre, Z[:, k + 1] - Z[:, k])

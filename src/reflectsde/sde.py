@@ -101,6 +101,14 @@ class Grid:
         return f"Grid(cells={self.cells}, q={self.q}, mesh={self.mesh:g})"
 
 
+def _dim_vector(value, dim: int, what: str) -> np.ndarray:
+    """``value`` broadcast to a (dim,) vector, or a ValueError naming ``what``."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+    except ValueError:
+        raise ValueError(f"{what} does not fit dimension {dim}") from None
+
+
 @dataclass(frozen=True)
 class JumpSizes:
     """Jump size distribution: tag plus parameters, applied iid per
@@ -118,6 +126,11 @@ class JumpSizes:
         if self.tag in ("normal", "exponential") and not self.params[-1] >= 0:
             raise ValueError(f"{self.tag} jump scale must be nonnegative")
 
+    def _check_dim(self, dim: int) -> None:
+        vec = np.atleast_1d(np.asarray(self.params, dtype=float))
+        if self.tag == "constant" and vec.shape != (dim,):
+            raise ValueError("constant jump vector has wrong dimension")
+
     def sample(self, gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
         if self.tag == "normal":
             loc, scale = self.params
@@ -129,10 +142,8 @@ class JumpSizes:
             (scale,) = self.params
             return gen.exponential(scale, size=(count, dim))
         if self.tag == "constant":
-            vec = np.atleast_1d(np.asarray(self.params, dtype=float))
-            if vec.shape[0] != dim:
-                raise ValueError("constant jump vector has wrong dimension")
-            return np.tile(vec, (count, 1))
+            self._check_dim(dim)
+            return np.tile(np.asarray(self.params, dtype=float), (count, 1))
 
     def second_moment(self, dim: int) -> float:
         """E |xi|^2 of a single jump."""
@@ -156,6 +167,13 @@ class Brownian:
     or full matrix applied to standard increments."""
 
     sigma: object = 1.0
+
+    def _check_dim(self, dim: int) -> None:
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim == 1:
+            _dim_vector(sigma, dim, "brownian sigma")
+        elif sigma.ndim > 0 and sigma.shape != (dim, dim):
+            raise ValueError(f"brownian sigma matrix must be {dim}x{dim}")
 
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
         z = gen.standard_normal((dt.shape[0], dim)) * np.sqrt(dt)[:, None]
@@ -190,6 +208,9 @@ class CompoundPoisson:
         if not self.rate >= 0:
             raise ValueError("compound Poisson rate must be nonnegative")
 
+    def _check_dim(self, dim: int) -> None:
+        self.jumps._check_dim(dim)
+
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
         counts = gen.poisson(self.rate * dt)
         total = int(counts.sum())
@@ -213,16 +234,17 @@ class Drift:
 
     rate: object
 
+    def _check_dim(self, dim: int) -> None:
+        _dim_vector(self.rate, dim, "drift rate")
+
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
-        rate = np.broadcast_to(np.asarray(self.rate, dtype=float), (dim,))
-        return rate[None, :] * dt[:, None]
+        return _dim_vector(self.rate, dim, "drift rate")[None, :] * dt[:, None]
 
     def expected_bracket_rate(self, dim: int) -> float:
         return 0.0
 
     def variation_rate(self, dim: int) -> float:
-        rate = np.broadcast_to(np.asarray(self.rate, dtype=float), (dim,))
-        return float(np.sum(np.abs(rate)))
+        return float(np.sum(np.abs(_dim_vector(self.rate, dim, "drift rate"))))
 
 
 @dataclass(frozen=True)
@@ -231,9 +253,11 @@ class ConstantStart:
 
     x0: object
 
+    def _check_dim(self, dim: int) -> None:
+        _dim_vector(self.x0, dim, "h start")
+
     def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float), (dim,))
-        return np.tile(x0, (times.shape[0], 1))
+        return np.tile(_dim_vector(self.x0, dim, "h start"), (times.shape[0], 1))
 
 
 @dataclass(frozen=True)
@@ -242,9 +266,11 @@ class TablePath:
 
     path: StepPath
 
-    def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
+    def _check_dim(self, dim: int) -> None:
         if self.path.dim != dim:
             raise ValueError("table path has wrong dimension")
+
+    def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
         return np.array(self.path.eval_many(times))
 
 
@@ -256,14 +282,18 @@ class BrownianDrift:
     sigma: object = 1.0
     drift: object = 0.0
 
+    def _check_dim(self, dim: int) -> None:
+        _dim_vector(self.x0, dim, "h start")
+        _dim_vector(self.drift, dim, "h drift")
+        Brownian(self.sigma)._check_dim(dim)
+
     def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float), (dim,))
+        x0 = _dim_vector(self.x0, dim, "h start")
         inc = Brownian(self.sigma).increments(gen, np.diff(times), dim)
         out = np.empty((times.shape[0], dim))
         out[0] = x0
         out[1:] = x0 + np.cumsum(inc, axis=0)
-        drift = np.broadcast_to(np.asarray(self.drift, dtype=float), (dim,))
-        return out + drift[None, :] * times[:, None]
+        return out + _dim_vector(self.drift, dim, "h drift")[None, :] * times[:, None]
 
     def expected_bracket_rate(self, dim: int) -> float:
         return Brownian(self.sigma).expected_bracket_rate(dim)
@@ -276,12 +306,17 @@ class DriverSpec:
     Z is the sum of the listed components.  Component RNG streams are
     keyed by (seed, path index, component index), with H at index 0 and
     the Z components following in order, so adding a component never
-    changes the draws of the others.
+    changes the draws of the others.  Each part is checked against ``dim``
+    when the spec is built.
     """
 
     dim: int
     h: object
     z_components: tuple = ()
+
+    def __post_init__(self):
+        for part in (self.h, *self.z_components):
+            part._check_dim(self.dim)
 
     def expected_bracket(self, q: float) -> float:
         """E [Z]_q, coordinates summed; exact from the component laws."""

@@ -86,18 +86,12 @@ def energy_distance(first, second) -> float:
     return max(2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b), 0.0)
 
 
-def _skeleton_1d(path, coord: int) -> np.ndarray:
+def _skeleton(path) -> np.ndarray:
+    """Values witnessing every extremum and crossing of a path: its step
+    values, or a penalized path's breakpoint and segment-end values."""
     if isinstance(path, PenalizedPath):
-        return path.skeleton_values()[:, coord]
-    return path.values[:, coord]
-
-
-def _sup_norm(path) -> float:
-    if isinstance(path, PenalizedPath):
-        vals = path.skeleton_values()
-    else:
-        vals = path.values
-    return float(np.max(np.linalg.norm(vals, axis=1)))
+        return path.skeleton_values()
+    return path.values
 
 
 @dataclass(frozen=True)
@@ -141,11 +135,13 @@ def s_tightness_witness(
     count_ceilings = np.asarray(count_ceilings, dtype=float)
     if count_ceilings.shape[0] != len(levels):
         raise ValueError("one ceiling per level pair required")
-    sups = np.array([_sup_norm(p) for p in paths])
+    sups = np.empty(len(paths))
     counts = np.empty((len(paths), len(levels)), dtype=int)
     for i, p in enumerate(paths):
+        sk = _skeleton(p)
+        sups[i] = np.max(np.linalg.norm(sk, axis=1))
         for j, (coord, a, b) in enumerate(levels):
-            counts[i, j] = upcrossings_of_values(_skeleton_1d(p, coord), a, b)
+            counts[i, j] = upcrossings_of_values(sk[:, coord], a, b)
     return STightnessReport(
         sup_norms=sups,
         sup_ceiling=float(sup_ceiling),

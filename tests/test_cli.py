@@ -46,6 +46,18 @@ def with_jumps(tag, params, rate=2.0):
     return {"driver": dict(SIMULATE_CFG["driver"], z=[jumps])}
 
 
+def on_plane(h=None, z=None):
+    """Config override: a d = 2 box with a driver whose H or Z replaces a
+    constant start at the centre and a unit Brownian integrator."""
+    driver = {
+        "dim": 2,
+        "h": h or {"kind": "constant", "x0": [0.5, 0.5]},
+        "z": z or [{"kind": "brownian", "sigma": 1.0}],
+    }
+    domain = {"variant": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+    return {"domain": domain, "driver": driver}
+
+
 class TestSkorokhodCommand:
     def test_builtin_config_writes_verified_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -176,6 +188,46 @@ class TestConfigErrors:
             pytest.param(
                 "driver.z", with_jumps("normal", [1.0]), id="one-normal-param"
             ),
+            pytest.param(
+                "driver",
+                on_plane(h={"kind": "constant", "x0": [0.5, 0.5, 0.5]}),
+                id="h-start-length-3",
+            ),
+            pytest.param(
+                "driver",
+                on_plane(
+                    z=[
+                        {
+                            "kind": "compound_poisson",
+                            "rate": 2.0,
+                            "jumps": {"tag": "constant", "params": [1.0, 1.0, 1.0]},
+                        }
+                    ]
+                ),
+                id="constant-jump-length-3",
+            ),
+            pytest.param(
+                "driver",
+                on_plane(
+                    h={
+                        "kind": "table",
+                        "times": [0.0, 0.5],
+                        "values": [0.5, 0.7],
+                        "q": 1.0,
+                    }
+                ),
+                id="table-path-1d",
+            ),
+            pytest.param(
+                "driver",
+                on_plane(z=[{"kind": "brownian", "sigma": [1.0, 1.0, 1.0]}]),
+                id="sigma-length-3",
+            ),
+            pytest.param(
+                "driver",
+                on_plane(z=[{"kind": "drift", "rate": [1.0, 1.0, 1.0]}]),
+                id="drift-rate-length-3",
+            ),
         ],
     )
     def test_builder_errors(self, tmp_path, capsys, section, override):
@@ -263,10 +315,17 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         code = main(["simulate", "--config", str(path), "--out", str(out)])
         assert code == 2
-        assert "numerical failures" in capsys.readouterr().err
-        # outputs still written for diagnosis
-        report = json.loads((out / "report.json").read_text())
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failures")
+        # outputs still written for diagnosis, as strict JSON
+
+        def no_constant(name):
+            raise ValueError(f"report.json holds {name}")
+
+        text = (out / "report.json").read_text()
+        report = json.loads(text, parse_constant=no_constant)
         assert report["all_passed"] is False
+        assert report["params"]["final_mean_1"] is None
         failures = report["params"]["numerical_failures"]
         assert failures and all(f["error"] for f in failures)
         assert len({f["path"] for f in failures}) == len(failures)
@@ -274,9 +333,9 @@ class TestSimulateCommand:
         # every path left out of the statistics is listed: a non-finite
         # state, or finite states whose penalty variation overflows
         grid = Grid.regular(1.0, 32)
-        H, Z = sample_driver_batch(build_driver(cfg["driver"]), grid, 3, 20)
         halfline = HalfSpace([1.0], 0.0)
         with np.errstate(over="ignore"):
+            H, Z = sample_driver_batch(build_driver(cfg["driver"]), grid, 3, 20)
             states, projections = euler_penalized_batch(
                 halfline, Identity(1), H, Z, 100.0, grid
             )
@@ -305,16 +364,17 @@ class TestSimulateCommand:
         worst = int(np.argmin(lows))
         cut = 0.5 * (lows[worst] + np.min(np.delete(lows, worst)))
 
-        def flaky(method):
-            def project(self, X):
-                if np.any(np.asarray(X) < cut):
-                    raise NumericalError("forced failure")
-                return method(self, X)
+        project = HalfSpace.project_points
 
-            return project
+        def flaky(self, X):
+            out = project(self, X)
+            low = np.asarray(X)[:, 0] < cut
+            if low.any():
+                out[low] = np.nan
+                raise NumericalError("forced failure", out)
+            return out
 
-        for name in ("project_point", "project_points"):
-            monkeypatch.setattr(HalfSpace, name, flaky(getattr(HalfSpace, name)))
+        monkeypatch.setattr(HalfSpace, "project_points", flaky)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SIMULATE_CFG))
         out = tmp_path / "run"

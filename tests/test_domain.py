@@ -267,11 +267,24 @@ class TestBatchedDykstra:
         easy = np.array([[2.0, 0.1], [3.0, -0.5], [5.0, 2.0], [4.0, 0.3]])
         corner = np.array([-1.0, 0.3])
         assert np.array_equal(wedge.project_points(easy)[1], [3.0, 0.0])
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as failure:
             wedge.project_points(np.vstack([easy, corner]))
+        # the error carries the batch result, NaN in the stuck row only
+        assert np.array_equal(failure.value.result[:4], wedge.project_points(easy))
+        assert np.isnan(failure.value.result[4]).all()
         with pytest.raises(NumericalError):
             wedge.project_point(corner)
 
+        # the kernel takes failed rows from that result: one projection
+        # call per grid point, none repeated
+        calls = []
+        project = Polyhedron.project_points
+
+        def counted(self, X):
+            calls.append(len(X))
+            return project(self, X)
+
+        monkeypatch.setattr(Polyhedron, "project_points", counted)
         grid = Grid.regular(1.0, 2)
         H = np.repeat(wedge.anchor[None, None], 5, axis=0).repeat(3, axis=1)
         H[:4, 1:] = easy[:, None]
@@ -279,5 +292,6 @@ class TestBatchedDykstra:
         states, projections = euler_penalized_batch(
             wedge, Identity(2), H, np.zeros_like(H), 10.0, grid
         )
+        assert len(calls) == grid.cells + 1
         assert np.isnan(states[4]).all() and np.isnan(projections[4]).all()
         assert np.isfinite(states[:4]).all() and np.isfinite(projections[:4]).all()

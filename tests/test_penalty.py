@@ -3,18 +3,58 @@
 import numpy as np
 import pytest
 
-from reflectsde.domain import Ball, HalfSpace
+from reflectsde.domain import Ball, Box, HalfSpace, Polyhedron
 from reflectsde.path import StepPath
 from reflectsde.penalty import (
     SUP_FACTOR,
     VARIATION_FACTOR,
     PenalizedPath,
+    _penalty_variation,
+    _relaxed,
+    _sup_deviation,
     penalty_bounds,
     solve_penalized,
+)
+from reflectsde.sde import (
+    Brownian,
+    CompoundPoisson,
+    ConstantStart,
+    DriverSpec,
+    Drift,
+    Grid,
+    Identity,
+    JumpSizes,
+    euler_penalized_batch,
+    sample_driver_batch,
 )
 from reflectsde.skorokhod import solve_skorokhod
 
 HALFLINE = HalfSpace([1.0], 0.0, anchor=[1.0])
+# half-space, box, ball and a polyhedron in each dimension; in d = 2 the
+# polyhedron is the benchmark's 30-degree wedge cut off at x = 4
+DOMAINS = {
+    1: {
+        "halfspace": HalfSpace([1.0], -0.2),
+        "box": Box([0.0], [2.0]),
+        "ball": Ball([0.5], 1.5),
+        "polyhedron": Polyhedron(
+            [HalfSpace([1.0], 0.0), HalfSpace([-1.0], -2.0)], anchor=[0.5]
+        ),
+    },
+    2: {
+        "halfspace": HalfSpace([0.6, 0.8], 0.0),
+        "box": Box([0.0, 0.0], [1.0, 1.0]),
+        "ball": Ball([0.0, 0.0], 1.0),
+        "polyhedron": Polyhedron(
+            [
+                HalfSpace([0.0, 1.0], 0.0),
+                HalfSpace([0.5, -0.8660254037844387], 0.0),
+                HalfSpace([-1.0, 0.0], -4.0),
+            ],
+            anchor=[2.0, 0.5358983848622454],
+        ),
+    },
+}
 
 
 def random_halfline_driver(rng, jumps=8):
@@ -154,6 +194,39 @@ class TestClosedForm:
         sol = solve_penalized(HALFLINE, y, n=1.0)
         with pytest.raises(AttributeError):
             sol.n = 2.0
+
+
+class TestBatchedClosedForm:
+    def test_rows_equal_path_methods(self):
+        # the closed form over rows: row i is the one-row PenalizedPath, bit
+        # for bit, with a horizon past the last breakpoint
+        grid = Grid.regular(1.0, 25)
+        n, q, t = 32.0, 1.25, 0.37
+        for dim, domains in DOMAINS.items():
+            for name, domain in domains.items():
+                spec = DriverSpec(
+                    dim=dim,
+                    h=ConstantStart(domain.anchor),
+                    z_components=(
+                        Brownian(0.8),
+                        Drift([-2.0] * dim),
+                        CompoundPoisson(2.0, JumpSizes("normal", (0.0, 0.5))),
+                    ),
+                )
+                H, Z = sample_driver_batch(spec, grid, seed=9, paths=6)
+                X, P = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid)
+                assert np.any(X != P), (dim, name)
+                last = _relaxed(X[:, -1], P[:, -1], n, q - grid.q)
+                path = (X, P, n, grid.times, q)
+                variation = _penalty_variation(*path, q)
+                partial = _penalty_variation(*path, t)
+                sup = _sup_deviation(*path, domain.anchor)
+                for i in range(6):
+                    one = PenalizedPath(n, grid.times, X[i], P[i], q)
+                    assert np.array_equal(last[i], one.eval(q)), (dim, name)
+                    assert variation[i] == one.penalty_variation(), (dim, name)
+                    assert partial[i] == one.penalty_variation(t), (dim, name)
+                    assert sup[i] == one.sup_deviation(domain.anchor), (dim, name)
 
 
 class TestAprioriBounds:

@@ -401,15 +401,13 @@ class TestEulerSchemes:
         # a projection that diverges at one point fails only its own row;
         # a non-finite driver row fails too; the rest match single paths
         class Flaky(HalfSpace):
-            def project_point(self, x):
-                if x[0] > 50.0:
-                    raise NumericalError("forced")
-                return super().project_point(x)
-
             def project_points(self, X):
-                if np.any(X[:, 0] > 50.0):
-                    raise NumericalError("forced")
-                return super().project_points(X)
+                out = super().project_points(X)
+                stuck = X[:, 0] > 50.0
+                if stuck.any():
+                    out[stuck] = np.nan
+                    raise NumericalError("forced", out)
+                return out
 
         domain = Flaky([1.0], 0.0)
         grid = Grid.regular(1.0, 8)

@@ -91,8 +91,9 @@ class _Section:
             raise ConfigError(f"{self.name}: {exc}") from exc
 
 
-def _row(n, mesh, M, statistic, value, threshold=float("nan"), passed=True) -> dict:
-    """One row of a convergence table."""
+def _row(n, mesh, M, statistic, value, threshold=None, passed=True) -> dict:
+    """One row of a convergence table; a row without a threshold has
+    ``None`` there, which the report writes as JSON ``null``."""
     keys = ("n", "mesh", "M", "statistic", "value", "threshold", "pass")
     return dict(zip(keys, (n, mesh, M, statistic, value, threshold, bool(passed))))
 

@@ -167,6 +167,7 @@ class Brownian:
     or full matrix applied to standard increments."""
 
     sigma: object = 1.0
+    draws = True
 
     def _check_dim(self, dim: int) -> None:
         sigma = np.asarray(self.sigma, dtype=float)
@@ -176,13 +177,21 @@ class Brownian:
             raise ValueError(f"brownian sigma matrix must be {dim}x{dim}")
 
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
-        z = gen.standard_normal((dt.shape[0], dim)) * np.sqrt(dt)[:, None]
+        return _one_row(self.increments_rows, gen, dt, dim)
+
+    def increments_rows(self, gens, dt: np.ndarray, out: np.ndarray) -> None:
+        """Write one row of increments per generator into the (rows, K, d)
+        block ``out``: raw normals row by row, then one scaling pass."""
+        for gen, row in zip(gens, out):
+            gen.standard_normal(out=row)
+        out *= np.sqrt(dt)[:, None]
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim == 0:
-            return z * float(sigma)
-        if sigma.ndim == 1:
-            return z * sigma[None, :]
-        return z @ sigma.T
+            out *= float(sigma)
+        elif sigma.ndim == 1:
+            out *= sigma
+        else:
+            out[...] = out @ sigma.T
 
     def expected_bracket_rate(self, dim: int) -> float:
         """E d[Z] / dt, coordinates summed."""
@@ -203,6 +212,7 @@ class CompoundPoisson:
 
     rate: float
     jumps: JumpSizes
+    draws = True
 
     def __post_init__(self):
         if not self.rate >= 0:
@@ -212,14 +222,23 @@ class CompoundPoisson:
         self.jumps._check_dim(dim)
 
     def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
-        counts = gen.poisson(self.rate * dt)
-        total = int(counts.sum())
-        out = np.zeros((dt.shape[0], dim))
-        if total:
-            sizes = self.jumps.sample(gen, total, dim)
-            cell = np.repeat(np.arange(dt.shape[0]), counts)
-            np.add.at(out, cell, sizes)
-        return out
+        return _one_row(self.increments_rows, gen, dt, dim)
+
+    def increments_rows(self, gens, dt: np.ndarray, out: np.ndarray) -> None:
+        """Jump counts and sizes drawn row by row, then one scatter of all
+        sizes into the zeroed (rows, K, d) block ``out``, in draw order."""
+        mean_counts = self.rate * dt
+        counts = np.empty(out.shape[:2], dtype=np.int64)
+        sizes = []
+        for gen, row in zip(gens, counts):
+            row[...] = gen.poisson(mean_counts)
+            total = int(row.sum())
+            if total:
+                sizes.append(self.jumps.sample(gen, total, out.shape[2]))
+        out[...] = 0.0
+        if sizes:
+            cell = np.repeat(np.arange(counts.size), counts.ravel())
+            np.add.at(out.reshape(-1, out.shape[2]), cell, np.concatenate(sizes))
 
     def expected_bracket_rate(self, dim: int) -> float:
         return self.rate * self.jumps.second_moment(dim)
@@ -233,6 +252,7 @@ class Drift:
     """Deterministic drift component with constant rate vector."""
 
     rate: object
+    draws = False
 
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.rate, dim, "drift rate")
@@ -252,6 +272,7 @@ class ConstantStart:
     """Driver component H frozen at its starting point."""
 
     x0: object
+    draws = False
 
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.x0, dim, "h start")
@@ -265,6 +286,7 @@ class TablePath:
     """Deterministic H given as a step path, frozen at grid points."""
 
     path: StepPath
+    draws = False
 
     def _check_dim(self, dim: int) -> None:
         if self.path.dim != dim:
@@ -281,6 +303,7 @@ class BrownianDrift:
     x0: object
     sigma: object = 1.0
     drift: object = 0.0
+    draws = True
 
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.x0, dim, "h start")
@@ -288,12 +311,18 @@ class BrownianDrift:
         Brownian(self.sigma)._check_dim(dim)
 
     def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
+        return _one_row(self.values_rows, gen, times, dim)
+
+    def values_rows(self, gens, times: np.ndarray, out: np.ndarray) -> None:
+        """Write one path per generator into the (rows, K+1, d) block ``out``."""
+        dim = out.shape[2]
         x0 = _dim_vector(self.x0, dim, "h start")
-        inc = Brownian(self.sigma).increments(gen, np.diff(times), dim)
-        out = np.empty((times.shape[0], dim))
-        out[0] = x0
-        out[1:] = x0 + np.cumsum(inc, axis=0)
-        return out + _dim_vector(self.drift, dim, "h drift")[None, :] * times[:, None]
+        inc = out[:, 1:]
+        Brownian(self.sigma).increments_rows(gens, np.diff(times), inc)
+        np.cumsum(inc, axis=1, out=inc)
+        inc += x0
+        out[:, 0] = x0
+        out += _dim_vector(self.drift, dim, "h drift")[None, :] * times[:, None]
 
     def expected_bracket_rate(self, dim: int) -> float:
         return Brownian(self.sigma).expected_bracket_rate(dim)
@@ -306,8 +335,9 @@ class DriverSpec:
     Z is the sum of the listed components.  Component RNG streams are
     keyed by (seed, path index, component index), with H at index 0 and
     the Z components following in order, so adding a component never
-    changes the draws of the others.  Each part is checked against ``dim``
-    when the spec is built.
+    changes the draws of the others.  A part's ``draws`` flag says whether
+    it takes a stream at all.  Each part is checked against ``dim`` when
+    the spec is built.
     """
 
     dim: int
@@ -342,14 +372,15 @@ def _component_gen(seed: int, path_index: int, component: int) -> np.random.Gene
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_path(spec, times, dt, seed, path_index, h_out, z_out) -> None:
-    """Write path ``path_index``'s H and Z values at ``times`` into the
-    preallocated (K+1, d) rows ``h_out`` and ``z_out``."""
-    h_out[...] = spec.h.values(_component_gen(seed, path_index, 0), times, spec.dim)
-    z_out[...] = 0.0
-    for c, comp in enumerate(spec.z_components, start=1):
-        inc = comp.increments(_component_gen(seed, path_index, c), dt, spec.dim)
-        z_out[1:] += np.cumsum(inc, axis=0)
+def _one_row(fill, gen, grid_values: np.ndarray, dim: int) -> np.ndarray:
+    """The one-generator case of a ``*_rows`` method, as a (K, d) array."""
+    out = np.empty((1, grid_values.shape[0], dim))
+    fill([gen], grid_values, out)
+    return out[0]
+
+
+# values per scratch block of driver rows: small enough to stay in cache
+_BLOCK_VALUES = 1 << 15
 
 
 def sample_driver(
@@ -358,14 +389,10 @@ def sample_driver(
     """Sample one (H, Z) pair frozen at the grid points.
 
     Reproducible bit for bit from (seed, path_index); refining the grid
-    redraws the increments.
+    redraws the increments.  This is the one-row :func:`sample_driver_batch`.
     """
-    h_vals, z_vals = np.empty((2, grid.times.shape[0], spec.dim))
-    _draw_path(spec, grid.times, np.diff(grid.times), seed, path_index, h_vals, z_vals)
-    return (
-        StepPath(grid.times, h_vals, grid.q),
-        StepPath(grid.times, z_vals, grid.q),
-    )
+    H, Z = sample_driver_batch(spec, grid, seed, 1, path_index)
+    return StepPath(grid.times, H[0], grid.q), StepPath(grid.times, Z[0], grid.q)
 
 
 def sample_driver_batch(
@@ -373,14 +400,45 @@ def sample_driver_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``paths`` drivers as value arrays of shape (M, K+1, d).
 
-    Row i carries path index ``first_index + i`` and is bit-identical to
-    the corresponding :func:`sample_driver` output.
+    Stream contract: row i carries path index ``p = first_index + i``, and
+    each drawing part of the spec (H at component 0, the Z components from
+    1) draws from its own Philox stream keyed by (seed, p, component), so a
+    row depends only on (seed, p) and never on M, ``first_index`` or the
+    other components.  Parts that draw nothing (a constant or table H, a
+    drift) get no stream and are computed once and broadcast.
+
+    Only the raw draws (normals, jump counts and sizes) are made row by
+    row.  The rest is batched over blocks of rows in a cache-sized scratch
+    buffer: ``sqrt(dt)`` and sigma scaling, the jump scatter, the cumulative
+    sum along the grid, and the sum of the components' cumulative sums in
+    component order.  The arithmetic per row is the same as for one row,
+    so :func:`sample_driver` is bit-identical to the matching row.
     """
-    H = np.empty((paths, grid.times.shape[0], spec.dim))
-    Z = np.empty_like(H)
-    dt = np.diff(grid.times)
-    for i in range(paths):
-        _draw_path(spec, grid.times, dt, seed, first_index + i, H[i], Z[i])
+    times = grid.times
+    dt = np.diff(times)
+    dim = spec.dim
+    H = np.empty((paths, times.shape[0], dim))
+    Z = np.zeros(H.shape)
+    if not spec.h.draws:
+        H[...] = spec.h.values(None, times, dim)
+    block = max(1, _BLOCK_VALUES // (dt.shape[0] * dim))
+    scratch = np.empty((min(block, paths), dt.shape[0], dim))
+    for start in range(0, paths, block):
+        stop = min(start + block, paths)
+        index = range(first_index + start, first_index + stop)
+        if spec.h.draws:
+            gens = [_component_gen(seed, p, 0) for p in index]
+            spec.h.values_rows(gens, times, H[start:stop])
+        z = Z[start:stop, 1:]
+        for c, comp in enumerate(spec.z_components, start=1):
+            if comp.draws:
+                inc = scratch[: stop - start]
+                gens = [_component_gen(seed, p, c) for p in index]
+                comp.increments_rows(gens, dt, inc)
+                np.cumsum(inc, axis=1, out=inc)
+            else:
+                inc = np.cumsum(comp.increments(None, dt, dim), axis=0)
+            z += inc
     return H, Z
 
 

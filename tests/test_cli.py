@@ -36,6 +36,15 @@ SIMULATE_CFG = {
 }
 
 
+def strict_json(text: str):
+    """Parse JSON, refusing NaN and Infinity."""
+
+    def no_constant(name):
+        raise ValueError(f"report.json holds {name}")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
 def with_jumps(tag, params, rate=2.0):
     """Config override: SIMULATE_CFG's driver with compound Poisson jumps."""
     jumps = {
@@ -318,12 +327,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical failures")
         # outputs still written for diagnosis, as strict JSON
-
-        def no_constant(name):
-            raise ValueError(f"report.json holds {name}")
-
-        text = (out / "report.json").read_text()
-        report = json.loads(text, parse_constant=no_constant)
+        report = strict_json((out / "report.json").read_text())
         assert report["all_passed"] is False
         assert report["params"]["final_mean_1"] is None
         failures = report["params"]["numerical_failures"]
@@ -445,6 +449,41 @@ class TestConvergeCommand:
         assert sampled.values[1, 0] == pytest.approx(-1.0)
         rates = (out / "rates.csv").read_text().splitlines()
         assert len(rates) == 3  # header + one row per rate
+
+
+@pytest.mark.parametrize(
+    "command, config, statistic, table",
+    [
+        ("converge", "strong-refinement", "median_sup_distance", "convergence"),
+        ("penalize", None, "penalty_variation", "rates"),
+    ],
+)
+def test_rows_without_threshold_are_null(tmp_path, command, config, statistic, table):
+    if config is None:
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "experiment": "penalize",
+                    "domain": {"variant": "halfline"},
+                    "path": {
+                        "times": THREEJUMP.times.tolist(),
+                        "values": THREEJUMP.values.tolist(),
+                        "q": 1.0,
+                    },
+                    "n_list": [1.0, 100.0],
+                }
+            )
+        )
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    report = strict_json((out / "report.json").read_text())
+    rows = report["tables"][table]
+    assert rows and all(r["statistic"] == statistic for r in rows)
+    assert all(r["threshold"] is None for r in rows)
+    # the CSV table keeps writing a missing threshold as nan
+    lines = (out / f"{table}.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[5] for line in lines] == ["nan"] * len(rows)
 
 
 def test_console_entry_point(tmp_path):

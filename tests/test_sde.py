@@ -1,5 +1,7 @@
 """Grids, driver sampling, coefficients, and the Euler schemes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,127 @@ class TestReproducibility:
         grid = Grid.regular(1.0, 8)
         _, z = sample_driver(self.SPEC, grid, seed=1)
         assert np.array_equal(z.values[0], [0.0])
+
+
+MATRICES = (np.array([[0.7, 0.2], [0.1, 1.3]]), np.array([[0.5, 0.25], [0.75, 1.0]]))
+
+
+def contract_specs() -> dict:
+    """Every H kind and every Z component, in d = 1 and d = 2."""
+    specs = {}
+    for d in (1, 2):
+        x0 = [0.3, -0.2][:d]
+        table = StepPath([0.0, 0.3, 0.7], [[0.5, 0.1], [-0.25, 2.0], [1.0, -1.0]], 1.0)
+        hs = {
+            "constant": ConstantStart(x0),
+            "bd-scalar": BrownianDrift(x0, 0.7, 0.4),
+            "bd-vector": BrownianDrift(x0, [0.7, 1.3][:d], [0.2, -0.5][:d]),
+            "bd-matrix": BrownianDrift(x0, MATRICES[0][:d, :d], -0.3),
+            "table": TablePath(StepPath(table.times, table.values[:, :d], 1.0)),
+        }
+        zs = {
+            "brownian": Brownian(1.3),
+            "brownian-matrix": Brownian(MATRICES[1][:d, :d]),
+            "drift": Drift([-2.0, 0.5][:d]),
+            "cp-normal": CompoundPoisson(30.0, JumpSizes("normal", (0.1, 0.5))),
+            "cp-uniform": CompoundPoisson(20.0, JumpSizes("uniform", (-1.0, 2.0))),
+            "cp-exponential": CompoundPoisson(
+                25.0, JumpSizes("exponential", (0.3,))
+            ),
+            "cp-constant": CompoundPoisson(
+                30.0, JumpSizes("constant", (0.25, -0.5)[:d])
+            ),
+            "cp-rate0": CompoundPoisson(0.0, JumpSizes("normal", (0.0, 1.0))),
+        }
+        for name, h in hs.items():
+            specs[f"d{d}-h-{name}"] = DriverSpec(d, h, (Brownian(1.0),))
+        for name, z in zs.items():
+            specs[f"d{d}-z-{name}"] = DriverSpec(d, ConstantStart(x0), (z,))
+        specs[f"d{d}-all"] = DriverSpec(d, hs["bd-scalar"], tuple(zs.values()))
+    return specs
+
+
+def contract_digest(spec) -> str:
+    """SHA-256 of H then Z for paths 2..4 of seed 7 on 12 cells (a step
+    whose square root is not a power of two, so scaling order shows)."""
+    grid = Grid.regular(1.0, 12)
+    H, Z = sample_driver_batch(spec, grid, seed=7, paths=3, first_index=2)
+    return hashlib.sha256(H.tobytes() + Z.tobytes()).hexdigest()
+
+
+class TestStreamContract:
+    """Driver values pinned byte for byte.
+
+    Each part draws from the Philox stream keyed by (seed, path index,
+    component), and the transforms after the draws have a fixed order of
+    operations.  Any change to a stream, to the draws made from it, or to
+    that arithmetic changes a digest below, and with it every replayed
+    run.  The digests hold for numpy's Philox and Generator streams; the
+    matrix-sigma cases also depend on the BLAS product (K, d) @ (d, d).
+    """
+
+    DIGESTS = {
+        "d1-all":
+            "5ba4572264ef5db6452c80dbdc013fcf83ad5e7fe5f5cff630312db4730c8e47",
+        "d1-h-bd-matrix":
+            "77570b273998d514a5298fc3e44e9384e2177521674fd4368b0591cfbd4968d8",
+        "d1-h-bd-scalar":
+            "954c9f86bd812e7ff74d0fac37a3118c7872442cc8a63d588697ad5c2b9ce035",
+        "d1-h-bd-vector":
+            "b746f00789f52f035fb6106e2a0e4b47ad058addb2242164ade9bc271bc949c3",
+        "d1-h-constant":
+            "f859ac7a0aec8cb311a23ca82419d45d7fe0eaa21c715c5e97fb92651838e577",
+        "d1-h-table":
+            "77723f5dda98412217c1aa4294f7e95c09b7371497315f83053f5cfeda8956ce",
+        "d1-z-brownian":
+            "ab636e8c9bec75a93721c6a3e121846e63e0f4ffc45ce84a4463cd25b32c98ea",
+        "d1-z-brownian-matrix":
+            "ca248e7af65a5d8ce0af451b8bf22f60516252bbbd2ac012f36c011e99c73236",
+        "d1-z-cp-constant":
+            "e6ac2cdba1a57adb1c6ff3e7588ebe3168c501eddee07448f53f569cd641cf53",
+        "d1-z-cp-exponential":
+            "7958e580556e230f89bd376cd47dcd3cd57c7daccecb6f96e5119d9d46166e5f",
+        "d1-z-cp-normal":
+            "451274e3db252ea74cd652b8f6416fc54b0b3e2c53481f367ba9c8984e8e4b19",
+        "d1-z-cp-rate0":
+            "74719b414d8f7a506d2483d67be7f83e5bfd3977e352e0652abd6f753dfa6ae1",
+        "d1-z-cp-uniform":
+            "03f2e33ef813930347310f5199ded48986be71fcf6d8737ec91180085d9e02d9",
+        "d1-z-drift":
+            "8c8bae3b7c599183c4902c1d481483890ac67c6dd1fc13a2b244284ba6132acb",
+        "d2-all":
+            "6be2a788291fa32ea3de8da90040e3f58b9a414857ffdee4951f4b1e5b66f03a",
+        "d2-h-bd-matrix":
+            "8a1a648a68deb8be42a33885a318860ac3d4932a5abdd6c813b2f4045d3bc829",
+        "d2-h-bd-scalar":
+            "1fe2585bcd1f47fd2e18d0b428e83086b157636ffee4f021a5ec559a364637fd",
+        "d2-h-bd-vector":
+            "a43f1cbb2006a2035ef4b240fe0ca433bb74c0469a66adb0f1c48e20486748a8",
+        "d2-h-constant":
+            "0b3cc586ef9ab43dd3cca13a478324a8de5addb7672f40372aa3670f98807789",
+        "d2-h-table":
+            "eef8f4632ab4eff39728e2227e0a0d7347d15b041d1c2c53eff707e29b0b4f0f",
+        "d2-z-brownian":
+            "1b7aa0cfba851a5b7c9174f92941d838392f0b04a649429db7abcfff748c8615",
+        "d2-z-brownian-matrix":
+            "d45e8d71c3f75f68560564aeffffb1628384e6ba1d7597ead0046b0ca5f8fe1e",
+        "d2-z-cp-constant":
+            "30518848ff2ec5b1bcf807f1c2cda6131c21977d7b9cb31f528bb48b79fb5245",
+        "d2-z-cp-exponential":
+            "43fcb01482725bad9e6a9aeaa79c260a51f95dc0d1895a8478aa42c4051f3e34",
+        "d2-z-cp-normal":
+            "21e31c5fde9ac38104594ae55ce60b737e521f81e9ffd51042aed14e110c2465",
+        "d2-z-cp-rate0":
+            "aa4b2035a80ce74168e3f557fdb83fc2c04c555baa0b73a6fb76a7b75308f135",
+        "d2-z-cp-uniform":
+            "f2e72eb0e3ff0c0bfb5fccfad30b06f56a3f4719ce7b3ac65bae113efdca2f98",
+        "d2-z-drift":
+            "be2f333d178122b3bf1bf517b6a85c800ec0916a0be9f19cb24d5ddbaba6ce37",
+    }
+
+    @pytest.mark.parametrize("name", sorted(contract_specs()))
+    def test_digest(self, name):
+        assert contract_digest(contract_specs()[name]) == self.DIGESTS[name]
 
 
 class TestCoefficients:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from reflectsde import stats
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
 from reflectsde.stats import (
@@ -107,12 +108,51 @@ class TestEnergyDistance:
         assert energy_distance(a, b) == pytest.approx(want, rel=1e-12)
 
     def test_chunked_large_second_sample(self, rng):
-        # block size drops below len(first), forcing multiple row blocks
+        # 1-D samples take the sorted path; all pairs would number 10^9 here
         u = rng.normal(size=2000)
         v = rng.normal(loc=0.25, size=30_000)
         got = energy_distance(u, v)
         want = 2 * mean_abs_1d(u, v) - mean_abs_1d(u, u) - mean_abs_1d(v, v)
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_1d_matches_scipy_with_ties(self, rng):
+        u = np.round(rng.normal(size=500), 1)
+        v = np.concatenate([u[:100], np.round(rng.normal(0.3, 1.5, size=600), 1)])
+        assert np.unique(u).size < u.size and np.unique(v).size < v.size
+        # scipy returns the square root of the squared distance
+        want = scipy.stats.energy_distance(u, v) ** 2
+        assert energy_distance(u, v) == pytest.approx(want, rel=1e-9)
+
+    def test_1d_far_from_origin(self, rng):
+        # prefix sums of raw values 1e6 away would lose about 1e-7 relative
+        u = rng.normal(size=2000)
+        v = rng.normal(loc=0.25, size=3000)
+        want = energy_distance(u, v)
+        assert energy_distance(u + 1e6, v + 1e6) == pytest.approx(want, rel=1e-8)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            energy_distance([], [1.0])
+
+    def test_column_input_matches_1d(self, rng):
+        u = rng.normal(size=300)
+        v = rng.exponential(size=200)
+        want = energy_distance(u, v)
+        assert energy_distance(u[:, None], v[:, None]) == want
+        assert energy_distance(u[:, None], v) == want
+        assert energy_distance(u[:, None], u[::-1, None]) == 0.0
+
+    def test_pairwise_blocks_in_two_dimensions(self, rng, monkeypatch):
+        from scipy.spatial.distance import cdist
+
+        a = rng.normal(size=(120, 2))
+        b = rng.normal(loc=0.3, size=(80, 2))
+        want = (
+            2 * np.mean(cdist(a, b)) - np.mean(cdist(a, a)) - np.mean(cdist(b, b))
+        )
+        # 1000 pairs per block: a meets b in blocks of 12 rows
+        monkeypatch.setattr(stats, "_PAIRS_PER_BLOCK", 1000)
+        assert energy_distance(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestSTightness:

@@ -16,6 +16,7 @@ from .domain import (
     Polyhedron,
     ProjectionResult,
     anchor_gap,
+    cone_residual,
     normal_cone_check,
     project,
 )

@@ -3,21 +3,26 @@
 Four subcommands: ``skorokhod`` and ``penalize`` transform a configured
 step driver, ``simulate`` runs the penalized Euler scheme over sampled
 drivers, ``converge`` runs a named convergence benchmark.  Every run
-writes a manifest with the resolved config and its hash next to the
-outputs, so a rerun of the same manifest reproduces the outputs byte for
-byte.
+writes a manifest with the resolved config, its hash and the Python,
+numpy and package versions next to the outputs, so a rerun of the same
+manifest under the same versions reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failures
-beyond the configured threshold, 3 a benchmark check failed.
+beyond the configured threshold or arithmetic that leaves the float
+range, 3 a benchmark check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .domain import NumericalError
 from .experiments import (
     ConfigError,
@@ -132,7 +137,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -141,6 +146,12 @@ def main(argv=None) -> int:
         "config": cfg,
         "config_sha256": config_digest(cfg),
         "format": args.format,
+        # replay byte for byte rests on numpy's Philox and normal streams
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "reflectsde": __version__,
+        },
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True)

@@ -12,6 +12,7 @@ bound on its distance to the boundary; the a-priori bounds in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "project",
     "anchor_gap",
     "normal_cone_check",
+    "cone_residual",
 ]
 
 
@@ -150,7 +152,9 @@ class ConvexDomain:
 
     def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
         x = _vec(x, self.dim)
-        return bool(np.linalg.norm(x - self.project_point(x)) <= tol)
+        # a distance past the float range belongs to a point far outside
+        with np.errstate(over="ignore"):
+            return bool(np.linalg.norm(x - self.project_point(x)) <= tol)
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
         """Unit inward normals of the faces active at boundary point ``b``.
@@ -409,3 +413,34 @@ def normal_cone_check(domain: ConvexDomain, b, direction, samples, tol: float = 
         if (y - b) @ d < -tol * max(1.0, float(np.linalg.norm(y - b))):
             return False
     return True
+
+
+def cone_residual(normals, v) -> float:
+    """Distance from ``v`` to the cone of the rows of ``normals``.
+
+    The minimum of |N^T lam - v| over lam >= 0, for N of shape (k, d); with
+    no rows it is |v|.  The nearest cone point lies in the relative interior
+    of a face, so ``v`` minus it is orthogonal to that face's span, and by
+    Caratheodory it is a positive combination of linearly independent rows
+    of the face.  Least squares on those rows alone therefore returns it, so
+    the minimum over every independent subset of at most min(k, d) rows
+    whose least-squares coefficients are nonnegative is exact (the
+    active-set argument of Lawson & Hanson, Solving Least Squares Problems,
+    1974).  A feasible subset of d rows spans R^d, so the residual is then
+    exactly 0.  The C(k, <= d) subsets are few for the handful of faces
+    active at a boundary point.
+    """
+    v = np.asarray(v, dtype=float)
+    N = np.asarray(normals, dtype=float).reshape(-1, v.shape[0])
+    best = float(np.linalg.norm(v))
+    for size in range(1, min(N.shape[0], v.shape[0]) + 1):
+        for rows in combinations(range(N.shape[0]), size):
+            A = N[list(rows)].T
+            lam, _, rank, _ = np.linalg.lstsq(A, v, rcond=None)
+            if rank < size or np.any(lam < 0.0):
+                continue
+            if size == v.shape[0]:
+                # d independent rows span R^d: v is their exact combination
+                return 0.0
+            best = min(best, float(np.linalg.norm(A @ lam - v)))
+    return best

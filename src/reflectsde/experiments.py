@@ -76,9 +76,9 @@ def config_digest(cfg: dict) -> str:
 
 
 class _Section:
-    """Context in which a ValueError or TypeError from building or checking
-    a config section becomes a ConfigError naming the section; a
-    ConfigError passes unchanged."""
+    """Context in which a ValueError, TypeError or ZeroDivisionError from
+    building or checking a config section becomes a ConfigError naming the
+    section; a ConfigError passes unchanged."""
 
     def __init__(self, name: str):
         self.name = name
@@ -87,7 +87,8 @@ class _Section:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (TypeError, ValueError)) and kind is not ConfigError:
+        invalid = (TypeError, ValueError, ZeroDivisionError)
+        if isinstance(exc, invalid) and kind is not ConfigError:
             raise ConfigError(f"{self.name}: {exc}") from exc
 
 
@@ -99,6 +100,8 @@ def _row(n, mesh, M, statistic, value, threshold=None, passed=True) -> dict:
 
 
 def _require(cfg: dict, key: str, context: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context}: expected an object, got {type(cfg).__name__}")
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return cfg[key]
@@ -192,9 +195,8 @@ def _build_z_component(cfg: dict):
 def build_driver(cfg: dict) -> DriverSpec:
     with _Section("driver"):
         dim = int(_require(cfg, "dim", "driver"))
-    h = _build_h(_require(cfg, "h", "driver"))
-    z = tuple(_build_z_component(c) for c in cfg.get("z", []))
-    with _Section("driver"):
+        h = _build_h(_require(cfg, "h", "driver"))
+        z = tuple(_build_z_component(c) for c in cfg.get("z", []))
         return DriverSpec(dim=dim, h=h, z_components=z)
 
 
@@ -242,9 +244,10 @@ def run_skorokhod(cfg: dict):
     domain = build_domain(_require(cfg, "domain", "skorokhod"))
     driver = _build_input_path(cfg)
     with _Section("skorokhod"):
+        tol = float(cfg.get("tol", 1e-9))
         solution = solve_skorokhod(domain, driver)
-    tol = float(cfg.get("tol", 1e-9))
-    report_data = verify_solution(domain, solution, tol=tol)
+    with np.errstate(over="raise", invalid="raise"):
+        report_data = verify_solution(domain, solution, tol=tol)
     report = ExperimentReport(params={"experiment": "skorokhod", "tol": tol})
     report.add_entry(
         "decomposition_residual",
@@ -286,36 +289,39 @@ def run_penalize(cfg: dict):
     """Solve the penalized equation for one or more rates."""
     domain = build_domain(_require(cfg, "domain", "penalize"))
     driver = _build_input_path(cfg)
-    rates = cfg.get("n_list", [cfg.get("n", 100.0)])
+    with _Section("penalize"):
+        rates = [float(n) for n in cfg.get("n_list", [cfg.get("n", 100.0)])]
     if not rates:
         raise ConfigError("penalize: empty rate sweep")
-    report = ExperimentReport(params={"experiment": "penalize", "n_list": list(map(float, rates))})
+    report = ExperimentReport(params={"experiment": "penalize", "n_list": rates})
     artifacts = {}
     rows = []
     delta = cfg.get("delta")
-    for n in map(float, rates):
-        with _Section("penalize"):
+    # arithmetic that leaves the float range fails as a numerical error
+    with _Section("penalize"), np.errstate(over="raise", invalid="raise"):
+        for n in rates:
             sol = solve_penalized(domain, driver, n)
-        artifacts[f"penalized_n{n:g}"] = sol
-        rows.append(_row(n, 0.0, 1, "penalty_variation", sol.penalty_variation()))
-    if delta is not None:
-        bounds = penalty_bounds(domain, driver, float(delta))
-        report.params["delta"] = float(delta)
-        report.add_entry(
-            "modulus_precondition",
-            bounds.modulus,
-            bounds.clearance / 2.0,
-            bounds.precondition_ok,
-            1,
-            "deterministic",
-        )
-        for key, sol in artifacts.items():
-            for name, value, bound in (
-                ("sup_bound", sol.sup_deviation(domain.anchor), bounds.bound_sup),
-                ("variation_bound", sol.penalty_variation(), bounds.bound_var),
-            ):
-                entry = (f"{name}[{key}]", value, bound, value <= bound + 1e-9)
-                report.add_entry(*entry, 1, "deterministic")
+            artifacts[f"penalized_n{n:g}"] = sol
+            variation = sol.penalty_variation()
+            rows.append(_row(n, 0.0, 1, "penalty_variation", variation))
+        if delta is not None:
+            bounds = penalty_bounds(domain, driver, float(delta))
+            report.params["delta"] = float(delta)
+            report.add_entry(
+                "modulus_precondition",
+                bounds.modulus,
+                bounds.clearance / 2.0,
+                bounds.precondition_ok,
+                1,
+                "deterministic",
+            )
+            for key, sol in artifacts.items():
+                for name, value, bound in (
+                    ("sup_bound", sol.sup_deviation(domain.anchor), bounds.bound_sup),
+                    ("variation_bound", sol.penalty_variation(), bounds.bound_var),
+                ):
+                    entry = (f"{name}[{key}]", value, bound, value <= bound + 1e-9)
+                    report.add_entry(*entry, 1, "deterministic")
     report.tables["rates"] = rows
     return report, artifacts
 
@@ -333,19 +339,19 @@ def run_simulate(cfg: dict):
             f"simulate: coefficient dimension {f.dim} does not match "
             f"domain {domain.dim}"
         )
-    n = float(cfg.get("n", 1e4))
-    if not n > 0:
-        raise ConfigError("simulate: n must be positive")
-    paths = int(cfg.get("paths", 100))
-    if paths < 1:
-        raise ConfigError("simulate: need at least one path")
-    seed = int(cfg.get("seed", 0))
-    keep = min(int(cfg.get("keep_paths", 5)), paths)
-    max_failures = int(cfg.get("max_numerical_failures", 0))
-
-    # overflowing draws leave non-finite rows, counted as failures below
-    with np.errstate(over="ignore"):
-        H, Z = sample_driver_batch(spec, grid, seed, paths)
+    with _Section("simulate"):
+        n = float(cfg.get("n", 1e4))
+        if not n > 0:
+            raise ConfigError("simulate: n must be positive")
+        paths = int(cfg.get("paths", 100))
+        if paths < 1:
+            raise ConfigError("simulate: need at least one path")
+        seed = int(cfg.get("seed", 0))
+        keep = min(int(cfg.get("keep_paths", 5)), paths)
+        max_failures = int(cfg.get("max_numerical_failures", 0))
+        # overflowing draws leave non-finite rows, counted as failures below
+        with np.errstate(over="ignore"):
+            H, Z = sample_driver_batch(spec, grid, seed, paths)
     with _Section("simulate: driver.h start"):
         inside = all(domain.contains(x0) for x0 in np.unique(H[:, 0], axis=0))
     if not inside:
@@ -762,4 +768,7 @@ def run_converge(cfg: dict):
         }
     if params.get("paths", 1) < 1:
         raise ConfigError("converge: need at least one path")
-    return _STUDIES[benchmark](seed, **params), {}
+    # a study rejects parameters it cannot run with by ValueError; one
+    # whose arithmetic leaves the float range fails as a numerical error
+    with _Section("converge"), np.errstate(over="raise", invalid="raise"):
+        return _STUDIES[benchmark](seed, **params), {}

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .domain import (
     BOUNDARY_TOL,
     ConvexDomain,
     DomainViolationError,
+    cone_residual,
     normal_cone_check,
 )
 from .path import StepPath
@@ -149,13 +149,9 @@ def verify_solution(
         except (DomainViolationError, ValueError):
             ok = False
         normal_ok = normal_ok and ok
-        # cone membership via nonnegative least squares on active normals
+        # distance of the jump from the cone of the active normals
         normals = domain.inward_normals(state, tol=max(tol, BOUNDARY_TOL))
-        if normals.shape[0] == 0:
-            normal = max(normal, size)
-            continue
-        _, resid = nnls(normals.T, dk)
-        normal = max(normal, float(resid))
+        normal = max(normal, cone_residual(normals, dk))
 
     return VerificationReport(
         decomposition_residual=dec,

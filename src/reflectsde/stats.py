@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .path import StepPath, modulus_bar, upcrossings_of_values
 from .penalty import PenalizedPath
@@ -29,6 +29,7 @@ __all__ = [
 MIN_KS_SAMPLES = 100
 # pairs per block of the d > 1 energy distance: bounds its temporaries
 _PAIRS_PER_BLOCK = 10_000_000
+_SQRT2 = math.sqrt(2.0)
 
 
 def ks_statistic(samples, cdf) -> float:
@@ -49,18 +50,52 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def reference_cdf(tag: str, **params):
-    """Frozen CDF callables for the benchmark laws."""
+    """CDF callables of the benchmark laws, on scalars or arrays.
+
+    ``half_normal`` (``scale``): erf(z / sqrt 2) for z = x / scale >= 0,
+    and 0 below; ``normal`` (``loc``, ``scale``): erfc(-z / sqrt 2) / 2 for
+    z = (x - loc) / scale; ``uniform`` (``lo``, ``hi``): (x - lo) / (hi - lo)
+    clipped to [0, 1].  The error functions are the standard library's,
+    applied elementwise.  A scale that is not positive, or ``hi <= lo``,
+    raises ``ValueError``; a NaN argument gives NaN.
+    """
     if tag == "half_normal":
-        return sps.halfnorm(scale=params.get("scale", 1.0)).cdf
+        scale = float(params.get("scale", 1.0))
+        if not scale > 0:
+            raise ValueError(f"half-normal scale must be positive, got {scale}")
+
+        def half_normal(x):
+            z = np.asarray(x, dtype=float) / scale
+            return _elementwise(math.erf, np.maximum(z, 0.0) / _SQRT2)
+
+        return half_normal
     if tag == "normal":
-        return sps.norm(
-            loc=params.get("loc", 0.0), scale=params.get("scale", 1.0)
-        ).cdf
+        loc = float(params.get("loc", 0.0))
+        scale = float(params.get("scale", 1.0))
+        if not scale > 0:
+            raise ValueError(f"normal scale must be positive, got {scale}")
+
+        def normal(x):
+            z = (np.asarray(x, dtype=float) - loc) / scale
+            return 0.5 * _elementwise(math.erfc, -z / _SQRT2)
+
+        return normal
     if tag == "uniform":
-        lo = params.get("lo", 0.0)
-        hi = params.get("hi", 1.0)
-        return sps.uniform(loc=lo, scale=hi - lo).cdf
+        lo = float(params.get("lo", 0.0))
+        hi = float(params.get("hi", 1.0))
+        if not hi > lo:
+            raise ValueError(f"uniform law needs lo < hi, got [{lo}, {hi}]")
+
+        def uniform(x):
+            return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
+
+        return uniform
     raise ValueError(f"unknown reference law {tag!r}")
+
+
+def _elementwise(func, z: np.ndarray):
+    """A float function of one float over an array; a scalar for 0-d input."""
+    return np.asarray(np.frompyfunc(func, 1, 1)(z), dtype=float)[()]
 
 
 def energy_distance(first, second) -> float:

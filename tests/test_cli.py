@@ -1,15 +1,21 @@
 """End-to-end CLI behavior: artifacts, manifests, exit codes, replay."""
 
 import json
+import platform
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reflectsde
 from reflectsde.cli import main
 from reflectsde.domain import HalfSpace, NumericalError
-from reflectsde.experiments import build_driver, config_digest
+from reflectsde.experiments import build_driver, builtin_config, config_digest
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
 from reflectsde.sde import Grid, Identity, euler_penalized_batch, sample_driver_batch
@@ -105,6 +111,11 @@ class TestSkorokhodCommand:
         assert manifest["command"] == "skorokhod"
         assert manifest["config_sha256"] == config_digest(manifest["config"])
         assert manifest["format"] == "csv"
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "reflectsde": reflectsde.__version__,
+        }
 
     def test_json_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -248,6 +259,40 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"config error: {section}: ")
+
+    @pytest.mark.parametrize(
+        "name, override, code, message",
+        [
+            pytest.param(
+                "rbm-benchmark",
+                {"paths": 50, "cells": 8},
+                1,
+                "config error: converge: need at least 100 samples",
+                id="too-few-ks-samples",
+            ),
+            pytest.param(
+                "tail-structure",
+                {"paths": 50, "cells": 8, "delta": 0.0},
+                1,
+                "config error: converge: float division by zero",
+                id="zero-delta",
+            ),
+            pytest.param(
+                "rbm-benchmark",
+                {"paths": 100, "cells": 8, "q": 1e308},
+                2,
+                "numerical error: overflow",
+                id="horizon-overflows",
+            ),
+        ],
+    )
+    def test_study_errors(self, tmp_path, capsys, name, override, code, message):
+        # raised while a study runs, not while its config is read
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**builtin_config(name), **override}))
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message)
 
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -486,6 +531,18 @@ def test_rows_without_threshold_are_null(tmp_path, command, config, statistic, t
     assert [line.split(",")[5] for line in lines] == ["nan"] * len(rows)
 
 
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test oracle, not a runtime dependency
+    code = (
+        "import sys, reflectsde.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "run"
     proc = subprocess.run(
@@ -505,3 +562,109 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
     assert "pass decomposition_residual" in proc.stdout
+
+
+# Small versions of every built-in, of SIMULATE_CFG and of a penalize
+# sweep on the three-jump path: the bases the fuzz test perturbs.
+FUZZ_BASES = {
+    "halfline-threejump": ("skorokhod", {}),
+    "rbm-benchmark": ("converge", {"paths": 100, "cells": 8}),
+    "cp-oscillation": ("converge", {"paths": 20, "cells": 16}),
+    "strong-refinement": (
+        "converge",
+        {"paths": 8, "levels": [[100.0, 4], [1e4, 8]], "reference_factor": 2},
+    ),
+    "tail-structure": ("converge", {"paths": 50, "cells": 8}),
+    "simulate": ("simulate", {"paths": 8, "grid": {"q": 1.0, "cells": 8}}),
+    "penalize": ("penalize", {"n_list": [1.0, 100.0], "delta": 0.5}),
+}
+# keys that size the work: never made huge, so a run stays small
+FUZZ_SIZE_KEYS = {"paths", "cells", "keep_paths", "levels", "reference_factor", "dim"}
+FUZZ_KIND_KEYS = {"experiment", "benchmark", "variant", "kind", "tag"}
+
+
+def fuzz_base(name):
+    command, overrides = FUZZ_BASES[name]
+    if name == "simulate":
+        cfg = SIMULATE_CFG
+    elif name == "penalize":
+        cfg = dict(builtin_config("halfline-threejump"), experiment="penalize")
+    else:
+        cfg = builtin_config(name)
+    return command, json.loads(json.dumps({**cfg, **overrides}))
+
+
+def fuzz_locations(node, prefix=()):
+    """Key paths of every entry of a JSON tree, inner and leaf."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from fuzz_locations(child, prefix + (key,))
+
+
+@st.composite
+def perturbed_configs(draw):
+    """A base config with one entry dropped, retyped, resized, made
+    negative, zero, NaN or huge, or given an unknown kind."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    command, cfg = fuzz_base(name)
+    mutation = draw(
+        st.sampled_from(
+            ["drop", "type", "length", "negative", "zero", "nan", "huge", "kind"]
+        )
+    )
+    places = list(fuzz_locations(cfg))
+    if mutation == "kind":
+        places = [p for p in places if p[-1] in FUZZ_KIND_KEYS]
+    elif mutation == "huge":
+        places = [p for p in places if not FUZZ_SIZE_KEYS.intersection(p)]
+    where = draw(st.sampled_from(places))
+    parent = cfg
+    for key in where[:-1]:
+        parent = parent[key]
+    key, value = where[-1], parent[where[-1]]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "type":
+        parent[key] = draw(st.sampled_from(["x", None, True, {}, [], [[1.0]]]))
+    elif mutation == "length":
+        if isinstance(value, list) and value and draw(st.booleans()):
+            parent[key] = value[1:]
+        elif isinstance(value, list):
+            parent[key] = value + value[-1:]
+        else:
+            parent[key] = [value] * draw(st.integers(0, 3))
+    elif mutation == "negative":
+        parent[key] = -value if isinstance(value, (int, float)) and value else -1.0
+    elif mutation == "zero":
+        parent[key] = 0
+    elif mutation == "nan":
+        parent[key] = float("nan")
+    elif mutation == "huge":
+        parent[key] = draw(st.sampled_from([1e308, -1e308]))
+    else:
+        parent[key] = "bogus"
+    return command, cfg
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(perturbed_configs())
+def test_cli_exit_codes_on_perturbed_configs(case):
+    # any config, however malformed, ends in an exit code, never a traceback
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "run")])
+    assert code in {0, 1, 2, 3}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from reflectsde.domain import (
     Ball,
@@ -10,6 +11,7 @@ from reflectsde.domain import (
     NumericalError,
     Polyhedron,
     anchor_gap,
+    cone_residual,
     normal_cone_check,
     project,
 )
@@ -235,6 +237,47 @@ class TestNormalCone:
         d = Box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             normal_cone_check(d, [0.0, 0.5], [1.0, 0.0], [[5.0, 5.0]])
+
+
+def random_cone(rng, dim, count):
+    """Unit normals, with a duplicated row or (in d > 1) a row in the span
+    of two others half of the time, so rank-deficient cones are covered."""
+    normals = rng.normal(size=(count, dim))
+    if count > 1 and rng.random() < 0.5:
+        normals[-1] = normals[0]
+    elif dim > 1 and count > 2 and rng.random() < 0.5:
+        normals[-1] = 0.3 * normals[0] - 0.7 * normals[1]
+    return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+
+class TestConeResidual:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_matches_nnls(self, dim, count, rng):
+        for _ in range(40):
+            normals = random_cone(rng, dim, count)
+            v = rng.normal(scale=3.0, size=dim)
+            want = nnls(normals.T, v)[1]
+            assert abs(cone_residual(normals, v) - want) <= 1e-11
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_inside_cone_is_zero(self, dim, count, rng):
+        for _ in range(40):
+            normals = random_cone(rng, dim, count)
+            v = normals.T @ rng.uniform(0.0, 2.0, size=count)
+            assert cone_residual(normals, v) <= 1e-12
+
+    def test_no_normals_gives_the_norm(self):
+        v = np.array([3.0, -4.0])
+        assert cone_residual(np.empty((0, 2)), v) == 5.0
+
+    def test_known_values(self):
+        # outward jump on the half-line, and a corner of the unit square
+        assert cone_residual([[1.0]], [-0.3]) == pytest.approx(0.3)
+        corner = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert cone_residual(corner, [0.7, 0.3]) == 0.0
+        assert cone_residual(corner, [-2.0, 0.5]) == pytest.approx(2.0)
 
 
 class TestVectorizedAgreement:

@@ -68,6 +68,52 @@ class TestKsStatistic:
             reference_cdf("levy")
 
 
+# scipy's frozen laws for the reference_cdf parameters
+REFERENCE_LAWS = [
+    ("half_normal", {}, scipy.stats.halfnorm()),
+    ("half_normal", {"scale": 2.5}, scipy.stats.halfnorm(scale=2.5)),
+    ("normal", {}, scipy.stats.norm()),
+    ("normal", {"loc": -1.5, "scale": 0.3}, scipy.stats.norm(loc=-1.5, scale=0.3)),
+    ("uniform", {}, scipy.stats.uniform()),
+    ("uniform", {"lo": -2.0, "hi": 5.0}, scipy.stats.uniform(loc=-2.0, scale=7.0)),
+]
+
+
+class TestReferenceCdf:
+    @pytest.mark.parametrize("tag, params, law", REFERENCE_LAWS)
+    def test_matches_scipy(self, tag, params, law, rng):
+        cdf = reference_cdf(tag, **params)
+        # both tails, negative values, zero and the infinities
+        x = np.concatenate(
+            (
+                rng.normal(scale=4.0, size=2000),
+                [-40.0, -9.0, -1e-300, 0.0, 1e-300, 9.0, 40.0, -np.inf, np.inf],
+            )
+        )
+        got = cdf(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - law.cdf(x))) <= 1e-15
+        for point in (-3.0, 0.0, 0.7, 6.0):
+            value = cdf(point)
+            assert np.ndim(value) == 0
+            assert abs(value - law.cdf(point)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "tag, params",
+        [
+            ("half_normal", {"scale": 0.0}),
+            ("half_normal", {"scale": -1.0}),
+            ("normal", {"scale": 0.0}),
+            ("normal", {"scale": float("nan")}),
+            ("uniform", {"lo": 1.0, "hi": 1.0}),
+            ("uniform", {"lo": 2.0, "hi": 1.0}),
+        ],
+    )
+    def test_degenerate_parameters_rejected(self, tag, params):
+        with pytest.raises(ValueError):
+            reference_cdf(tag, **params)
+
+
 def mean_abs_1d(u, v):
     """Independent O((m+n) log) mean |u_i - v_j| via sorted prefix sums."""
     v = np.sort(v)

@@ -17,7 +17,6 @@ from .domain import (
     ProjectionResult,
     anchor_gap,
     cone_residual,
-    normal_cone_check,
     project,
 )
 from .path import (

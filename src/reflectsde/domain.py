@@ -36,7 +36,6 @@ __all__ = [
     "Polyhedron",
     "project",
     "anchor_gap",
-    "normal_cone_check",
     "cone_residual",
 ]
 
@@ -178,10 +177,6 @@ class HalfSpace(ConvexDomain):
         self.offset = float(offset)
         self.dim = n.shape[0]
         self._init_anchor(anchor, anchor_clearance)
-
-    def slack(self, x) -> float:
-        """Signed margin ``<normal, x> - offset``, positive inside."""
-        return float(self.normal @ _vec(x, self.dim) - self.offset)
 
     def _default_anchor(self) -> np.ndarray:
         return (self.offset + 1.0) * self.normal
@@ -385,34 +380,6 @@ def anchor_gap(domain: ConvexDomain, x) -> float:
     dist = float(np.linalg.norm(displacement))
     inner = float((x - domain.anchor) @ displacement)
     return inner / domain.anchor_clearance - dist
-
-
-def normal_cone_check(domain: ConvexDomain, b, direction, samples, tol: float = BOUNDARY_TOL) -> bool:
-    """Variational test that ``-direction`` points out of the domain at ``b``.
-
-    ``direction`` lies in the inward normal cone at boundary point ``b``
-    exactly when ``<y - b, direction> >= 0`` for every y in the domain;
-    this checks the inequality (within ``tol`` scaled by |y - b|) against
-    the supplied domain points.  Raises if ``b`` is not on the boundary or
-    a sample is outside the domain.
-    """
-    b = _vec(b, domain.dim)
-    if not domain.contains(b, tol=max(tol, BOUNDARY_TOL)):
-        raise DomainViolationError("cone base point is not in the domain")
-    if domain.boundary_distance(b) > max(tol, BOUNDARY_TOL):
-        raise DomainViolationError("cone base point is not on the boundary")
-    d = _vec(direction, domain.dim)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    d = d / norm
-    for y in samples:
-        y = _vec(y, domain.dim)
-        if not domain.contains(y, tol=max(tol, BOUNDARY_TOL)):
-            raise ValueError("cone test sample lies outside the domain")
-        if (y - b) @ d < -tol * max(1.0, float(np.linalg.norm(y - b))):
-            return False
-    return True
 
 
 def cone_residual(normals, v) -> float:

@@ -60,7 +60,6 @@ __all__ = [
     "rbm_benchmark",
     "oscillation_benchmark",
     "refinement_study",
-    "tail_bound_terms",
     "tail_structure_study",
 ]
 
@@ -245,6 +244,8 @@ def run_skorokhod(cfg: dict):
     driver = _build_input_path(cfg)
     with _Section("skorokhod"):
         tol = float(cfg.get("tol", 1e-9))
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"skorokhod: tol must be finite and positive, got {tol}")
         solution = solve_skorokhod(domain, driver)
     with np.errstate(over="raise", invalid="raise"):
         report_data = verify_solution(domain, solution, tol=tol)
@@ -577,33 +578,6 @@ def refinement_study(
     )
     report.tables["convergence"] = rows
     return report
-
-
-def tail_bound_terms(
-    eta: float,
-    delta: float,
-    q: float,
-    clearance: float,
-    h_sup_samples: np.ndarray,
-    h_modulus_samples: np.ndarray,
-    expected_energy: float,
-    c_one: float,
-):
-    """Right-hand side of the deviation and variation tail bounds.
-
-    C1 doubles the sup-bound multiplier 2 sqrt(7) ([q/delta] + 1); the H
-    deviation term uses the threshold eta / C1, and the driver-energy term
-    carries C2 = 4 C(1).  Returns (rhs_deviation, rhs_variation).
-    """
-    r = int(np.floor(q / delta)) + 1
-    c_prime = SUP_FACTOR * r
-    c1 = 2.0 * c_prime
-    c2 = 4.0 * c_one
-    p_modulus = float(np.mean(h_modulus_samples >= clearance / 2.0))
-    p_dev = float(np.mean(h_sup_samples >= eta / c1))
-    base = p_modulus + p_dev + c2 * expected_energy / eta**2
-    base7 = 7.0 * p_modulus + p_dev + c2 * expected_energy / eta**2
-    return base, base7
 
 
 def tail_structure_study(

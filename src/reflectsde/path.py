@@ -1,4 +1,10 @@
-"""Piecewise-constant cadlag paths and their oscillation functionals."""
+"""Piecewise-constant cadlag paths and their oscillation functionals.
+
+The partition modulus and the interlaced moduli are exact for step paths
+in any dimension.  Both read their oscillations from one blocked scan,
+``_reach``, which gives each breakpoint value its largest distance to an
+earlier one.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,9 @@ __all__ = [
     "upcrossings",
     "upcrossings_of_values",
 ]
+
+# bound on the point pairs whose distances are held at once in _reach
+_PAIRS_PER_BLOCK = 1_000_000
 
 
 class StepPath:
@@ -150,15 +159,22 @@ class StepPath:
         )
 
 
-def _prefix_diameters(points: np.ndarray) -> np.ndarray:
-    """d[k] = largest pairwise distance among points[0..k]."""
+def _reach(points: np.ndarray) -> np.ndarray:
+    """r[j] = largest distance from points[j] to an earlier point; r[0] = 0.
+
+    Rows are taken in blocks of at most ``_PAIRS_PER_BLOCK`` pairs, so the
+    temporaries stay bounded for any number of points.
+    """
     L = points.shape[0]
-    if L == 1:
-        return np.zeros(1)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    grid = np.maximum.accumulate(np.maximum.accumulate(dist, axis=0), axis=1)
-    return grid.diagonal().copy()
+    out = np.zeros(L)
+    step = max(1, _PAIRS_PER_BLOCK // L)
+    for lo in range(1, L, step):
+        hi = min(lo + step, L)
+        diff = points[lo:hi, None, :] - points[None, : hi - 1, :]
+        # row j of the block keeps the columns i < j
+        dist = np.tril(np.sqrt(np.sum(diff * diff, axis=2)), lo - 1)
+        out[lo:hi] = dist.max(axis=1)
+    return out
 
 
 def modulus_prime(path: StepPath, delta: float, q=None) -> float:
@@ -203,7 +219,7 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
 
     osc = np.zeros((m, m + 1))
     for i in range(m):
-        pref = _prefix_diameters(path.values[lo[i] :])
+        pref = np.maximum.accumulate(_reach(path.values[lo[i] :]))
         h = np.clip(hi - lo[i], 0, pref.shape[0] - 1)
         osc[i] = pref[h]
 
@@ -219,60 +235,6 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
     return float(np.min(np.maximum(best, osc[:, m])))
 
 
-def _pair_modulus_scan(times, first, second, delta: float) -> float:
-    """Exact triple scan over merged segments; cubic, any dimension."""
-    m = times.shape[0]
-    out = 0.0
-    for i in range(m - 2):
-        horizon = times[i + 1] + delta
-        k_hi = int(np.searchsorted(times, horizon, side="left")) - 1
-        if k_hi <= i + 1:
-            continue
-        for j in range(i + 1, k_hi):
-            a = float(np.linalg.norm(first[j] - first[i]))
-            if a <= out:
-                continue
-            tail = second[j + 1 : k_hi + 1] - second[j]
-            b = float(np.max(np.linalg.norm(tail, axis=1)))
-            val = min(a, b)
-            if val > out:
-                out = val
-    return out
-
-
-def _pair_modulus_runs(times, first, second, delta: float) -> float:
-    """Exact interlaced modulus for one-dimensional value arrays.
-
-    The later factor |second[k] - second[j]| is constant over runs of the
-    second path and weakest-constrained at a run's first segment, so only
-    run starts serve as k; for each the earlier factor is a running
-    min/max scan.  Linear work per run start.
-    """
-    f = first[:, 0]
-    s = second[:, 0]
-    m = times.shape[0]
-    run_starts = [k for k in range(m) if k == 0 or s[k] != s[k - 1]]
-    out = 0.0
-    for k in run_starts:
-        if k < 2:
-            continue
-        floor = times[k] - delta
-        # smallest i with times[i+1] > floor, strict
-        i_min = max(int(np.searchsorted(times, floor, side="right")) - 1, 0)
-        if i_min >= k - 1:
-            continue
-        lo = hi = f[i_min]
-        for j in range(i_min + 1, k):
-            b = abs(s[k] - s[j])
-            if b > out:
-                a = max(f[j] - lo, hi - f[j])
-                if min(a, b) > out:
-                    out = min(a, b)
-            lo = min(lo, f[j])
-            hi = max(hi, f[j])
-    return out
-
-
 def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
     times = np.union1d(path_x.times, path_y.times)
     times = times[times <= q]
@@ -285,14 +247,9 @@ def modulus_second(path: StepPath, delta: float, q=None) -> float:
     Supremum over times s < u < t <= q with t - s < delta of
     min(|x_u - x_s|, |x_t - x_u|); detects pairs of jumps closer than
     ``delta`` and vanishes as delta shrinks for paths with isolated jumps.
+    It is :func:`modulus_bar` of the path with itself.
     """
-    q = path.q if q is None else float(q)
-    if not 0.0 < q <= path.q:
-        raise ValueError(f"q must lie in (0, {path.q}]")
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    keep = path.times <= q
-    return _pair_modulus_scan(path.times[keep], path.values[keep], path.values[keep], float(delta))
+    return modulus_bar(path, path, delta, q)
 
 
 def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> float:
@@ -302,6 +259,12 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     min(|x_u - x_s|, |y_t - y_u|): an oscillation of the first path
     followed within ``delta`` by one of the second.  Evaluated on the
     merged breakpoints; exact for step paths.
+
+    The later factor is constant while the second path is, and the window
+    of earlier times is widest at the first segment of such a run, so only
+    indices k where the second path changes serve as t.  For each, with lo
+    the first index whose successor starts after times[k] - delta, the
+    scan takes the earlier factor from :func:`_reach` over lo..k-1.
     """
     qx = min(path_x.q, path_y.q)
     q = qx if q is None else float(q)
@@ -309,10 +272,17 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
         raise ValueError(f"q must lie in (0, {qx}]")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    times, fx, fy = _merged_pair(path_x, path_y, q)
-    if path_x.dim == 1 and path_y.dim == 1:
-        return _pair_modulus_runs(times, fx, fy, float(delta))
-    return _pair_modulus_scan(times, fx, fy, float(delta))
+    times, first, second = _merged_pair(path_x, path_y, q)
+    starts = np.flatnonzero(np.any(second[1:] != second[:-1], axis=1)) + 1
+    lows = np.searchsorted(times, times[starts] - float(delta), side="right") - 1
+    out = 0.0
+    for k, lo in zip(starts, np.maximum(lows, 0)):
+        if lo >= k - 1:
+            continue
+        a = _reach(first[lo:k])[1:]
+        b = np.linalg.norm(second[k] - second[lo + 1 : k], axis=1)
+        out = max(out, float(np.max(np.minimum(a, b))))
+    return out
 
 
 def upcrossings_of_values(values, a: float, b: float) -> int:

@@ -16,7 +16,6 @@ from .domain import (
     ConvexDomain,
     DomainViolationError,
     cone_residual,
-    normal_cone_check,
 )
 from .path import StepPath
 from .penalty import _relax_and_step
@@ -117,9 +116,11 @@ def verify_solution(
 
     Decomposition x = y + k at every breakpoint; containment of x in the
     closed domain; regulator moves only while x is on the boundary; each
-    regulator jump lies in the inward normal cone at the new state, tested
-    both variationally (against the solution's own states and the anchor)
-    and as a nonnegative combination of the active face normals.
+    regulator jump lies in the inward normal cone at the new state, measured
+    exactly as its distance to the cone of the active face normals.  With
+    containment this implies the variational form: a nonnegative
+    combination of inward face normals at x has a nonnegative inner product
+    with y - x for every y in the domain.
     """
     x, k, y = solution.x, solution.k, solution.driver
     times = np.union1d(np.union1d(x.times, k.times), y.times)
@@ -132,9 +133,7 @@ def verify_solution(
 
     support = 0.0
     normal = 0.0
-    normal_ok = True
     jumps = 0
-    cone_samples = [row for row in xs] + [domain.anchor]
     for idx in range(1, times.shape[0]):
         dk = ks[idx] - ks[idx - 1]
         size = float(np.linalg.norm(dk))
@@ -143,12 +142,6 @@ def verify_solution(
         jumps += 1
         state = xs[idx]
         support = max(support, float(domain.boundary_distance(state)))
-        # variational inequality against witnessed domain points
-        try:
-            ok = normal_cone_check(domain, state, dk, cone_samples, tol=tol)
-        except (DomainViolationError, ValueError):
-            ok = False
-        normal_ok = normal_ok and ok
         # distance of the jump from the cone of the active normals
         normals = domain.inward_normals(state, tol=max(tol, BOUNDARY_TOL))
         normal = max(normal, cone_residual(normals, dk))
@@ -161,6 +154,6 @@ def verify_solution(
         support_residual=support,
         support_ok=support <= max(tol, BOUNDARY_TOL),
         normal_residual=normal,
-        normal_ok=normal_ok and normal <= max(tol, BOUNDARY_TOL),
+        normal_ok=normal <= max(tol, BOUNDARY_TOL),
         jumps_checked=jumps,
     )

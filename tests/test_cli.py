@@ -155,6 +155,21 @@ class TestConfigErrors:
         assert code == 1
         assert "skorokhod" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tol",
+        [float("nan"), float("inf"), -1e-9, "tight"],
+        ids=["nan", "infinite", "negative", "string"],
+    )
+    def test_bad_skorokhod_tol(self, tmp_path, capsys, tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(builtin_config("halfline-threejump"), tol=tol)))
+        out = tmp_path / "run"
+        code = main(["skorokhod", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: skorokhod:") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
     def test_h_outside_domain(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         driver = dict(SIMULATE_CFG["driver"], h={"kind": "constant", "x0": -1.0})

@@ -12,7 +12,6 @@ from reflectsde.domain import (
     Polyhedron,
     anchor_gap,
     cone_residual,
-    normal_cone_check,
     project,
 )
 from reflectsde.sde import Grid, Identity, euler_penalized_batch
@@ -210,33 +209,6 @@ class TestProjectionLaws:
         # ball of radius 1, anchor center; x at distance 2: gap = 2*1/1 - 1 = 1
         d = Ball([0.0, 0.0], 1.0)
         assert anchor_gap(d, [2.0, 0.0]) == pytest.approx(1.0)
-
-
-class TestNormalCone:
-    def test_halfspace_normal_accepted(self):
-        d = HalfSpace([1.0, 0.0], 0.0)
-        samples = [[0.0, 0.0], [1.0, 2.0], [3.0, -4.0]]
-        assert normal_cone_check(d, [0.0, 1.0], [1.0, 0.0], samples)
-
-    def test_wrong_direction_rejected(self):
-        d = HalfSpace([1.0, 0.0], 0.0)
-        samples = [[2.0, 1.0]]
-        assert not normal_cone_check(d, [0.0, 1.0], [-1.0, 0.0], samples)
-
-    def test_interior_base_point_raises(self):
-        d = HalfSpace([1.0, 0.0], 0.0)
-        with pytest.raises(ValueError):
-            normal_cone_check(d, [1.0, 0.0], [1.0, 0.0], [[2.0, 0.0]])
-
-    def test_corner_cone_combination(self):
-        d = Box([0.0, 0.0], [1.0, 1.0])
-        samples = [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
-        assert normal_cone_check(d, [0.0, 0.0], [0.7, 0.3], samples)
-
-    def test_outside_sample_rejected(self):
-        d = Box([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            normal_cone_check(d, [0.0, 0.5], [1.0, 0.0], [[5.0, 5.0]])
 
 
 def random_cone(rng, dim, count):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import reflectsde.path as path_module
 from reflectsde.path import (
     StepPath,
     modulus_bar,
@@ -285,33 +286,51 @@ class TestInterlacedModuli:
             want = lattice_pair_modulus(x, y, delta, 1.0)
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_matches_lattice_scan_2d(self, rng):
+    def check_against_lattice(self, rng, dim):
         for _ in range(8):
             mx = int(rng.integers(2, 5))
             tx = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, mx - 1)]))
-            x = StepPath(tx, rng.normal(size=(mx, 2)), q=1.0)
+            x = StepPath(tx, rng.normal(size=(mx, dim)), q=1.0)
             ty = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, 3)]))
-            y = StepPath(ty, rng.normal(size=(4, 2)), q=1.0)
+            y = StepPath(ty, rng.normal(size=(4, dim)), q=1.0)
             delta = float(rng.uniform(0.1, 0.6))
             got = modulus_bar(x, y, delta)
             want = lattice_pair_modulus(x, y, delta, 1.0)
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_run_scan_agrees_with_triple_scan(self, rng):
-        from reflectsde.path import _merged_pair, _pair_modulus_runs, _pair_modulus_scan
+    def test_matches_lattice_scan_2d(self, rng):
+        self.check_against_lattice(rng, 2)
 
-        for _ in range(25):
-            mx = int(rng.integers(2, 8))
-            my = int(rng.integers(2, 8))
+    def test_matches_lattice_scan_3d(self, rng):
+        self.check_against_lattice(rng, 3)
+
+    def test_second_modulus_in_the_plane(self):
+        # jumps of length 5 and 1, 0.25 apart: min(5, 1) once delta > 0.25
+        p = StepPath([0.0, 0.25, 0.5], [[0.0, 0.0], [3.0, 4.0], [3.0, 3.0]], q=1.0)
+        assert modulus_second(p, 0.26) == 1.0
+        assert modulus_second(p, 0.25) == 0.0
+        # a round trip back to the start: min(5, 5)
+        back = StepPath([0.0, 0.25, 0.5], [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]], q=1.0)
+        assert modulus_second(back, 0.3) == 5.0
+        assert modulus_second(back, 0.3) == modulus_bar(back, back, 0.3)
+
+    # 1 and 3 pairs give one-row blocks on these short paths, 20 several rows
+    @pytest.mark.parametrize("pairs", [1, 3, 20])
+    def test_blocked_scan_is_bit_identical(self, pairs, rng, monkeypatch):
+        cases = []
+        for trial in range(25):
+            dim = 1 + trial % 3
+            mx = int(rng.integers(2, 9))
+            my = int(rng.integers(2, 9))
             tx = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, mx - 1)]))
             ty = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, my - 1)]))
-            x = StepPath(tx, rng.normal(size=(mx, 1)), q=1.0)
-            y = StepPath(ty, rng.normal(size=(my, 1)), q=1.0)
-            delta = float(rng.uniform(0.05, 0.9))
-            times, fx, fy = _merged_pair(x, y, 1.0)
-            fast = _pair_modulus_runs(times, fx, fy, delta)
-            slow = _pair_modulus_scan(times, fx, fy, delta)
-            assert fast == pytest.approx(slow, abs=1e-12)
+            x = StepPath(tx, rng.normal(size=(mx, dim)), q=1.0)
+            y = StepPath(ty, rng.normal(size=(my, dim)), q=1.0)
+            cases.append((x, y, float(rng.uniform(0.05, 0.9))))
+        whole = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
+        monkeypatch.setattr(path_module, "_PAIRS_PER_BLOCK", pairs)
+        blocked = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
+        assert blocked == whole
 
     def test_monotone_in_delta(self, rng):
         times = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, 6)]))

@@ -255,3 +255,26 @@ class TestVerifier:
         # k moves at 0.2, 0.4 and 0.8: the running minimum drops three times
         assert report.jumps_checked == 3
         assert report.ok
+
+    def test_projection_work_is_linear_in_the_states(self, rng, monkeypatch):
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        rows = [0]
+        project = Box.project_points
+
+        def counting(self, X):
+            rows[0] += np.asarray(X).shape[0]
+            return project(self, X)
+
+        monkeypatch.setattr(Box, "project_points", counting)
+        counts = {}
+        for states in (100, 400):
+            y = random_driver(rng, 2, states - 1, start=box.anchor, scale=0.3)
+            sol = solve_skorokhod(box, y)
+            rows[0] = 0
+            report = verify_solution(box, sol)
+            assert report.ok
+            # enough regulator jumps that work per jump times states would show
+            assert report.jumps_checked >= states // 4
+            counts[states] = rows[0]
+        assert counts[400] <= 4 * counts[100] + 8
+        assert counts[400] <= 2 * 400

@@ -86,7 +86,8 @@ def _load_config(ref: str, command: str) -> dict:
     if path.exists():
         try:
             cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        # nesting deeper than the interpreter's recursion limit is invalid too
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config {ref}: invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {ref}: expected a JSON object")
@@ -98,7 +99,22 @@ def _load_config(ref: str, command: str) -> dict:
             f"config is for experiment {declared!r}, not {command!r}"
         )
     cfg["experiment"] = command
+    _reject_non_finite(cfg, command)
     return cfg
+
+
+def _reject_non_finite(node, command: str, where: str = "") -> None:
+    """Raise a ConfigError naming the key path of the first number in a
+    parsed config that is not finite (JSON ``NaN``, ``Infinity`` or a
+    literal beyond the float range such as ``1e400``)."""
+    if isinstance(node, float) and not np.isfinite(node):
+        raise ConfigError(f"{command}: {where} must be finite, got {node}")
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _reject_non_finite(child, command, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            _reject_non_finite(child, command, f"{where}[{i}]")
 
 
 def _write_path_artifact(path_obj, stem: Path, fmt: str) -> None:

@@ -151,8 +151,9 @@ class ConvexDomain:
 
     def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
         x = _vec(x, self.dim)
-        # a distance past the float range belongs to a point far outside
-        with np.errstate(over="ignore"):
+        # a distance past the float range, or one that inf - inf made NaN,
+        # belongs to a point far outside
+        with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.linalg.norm(x - self.project_point(x)) <= tol)
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -170,7 +171,10 @@ class HalfSpace(ConvexDomain):
 
     def __init__(self, normal, offset: float, anchor=None, anchor_clearance=None):
         n = _vec(normal)
-        if abs(np.linalg.norm(n) - 1.0) > UNIT_TOL:
+        # a normal near the float range has infinite length: not a unit one
+        with np.errstate(over="ignore"):
+            length = np.linalg.norm(n)
+        if abs(length - 1.0) > UNIT_TOL:
             raise ValueError("half-space normal must have unit length")
         n.setflags(write=False)
         self.normal = n
@@ -262,8 +266,10 @@ class Ball(ConvexDomain):
         X = np.asarray(X, dtype=float)
         V = X - self.center
         r = np.linalg.norm(V, axis=1)
-        scaled = self.center + V * (self.radius / np.maximum(r, 1e-300))[:, None]
-        return np.where((r > self.radius)[:, None], scaled, X)
+        outside = r > self.radius
+        # only rows outside are scaled: radius / r at the centre overflows
+        scale = self.radius / np.where(outside, r, self.radius)
+        return np.where(outside[:, None], self.center + V * scale[:, None], X)
 
     def boundary_distance(self, x) -> float:
         return abs(self._interior_clearance(_vec(x, self.dim)))

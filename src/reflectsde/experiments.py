@@ -17,7 +17,7 @@ import numpy as np
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
 from .path import StepPath
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
-from .penalty import _penalty_variation, _relaxed, _sup_deviation
+from .penalty import _penalty_variation, _rate, _relaxed, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import (
     Brownian,
@@ -110,7 +110,7 @@ def build_domain(cfg: dict) -> ConvexDomain:
     variant = _require(cfg, "variant", "domain")
     anchor = cfg.get("anchor")
     clearance = cfg.get("anchor_clearance")
-    try:
+    with _Section("domain"):
         if variant == "halfline":
             return HalfSpace(
                 [1.0], 0.0, anchor=[1.0] if anchor is None else anchor,
@@ -118,35 +118,36 @@ def build_domain(cfg: dict) -> ConvexDomain:
             )
         if variant == "halfspace":
             return HalfSpace(
-                _require(cfg, "normal", "halfspace"),
-                _require(cfg, "offset", "halfspace"),
+                _require(cfg, "normal", "domain.halfspace"),
+                _require(cfg, "offset", "domain.halfspace"),
                 anchor=anchor,
                 anchor_clearance=clearance,
             )
         if variant == "box":
             return Box(
-                _require(cfg, "lower", "box"),
-                _require(cfg, "upper", "box"),
+                _require(cfg, "lower", "domain.box"),
+                _require(cfg, "upper", "domain.box"),
                 anchor=anchor,
                 anchor_clearance=clearance,
             )
         if variant == "ball":
             return Ball(
-                _require(cfg, "center", "ball"),
-                _require(cfg, "radius", "ball"),
+                _require(cfg, "center", "domain.ball"),
+                _require(cfg, "radius", "domain.ball"),
                 anchor=anchor,
                 anchor_clearance=clearance,
             )
         if variant == "polyhedron":
             faces = [
-                HalfSpace(f["normal"], f["offset"])
-                for f in _require(cfg, "faces", "polyhedron")
+                HalfSpace(
+                    _require(f, "normal", "domain.faces"),
+                    _require(f, "offset", "domain.faces"),
+                )
+                for f in _require(cfg, "faces", "domain.polyhedron")
             ]
             if anchor is None:
-                raise ConfigError("polyhedron: anchor is required")
+                raise ConfigError("domain.polyhedron: anchor is required")
             return Polyhedron(faces, anchor=anchor, anchor_clearance=clearance)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"domain: {exc}") from exc
     raise ConfigError(f"domain: unknown variant {variant!r}")
 
 
@@ -248,40 +249,16 @@ def run_skorokhod(cfg: dict):
             raise ConfigError(f"skorokhod: tol must be finite and positive, got {tol}")
         solution = solve_skorokhod(domain, driver)
     with np.errstate(over="raise", invalid="raise"):
-        report_data = verify_solution(domain, solution, tol=tol)
+        check = verify_solution(domain, solution, tol=tol)
     report = ExperimentReport(params={"experiment": "skorokhod", "tol": tol})
-    report.add_entry(
-        "decomposition_residual",
-        report_data.decomposition_residual,
-        tol,
-        report_data.decomposition_ok,
-        driver.times.shape[0],
-        "deterministic",
-    )
-    report.add_entry(
-        "containment_residual",
-        report_data.containment_residual,
-        tol,
-        report_data.containment_ok,
-        driver.times.shape[0],
-        "deterministic",
-    )
-    report.add_entry(
-        "support_residual",
-        report_data.support_residual,
-        tol,
-        report_data.support_ok,
-        report_data.jumps_checked,
-        "deterministic",
-    )
-    report.add_entry(
-        "normal_residual",
-        report_data.normal_residual,
-        tol,
-        report_data.normal_ok,
-        report_data.jumps_checked,
-        "deterministic",
-    )
+    states, jumps = driver.times.shape[0], check.jumps_checked
+    for name, residual, ok, size in (
+        ("decomposition", check.decomposition_residual, check.decomposition_ok, states),
+        ("containment", check.containment_residual, check.containment_ok, states),
+        ("support", check.support_residual, check.support_ok, jumps),
+        ("normal", check.normal_residual, check.normal_ok, jumps),
+    ):
+        report.add_entry(f"{name}_residual", residual, tol, ok, size, "deterministic")
     artifacts = {"x": solution.x, "k": solution.k}
     return report, artifacts
 
@@ -341,9 +318,7 @@ def run_simulate(cfg: dict):
             f"domain {domain.dim}"
         )
     with _Section("simulate"):
-        n = float(cfg.get("n", 1e4))
-        if not n > 0:
-            raise ConfigError("simulate: n must be positive")
+        n = _rate(cfg.get("n", 1e4))
         paths = int(cfg.get("paths", 100))
         if paths < 1:
             raise ConfigError("simulate: need at least one path")

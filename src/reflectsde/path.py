@@ -1,13 +1,15 @@
 """Piecewise-constant cadlag paths and their oscillation functionals.
 
 The partition modulus and the interlaced moduli are exact for step paths
-in any dimension.  Both read their oscillations from one blocked scan,
-``_reach``, which gives each breakpoint value its largest distance to an
-earlier one.
+in any dimension.  The partition modulus bisects over the diameters of
+runs of segment values; the interlaced moduli read their oscillations from
+one blocked scan, ``_reach``, which gives each breakpoint value its
+largest distance to an earlier one.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 
@@ -185,11 +187,13 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
     path over a half-open cell [t_{i-1}, t_i).  The value at q itself never
     enters (all cells are half-open).
 
-    Exact for step paths: sliding a partition point left onto the previous
-    point plus delta, or onto the latest jump time before it, never
-    increases any cell oscillation, so an optimal partition exists with all
-    points in the closure of {0, jump times} under t -> t + delta, and a
-    shortest-path scan over that finite set attains the infimum.
+    Exact for step paths.  A cell's oscillation is the diameter
+    ``diam[a, b]`` of the values of the segments a..b it meets, and
+    bisection over these finds the least threshold a partition meets.  A
+    cell starting in segment a ends anywhere from its start plus delta to
+    the end of the last segment b within the threshold; an earlier start
+    never narrows that window, so one scan keeps the earliest reachable
+    start of each segment until a cell runs to q.
     """
     q = path.q if q is None else float(q)
     if not 0.0 < q <= path.q:
@@ -198,41 +202,37 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
     if not 0.0 < delta <= q:
         raise ValueError("delta must lie in (0, q]")
 
-    times = path.times
-    base = [0.0] + [float(t) for t in times if 0.0 < t < q]
-    candidates = {0.0}
-    for b in base:
-        steps = int(np.ceil((q - b) / delta)) + 1
-        for k in range(steps):
-            t = b + k * delta
-            if t < q:
-                candidates.add(t)
-            else:
-                break
-    cand = np.array(sorted(candidates))
-    m = cand.shape[0]
+    times = path.times[path.times < q]
+    L = times.shape[0]
+    # diam[a, b] for b >= a, by one backward pass; zero below the diagonal
+    diam = np.zeros((L, L))
+    for a in range(L - 2, -1, -1):
+        diff = path.values[a + 1 : L] - path.values[a]
+        reach = np.maximum.accumulate(np.sqrt(np.sum(diff * diff, axis=1)))
+        diam[a, a + 1 :] = np.maximum(diam[a + 1, a + 1 :], reach)
 
-    # segment index ranges for cells [cand[i], e) over all right endpoints e
-    ends = np.append(cand, q)
-    lo = np.searchsorted(times, cand, side="right") - 1
-    hi = np.searchsorted(times, ends, side="left") - 1
+    def feasible(eps):
+        # last segment within eps: rows are zero, then nondecreasing in b
+        last = np.count_nonzero(diam <= eps, axis=1) - 1
+        start = np.full(L, np.inf)
+        start[0] = 0.0
+        for a in range(L):
+            if start[a] == np.inf:
+                continue
+            b = last[a]
+            if b == L - 1:
+                return True
+            # a cell shorter than delta by rounding of its end points counts
+            e = start[a] + delta - 1e-12
+            if e <= times[b + 1]:
+                c = max(a, int(np.searchsorted(times, e, side="right")) - 1)
+                start[c] = min(start[c], e)
+                start[c + 1 : b + 2] = times[c + 1 : b + 2]
+        return False
 
-    osc = np.zeros((m, m + 1))
-    for i in range(m):
-        pref = np.maximum.accumulate(_reach(path.values[lo[i] :]))
-        h = np.clip(hi - lo[i], 0, pref.shape[0] - 1)
-        osc[i] = pref[h]
-
-    slop = 1e-12
-    best = np.full(m, np.inf)
-    best[0] = 0.0
-    for j in range(1, m):
-        ilim = int(np.searchsorted(cand, cand[j] - delta + slop, side="right"))
-        if ilim == 0:
-            continue
-        best[j] = np.min(np.maximum(best[:ilim], osc[:ilim, j]))
-    # the cell reaching q is exempt from the length constraint
-    return float(np.min(np.maximum(best, osc[:, m])))
+    # the least diameter that passes; the largest, one cell [0, q), always does
+    levels = np.unique(diam)
+    return float(levels[bisect.bisect_left(levels, True, key=feasible)])
 
 
 def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):

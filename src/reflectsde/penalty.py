@@ -46,9 +46,7 @@ class PenalizedPath:
     __slots__ = ("n", "times", "states", "projections", "q")
 
     def __init__(self, n, times, states, projections, q):
-        n = float(n)
-        if not n > 0:
-            raise ValueError("penalization rate must be positive")
+        n = _rate(n)
         t = np.asarray(times, dtype=float).copy()
         s = np.asarray(states, dtype=float).copy()
         p = np.asarray(projections, dtype=float).copy()
@@ -186,6 +184,15 @@ class PenalizedPath:
 # one-row case, and a row gets the same bits alone or in any batch.
 
 
+def _rate(n) -> float:
+    """A penalization rate as a float: finite and positive, since the
+    projected schemes, not the relaxation, are the n = inf limit."""
+    n = float(n)
+    if not 0.0 < n < np.inf:
+        raise ValueError("penalization rate must be finite and positive")
+    return n
+
+
 def _relaxed(states, projections, n, elapsed):
     """P + (X - P) exp(-n elapsed): the value reached from states X with
     projections P after ``elapsed`` time (broadcast against X[..., 0])."""
@@ -291,9 +298,7 @@ def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> Penaliz
         raise ValueError(
             f"driver dimension {driver.dim} does not match domain {domain.dim}"
         )
-    if not float(n) > 0:
-        raise ValueError("penalization rate must be positive")
-    n = float(n)
+    n = _rate(n)
     if not domain.contains(driver.values[0]):
         raise DomainViolationError("driver must start inside the domain")
     states, projections, _ = _relax_and_step(

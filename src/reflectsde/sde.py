@@ -14,7 +14,7 @@ import numpy as np
 
 from .domain import ConvexDomain, DomainViolationError, _rows_times
 from .path import StepPath
-from .penalty import PenalizedPath, _relax_and_step
+from .penalty import PenalizedPath, _rate, _relax_and_step
 
 __all__ = [
     "Grid",
@@ -583,10 +583,8 @@ def euler_penalized(
     rate n; at a grid point the increments of H and of the integral term
     are added, with f evaluated at the pre-jump (relaxed) value.
     """
-    if not float(n) > 0:
-        raise ValueError("penalization rate must be positive")
+    n = _rate(n)
     hv, zv = _path_values(domain, f, H, Z, grid)
-    n = float(n)
     states, projections, _ = _relax_and_step(
         domain, f, hv, zv, n, grid.times, strict=True
     )
@@ -628,11 +626,10 @@ def euler_penalized_batch(
     :func:`euler_penalized` on the same driver.  A row whose state stops
     being finite or whose projection does not converge is NaN throughout.
     """
-    if not float(n) > 0:
-        raise ValueError("penalization rate must be positive")
+    n = _rate(n)
     _check_batch_inputs(domain, H_vals, Z_vals, grid)
     states, projections, failed = _relax_and_step(
-        domain, f, H_vals, Z_vals, float(n), grid.times
+        domain, f, H_vals, Z_vals, n, grid.times
     )
     states[failed] = projections[failed] = np.nan
     return states, projections

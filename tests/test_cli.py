@@ -46,7 +46,7 @@ def strict_json(text: str):
     """Parse JSON, refusing NaN and Infinity."""
 
     def no_constant(name):
-        raise ValueError(f"report.json holds {name}")
+        raise ValueError(f"JSON holds {name}")
 
     return json.loads(text, parse_constant=no_constant)
 
@@ -150,6 +150,14 @@ class TestConfigErrors:
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_file(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid JSON" in err
+
     def test_experiment_mismatch(self, tmp_path, capsys):
         code = main(["penalize", "--config", "halfline-threejump", "--out", str(tmp_path)])
         assert code == 1
@@ -169,6 +177,42 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: skorokhod:") and err.count("\n") == 1
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, where",
+        [
+            pytest.param("simulate", dict(SIMULATE_CFG, n="X"), "n", id="simulate-n"),
+            pytest.param(
+                "simulate",
+                {**SIMULATE_CFG, **with_jumps("normal", [0.0, "X"])},
+                "driver.z[0].jumps.params[1]",
+                id="simulate-jump-param",
+            ),
+            pytest.param(
+                "penalize",
+                dict(builtin_config("halfline-threejump"), n_list=[1.0, "X"]),
+                "n_list[1]",
+                id="penalize-rate",
+            ),
+            pytest.param(
+                "converge",
+                dict(builtin_config("tail-structure"), etas=[0.5, "X"]),
+                "etas[1]",
+                id="converge-eta",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("token", ["1e400", "-Infinity", "NaN"])
+    def test_non_finite_number(self, tmp_path, capsys, command, cfg, where, token):
+        # JSON reads 1e400 as inf; no such number reaches a runner
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, experiment=command)).replace('"X"', token))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: {command}: {where} must be finite, got ")
+        assert not out.exists()
 
     def test_h_outside_domain(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -262,6 +306,37 @@ class TestConfigErrors:
                 "driver",
                 on_plane(z=[{"kind": "drift", "rate": [1.0, 1.0, 1.0]}]),
                 id="drift-rate-length-3",
+            ),
+            pytest.param(
+                "domain",
+                {"domain": {"variant": "ball", "center": [0.0], "radius": "x"}},
+                id="ball-radius-string",
+            ),
+            pytest.param(
+                "domain",
+                {"domain": {"variant": "ball", "center": [0.0], "radius": None}},
+                id="ball-radius-null",
+            ),
+            pytest.param(
+                "domain.faces",
+                {"domain": {"variant": "polyhedron", "faces": "x", "anchor": [1.0]}},
+                id="polyhedron-faces-string",
+            ),
+            pytest.param(
+                "domain",
+                {
+                    "domain": {
+                        "variant": "polyhedron",
+                        "faces": [{"normal": [1.0], "offset": None}],
+                        "anchor": [1.0],
+                    }
+                },
+                id="face-offset-null",
+            ),
+            pytest.param(
+                "domain",
+                {"domain": {"variant": "halfline", "anchor": {"a": 1}}},
+                id="halfline-anchor-object",
             ),
         ],
     )
@@ -579,8 +654,9 @@ def test_console_entry_point(tmp_path):
     assert "pass decomposition_residual" in proc.stdout
 
 
-# Small versions of every built-in, of SIMULATE_CFG and of a penalize
-# sweep on the three-jump path: the bases the fuzz test perturbs.
+# Small versions of every built-in, of SIMULATE_CFG on the half-line, a
+# ball and a two-face wedge, and of a penalize sweep on the three-jump
+# path: the bases the fuzz test perturbs.
 FUZZ_BASES = {
     "halfline-threejump": ("skorokhod", {}),
     "rbm-benchmark": ("converge", {"paths": 100, "cells": 8}),
@@ -591,6 +667,42 @@ FUZZ_BASES = {
     ),
     "tail-structure": ("converge", {"paths": 50, "cells": 8}),
     "simulate": ("simulate", {"paths": 8, "grid": {"q": 1.0, "cells": 8}}),
+    "simulate-ball": (
+        "simulate",
+        {
+            **on_plane(),
+            "domain": {"variant": "ball", "center": [0.5, 0.5], "radius": 1.0},
+            "paths": 8,
+            "grid": {"q": 1.0, "cells": 8},
+        },
+    ),
+    "simulate-wedge": (
+        "simulate",
+        {
+            **on_plane(
+                h={"kind": "constant", "x0": [1.0, 0.2679491924311227]},
+                z=[
+                    {"kind": "brownian", "sigma": 1.0},
+                    {
+                        "kind": "compound_poisson",
+                        "rate": 2.0,
+                        "jumps": {"tag": "normal", "params": [0.0, 0.5]},
+                    },
+                ],
+            ),
+            "domain": {
+                "variant": "polyhedron",
+                "anchor": [2.0, 0.5358983848622454],
+                "faces": [
+                    {"normal": [0.0, 1.0], "offset": 0.0},
+                    {"normal": [0.5, -0.8660254037844387], "offset": 0.0},
+                ],
+            },
+            "coefficient": {"kind": "diag_affine", "base": 0.5, "slope": 0.25},
+            "paths": 8,
+            "grid": {"q": 1.0, "cells": 8},
+        },
+    ),
     "penalize": ("penalize", {"n_list": [1.0, 100.0], "delta": 0.5}),
 }
 # keys that size the work: never made huge, so a run stays small
@@ -600,7 +712,7 @@ FUZZ_KIND_KEYS = {"experiment", "benchmark", "variant", "kind", "tag"}
 
 def fuzz_base(name):
     command, overrides = FUZZ_BASES[name]
-    if name == "simulate":
+    if command == "simulate":
         cfg = SIMULATE_CFG
     elif name == "penalize":
         cfg = dict(builtin_config("halfline-threejump"), experiment="penalize")
@@ -625,12 +737,22 @@ def fuzz_locations(node, prefix=()):
 @st.composite
 def perturbed_configs(draw):
     """A base config with one entry dropped, retyped, resized, made
-    negative, zero, NaN or huge, or given an unknown kind."""
+    negative, zero, NaN, infinite or huge, or given an unknown kind."""
     name = draw(st.sampled_from(sorted(FUZZ_BASES)))
     command, cfg = fuzz_base(name)
     mutation = draw(
         st.sampled_from(
-            ["drop", "type", "length", "negative", "zero", "nan", "huge", "kind"]
+            [
+                "drop",
+                "type",
+                "length",
+                "negative",
+                "zero",
+                "nan",
+                "inf",
+                "huge",
+                "kind",
+            ]
         )
     )
     places = list(fuzz_locations(cfg))
@@ -660,6 +782,8 @@ def perturbed_configs(draw):
         parent[key] = 0
     elif mutation == "nan":
         parent[key] = float("nan")
+    elif mutation == "inf":
+        parent[key] = draw(st.sampled_from([float("inf"), float("-inf")]))
     elif mutation == "huge":
         parent[key] = draw(st.sampled_from([1e308, -1e308]))
     else:
@@ -676,10 +800,14 @@ def perturbed_configs(draw):
 )
 @given(perturbed_configs())
 def test_cli_exit_codes_on_perturbed_configs(case):
-    # any config, however malformed, ends in an exit code, never a traceback
+    # any config, however malformed, ends in an exit code, never a traceback,
+    # and every JSON file a run writes is strict JSON
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "run")])
+        out = Path(tmp) / "run"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        for written in out.glob("*.json"):
+            strict_json(written.read_text())
     assert code in {0, 1, 2, 3}

@@ -96,6 +96,9 @@ class TestHalfSpace:
     def test_unit_normal_required(self):
         with pytest.raises(ValueError):
             HalfSpace([1.0, 1.0], 0.0)
+        # its length overflows: rejected without an overflow warning
+        with pytest.raises(ValueError, match="unit length"):
+            HalfSpace([1e308, 0.0], 0.0)
 
     def test_anchor_clearance_validated(self):
         with pytest.raises(ValueError):
@@ -136,6 +139,18 @@ class TestBall:
     def test_interior_identity(self):
         d = Ball([1.0, 1.0], 2.0)
         assert np.array_equal(d.project_point([1.5, 0.5]), [1.5, 0.5])
+
+    def test_centre_of_a_wide_ball(self):
+        # radius / |x - centre| overflows at the centre; only outside rows
+        # are scaled, so the centre is its own projection without a warning
+        d = Ball([0.5, 0.5], 1e308)
+        assert np.array_equal(d.project_point([0.5, 0.5]), [0.5, 0.5])
+        assert d.contains([0.5, 0.5])
+
+    def test_point_past_the_float_range_is_outside(self):
+        # x - centre overflows, and scaling it computes inf * 0; the NaN
+        # distance reads as outside, without an invalid-value warning
+        assert not Ball([-1e308, 0.0], 1.0).contains([1e308, 0.0])
 
     def test_boundary_distance(self):
         d = Ball([0.0, 0.0], 1.0)

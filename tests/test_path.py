@@ -233,6 +233,14 @@ class TestPartitionModulus:
             want = lattice_partition_modulus(p, delta, 1.0, step)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_alternating_lattice_path(self):
+        # 1000 jumps at k/1000 between 0 and 1: cells of one lattice step
+        # meet delta = 0.001, while any cell of 0.0015 spans a jump
+        times = np.arange(1001) / 1000.0
+        p = StepPath(times, np.arange(1001) % 2, q=1.0)
+        assert modulus_prime(p, 0.001) == 0.0
+        assert modulus_prime(p, 0.0015) == 1.0
+
     def test_partial_horizon(self):
         p = StepPath([0.0, 0.25, 0.9], [[0.0], [1.0], [5.0]], q=1.0)
         # restricted to q = 0.5 the second jump is invisible

@@ -24,6 +24,7 @@ from reflectsde.sde import (
     Grid,
     Identity,
     JumpSizes,
+    euler_penalized,
     euler_penalized_batch,
     sample_driver_batch,
 )
@@ -194,6 +195,30 @@ class TestClosedForm:
         sol = solve_penalized(HALFLINE, y, n=1.0)
         with pytest.raises(AttributeError):
             sol.n = 2.0
+
+    @pytest.mark.parametrize("n", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["PenalizedPath", "solve_penalized", "euler_penalized", "euler_penalized_batch"],
+    )
+    def test_rate_must_be_finite(self, entry, n):
+        # the n = inf limit is the projected scheme, not a penalized path:
+        # relaxing at an infinite rate computes -inf * 0 at each breakpoint
+        y = StepPath([0.0, 0.5], [[0.5], [1.0]], q=1.0)
+        grid = Grid.regular(1.0, 2)
+        H = y.eval_many(grid.times)[None]
+        calls = {
+            "PenalizedPath": lambda: PenalizedPath(n, [0.0], [[1.0]], [[1.0]], 1.0),
+            "solve_penalized": lambda: solve_penalized(HALFLINE, y, n),
+            "euler_penalized": lambda: euler_penalized(
+                HALFLINE, Identity(1), y, StepPath.constant(0.0, 1.0), n, grid
+            ),
+            "euler_penalized_batch": lambda: euler_penalized_batch(
+                HALFLINE, Identity(1), H, np.zeros_like(H), n, grid
+            ),
+        }
+        with pytest.raises(ValueError, match="finite and positive"):
+            calls[entry]()
 
 
 class TestBatchedClosedForm:

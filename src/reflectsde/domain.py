@@ -1,9 +1,10 @@
 """Convex domains with Euclidean nearest-point projection.
 
 Four shapes: half-space, axis-aligned box, ball, and a finite intersection
-of half-spaces (projected iteratively).  Each projects the rows of an
-(m, d) array (``project_points``); ``project_point`` is the one-row case,
-so a point gets the same bits alone or in any batch.  Every domain carries
+of half-spaces (projected onto the nearest certified active-set
+candidate).  Each projects the rows of an (m, d) array
+(``project_points``); ``project_point`` is the one-row case, so a point
+gets the same bits alone or in any batch.  Every domain carries
 a designated strictly interior anchor point together with a validated lower
 bound on its distance to the boundary; the a-priori bounds in
 :mod:`reflectsde.penalty` are stated relative to that anchor.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -20,6 +22,12 @@ UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 PROJECTION_TOL = 1e-12
 MAX_PROJECTION_SWEEPS = 100_000
+# Polyhedra with more active-set candidates than this are projected by
+# Dykstra's cyclic corrections instead of by the stacked candidates.
+_MAX_ACTIVE_SETS = 64
+# Entries of the (rows, candidates, values) temporaries of one block.
+_ENTRIES_PER_BLOCK = 1 << 18
+_FLOAT_MAX = np.finfo(float).max
 
 __all__ = [
     "UNIT_TOL",
@@ -93,8 +101,9 @@ class ConvexDomain:
     """Closed convex subset of R^d with an interior anchor.
 
     Subclasses provide ``project_points`` (row-wise nearest points of an
-    (m, d) array: exact, or iterative for half-space intersections; the
-    single-point ``project_point`` is its one-row case),
+    (m, d) array, exact up to rounding, or iterative for an intersection
+    of many half-spaces; the single-point ``project_point`` is its one-row
+    case),
     ``boundary_distance`` (distance to the topological boundary, from
     either side), and the active inward normals at a boundary point.
     ``anchor_clearance`` is validated at construction: it must be positive
@@ -284,16 +293,30 @@ class Ball(ConvexDomain):
 
 
 class Polyhedron(ConvexDomain):
-    """Finite intersection of half-spaces.
+    """Finite intersection of half-spaces ``{x : A x >= b}``.
 
-    No closed-form nearest point exists in general, so projection runs
-    Dykstra's cyclic corrections over the faces, batched over rows: each
-    row keeps its own corrections and stops once a sweep moves it at most
+    The nearest point of y is the KKT point of some active set S of at
+    most d linearly independent faces (the active-set argument of
+    :func:`cone_residual`), and for each S that point is an affine map of
+    y: with |S| < d it is y + A_S^T mu for the multipliers
+    mu = (A_S A_S^T)^-1 (b_S - A_S y); with |S| = d it is the vertex
+    A_S^-1 b_S, and mu = A_S^-T (vertex - y).  The constructor stacks,
+    for every independent S, the maps of the candidate point, of the
+    slacks of all faces at it and of its multipliers.  A row outside is
+    projected by evaluating every candidate at once: one whose slacks and
+    multipliers are all at least ``-PROJECTION_TOL`` times the row's scale
+    satisfies the KKT conditions, and the nearest such candidate is taken.
+    A row with none gets NaN and makes the batch raise ``NumericalError``,
+    carrying the result.
+
+    Above ``_MAX_ACTIVE_SETS`` candidate sets, projection runs Dykstra's
+    cyclic corrections over the faces instead, batched over rows: each row
+    keeps its own corrections and stops once a sweep moves it at most
     ``PROJECTION_TOL``; a row still moving after ``MAX_PROJECTION_SWEEPS``
-    sweeps makes the batch raise ``NumericalError``, carrying the result
-    with NaN in that row.  The anchor is required (it certifies
-    the interior is nonempty) and its clearance is checked against the
-    exact value min_i(<n_i, anchor> - c_i).
+    sweeps, or whose displacement leaves the float range, fails in the
+    same way.  The anchor is required (it certifies the interior is
+    nonempty) and its clearance is checked against the exact value
+    min_i(<n_i, anchor> - c_i).
     """
 
     def __init__(self, halfspaces, anchor, anchor_clearance=None):
@@ -312,6 +335,7 @@ class Polyhedron(ConvexDomain):
         if anchor is None:
             raise ValueError("polyhedron requires an explicit interior anchor")
         self._init_anchor(anchor, anchor_clearance)
+        self._maps = self._active_set_maps()
 
     def _interior_clearance(self, point: np.ndarray) -> float:
         return float(np.min(self._normals @ point - self._offsets))
@@ -320,11 +344,89 @@ class Polyhedron(ConvexDomain):
         """Face margins of the rows of X, positive inside, (m, faces)."""
         return _rows_times(X, self._normals) - self._offsets
 
+    def _active_set_maps(self):
+        """Affine maps y -> W y + w of every independent active set, or None
+        above ``_MAX_ACTIVE_SETS`` sets.
+
+        Returns (W, w, scale) with W of shape (s, d + m + k, d) and w of
+        shape (s, d + m + k), k = min(m, d): per set, the d coordinates of
+        its candidate, the m face slacks there and its multipliers, padded
+        with zeros to k.  ``scale`` is 1 plus the largest constant term: the
+        size of the values whose rounding the certificate must tolerate.
+        """
+        A, b = self._normals, self._offsets
+        m, d = A.shape
+        k_max = min(m, d)
+        if sum(comb(m, k) for k in range(1, k_max + 1)) > _MAX_ACTIVE_SETS:
+            return None
+        W, w = [], []
+        for k in range(1, k_max + 1):
+            for S in combinations(range(m), k):
+                AS, bS = A[list(S)], b[list(S)]
+                if np.linalg.matrix_rank(AS) < k:
+                    continue
+                if k == d:
+                    inv_t = np.linalg.inv(AS).T
+                    C, c = np.zeros((d, d)), np.linalg.solve(AS, bS)
+                    M, mu = -inv_t, inv_t @ c
+                else:
+                    G = np.linalg.inv(AS @ AS.T)
+                    M, mu = -G @ AS, G @ bS
+                    C, c = np.eye(d) + AS.T @ M, AS.T @ mu
+                pad = np.zeros((k_max - k, d))
+                W.append(np.vstack([C, A @ C, M, pad]))
+                w.append(np.concatenate([c, A @ c - b, mu, pad[:, 0]]))
+        W, w = np.array(W), np.array(w)
+        return W, w, 1.0 + np.abs(w).max()
+
     def project_points(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float)
         rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
+        if self._maps is None:
+            return self._dykstra(out, rows)
+        step = max(1, _ENTRIES_PER_BLOCK // self._maps[1].size)
+        for lo in range(0, rows.size, step):
+            block = rows[lo : lo + step]
+            out[block] = self._nearest_candidate(out[block])
+        lost = np.count_nonzero(np.isnan(out[rows]).any(axis=1))
+        if lost:
+            raise NumericalError(
+                f"no active-set candidate of {lost} point(s) passed the KKT "
+                "certificate",
+                out,
+            )
+        return out
+
+    def _nearest_candidate(self, Y: np.ndarray) -> np.ndarray:
+        """Nearest certified candidate of each row of Y, NaN where none is.
+
+        Elementwise sums over the d columns, as in ``_rows_times``, so a
+        row gets the same bits in any batch.  Distances that overflow are
+        clipped to the largest float, below the inf of a candidate that
+        fails, so a far point still gets its certified candidate.
+        """
+        W, w, scale = self._maps
+        d = self.dim
+        V = w + Y[:, 0, None, None] * W[..., 0]
+        gap = V[..., 0] - Y[:, 0, None]
+        dist = gap * gap
+        for j in range(1, d):
+            V = V + Y[:, j, None, None] * W[..., j]
+            gap = V[..., j] - Y[:, j, None]
+            dist = dist + gap * gap
+        tol = PROJECTION_TOL * (scale + np.abs(Y).max(axis=1))
+        ok = V[..., d:].min(axis=2) >= -tol[:, None]
+        best = np.where(ok, np.minimum(dist, _FLOAT_MAX), np.inf).argmin(axis=1)
+        rows = np.arange(len(Y))
+        P = V[rows, best, :d]
+        P[~ok[rows, best]] = np.nan
+        return P
+
+    def _dykstra(self, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Dykstra's cyclic corrections for the rows of ``out`` outside."""
         point = out[rows]
         corrections = np.zeros((len(self.faces),) + point.shape)
+        lost = 0
         for _ in range(MAX_PROJECTION_SWEEPS):
             if not rows.size:
                 break
@@ -336,18 +438,25 @@ class Polyhedron(ConvexDomain):
                 corrections[i] = shifted - point
             step = np.linalg.norm(point - previous, axis=1)
             done = step <= PROJECTION_TOL
-            if np.count_nonzero(done):
+            # a displacement past the float range never settles: fail now
+            gone = ~np.isfinite(step)
+            if np.count_nonzero(done | gone):
                 out[rows[done]] = point[done]
-                rows, point, step = rows[~done], point[~done], step[~done]
-                corrections = corrections[:, ~done]
-        if rows.size:
+                out[rows[gone]] = np.nan
+                lost += np.count_nonzero(gone)
+                keep = ~(done | gone)
+                rows, point, step = rows[keep], point[keep], step[keep]
+                corrections = corrections[:, keep]
+        if rows.size or lost:
             out[rows] = np.nan
-            raise NumericalError(
-                f"cyclic projection of {rows.size} point(s) did not converge in "
-                f"{MAX_PROJECTION_SWEEPS} sweeps (largest last displacement "
-                f"{step.max():.3e})",
-                out,
-            )
+            reasons = [f"{lost} point(s) left the float range"] if lost else []
+            if rows.size:
+                reasons.append(
+                    f"{rows.size} point(s) did not converge in "
+                    f"{MAX_PROJECTION_SWEEPS} sweeps (largest last displacement "
+                    f"{step.max():.3e})"
+                )
+            raise NumericalError("cyclic projection: " + "; ".join(reasons), out)
         return out
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:

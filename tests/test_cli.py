@@ -223,6 +223,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "inside the domain" in err
 
+    def test_h_past_the_float_range_outside_wedge(self, tmp_path, capsys):
+        # the start projects to the apex at an overflowing distance: outside,
+        # so the run stops at the check instead of projecting it at all
+        cfg = tmp_path / "cfg.json"
+        h = {"kind": "constant", "x0": [-1e308, 0.27]}
+        wedge = FUZZ_BASES["simulate-wedge"][1]["domain"]
+        driver = on_plane(h=h)["driver"]
+        cfg.write_text(json.dumps(dict(SIMULATE_CFG, driver=driver, domain=wedge)))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "driver.h must start inside the domain" in err
+
     def test_coefficient_dimension(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         coefficient = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}

@@ -74,6 +74,18 @@ def projection_qp(normals, offsets, x):
     return best[1]
 
 
+def two_face_wedge(angle):
+    """Wedge of the given opening between the x-axis and the ray at
+    ``angle``, apex at the origin."""
+    return Polyhedron(
+        [
+            HalfSpace([0.0, 1.0], 0.0),
+            HalfSpace([np.sin(angle), -np.cos(angle)], 0.0),
+        ],
+        anchor=[2.0 * np.cos(angle / 2), 2.0 * np.sin(angle / 2)],
+    )
+
+
 class TestHalfSpace:
     def test_inside_fixed(self):
         d = HalfSpace([1.0, 0.0], 0.0)
@@ -173,6 +185,39 @@ class TestPolyhedron:
         d = make_domains()["polyhedron"]
         assert np.allclose(d.project_point([-1.0, -1.0]), [0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("angle", [0.1, 0.01, 0.001])
+    def test_thin_wedge_projects_to_the_apex(self, angle):
+        # past the apex of a thin wedge the nearest point is the apex: the
+        # vertex candidate, certified by its multipliers and containment
+        wedge = two_face_wedge(angle)
+        y = np.array([-1.0, 0.3])
+        p = wedge.project_point(y)
+        assert np.linalg.norm(p) <= 1e-12
+        assert cone_residual(wedge.inward_normals(p), p - y) <= 1e-12
+        assert wedge.contains(p)
+
+    def test_point_past_the_float_range_is_outside(self):
+        # the certified candidate is the apex; its distance overflows and
+        # must not remove it, so the point is outside without an error
+        wedge = two_face_wedge(np.radians(30.0))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(wedge.project_point([-1e308, 0.25]), [0.0, 0.0])
+        assert not wedge.contains([-1e308, 0.25])
+
+    def test_dykstra_fails_a_non_finite_row_at_once(self, monkeypatch):
+        # above the active-set cap: the displacement of a point past the
+        # float range is not finite on the first sweep, and the row fails
+        # then instead of running out of sweeps
+        monkeypatch.setattr("reflectsde.domain._MAX_ACTIVE_SETS", 0)
+        wedge = two_face_wedge(np.radians(30.0))
+        X = np.array([[-1e308, 0.25], [3.0, -1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="left the float range") as failure:
+                wedge.project_points(X)
+        assert "did not converge" not in str(failure.value)
+        assert np.isnan(failure.value.result[0]).all()
+        assert np.allclose(failure.value.result[1], [3.0, 0.0], atol=1e-12)
+
     def test_anchor_required(self):
         with pytest.raises(ValueError):
             Polyhedron([HalfSpace([1.0, 0.0], 0.0)], anchor=None)
@@ -237,6 +282,20 @@ def random_cone(rng, dim, count):
     return normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
+def random_polyhedron(rng, dim, count):
+    """Faces from :func:`random_cone` (duplicated and dependent normals
+    included) with offsets that keep a random anchor strictly inside; half
+    of the time a face is repeated exactly, offset and all."""
+    normals = random_cone(rng, dim, count)
+    anchor = rng.uniform(-1.0, 1.0, size=dim)
+    offsets = normals @ anchor - rng.uniform(0.1, 1.0, size=count)
+    if count > 1 and rng.random() < 0.5:
+        offsets[-1] = offsets[0]
+        normals[-1] = normals[0]
+    faces = [HalfSpace(n, c) for n, c in zip(normals, offsets)]
+    return Polyhedron(faces, anchor=anchor), normals, offsets
+
+
 class TestConeResidual:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
@@ -267,6 +326,21 @@ class TestConeResidual:
         assert cone_residual(corner, [-2.0, 0.5]) == pytest.approx(2.0)
 
 
+class TestActiveSetOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_random_polyhedra_match_qp_oracle(self, dim, count, rng):
+        for _ in range(6):
+            d, normals, offsets = random_polyhedron(rng, dim, count)
+            X = d.anchor + rng.normal(scale=2.0, size=(30, dim))
+            P = d.project_points(X)
+            for x, p in zip(X, P):
+                ref = projection_qp(normals, offsets, x)
+                assert np.linalg.norm(p - ref) < 1e-10
+                # a point gets the same bits alone as in the batch
+                assert np.array_equal(p, d.project_point(x))
+
+
 class TestVectorizedAgreement:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("name", ["halfspace", "box", "ball", "polyhedron"])
@@ -285,6 +359,8 @@ class TestBatchedDykstra:
     def test_stuck_row_fails_alone(self, monkeypatch):
         # a 10-degree wedge: points past the apex need many sweeps, points
         # outside one face far from the apex need two
+        # above the active-set cap, so the wedge is projected by Dykstra
+        monkeypatch.setattr("reflectsde.domain._MAX_ACTIVE_SETS", 0)
         monkeypatch.setattr("reflectsde.domain.MAX_PROJECTION_SWEEPS", 5)
         angle = np.radians(10.0)
         wedge = Polyhedron(
@@ -319,6 +395,43 @@ class TestBatchedDykstra:
         H = np.repeat(wedge.anchor[None, None], 5, axis=0).repeat(3, axis=1)
         H[:4, 1:] = easy[:, None]
         H[4, 1:] = corner
+        states, projections = euler_penalized_batch(
+            wedge, Identity(2), H, np.zeros_like(H), 10.0, grid
+        )
+        assert len(calls) == grid.cells + 1
+        assert np.isnan(states[4]).all() and np.isnan(projections[4]).all()
+        assert np.isfinite(states[:4]).all() and np.isfinite(projections[:4]).all()
+
+    def test_uncertified_row_fails_alone(self, monkeypatch):
+        # a wide wedge whose vertex multipliers overflow for a point near
+        # the float range: no candidate passes, so the row gets NaN; the
+        # other rows keep their projections
+        wedge = Polyhedron(
+            [HalfSpace([0.6, 0.8], 0.0), HalfSpace([0.8, 0.6], 0.0)],
+            anchor=[1.0, 1.0],
+        )
+        easy = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, -1.0], [-0.5, 3.0]])
+        far = np.array([-1e308, -1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as failure:
+                wedge.project_points(np.vstack([easy, far]))
+        assert np.array_equal(failure.value.result[:4], wedge.project_points(easy))
+        assert np.isnan(failure.value.result[4]).all()
+
+        # the kernel takes the failed row from that result: one projection
+        # call per grid point, none repeated
+        calls = []
+        project = Polyhedron.project_points
+
+        def counted(self, X):
+            calls.append(len(X))
+            return project(self, X)
+
+        monkeypatch.setattr(Polyhedron, "project_points", counted)
+        grid = Grid.regular(1.0, 2)
+        H = np.repeat(wedge.anchor[None, None], 5, axis=0).repeat(3, axis=1)
+        H[:4, 1:] = easy[:, None]
+        H[4, 1:] = far
         states, projections = euler_penalized_batch(
             wedge, Identity(2), H, np.zeros_like(H), 10.0, grid
         )

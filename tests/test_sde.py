@@ -40,7 +40,7 @@ from reflectsde.sde import (
 
 HALFLINE = HalfSpace([1.0], 0.0, anchor=[1.0])
 BIGBALL = Ball([0.0], 1e6)
-# a 30-degree wedge cut off at x = 4: Dykstra's projection at an acute corner
+# a 30-degree wedge cut off at x = 4: the vertex candidate at an acute corner
 WEDGE = Polyhedron(
     [
         HalfSpace([0.0, 1.0], 0.0),

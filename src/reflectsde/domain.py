@@ -22,12 +22,11 @@ UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 PROJECTION_TOL = 1e-12
 MAX_PROJECTION_SWEEPS = 100_000
-# Polyhedra with more active-set candidates than this are projected by
-# Dykstra's cyclic corrections instead of by the stacked candidates.
-_MAX_ACTIVE_SETS = 64
-# Entries of the (rows, candidates, values) temporaries of one block.
+# Entries of the (rows, candidates, values) temporaries of one block.  A
+# polyhedron whose candidate values for one row do not fit in a block is
+# projected by Dykstra's cyclic corrections instead, so the stacked maps
+# and the temporaries stay within a few blocks.
 _ENTRIES_PER_BLOCK = 1 << 18
-_FLOAT_MAX = np.finfo(float).max
 
 __all__ = [
     "UNIT_TOL",
@@ -303,20 +302,21 @@ class Polyhedron(ConvexDomain):
     A_S^-1 b_S, and mu = A_S^-T (vertex - y).  The constructor stacks,
     for every independent S, the maps of the candidate point, of the
     slacks of all faces at it and of its multipliers.  A row outside is
-    projected by evaluating every candidate at once: one whose slacks and
-    multipliers are all at least ``-PROJECTION_TOL`` times the row's scale
-    satisfies the KKT conditions, and the nearest such candidate is taken.
-    A row with none gets NaN and makes the batch raise ``NumericalError``,
-    carrying the result.
+    projected by evaluating every candidate at once and taking the one
+    whose worst slack or multiplier is largest: only the KKT point has
+    none negative.  If even that one is below ``-PROJECTION_TOL`` times
+    the row's scale, the row gets NaN and makes the batch raise
+    ``NumericalError``, carrying the result.
 
-    Above ``_MAX_ACTIVE_SETS`` candidate sets, projection runs Dykstra's
-    cyclic corrections over the faces instead, batched over rows: each row
-    keeps its own corrections and stops once a sweep moves it at most
-    ``PROJECTION_TOL``; a row still moving after ``MAX_PROJECTION_SWEEPS``
-    sweeps, or whose displacement leaves the float range, fails in the
-    same way.  The anchor is required (it certifies the interior is
-    nonempty) and its clearance is checked against the exact value
-    min_i(<n_i, anchor> - c_i).
+    When the candidate values of one row do not fit in one block of
+    ``_ENTRIES_PER_BLOCK`` entries (from 79 faces in d = 2 and 34 in
+    d = 3), projection runs Dykstra's cyclic corrections over the faces
+    instead, batched over rows: each row keeps its own corrections and
+    stops once a sweep moves it at most ``PROJECTION_TOL``; a row still
+    moving after ``MAX_PROJECTION_SWEEPS`` sweeps, or that leaves the
+    float range, fails in the same way.  The anchor is required (it
+    certifies the interior is nonempty) and its clearance is checked
+    against the exact value min_i(<n_i, anchor> - c_i).
     """
 
     def __init__(self, halfspaces, anchor, anchor_clearance=None):
@@ -346,7 +346,7 @@ class Polyhedron(ConvexDomain):
 
     def _active_set_maps(self):
         """Affine maps y -> W y + w of every independent active set, or None
-        above ``_MAX_ACTIVE_SETS`` sets.
+        if the values of one row would not fit in one block.
 
         Returns (W, w, scale) with W of shape (s, d + m + k, d) and w of
         shape (s, d + m + k), k = min(m, d): per set, the d coordinates of
@@ -357,7 +357,8 @@ class Polyhedron(ConvexDomain):
         A, b = self._normals, self._offsets
         m, d = A.shape
         k_max = min(m, d)
-        if sum(comb(m, k) for k in range(1, k_max + 1)) > _MAX_ACTIVE_SETS:
+        sets = sum(comb(m, k) for k in range(1, k_max + 1))
+        if sets * (d + m + k_max) > _ENTRIES_PER_BLOCK:
             return None
         W, w = [], []
         for k in range(1, k_max + 1):
@@ -373,9 +374,12 @@ class Polyhedron(ConvexDomain):
                     G = np.linalg.inv(AS @ AS.T)
                     M, mu = -G @ AS, G @ bS
                     C, c = np.eye(d) + AS.T @ M, AS.T @ mu
+                # the faces of S hold with equality at their own candidate
+                slack_map, slack = A @ C, A @ c - b
+                slack_map[list(S)], slack[list(S)] = 0.0, 0.0
                 pad = np.zeros((k_max - k, d))
-                W.append(np.vstack([C, A @ C, M, pad]))
-                w.append(np.concatenate([c, A @ c - b, mu, pad[:, 0]]))
+                W.append(np.vstack([C, slack_map, M, pad]))
+                w.append(np.concatenate([c, slack, mu, pad[:, 0]]))
         W, w = np.array(W), np.array(w)
         return W, w, 1.0 + np.abs(w).max()
 
@@ -384,10 +388,10 @@ class Polyhedron(ConvexDomain):
         rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
         if self._maps is None:
             return self._dykstra(out, rows)
-        step = max(1, _ENTRIES_PER_BLOCK // self._maps[1].size)
+        step = _ENTRIES_PER_BLOCK // self._maps[1].size
         for lo in range(0, rows.size, step):
             block = rows[lo : lo + step]
-            out[block] = self._nearest_candidate(out[block])
+            out[block] = self._certified_candidate(out[block])
         lost = np.count_nonzero(np.isnan(out[rows]).any(axis=1))
         if lost:
             raise NumericalError(
@@ -397,29 +401,32 @@ class Polyhedron(ConvexDomain):
             )
         return out
 
-    def _nearest_candidate(self, Y: np.ndarray) -> np.ndarray:
-        """Nearest certified candidate of each row of Y, NaN where none is.
+    def _certified_candidate(self, Y: np.ndarray) -> np.ndarray:
+        """Certified candidate of each row of Y, NaN where none is.
 
-        Elementwise sums over the d columns, as in ``_rows_times``, so a
-        row gets the same bits in any batch.  Distances that overflow are
-        clipped to the largest float, below the inf of a candidate that
-        fails, so a far point still gets its certified candidate.
+        A candidate's score is its worst slack or multiplier.  The faces of
+        its own set contribute an exact 0, so no score is positive; the
+        KKT point scores 0 up to rounding, and any other candidate scores
+        below it by its violation.  The best-scoring candidate is taken, so
+        one that is infeasible by less than the tolerance never wins over
+        the projection, however near to the row it lies.  Elementwise sums
+        over the d columns, as in ``_rows_times``, so a row gets the same
+        bits in any batch.
         """
         W, w, scale = self._maps
         d = self.dim
         V = w + Y[:, 0, None, None] * W[..., 0]
-        gap = V[..., 0] - Y[:, 0, None]
-        dist = gap * gap
         for j in range(1, d):
             V = V + Y[:, j, None, None] * W[..., j]
-            gap = V[..., j] - Y[:, j, None]
-            dist = dist + gap * gap
-        tol = PROJECTION_TOL * (scale + np.abs(Y).max(axis=1))
-        ok = V[..., d:].min(axis=2) >= -tol[:, None]
-        best = np.where(ok, np.minimum(dist, _FLOAT_MAX), np.inf).argmin(axis=1)
+        score = V[..., d:].min(axis=2)
+        # inf - inf leaves NaN, which scores nothing; an infinite
+        # multiplier of a point far outside still certifies its candidate
+        score[np.isnan(score) | ~np.isfinite(V[..., :d]).all(axis=2)] = -np.inf
+        best = score.argmax(axis=1)
         rows = np.arange(len(Y))
         P = V[rows, best, :d]
-        P[~ok[rows, best]] = np.nan
+        tol = PROJECTION_TOL * (scale + np.abs(Y).max(axis=1))
+        P[score[rows, best] < -tol] = np.nan
         return P
 
     def _dykstra(self, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -438,8 +445,8 @@ class Polyhedron(ConvexDomain):
                 corrections[i] = shifted - point
             step = np.linalg.norm(point - previous, axis=1)
             done = step <= PROJECTION_TOL
-            # a displacement past the float range never settles: fail now
-            gone = ~np.isfinite(step)
+            # a point past the float range never settles: fail now
+            gone = ~np.isfinite(point).all(axis=1)
             if np.count_nonzero(done | gone):
                 out[rows[done]] = point[done]
                 out[rows[gone]] = np.nan

@@ -205,18 +205,24 @@ class TestPolyhedron:
         assert not wedge.contains([-1e308, 0.25])
 
     def test_dykstra_fails_a_non_finite_row_at_once(self, monkeypatch):
-        # above the active-set cap: the displacement of a point past the
-        # float range is not finite on the first sweep, and the row fails
-        # then instead of running out of sweeps
-        monkeypatch.setattr("reflectsde.domain._MAX_ACTIVE_SETS", 0)
+        # a block too small for one row's candidates routes the wedge to
+        # Dykstra: the displacement of a point past the float range is not
+        # finite on the first sweep, and the row fails then instead of
+        # running out of sweeps
+        monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
         wedge = two_face_wedge(np.radians(30.0))
-        X = np.array([[-1e308, 0.25], [3.0, -1.0]])
+        # the last row's displacement squares past the float range, but the
+        # row itself stays finite and settles (short of the apex: Dykstra's
+        # stopping rule accepts a stalled point) instead of failing
+        X = np.array([[-1e308, 0.25], [3.0, -1.0], [-1e200, 0.25]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="left the float range") as failure:
                 wedge.project_points(X)
         assert "did not converge" not in str(failure.value)
+        assert "1 point(s) left" in str(failure.value)
         assert np.isnan(failure.value.result[0]).all()
         assert np.allclose(failure.value.result[1], [3.0, 0.0], atol=1e-12)
+        assert np.isfinite(failure.value.result[2]).all()
 
     def test_anchor_required(self):
         with pytest.raises(ValueError):
@@ -340,6 +346,37 @@ class TestActiveSetOracle:
                 # a point gets the same bits alone as in the batch
                 assert np.array_equal(p, d.project_point(x))
 
+    @pytest.mark.parametrize("shift", [1e3, 1e6])
+    def test_far_triangle_projects_to_its_vertices(self, shift, rng):
+        # the make_domains() triangle moved far from the origin; each row
+        # lies just inside the normal cone of a vertex, 5e-7 from its edge,
+        # so a one-face candidate is nearer than the vertex and infeasible
+        # by about 5e-7
+        tri = make_domains()["polyhedron"]
+        move = np.array([shift, -shift])
+        normals = np.array([h.normal for h in tri.faces])
+        offsets = np.array([h.offset for h in tri.faces]) + normals @ move
+        d = Polyhedron(
+            [HalfSpace(n, c) for n, c in zip(normals, offsets)],
+            anchor=tri.anchor + move,
+        )
+        X, corners = [], []
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            corner = np.linalg.solve(normals[[i, j]], offsets[[i, j]])
+            for a, b in ((i, j), (j, i)):
+                scale = rng.uniform(0.5, 2.0)
+                X.append(corner - scale * normals[a] - 5e-7 * normals[b])
+                corners.append(corner)
+        X, corners = np.array(X), np.array(corners)
+        P = d.project_points(X)
+        assert np.max(np.linalg.norm(P - corners, axis=1)) <= 1e-14 * shift
+        assert np.min(d._slacks(P)) >= -1e-14 * shift
+        for p in P:
+            assert len(d.inward_normals(p)) == 2
+        # the projection commutes with the move, as projection laws require
+        Q = tri.project_points(X - move) + move
+        assert np.max(np.linalg.norm(P - Q, axis=1)) <= 1e-14 * shift
+
 
 class TestVectorizedAgreement:
     @pytest.mark.parametrize("dim", [1, 2])
@@ -359,8 +396,9 @@ class TestBatchedDykstra:
     def test_stuck_row_fails_alone(self, monkeypatch):
         # a 10-degree wedge: points past the apex need many sweeps, points
         # outside one face far from the apex need two
-        # above the active-set cap, so the wedge is projected by Dykstra
-        monkeypatch.setattr("reflectsde.domain._MAX_ACTIVE_SETS", 0)
+        # a block too small for one row's candidates routes the wedge to
+        # Dykstra
+        monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
         monkeypatch.setattr("reflectsde.domain.MAX_PROJECTION_SWEEPS", 5)
         angle = np.radians(10.0)
         wedge = Polyhedron(

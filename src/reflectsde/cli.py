@@ -146,10 +146,13 @@ def main(argv=None) -> int:
         if args.paths is not None:
             cfg["paths"] = args.paths
 
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
         report, artifacts = _RUNNERS[args.command](cfg)
+        # made once the config checks passed: a run that exits 1 leaves none
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

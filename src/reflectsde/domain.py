@@ -1,12 +1,12 @@
 """Convex domains with Euclidean nearest-point projection.
 
 Four shapes: half-space, axis-aligned box, ball, and a finite intersection
-of half-spaces (projected onto the nearest certified active-set
-candidate).  Each projects the rows of an (m, d) array
-(``project_points``); ``project_point`` is the one-row case, so a point
-gets the same bits alone or in any batch.  Every domain carries
-a designated strictly interior anchor point together with a validated lower
-bound on its distance to the boundary; the a-priori bounds in
+of half-spaces (projected onto its certified active-set candidate).  Each
+projects the rows of an (m, d) array (``project_points``);
+``project_point`` is the one-row case, so a point gets the same bits
+alone or in any batch.  Every domain carries a designated strictly
+interior anchor point together with a validated lower bound on its
+distance to the boundary; the a-priori bounds in
 :mod:`reflectsde.penalty` are stated relative to that anchor.
 """
 
@@ -21,18 +21,18 @@ import numpy as np
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 PROJECTION_TOL = 1e-12
-MAX_PROJECTION_SWEEPS = 100_000
 # Entries of the (rows, candidates, values) temporaries of one block.  A
 # polyhedron whose candidate values for one row do not fit in a block is
-# projected by Dykstra's cyclic corrections instead, so the stacked maps
-# and the temporaries stay within a few blocks.
+# projected row by row through one NNLS, so the maps stay within a few.
 _ENTRIES_PER_BLOCK = 1 << 18
+# NNLS steps before a solve counts as cycling on rounding: each adds one of
+# at most d + 1 columns; on up to 90 tangent planes in d <= 3 none took 9.
+_NNLS_MAX_ITER = 100
 
 __all__ = [
     "UNIT_TOL",
     "BOUNDARY_TOL",
     "PROJECTION_TOL",
-    "MAX_PROJECTION_SWEEPS",
     "NumericalError",
     "DomainViolationError",
     "ProjectionResult",
@@ -48,8 +48,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Iterative projection failed to reach its tolerance; ``result``, when
-    given, is the batch's projections with NaN in the rows that failed."""
+    """No certified projection or cone residual; ``result``, when given, is
+    the batch's projections with NaN in the rows that failed."""
 
     def __init__(self, message, result=None):
         super().__init__(message)
@@ -82,6 +82,47 @@ def _rows_times(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Minimizer of |A x - b| over x >= 0 by Lawson & Hanson's active-set
+    method (Solving Least Squares Problems, 1974, ch. 23), or None after
+    ``_NNLS_MAX_ITER`` steps; it ends, certified, when no gradient
+    A^T (b - A x) is above rounding.  An entering column whose coefficient
+    comes out not positive (rounding, dependent columns) is passed over
+    for that step, else the loop cycles."""
+    n = A.shape[1]
+    tol = 10 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum(0).max(initial=0)
+
+    def solve(columns):
+        z = np.zeros(n)
+        z[columns] = np.linalg.lstsq(A[:, columns], b, rcond=None)[0]
+        return z
+
+    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    for _ in range(_NNLS_MAX_ITER):
+        gradient = A.T @ (b - A @ x)
+        for j in np.argsort(-gradient):
+            if gradient[j] <= tol:
+                return x
+            if not passive[j]:
+                z = solve(passive | (np.arange(n) == j))
+                if z[j] > 0.0:
+                    break
+        else:
+            return x
+        passive[j] = True
+        # step toward z until an entry reaches zero, and drop its column
+        while np.any(z[passive] <= 0.0):
+            stuck = np.flatnonzero(passive & (z <= 0.0))
+            ratio = x[stuck] / (x[stuck] - z[stuck])
+            x = x + ratio.min() * (z - x)
+            passive[stuck[ratio.argmin()]] = False
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            z = solve(passive)
+        x = z
+    return None
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     """Nearest point in the closed domain plus diagnostics.
@@ -100,9 +141,8 @@ class ConvexDomain:
     """Closed convex subset of R^d with an interior anchor.
 
     Subclasses provide ``project_points`` (row-wise nearest points of an
-    (m, d) array, exact up to rounding, or iterative for an intersection
-    of many half-spaces; the single-point ``project_point`` is its one-row
-    case),
+    (m, d) array, exact up to rounding; the single-point ``project_point``
+    is its one-row case),
     ``boundary_distance`` (distance to the topological boundary, from
     either side), and the active inward normals at a boundary point.
     ``anchor_clearance`` is validated at construction: it must be positive
@@ -294,29 +334,19 @@ class Ball(ConvexDomain):
 class Polyhedron(ConvexDomain):
     """Finite intersection of half-spaces ``{x : A x >= b}``.
 
-    The nearest point of y is the KKT point of some active set S of at
-    most d linearly independent faces (the active-set argument of
-    :func:`cone_residual`), and for each S that point is an affine map of
-    y: with |S| < d it is y + A_S^T mu for the multipliers
-    mu = (A_S A_S^T)^-1 (b_S - A_S y); with |S| = d it is the vertex
-    A_S^-1 b_S, and mu = A_S^-T (vertex - y).  The constructor stacks,
-    for every independent S, the maps of the candidate point, of the
-    slacks of all faces at it and of its multipliers.  A row outside is
-    projected by evaluating every candidate at once and taking the one
-    whose worst slack or multiplier is largest: only the KKT point has
-    none negative.  If even that one is below ``-PROJECTION_TOL`` times
-    the row's scale, the row gets NaN and makes the batch raise
-    ``NumericalError``, carrying the result.
-
-    When the candidate values of one row do not fit in one block of
-    ``_ENTRIES_PER_BLOCK`` entries (from 79 faces in d = 2 and 34 in
-    d = 3), projection runs Dykstra's cyclic corrections over the faces
-    instead, batched over rows: each row keeps its own corrections and
-    stops once a sweep moves it at most ``PROJECTION_TOL``; a row still
-    moving after ``MAX_PROJECTION_SWEEPS`` sweeps, or that leaves the
-    float range, fails in the same way.  The anchor is required (it
-    certifies the interior is nonempty) and its clearance is checked
-    against the exact value min_i(<n_i, anchor> - c_i).
+    The nearest point of y is the KKT point of some active set S of at most d
+    independent faces, an affine map of y: y + A_S^T mu for
+    mu = (A_S A_S^T)^-1 (b_S - A_S y) if |S| < d, else the vertex A_S^-1 b_S
+    with mu = A_S^-T (vertex - y).  The constructor stacks the maps of every
+    independent S, and a row outside takes the candidate whose worst slack
+    or multiplier is largest: only the KKT point has none negative.  When
+    one row's candidate values do not fit in one block of
+    ``_ENTRIES_PER_BLOCK`` entries (from 79 faces in d = 2 and 34 in d = 3),
+    Lawson & Hanson's least-distance NNLS finds S for each row instead.  A
+    row whose best score is below ``-PROJECTION_TOL`` times its scale, or
+    whose NNLS stalls, gets NaN and makes the batch raise ``NumericalError``
+    with the result.  The anchor is required (it certifies the interior is
+    nonempty); its clearance is checked against min_i(<n_i, anchor> - c_i).
     """
 
     def __init__(self, halfspaces, anchor, anchor_clearance=None):
@@ -345,64 +375,65 @@ class Polyhedron(ConvexDomain):
         return _rows_times(X, self._normals) - self._offsets
 
     def _active_set_maps(self):
-        """Affine maps y -> W y + w of every independent active set, or None
-        if the values of one row would not fit in one block.
-
-        Returns (W, w, scale) with W of shape (s, d + m + k, d) and w of
-        shape (s, d + m + k), k = min(m, d): per set, the d coordinates of
-        its candidate, the m face slacks there and its multipliers, padded
-        with zeros to k.  ``scale`` is 1 plus the largest constant term: the
-        size of the values whose rounding the certificate must tolerate.
-        """
-        A, b = self._normals, self._offsets
+        """(W, w): ``_set_map`` stacked over every independent active set, or
+        None if the values of one row would not fit in one block."""
+        A = self._normals
         m, d = A.shape
         k_max = min(m, d)
-        sets = sum(comb(m, k) for k in range(1, k_max + 1))
-        if sets * (d + m + k_max) > _ENTRIES_PER_BLOCK:
+        count = sum(comb(m, k) for k in range(1, k_max + 1))
+        if count * (d + m + k_max) > _ENTRIES_PER_BLOCK:
             return None
-        W, w = [], []
-        for k in range(1, k_max + 1):
-            for S in combinations(range(m), k):
-                AS, bS = A[list(S)], b[list(S)]
-                if np.linalg.matrix_rank(AS) < k:
-                    continue
-                if k == d:
-                    inv_t = np.linalg.inv(AS).T
-                    C, c = np.zeros((d, d)), np.linalg.solve(AS, bS)
-                    M, mu = -inv_t, inv_t @ c
-                else:
-                    G = np.linalg.inv(AS @ AS.T)
-                    M, mu = -G @ AS, G @ bS
-                    C, c = np.eye(d) + AS.T @ M, AS.T @ mu
-                # the faces of S hold with equality at their own candidate
-                slack_map, slack = A @ C, A @ c - b
-                slack_map[list(S)], slack[list(S)] = 0.0, 0.0
-                pad = np.zeros((k_max - k, d))
-                W.append(np.vstack([C, slack_map, M, pad]))
-                w.append(np.concatenate([c, slack, mu, pad[:, 0]]))
-        W, w = np.array(W), np.array(w)
-        return W, w, 1.0 + np.abs(w).max()
+        sets = [list(S) for k in range(k_max) for S in combinations(range(m), k + 1)]
+        maps = [self._set_map(S) for S in sets if np.linalg.matrix_rank(A[S]) == len(S)]
+        return tuple(np.array(part) for part in zip(*maps))
+
+    def _set_map(self, S):
+        """Affine map y -> W y + w of the independent active set S: the d
+        coordinates of its candidate, the m face slacks there and its
+        multipliers, padded with zeros to min(m, d)."""
+        A, b, d = self._normals, self._offsets, self.dim
+        AS, bS = A[S], b[S]
+        if len(S) == d:
+            inv_t = np.linalg.inv(AS).T
+            C, c = np.zeros((d, d)), np.linalg.solve(AS, bS)
+            M, mu = -inv_t, inv_t @ c
+        else:
+            G = np.linalg.inv(AS @ AS.T)
+            M, mu = -G @ AS, G @ bS
+            C, c = np.eye(d) + AS.T @ M, AS.T @ mu
+        # the faces of S hold with equality at their own candidate
+        slack_map, slack = A @ C, A @ c - b
+        slack_map[S], slack[S] = 0.0, 0.0
+        pad = np.zeros((min(A.shape) - len(S), d))
+        W = np.vstack([C, slack_map, M, pad])
+        return W, np.concatenate([c, slack, mu, pad[:, 0]])
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float)
         rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
+        # a row y past 2^512 takes a power of two s: P(y) = P_{s b}(s y) / s
+        Y = out[rows]
+        size = np.abs(Y).max(axis=1)
+        scales = np.where(size > 2.0**512, np.ldexp(1.0, -np.frexp(size)[1]), 1.0)
+        Y *= scales[:, None]
         if self._maps is None:
-            return self._dykstra(out, rows)
-        step = _ENTRIES_PER_BLOCK // self._maps[1].size
-        for lo in range(0, rows.size, step):
-            block = rows[lo : lo + step]
-            out[block] = self._certified_candidate(out[block])
+            P = [self._least_distance(y, s) for y, s in zip(Y, scales[:, None])]
+        else:
+            P = np.empty_like(Y)
+            W, w = self._maps
+            step = _ENTRIES_PER_BLOCK // w.size
+            for lo in range(0, len(Y), step):
+                block = slice(lo, lo + step)
+                P[block] = self._certified_candidate(Y[block], scales[block], W, w)
+        out[rows] = np.reshape(P, Y.shape) / scales[:, None]
         lost = np.count_nonzero(np.isnan(out[rows]).any(axis=1))
         if lost:
-            raise NumericalError(
-                f"no active-set candidate of {lost} point(s) passed the KKT "
-                "certificate",
-                out,
-            )
+            raise NumericalError(f"no certified projection of {lost} point(s)", out)
         return out
 
-    def _certified_candidate(self, Y: np.ndarray) -> np.ndarray:
-        """Certified candidate of each row of Y, NaN where none is.
+    def _certified_candidate(self, Y, scales, W, w) -> np.ndarray:
+        """Certified candidate of each row of Y among the maps W y + w, for
+        the offsets times ``scales``, NaN where none is.
 
         A candidate's score is its worst slack or multiplier.  The faces of
         its own set contribute an exact 0, so no score is positive; the
@@ -413,58 +444,40 @@ class Polyhedron(ConvexDomain):
         over the d columns, as in ``_rows_times``, so a row gets the same
         bits in any batch.
         """
-        W, w, scale = self._maps
         d = self.dim
-        V = w + Y[:, 0, None, None] * W[..., 0]
+        # the constant terms are linear in the offsets
+        V = scales[:, None, None] * w + Y[:, 0, None, None] * W[..., 0]
         for j in range(1, d):
             V = V + Y[:, j, None, None] * W[..., j]
         score = V[..., d:].min(axis=2)
-        # inf - inf leaves NaN, which scores nothing; an infinite
-        # multiplier of a point far outside still certifies its candidate
+        # NaN (inf - inf) scores nothing, nor does a candidate not finite
         score[np.isnan(score) | ~np.isfinite(V[..., :d]).all(axis=2)] = -np.inf
         best = score.argmax(axis=1)
         rows = np.arange(len(Y))
         P = V[rows, best, :d]
-        tol = PROJECTION_TOL * (scale + np.abs(Y).max(axis=1))
+        scale = 1.0 + np.abs(w).max()  # the constants whose rounding tol absorbs
+        tol = PROJECTION_TOL * (scales * scale + np.abs(Y).max(axis=1))
         P[score[rows, best] < -tol] = np.nan
         return P
 
-    def _dykstra(self, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Dykstra's cyclic corrections for the rows of ``out`` outside."""
-        point = out[rows]
-        corrections = np.zeros((len(self.faces),) + point.shape)
-        lost = 0
-        for _ in range(MAX_PROJECTION_SWEEPS):
-            if not rows.size:
-                break
-            previous = point
-            for i, normal in enumerate(self._normals[:, None]):
-                shifted = point + corrections[i]
-                s = _rows_times(shifted, normal) - self._offsets[i]
-                point = shifted - np.minimum(s, 0.0) * normal
-                corrections[i] = shifted - point
-            step = np.linalg.norm(point - previous, axis=1)
-            done = step <= PROJECTION_TOL
-            # a point past the float range never settles: fail now
-            gone = ~np.isfinite(point).all(axis=1)
-            if np.count_nonzero(done | gone):
-                out[rows[done]] = point[done]
-                out[rows[gone]] = np.nan
-                lost += np.count_nonzero(gone)
-                keep = ~(done | gone)
-                rows, point, step = rows[keep], point[keep], step[keep]
-                corrections = corrections[:, keep]
-        if rows.size or lost:
-            out[rows] = np.nan
-            reasons = [f"{lost} point(s) left the float range"] if lost else []
-            if rows.size:
-                reasons.append(
-                    f"{rows.size} point(s) did not converge in "
-                    f"{MAX_PROJECTION_SWEEPS} sweeps (largest last displacement "
-                    f"{step.max():.3e})"
-                )
-            raise NumericalError("cyclic projection: " + "; ".join(reasons), out)
-        return out
+    def _least_distance(self, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Certified candidate of a row y outside {A x >= scale b}, or NaN.
+
+        Lawson & Hanson's LDP (ch. 23): the shortest z with A z >= h,
+        h = scale b - A y, is -r[:d] / r[d] for the residual r of the NNLS
+        u of [A^T; h^T] u ~ e_{d+1}, and the faces with u > 0 are active at
+        y + z.  Their candidate, certified as on the stacked path, puts a
+        far row on its vertex exactly, where y + z would not.  h is scaled
+        to a largest entry in [0.5, 1): r[d] = -1 / (1 + |z|^2)."""
+        A, d = self._normals, self.dim
+        h = scale * self._offsets - A @ y
+        E = np.vstack([A.T, np.ldexp(h, -np.frexp(h.max())[1])])
+        u = _nnls(E, np.eye(d + 1)[d])
+        S = None if u is None else np.flatnonzero(u > 0.0)
+        if S is None or len(S) != np.linalg.matrix_rank(A[S]):
+            return np.full(d, np.nan)
+        W, w = self._set_map(S)
+        return self._certified_candidate(y[None], scale, W[None], w[None])[0]
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
         b = _vec(b, self.dim)
@@ -507,29 +520,12 @@ def anchor_gap(domain: ConvexDomain, x) -> float:
 def cone_residual(normals, v) -> float:
     """Distance from ``v`` to the cone of the rows of ``normals``.
 
-    The minimum of |N^T lam - v| over lam >= 0, for N of shape (k, d); with
-    no rows it is |v|.  The nearest cone point lies in the relative interior
-    of a face, so ``v`` minus it is orthogonal to that face's span, and by
-    Caratheodory it is a positive combination of linearly independent rows
-    of the face.  Least squares on those rows alone therefore returns it, so
-    the minimum over every independent subset of at most min(k, d) rows
-    whose least-squares coefficients are nonnegative is exact (the
-    active-set argument of Lawson & Hanson, Solving Least Squares Problems,
-    1974).  A feasible subset of d rows spans R^d, so the residual is then
-    exactly 0.  The C(k, <= d) subsets are few for the handful of faces
-    active at a boundary point.
+    The minimum of |N^T lam - v| over lam >= 0, for N of shape (k, d), by
+    NNLS; with no rows it is |v|.  ``NumericalError`` if the NNLS stalls.
     """
     v = np.asarray(v, dtype=float)
     N = np.asarray(normals, dtype=float).reshape(-1, v.shape[0])
-    best = float(np.linalg.norm(v))
-    for size in range(1, min(N.shape[0], v.shape[0]) + 1):
-        for rows in combinations(range(N.shape[0]), size):
-            A = N[list(rows)].T
-            lam, _, rank, _ = np.linalg.lstsq(A, v, rcond=None)
-            if rank < size or np.any(lam < 0.0):
-                continue
-            if size == v.shape[0]:
-                # d independent rows span R^d: v is their exact combination
-                return 0.0
-            best = min(best, float(np.linalg.norm(A @ lam - v)))
-    return best
+    lam = _nnls(N.T, v)
+    if lam is None:
+        raise NumericalError("cone residual: the NNLS did not finish")
+    return float(np.linalg.norm(N.T @ lam - v))

@@ -228,8 +228,8 @@ def _penalty_variation(states, projections, n, times, q, t):
 def _project_live(domain, X, failed, strict):
     """Projections of the rows of X.
 
-    A row that is not finite, or whose projection does not converge (NaN
-    in the result a NumericalError carries), is marked in ``failed`` and
+    A row that is not finite, or that has no certified projection (NaN in
+    the result a NumericalError carries), is marked in ``failed`` and
     gets NaN; a failed row is not projected again.  With ``strict`` the
     first failure raises instead.
     """

@@ -624,7 +624,7 @@ def euler_penalized_batch(
     Returns (states, projections) of the same shape.  Single paths and
     batches run the same kernel, so row i agrees bit for bit with
     :func:`euler_penalized` on the same driver.  A row whose state stops
-    being finite or whose projection does not converge is NaN throughout.
+    being finite or that has no certified projection is NaN throughout.
     """
     n = _rate(n)
     _check_batch_inputs(domain, H_vals, Z_vals, grid)

@@ -218,10 +218,13 @@ class TestConfigErrors:
         cfg = tmp_path / "cfg.json"
         driver = dict(SIMULATE_CFG["driver"], h={"kind": "constant", "x0": -1.0})
         cfg.write_text(json.dumps(dict(SIMULATE_CFG, driver=driver)))
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "inside the domain" in err
+        # the runner's check comes before the output directory is made
+        assert not out.exists()
 
     def test_h_past_the_float_range_outside_wedge(self, tmp_path, capsys):
         # the start projects to the apex at an overflowing distance: outside,
@@ -235,6 +238,16 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "driver.h must start inside the domain" in err
+        assert not out.exists()
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        argv = ["skorokhod", "--config", "halfline-threejump", "--out", str(taken)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: --out {taken}: ")
+        assert taken.read_text() == "kept"
 
     def test_coefficient_dimension(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -823,4 +836,6 @@ def test_cli_exit_codes_on_perturbed_configs(case):
         code = main([command, "--config", str(path), "--out", str(out)])
         for written in out.glob("*.json"):
             strict_json(written.read_text())
+        # a config error leaves no output directory
+        assert code != 1 or not out.exists()
     assert code in {0, 1, 2, 3}

@@ -204,25 +204,27 @@ class TestPolyhedron:
             assert np.array_equal(wedge.project_point([-1e308, 0.25]), [0.0, 0.0])
         assert not wedge.contains([-1e308, 0.25])
 
-    def test_dykstra_fails_a_non_finite_row_at_once(self, monkeypatch):
+    def test_far_rows_land_on_the_apex_past_the_block_bound(self, monkeypatch):
         # a block too small for one row's candidates routes the wedge to
-        # Dykstra: the displacement of a point past the float range is not
-        # finite on the first sweep, and the row fails then instead of
-        # running out of sweeps
+        # the least-distance NNLS; a point past the float range is scaled
+        # by a power of two first, and a far row lands on the vertex
+        # exactly, as on the stacked path
         monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
         wedge = two_face_wedge(np.radians(30.0))
-        # the last row's displacement squares past the float range, but the
-        # row itself stays finite and settles (short of the apex: Dykstra's
-        # stopping rule accepts a stalled point) instead of failing
         X = np.array([[-1e308, 0.25], [3.0, -1.0], [-1e200, 0.25]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="left the float range") as failure:
-                wedge.project_points(X)
-        assert "did not converge" not in str(failure.value)
-        assert "1 point(s) left" in str(failure.value)
-        assert np.isnan(failure.value.result[0]).all()
-        assert np.allclose(failure.value.result[1], [3.0, 0.0], atol=1e-12)
-        assert np.isfinite(failure.value.result[2]).all()
+        P = wedge.project_points(X)
+        assert np.array_equal(P[[0, 2]], np.zeros((2, 2)))
+        assert np.allclose(P[1], [3.0, 0.0], atol=1e-12)
+
+    def test_rows_outside_by_rounding_past_the_block_bound(self, monkeypatch):
+        # the NNLS sees no violation below its rounding tolerance: such a
+        # row is its own candidate, certified within tolerance, and lies
+        # within 1e-12 of the stacked path's answer
+        X = np.array([[3.0, -1e-300], [3.0, -1e-17], [3.0, -1e-12]])
+        want = two_face_wedge(np.radians(30.0)).project_points(X)
+        monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
+        got = two_face_wedge(np.radians(30.0)).project_points(X)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_anchor_required(self):
         with pytest.raises(ValueError):
@@ -346,6 +348,28 @@ class TestActiveSetOracle:
                 # a point gets the same bits alone as in the batch
                 assert np.array_equal(p, d.project_point(x))
 
+    @pytest.mark.parametrize(
+        "dim, count", [(2, 11), (2, 45), (2, 90), (3, 11), (3, 33), (3, 90)]
+    )
+    def test_tangent_planes_satisfy_kkt(self, dim, count, rng):
+        # tangent planes of the unit sphere; from 79 faces in d = 2 and 34
+        # in d = 3 the candidates of a row do not fit one block, so both
+        # paths are checked.  projection_qp enumerates 2^m sets, out of
+        # reach here, so the oracle is the KKT conditions: feasibility, and
+        # a displacement in the cone of the active normals
+        normals = rng.normal(size=(count, dim))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        d = Polyhedron([HalfSpace(n, -1.0) for n in normals], anchor=np.zeros(dim))
+        assert (d._maps is None) == (count > {2: 78, 3: 33}[dim])
+        X = rng.normal(scale=3.0, size=(60, dim))
+        P = d.project_points(X)
+        assert np.min(normals @ P.T + 1.0) >= -1e-10
+        for x, p in zip(X, P):
+            if np.any(p != x):
+                assert nnls(d.inward_normals(p).T, p - x)[1] <= 1e-10
+            # a point gets the same bits alone as in the batch
+            assert np.array_equal(p, d.project_point(x))
+
     @pytest.mark.parametrize("shift", [1e3, 1e6])
     def test_far_triangle_projects_to_its_vertices(self, shift, rng):
         # the make_domains() triangle moved far from the origin; each row
@@ -392,14 +416,13 @@ class TestVectorizedAgreement:
             assert np.array_equal(P[i], d.project_point(x))
 
 
-class TestBatchedDykstra:
-    def test_stuck_row_fails_alone(self, monkeypatch):
-        # a 10-degree wedge: points past the apex need many sweeps, points
-        # outside one face far from the apex need two
-        # a block too small for one row's candidates routes the wedge to
-        # Dykstra
+class TestRowFailures:
+    def test_capped_row_fails_alone(self, monkeypatch):
+        # a 10-degree wedge past the block bound: points past the apex need
+        # two NNLS columns and three steps, points outside one face far from
+        # the apex one column and two steps
         monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
-        monkeypatch.setattr("reflectsde.domain.MAX_PROJECTION_SWEEPS", 5)
+        monkeypatch.setattr("reflectsde.domain._NNLS_MAX_ITER", 2)
         angle = np.radians(10.0)
         wedge = Polyhedron(
             [
@@ -413,7 +436,7 @@ class TestBatchedDykstra:
         assert np.array_equal(wedge.project_points(easy)[1], [3.0, 0.0])
         with pytest.raises(NumericalError) as failure:
             wedge.project_points(np.vstack([easy, corner]))
-        # the error carries the batch result, NaN in the stuck row only
+        # the error carries the batch result, NaN in the capped row only
         assert np.array_equal(failure.value.result[:4], wedge.project_points(easy))
         assert np.isnan(failure.value.result[4]).all()
         with pytest.raises(NumericalError):
@@ -440,24 +463,24 @@ class TestBatchedDykstra:
         assert np.isnan(states[4]).all() and np.isnan(projections[4]).all()
         assert np.isfinite(states[:4]).all() and np.isfinite(projections[:4]).all()
 
-    def test_uncertified_row_fails_alone(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1 << 18, 0], ids=["stacked", "nnls"])
+    def test_far_row_projects_to_the_apex(self, block, monkeypatch):
         # a wide wedge whose vertex multipliers overflow for a point near
-        # the float range: no candidate passes, so the row gets NaN; the
-        # other rows keep their projections
+        # the float range unless the row is scaled first; the other rows
+        # keep the bits they have in a batch of their own
+        monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", block)
         wedge = Polyhedron(
             [HalfSpace([0.6, 0.8], 0.0), HalfSpace([0.8, 0.6], 0.0)],
             anchor=[1.0, 1.0],
         )
         easy = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, -1.0], [-0.5, 3.0]])
         far = np.array([-1e308, -1e308])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError) as failure:
-                wedge.project_points(np.vstack([easy, far]))
-        assert np.array_equal(failure.value.result[:4], wedge.project_points(easy))
-        assert np.isnan(failure.value.result[4]).all()
+        P = wedge.project_points(np.vstack([easy, far]))
+        assert np.array_equal(P[:4], wedge.project_points(easy))
+        assert np.array_equal(P[4], [0.0, 0.0])
 
-        # the kernel takes the failed row from that result: one projection
-        # call per grid point, none repeated
+        # the kernel runs the far row like any other: one projection call
+        # per grid point
         calls = []
         project = Polyhedron.project_points
 
@@ -474,5 +497,4 @@ class TestBatchedDykstra:
             wedge, Identity(2), H, np.zeros_like(H), 10.0, grid
         )
         assert len(calls) == grid.cells + 1
-        assert np.isnan(states[4]).all() and np.isnan(projections[4]).all()
-        assert np.isfinite(states[:4]).all() and np.isfinite(projections[:4]).all()
+        assert np.isfinite(states).all() and np.isfinite(projections).all()

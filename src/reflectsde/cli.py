@@ -85,7 +85,11 @@ def _load_config(ref: str, command: str) -> dict:
     path = Path(ref)
     if path.exists():
         try:
-            cfg = json.loads(path.read_text())
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {ref}: cannot read ({exc})") from exc
+        try:
+            cfg = json.loads(text)
         # nesting deeper than the interpreter's recursion limit is invalid too
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config {ref}: invalid JSON ({exc})") from exc

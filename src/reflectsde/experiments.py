@@ -349,7 +349,7 @@ def run_simulate(cfg: dict):
     for i in np.flatnonzero(~ok):
         reason = "penalty variation not finite"
         if np.isnan(states[i, 0, 0]):
-            reason = "state not finite or projection did not converge"
+            reason = "state not finite or projection not certified"
             if not (np.isfinite(H[i]).all() and np.isfinite(Z[i]).all()):
                 reason = "driver values not finite"
         failures.append({"path": int(i), "error": reason})

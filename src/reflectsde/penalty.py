@@ -218,10 +218,12 @@ def _penalty_variation(states, projections, n, times, q, t):
     """Per-row Euclidean variation of the penalty term up to t: each
     segment starting before t adds |x_j - p_j| (1 - exp(-n span)).  The
     sum runs over a C-ordered (M, m) array, which numpy sums row by row in
-    the order it sums one path; a column-ordered one drifts in the last bit."""
+    the order it sums one path; a column-ordered one drifts in the last bit,
+    so the gaps of time-major batches are copied to C order first."""
     m = int(np.searchsorted(times, t))
     spans = (np.minimum(np.append(times[1:], q), t) - times)[:m]
     gaps = np.linalg.norm(states[:, :m] - projections[:, :m], axis=2)
+    gaps = np.ascontiguousarray(gaps)
     return np.sum(gaps * (1.0 - np.exp(-n * spans)), axis=1)
 
 
@@ -266,25 +268,33 @@ def _relax_and_step(domain, f, H, Z, n, times, strict=False):
     At n = inf the relaxation is the projection itself, pre_k = P(x_k).
     Returns (states, projections, failed) with ``failed`` a per-row mask;
     see :func:`_project_live` for when a row fails.
+
+    Each step reads grid point k of every row.  Time-major inputs (the
+    views :func:`sample_driver_batch` returns) give contiguous (M, d)
+    slabs; C-ordered ones are read at a stride.  The states and
+    projections are written as time-major (K+1, M, d) buffers and
+    returned as (M, K+1, d) views of them, not C-contiguous arrays.
     """
     M, K1, d = H.shape
-    states = np.empty((M, K1, d))
+    H = H.transpose(1, 0, 2)
+    Z = None if Z is None else Z.transpose(1, 0, 2)
+    states = np.empty((K1, M, d))
     projections = np.empty_like(states)
     failed = np.zeros(M, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = states[:, 0] = H[:, 0]
-        p = projections[:, 0] = _project_live(domain, x, failed, strict)
+        x = states[0] = H[0]
+        p = projections[0] = _project_live(domain, x, failed, strict)
         for k in range(K1 - 1):
             pre = p
             if n != np.inf:
                 pre = _relaxed(x, p, n, times[k + 1] - times[k])
-            x = pre + (H[:, k + 1] - H[:, k])
+            x = pre + (H[k + 1] - H[k])
             if Z is not None:
-                x += f.contract(pre, Z[:, k + 1] - Z[:, k])
+                x += f.contract(pre, Z[k + 1] - Z[k])
             p = _project_live(domain, x, failed, strict)
-            states[:, k + 1] = x
-            projections[:, k + 1] = p
-    return states, projections, failed
+            states[k + 1] = x
+            projections[k + 1] = p
+    return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
 
 
 def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> PenalizedPath:

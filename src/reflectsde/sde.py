@@ -365,11 +365,103 @@ class DriverSpec:
         return np.empty(0)
 
 
-def _component_gen(seed: int, path_index: int, component: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(path_index), int(component))
-    )
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence constants (O'Neill's seed_seq scheme, PCG 2015)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of an int."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's word hash: xor with a running constant, which steps
+    by ``mult`` before the multiply, then xor-shift.  uint32 array
+    arithmetic wraps modulo 2^32 as the C code does (scalars would warn)."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _pool_hash(entropy: list) -> np.ndarray:
+    """SeedSequence's entropy pool and ``generate_state(2, np.uint64)``
+    over uint32 columns: ``entropy[i]`` holds word i of every row, and row
+    r of the result is the two keys of row r.  The hash constants follow a
+    fixed sequence, so all rows go at once."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = _hashmix(_INIT_B, _MULT_B)
+    state = [output(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _philox_keys(seed: int, paths: range, component: int) -> np.ndarray:
+    """The (len(paths), 2) Philox keys of
+    ``SeedSequence(entropy=seed, spawn_key=(p, component))`` for every path
+    index p in ``paths``, from one vectorized hash per run of indices with
+    the same number of 32-bit words."""
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    keys = np.empty((len(paths), 2), dtype=np.uint64)
+    start = paths.start
+    while start < paths.stop:
+        high = start >> 32
+        stop = min(paths.stop, (high + 1) << 32)
+        low = np.arange(start & _MASK32, ((stop - 1) & _MASK32) + 1, dtype=np.uint32)
+        words = [*run, 0, *(_words(high) if high else []), *_words(component)]
+        entropy = [np.full_like(low, w) for w in words]
+        entropy[len(run)] = low
+        keys[start - paths.start : stop - paths.start] = _pool_hash(entropy)
+        start = stop
+    return keys
+
+
+def _row_streams(gen: np.random.Generator, keys: np.ndarray):
+    """Yield ``gen`` once per key, its Philox reset each time to the fresh
+    stream of that key: zero counter, empty buffer, no cached word."""
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in keys:
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        yield gen
 
 
 def _one_row(fill, gen, grid_values: np.ndarray, dim: int) -> np.ndarray:
@@ -404,7 +496,10 @@ def sample_driver_batch(
     each drawing part of the spec (H at component 0, the Z components from
     1) draws from its own Philox stream keyed by (seed, p, component), so a
     row depends only on (seed, p) and never on M, ``first_index`` or the
-    other components.  Parts that draw nothing (a constant or table H, a
+    other components.  The key is that of
+    ``SeedSequence(entropy=seed, spawn_key=(p, component))``; all keys of a
+    part come from one vectorized hash, and one Philox is reset to each
+    row's key in turn.  Parts that draw nothing (a constant or table H, a
     drift) get no stream and are computed once and broadcast.
 
     Only the raw draws (normals, jump counts and sizes) are made row by
@@ -413,33 +508,41 @@ def sample_driver_batch(
     sum along the grid, and the sum of the components' cumulative sums in
     component order.  The arithmetic per row is the same as for one row,
     so :func:`sample_driver` is bit-identical to the matching row.
+
+    H and Z are (M, K+1, d) views of time-major (K+1, M, d) buffers, not
+    C-contiguous arrays: each grid point's values are one contiguous
+    (M, d) slab, which is how the schemes read them.
     """
     times = grid.times
     dt = np.diff(times)
     dim = spec.dim
-    H = np.empty((paths, times.shape[0], dim))
+    H = np.empty((times.shape[0], paths, dim))
     Z = np.zeros(H.shape)
     if not spec.h.draws:
-        H[...] = spec.h.values(None, times, dim)
+        H[...] = spec.h.values(None, times, dim)[:, None]
+    rows = range(first_index, first_index + paths)
+    parts = (spec.h, *spec.z_components)
+    keys = {c: _philox_keys(seed, rows, c) for c, part in enumerate(parts) if part.draws}
+    gen = np.random.Generator(np.random.Philox(0))
     block = max(1, _BLOCK_VALUES // (dt.shape[0] * dim))
     scratch = np.empty((min(block, paths), dt.shape[0], dim))
+    h_scratch = np.empty((scratch.shape[0], times.shape[0], dim))
     for start in range(0, paths, block):
         stop = min(start + block, paths)
-        index = range(first_index + start, first_index + stop)
         if spec.h.draws:
-            gens = [_component_gen(seed, p, 0) for p in index]
-            spec.h.values_rows(gens, times, H[start:stop])
-        z = Z[start:stop, 1:]
+            out = h_scratch[: stop - start]
+            spec.h.values_rows(_row_streams(gen, keys[0][start:stop]), times, out)
+            H[:, start:stop] = out.transpose(1, 0, 2)
+        z = Z[1:, start:stop]
         for c, comp in enumerate(spec.z_components, start=1):
             if comp.draws:
                 inc = scratch[: stop - start]
-                gens = [_component_gen(seed, p, c) for p in index]
-                comp.increments_rows(gens, dt, inc)
+                comp.increments_rows(_row_streams(gen, keys[c][start:stop]), dt, inc)
                 np.cumsum(inc, axis=1, out=inc)
+                z += inc.transpose(1, 0, 2)
             else:
-                inc = np.cumsum(comp.increments(None, dt, dim), axis=0)
-            z += inc
-    return H, Z
+                z += np.cumsum(comp.increments(None, dt, dim), axis=0)[:, None]
+    return H.transpose(1, 0, 2), Z.transpose(1, 0, 2)
 
 
 class Coefficient:
@@ -621,10 +724,12 @@ def euler_penalized_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized penalized scheme over (M, K+1, d) driver values.
 
-    Returns (states, projections) of the same shape.  Single paths and
-    batches run the same kernel, so row i agrees bit for bit with
-    :func:`euler_penalized` on the same driver.  A row whose state stops
-    being finite or that has no certified projection is NaN throughout.
+    Returns (states, projections) of the same shape, as views of
+    time-major (K+1, M, d) buffers, not C-contiguous arrays.  Single paths
+    and batches run the same kernel, so row i agrees bit for bit with
+    :func:`euler_penalized` on the same driver, and the driver arrays'
+    layout does not change a bit.  A row whose state stops being finite or
+    that has no certified projection is NaN throughout.
     """
     n = _rate(n)
     _check_batch_inputs(domain, H_vals, Z_vals, grid)
@@ -643,7 +748,9 @@ def euler_projected_batch(
     grid: Grid,
 ) -> np.ndarray:
     """Vectorized projected scheme over (M, K+1, d) driver values; rows
-    agree bit for bit with :func:`euler_projected`, failed rows are NaN."""
+    agree bit for bit with :func:`euler_projected`, failed rows are NaN.
+    The result is an (M, K+1, d) view of a time-major buffer, not a
+    C-contiguous array."""
     _check_batch_inputs(domain, H_vals, Z_vals, grid)
     states, _, failed = _relax_and_step(domain, f, H_vals, Z_vals, np.inf, grid.times)
     states[failed] = np.nan

@@ -249,6 +249,24 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.startswith(f"config error: --out {taken}: ")
         assert taken.read_text() == "kept"
 
+    def test_config_names_a_directory(self, tmp_path, capsys):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        out = tmp_path / "run"
+        assert main(["skorokhod", "--config", str(folder), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: config {folder}: ")
+        assert not out.exists()
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"experiment": "skorokhod", "tag": "\xff\xfe"}')
+        out = tmp_path / "run"
+        assert main(["skorokhod", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: config {cfg}: ")
+        assert not out.exists()
+
     def test_coefficient_dimension(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         coefficient = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
@@ -547,6 +565,38 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         failures = report["params"]["numerical_failures"]
         assert [f["path"] for f in failures] == [worst]
+
+    def test_uncertified_projection_reason(self, tmp_path, monkeypatch):
+        # past the block bound with the NNLS capped at two steps, rows that
+        # pass the apex of a 10-degree wedge have no certified projection
+        monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", 0)
+        monkeypatch.setattr("reflectsde.domain._NNLS_MAX_ITER", 2)
+        angle = np.radians(10.0)
+        faces = [[0.0, 1.0], [float(np.sin(angle)), float(-np.cos(angle))]]
+        cfg = dict(
+            SIMULATE_CFG,
+            domain={
+                "variant": "polyhedron",
+                "anchor": [2.0, 0.1],
+                "faces": [{"normal": a, "offset": 0.0} for a in faces],
+            },
+            driver={
+                "dim": 2,
+                "h": {"kind": "constant", "x0": [2.0, 0.1]},
+                "z": [{"kind": "brownian", "sigma": 2.0}],
+            },
+            grid={"q": 1.0, "cells": 16},
+            paths=12,
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        failures = report["params"]["numerical_failures"]
+        assert 0 < len(failures) < 12
+        reasons = {f["error"] for f in failures}
+        assert reasons == {"state not finite or projection not certified"}
 
     def test_numerical_error_during_run(self, tmp_path, monkeypatch, capsys):
         import reflectsde.cli as cli_mod

@@ -13,8 +13,9 @@ from reflectsde.domain import (
     NumericalError,
     Polyhedron,
 )
+from reflectsde import experiments
 from reflectsde.path import StepPath
-from reflectsde.penalty import solve_penalized
+from reflectsde.penalty import _penalty_variation, _sup_deviation, solve_penalized
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
@@ -29,6 +30,8 @@ from reflectsde.sde import (
     JumpSizes,
     PowerDiagonal,
     TablePath,
+    _philox_keys,
+    _row_streams,
     euler_penalized,
     euler_penalized_batch,
     euler_projected,
@@ -55,6 +58,20 @@ DOMAINS_2D = {
     "ball": Ball([0.0, 0.0], 1.0),
     "wedge": WEDGE,
 }
+
+
+def _component_gen(seed, path_index, component):
+    """The Philox stream of (seed, path index, component), built from its
+    own SeedSequence: the oracle for the keys the sampler derives at once."""
+    ss = np.random.SeedSequence(
+        entropy=int(seed), spawn_key=(int(path_index), int(component))
+    )
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes; ``tobytes`` is C-ordered, so layout aside."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestGrid:
@@ -228,6 +245,192 @@ class TestReproducibility:
         grid = Grid.regular(1.0, 8)
         _, z = sample_driver(self.SPEC, grid, seed=1)
         assert np.array_equal(z.values[0], [0.0])
+
+
+class TestPhiloxKeys:
+    """Per-row keys from one vectorized hash, and one Philox reset per row,
+    against a SeedSequence and a Philox built for each row."""
+
+    DRAWS = {
+        "standard_normal": lambda g: g.standard_normal(7),
+        "poisson": lambda g: g.poisson(3.5, 7),
+        "normal": lambda g: g.normal(0.1, 0.5, 7),
+        "uniform": lambda g: g.uniform(-1.0, 2.0, 7),
+        "exponential": lambda g: g.exponential(0.3, 7),
+    }
+
+    # seeds of one, two, three and six 32-bit words (the last fills more
+    # than the pool); batches whose path indices change their number of
+    # words part way
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3])
+    @pytest.mark.parametrize("first_index", [0, 9, 2**32 - 3, 2**64 - 2])
+    def test_keys_match_seed_sequence(self, seed, first_index):
+        paths = range(first_index, first_index + 6)
+        for component in range(4):
+            keys = _philox_keys(seed, paths, component)
+            expected = [
+                np.random.SeedSequence(
+                    entropy=seed, spawn_key=(p, component)
+                ).generate_state(2, np.uint64)
+                for p in paths
+            ]
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_reset_stream_matches_a_fresh_generator(self, draw):
+        seed, paths = 2**32 + 17, range(2**32 - 2, 2**32 + 2)
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.random(3, dtype=np.float32)
+        streams = _row_streams(gen, _philox_keys(seed, paths, 2))
+        for p, row_gen in zip(paths, streams):
+            oracle = _component_gen(seed, p, 2)
+            assert same_bits(self.DRAWS[draw](row_gen), self.DRAWS[draw](oracle))
+            # odd 32-bit draws leave a cached half word and a part-used
+            # buffer, which the next reset must drop
+            assert same_bits(
+                row_gen.random(3, dtype=np.float32), oracle.random(3, dtype=np.float32)
+            )
+
+    def test_sampled_rows_match_the_oracle(self):
+        spec = DriverSpec(
+            dim=2,
+            h=BrownianDrift([0.1, 0.2], 0.5, [0.3, -0.1]),
+            z_components=(
+                Brownian(1.0),
+                CompoundPoisson(3.0, JumpSizes("normal", (0.0, 0.5))),
+            ),
+        )
+        grid = Grid.regular(1.0, 16)
+        dt = np.diff(grid.times)
+        seed, first = 2**32, 2**32 - 2
+        H, Z = sample_driver_batch(spec, grid, seed, paths=4, first_index=first)
+        for i, p in enumerate(range(first, first + 4)):
+            h = spec.h.values(_component_gen(seed, p, 0), grid.times, 2)
+            z = np.zeros((grid.cells, 2))
+            for c, comp in enumerate(spec.z_components, start=1):
+                z += np.cumsum(comp.increments(_component_gen(seed, p, c), dt, 2), axis=0)
+            assert same_bits(H[i], h)
+            assert same_bits(Z[i, 1:], z) and not Z[i, 0].any()
+
+
+class TestTimeMajorLayout:
+    """Sampled arrays and scheme results are (M, K+1, d) views of
+    time-major buffers; a C-ordered copy of the same values must give the
+    same bits everywhere."""
+
+    @staticmethod
+    def domain(kind, d):
+        if kind == "halfspace":
+            return HalfSpace(np.full(d, 1.0 / np.sqrt(d)), -0.2)
+        if kind == "box":
+            return Box(np.zeros(d), np.ones(d))
+        if kind == "ball":
+            return Ball(np.zeros(d), 1.0)
+        if d == 1:
+            faces = [HalfSpace([1.0], 0.0), HalfSpace([-1.0], -4.0)]
+            return Polyhedron(faces, anchor=[2.0])
+        pad = np.zeros(d - 2)
+        faces = [HalfSpace(np.append(h.normal, pad), h.offset) for h in WEDGE.faces]
+        if d == 3:
+            faces.append(HalfSpace([0.0, 0.0, 1.0], -1.0))
+        return Polyhedron(faces, anchor=np.append(WEDGE.anchor, pad))
+
+    @staticmethod
+    def coefficient(kind, d):
+        return {
+            "identity": Identity(d),
+            "constant": ConstantMatrix(np.eye(d) + 0.2 * np.tri(d, k=-1)),
+            "diag-affine": DiagAffine(d, base=0.5, slope=0.25),
+            "power": PowerDiagonal(d, alpha=0.75),
+        }[kind]
+
+    @staticmethod
+    def sample(domain, paths=30, cells=40):
+        d = domain.dim
+        spec = DriverSpec(
+            dim=d,
+            h=BrownianDrift(domain.anchor, 0.3),
+            z_components=(
+                Brownian(0.8),
+                Drift(np.full(d, -1.0)),
+                CompoundPoisson(2.0, JumpSizes("normal", (0.0, 0.5))),
+            ),
+        )
+        grid = Grid.regular(1.0, cells)
+        return sample_driver_batch(spec, grid, seed=4, paths=paths), grid
+
+    def test_results_are_views_of_time_major_buffers(self):
+        domain = self.domain("box", 2)
+        (H, Z), grid = self.sample(domain)
+        states, projections = euler_penalized_batch(
+            domain, Identity(2), H, Z, 32.0, grid
+        )
+        values = euler_projected_batch(domain, Identity(2), H, Z, grid)
+        for arr in (H, Z, states, projections, values):
+            assert arr.shape == (30, 41, 2)
+            assert arr.transpose(1, 0, 2).flags.c_contiguous
+            assert not arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("coef", ["identity", "constant", "diag-affine", "power"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["halfspace", "polyhedron", "box", "ball"])
+    def test_layout_does_not_change_bits(self, kind, d, coef):
+        domain = self.domain(kind, d)
+        f = self.coefficient(coef, d)
+        (H, Z), grid = self.sample(domain)
+        Hc, Zc = np.ascontiguousarray(H), np.ascontiguousarray(Z)
+        states, projections = euler_penalized_batch(domain, f, H, Z, 32.0, grid)
+        twins = euler_penalized_batch(domain, f, Hc, Zc, 32.0, grid)
+        assert np.isfinite(states).all() and np.any(states != projections)
+        assert same_bits(states, twins[0]) and same_bits(projections, twins[1])
+        assert same_bits(
+            euler_projected_batch(domain, f, H, Z, grid),
+            euler_projected_batch(domain, f, Hc, Zc, grid),
+        )
+        rows = (states, projections, 32.0, grid.times, grid.q)
+        c_rows = (*map(np.ascontiguousarray, rows[:2]), *rows[2:])
+        for t in (grid.q, grid.times[17] + 0.01):
+            assert same_bits(_penalty_variation(*rows, t), _penalty_variation(*c_rows, t))
+        assert same_bits(
+            _sup_deviation(*rows, domain.anchor), _sup_deviation(*c_rows, domain.anchor)
+        )
+
+    def test_simulate_report_does_not_depend_on_layout(self, monkeypatch):
+        cfg = {
+            "domain": {"variant": "box", "lower": [0, 0, 0], "upper": [1, 2, 1]},
+            "driver": {
+                "dim": 3,
+                "h": {"kind": "brownian", "x0": [0.5, 0.5, 0.5], "sigma": 0.7},
+                "z": [
+                    {"kind": "brownian", "sigma": [1.0, 0.5, 2.0]},
+                    {"kind": "drift", "rate": [0.5, 0.0, -0.5]},
+                    {
+                        "kind": "compound_poisson",
+                        "rate": 3.0,
+                        "jumps": {"tag": "uniform", "params": [-0.5, 0.5]},
+                    },
+                ],
+            },
+            "grid": {"q": 1.0, "cells": 64},
+            "coefficient": {"kind": "diag_affine", "base": 0.5, "slope": 0.25},
+            "n": 50.0,
+            "paths": 200,
+            "seed": 3,
+            "keep_paths": 3,
+        }
+        report, kept = experiments.run_simulate(cfg)
+        sample = experiments.sample_driver_batch
+
+        def c_ordered(*args):
+            return tuple(map(np.ascontiguousarray, sample(*args)))
+
+        monkeypatch.setattr(experiments, "sample_driver_batch", c_ordered)
+        twin, twin_kept = experiments.run_simulate(cfg)
+        assert report.to_json() == twin.to_json()
+        assert sorted(kept) == sorted(twin_kept) == ["path_0", "path_1", "path_2"]
+        for name, path in kept.items():
+            assert path.to_json() == twin_kept[name].to_json()
 
 
 MATRICES = (np.array([[0.7, 0.2], [0.1, 1.3]]), np.array([[0.5, 0.25], [0.75, 1.0]]))

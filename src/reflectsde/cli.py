@@ -151,12 +151,6 @@ def main(argv=None) -> int:
             cfg["paths"] = args.paths
 
         report, artifacts = _RUNNERS[args.command](cfg)
-        # made once the config checks passed: a run that exits 1 leaves none
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -176,14 +170,21 @@ def main(argv=None) -> int:
             "reflectsde": __version__,
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True)
-    )
-    (out_dir / "report.json").write_text(report.to_json())
-    for name, artifact in artifacts.items():
-        _write_path_artifact(artifact, out_dir / name, args.format)
-    for table_name in report.tables:
-        (out_dir / f"{table_name}.csv").write_text(report.table_csv(table_name))
+    # made once the config checks passed, so a config error leaves none
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True)
+        )
+        (out_dir / "report.json").write_text(report.to_json())
+        for name, artifact in artifacts.items():
+            _write_path_artifact(artifact, out_dir / name, args.format)
+        for table_name in report.tables:
+            (out_dir / f"{table_name}.csv").write_text(report.table_csv(table_name))
+    except OSError as exc:
+        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
     failures = [e for e in report.entries if e.name == "numerical_failures"]
     if failures and not failures[0].passed:

@@ -3,8 +3,9 @@
 The partition modulus and the interlaced moduli are exact for step paths
 in any dimension.  The partition modulus bisects over the diameters of
 runs of segment values; the interlaced moduli read their oscillations from
-one blocked scan, ``_reach``, which gives each breakpoint value its
-largest distance to an earlier one.
+one scan, ``_reach``, which gives each breakpoint value its largest
+distance to an earlier one: in dimension one from the running minimum and
+maximum, in O(L), and otherwise by a blocked pairwise scan.
 """
 
 from __future__ import annotations
@@ -123,11 +124,15 @@ class StepPath:
         return float(np.sum(np.abs(diffs)))
 
     def to_csv(self, stream) -> None:
-        """Write breakpoints as ``t,x_1,..,x_d`` with round-trip floats."""
-        writer = csv.writer(stream)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(self.dim)])
-        for t, row in zip(self.times, self.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        """Write breakpoints as ``t,x_1,..,x_d`` with round-trip floats.
+
+        The bytes are those of :func:`csv.writer`: no field needs quoting
+        and every line ends in ``\\r\\n``.
+        """
+        header = ",".join(["t"] + [f"x_{i + 1}" for i in range(self.dim)])
+        line = ",".join(["%r"] * (self.dim + 1)) + "\r\n"
+        flat = np.column_stack((self.times, self.values)).ravel().tolist()
+        stream.write(header + "\r\n" + line * len(self.times) % tuple(flat))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -164,17 +169,32 @@ class StepPath:
 def _reach(points: np.ndarray) -> np.ndarray:
     """r[j] = largest distance from points[j] to an earlier point; r[0] = 0.
 
-    Rows are taken in blocks of at most ``_PAIRS_PER_BLOCK`` pairs, so the
-    temporaries stay bounded for any number of points.
+    Each distance is sqrt(sum(diff * diff)) of diff = points[j] - points[i].
+    In dimension one the largest is found in O(L) from the running extremes
+    of the earlier points, with the same bits as the pairwise scan: rounded
+    subtraction is monotone, so the largest |fl(p_j - p_i)| over i < j is
+    taken at the running minimum or maximum; and sqrt(fl(x * x)) is
+    nondecreasing in |x|, also where x * x underflows or overflows.
+
+    In higher dimensions rows are taken in blocks of at most
+    ``_PAIRS_PER_BLOCK`` pairs, so the temporaries stay bounded for any
+    number of points.
     """
     L = points.shape[0]
     out = np.zeros(L)
+    if L > 1 and points.shape[1] == 1:
+        p = points[:, 0]
+        low = np.minimum.accumulate(p[:-1])
+        high = np.maximum.accumulate(p[:-1])
+        far = np.maximum(np.abs(p[1:] - low), np.abs(high - p[1:]))
+        out[1:] = np.sqrt(far * far)
+        return out
     step = max(1, _PAIRS_PER_BLOCK // L)
     for lo in range(1, L, step):
         hi = min(lo + step, L)
         diff = points[lo:hi, None, :] - points[None, : hi - 1, :]
         # row j of the block keeps the columns i < j
-        dist = np.tril(np.sqrt(np.sum(diff * diff, axis=2)), lo - 1)
+        dist = np.tril(_lengths(diff), lo - 1)
         out[lo:hi] = dist.max(axis=1)
     return out
 
@@ -236,9 +256,26 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
 
 
 def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
-    times = np.union1d(path_x.times, path_y.times)
-    times = times[times <= q]
-    return times, path_x.eval_many(times), path_y.eval_many(times)
+    """Merged breakpoints up to q and both paths' values on them."""
+    tx, ty = path_x.times, path_y.times
+    if tx.shape == ty.shape and (tx == ty).all():
+        n = int(tx.searchsorted(q, "right"))
+        return tx[:n], path_x.values[:n], path_y.values[:n]
+    times = np.concatenate((tx, ty))
+    times.sort()
+    fresh = np.empty(times.shape, dtype=bool)
+    fresh[0] = True
+    np.not_equal(times[1:], times[:-1], out=fresh[1:])
+    times = times[fresh]
+    times = times[: int(times.searchsorted(q, "right"))]
+    first = path_x.values[tx.searchsorted(times, "right") - 1]
+    second = path_y.values[ty.searchsorted(times, "right") - 1]
+    return times, first, second
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of the last axis, as sqrt(sum(d * d))."""
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def modulus_second(path: StepPath, delta: float, q=None) -> float:
@@ -264,7 +301,8 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     of earlier times is widest at the first segment of such a run, so only
     indices k where the second path changes serve as t.  For each, with lo
     the first index whose successor starts after times[k] - delta, the
-    scan takes the earlier factor from :func:`_reach` over lo..k-1.
+    scan takes the earlier factor from :func:`_reach` over lo..k-1, in
+    O(k - lo) for paths in dimension one.
     """
     qx = min(path_x.q, path_y.q)
     q = qx if q is None else float(q)
@@ -273,15 +311,15 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     times, first, second = _merged_pair(path_x, path_y, q)
-    starts = np.flatnonzero(np.any(second[1:] != second[:-1], axis=1)) + 1
-    lows = np.searchsorted(times, times[starts] - float(delta), side="right") - 1
+    starts = np.flatnonzero((second[1:] != second[:-1]).any(axis=1)) + 1
+    lows = times.searchsorted(times[starts] - float(delta), "right") - 1
     out = 0.0
-    for k, lo in zip(starts, np.maximum(lows, 0)):
+    for k, lo in zip(starts.tolist(), np.maximum(lows, 0).tolist()):
         if lo >= k - 1:
             continue
         a = _reach(first[lo:k])[1:]
-        b = np.linalg.norm(second[k] - second[lo + 1 : k], axis=1)
-        out = max(out, float(np.max(np.minimum(a, b))))
+        b = _lengths(second[k] - second[lo + 1 : k])
+        out = max(out, float(np.minimum(a, b).max()))
     return out
 
 

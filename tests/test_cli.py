@@ -249,6 +249,21 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.startswith(f"config error: --out {taken}: ")
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["converge", "--config", "cp-oscillation", "--paths", "4"], "report.json"),
+            (["skorokhod", "--config", "halfline-threejump"], "x.csv"),
+        ],
+        ids=["report", "artifact"],
+    )
+    def test_out_file_cannot_be_written(self, tmp_path, capsys, argv, blocked):
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: --out {out}: ")
+
     def test_config_names_a_directory(self, tmp_path, capsys):
         folder = tmp_path / "configs"
         folder.mkdir()

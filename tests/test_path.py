@@ -73,6 +73,32 @@ def lattice_pair_modulus(px, py, delta, q, grid=120):
     return best
 
 
+def pairwise_reach(points):
+    """Largest distance to an earlier point from the full distance matrix."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    return np.array([dist[j, :j].max(initial=0.0) for j in range(len(points))])
+
+
+def pairwise_modulus_bar(px, py, delta, q):
+    """modulus_bar's window scan on union1d breakpoints with pairwise reach."""
+    ts = np.union1d(px.times, py.times)
+    ts = ts[ts <= q]
+    X = px.eval_many(ts)
+    Y = py.eval_many(ts)
+    best = 0.0
+    for k in range(1, len(ts)):
+        if np.array_equal(Y[k], Y[k - 1]):
+            continue
+        lo = max(int(np.searchsorted(ts, ts[k] - delta, side="right")) - 1, 0)
+        if lo >= k - 1:
+            continue
+        a = pairwise_reach(X[lo:k])[1:]
+        b = np.linalg.norm(Y[k] - Y[lo + 1 : k], axis=1)
+        best = max(best, float(np.max(np.minimum(a, b))))
+    return best
+
+
 def brute_upcrossings(values, a, b):
     """Largest k admitting an alternating below/above subsequence."""
     m = len(values)
@@ -160,6 +186,21 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             StepPath.from_csv("time,x\n0.0,1.0\n")
+
+    def test_golden_bytes(self):
+        p = StepPath([0.0, 0.5], [[-0.0], [5e-324]], q=1.0)
+        assert p.to_csv_string() == "t,x_1\r\n0.0,-0.0\r\n0.5,5e-324\r\n"
+        plane = StepPath(
+            [0.0, 1e-17, 1.0 / 3.0],
+            [[-0.0, 5e-324], [1.0 / 3.0, 1e-17], [1e300, -2.5]],
+            q=1.0,
+        )
+        assert plane.to_csv_string() == (
+            "t,x_1,x_2\r\n"
+            "0.0,-0.0,5e-324\r\n"
+            "1e-17,0.3333333333333333,1e-17\r\n"
+            "0.3333333333333333,1e+300,-2.5\r\n"
+        )
 
 
 class TestPartitionModulus:
@@ -322,14 +363,17 @@ class TestInterlacedModuli:
         assert modulus_second(back, 0.3) == 5.0
         assert modulus_second(back, 0.3) == modulus_bar(back, back, 0.3)
 
-    # 1 and 3 pairs give one-row blocks on these short paths, 20 several rows
+    # 1 and 3 pairs give one-row blocks on the short paths, 20 several rows;
+    # the long paths take the running-extremes scan in dimension one
     @pytest.mark.parametrize("pairs", [1, 3, 20])
     def test_blocked_scan_is_bit_identical(self, pairs, rng, monkeypatch):
         cases = []
-        for trial in range(25):
-            dim = 1 + trial % 3
-            mx = int(rng.integers(2, 9))
-            my = int(rng.integers(2, 9))
+        for trial in range(31):
+            long = trial >= 25
+            dim = 1 if long else 1 + trial % 3
+            lo, hi = (50, 81) if long else (2, 9)
+            mx = int(rng.integers(lo, hi))
+            my = int(rng.integers(lo, hi))
             tx = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, mx - 1)]))
             ty = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, my - 1)]))
             x = StepPath(tx, rng.normal(size=(mx, dim)), q=1.0)
@@ -339,6 +383,38 @@ class TestInterlacedModuli:
         monkeypatch.setattr(path_module, "_PAIRS_PER_BLOCK", pairs)
         blocked = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
         assert blocked == whole
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-200, 1e200])
+    @pytest.mark.parametrize("kind", ["random", "tied", "increasing", "decreasing"])
+    def test_running_extremes_match_pairwise_reach(self, rng, scale, kind):
+        for length in (1, 2, 3, 17, 60):
+            p = rng.normal(size=(length, 1))
+            if kind == "tied":
+                p = np.round(p)
+            elif kind != "random":
+                p = np.sort(p, axis=0)[:: 1 if kind == "increasing" else -1]
+            p = p * scale
+            # squares past the float range overflow to inf in both scans
+            with np.errstate(over="ignore"):
+                got = path_module._reach(p)
+                want = pairwise_reach(p)
+            assert got.tobytes() == want.tobytes()
+
+    def test_grids_shared_equal_or_disjoint(self, rng):
+        for trial in range(30):
+            dim = 1 + trial % 3
+            m = int(rng.integers(2, 40))
+            tx = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, m - 1)]))
+            x = StepPath(tx, rng.normal(size=(m, dim)), q=1.0)
+            same = StepPath(tx, rng.normal(size=(m, dim)), q=1.0)
+            ty = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, m // 2)]))
+            other = StepPath(ty, rng.normal(size=(len(ty), dim)), q=1.0)
+            delta = float(rng.uniform(0.01, 0.9))
+            q = 1.0 if trial % 2 else float(rng.uniform(0.2, 1.0))
+            assert same.times is not x.times
+            for px, py in ((x, x), (x, same), (same, x), (x, other), (other, x)):
+                want = pairwise_modulus_bar(px, py, delta, q)
+                assert modulus_bar(px, py, delta, q) == want
 
     def test_monotone_in_delta(self, rng):
         times = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, 6)]))

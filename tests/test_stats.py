@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from reflectsde import stats
+from reflectsde.experiments import oscillation_benchmark
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
 from reflectsde.stats import (
@@ -288,6 +289,21 @@ class TestOscillationDiagnostic:
         z = StepPath.constant(0.0, 1.0)
         table = oscillation_diagnostic([x], [z], deltas=[0.2], epsilons=[0.1])
         assert table.probabilities.shape == (1, 1)
+
+    def test_one_modulus_call_per_pair_and_delta(self, monkeypatch):
+        # tracers wrap the module-level name and count (pair, delta) units
+        calls = []
+        inner = stats.modulus_bar
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "modulus_bar", counted)
+        deltas = (0.4, 0.2, 0.1, 0.05)
+        oscillation_benchmark(seed=7, paths=8, deltas=deltas)
+        assert len(calls) == 8 * len(deltas)
+        assert sorted(set(calls)) == sorted(deltas)
 
 
 class TestMarginalConvergence:

@@ -323,8 +323,12 @@ def run_simulate(cfg: dict):
         if paths < 1:
             raise ConfigError("simulate: need at least one path")
         seed = int(cfg.get("seed", 0))
-        keep = min(int(cfg.get("keep_paths", 5)), paths)
+        keep = int(cfg.get("keep_paths", 5))
         max_failures = int(cfg.get("max_numerical_failures", 0))
+        for key, count in (("keep_paths", keep), ("max_numerical_failures", max_failures)):
+            if count < 0:
+                raise ConfigError(f"simulate: {key} must be nonnegative, got {count}")
+        keep = min(keep, paths)
         # overflowing draws leave non-finite rows, counted as failures below
         with np.errstate(over="ignore"):
             H, Z = sample_driver_batch(spec, grid, seed, paths)

@@ -227,24 +227,21 @@ def _penalty_variation(states, projections, n, times, q, t):
     return np.sum(gaps * (1.0 - np.exp(-n * spans)), axis=1)
 
 
-def _project_live(domain, X, failed, strict):
+def _project_live(domain, X, failed):
     """Projections of the rows of X.
 
     A row that is not finite, or that has no certified projection (NaN in
     the result a NumericalError carries), is marked in ``failed`` and
-    gets NaN; a failed row is not projected again.  With ``strict`` the
-    first failure raises instead.
+    gets NaN; a failed row is not projected again.
     """
     fresh = not failed.any() and np.isfinite(X).all()
     if not fresh:
-        if strict:
-            raise ValueError("point has non-finite coordinates")
         failed |= ~np.isfinite(X).all(axis=1)
     live = slice(None) if fresh else np.flatnonzero(~failed)
     try:
         P = domain.project_points(X[live])
     except NumericalError as exc:
-        if strict or exc.result is None:
+        if exc.result is None:
             raise
         P = exc.result
         failed[live] |= np.isnan(P[:, 0])
@@ -255,7 +252,7 @@ def _project_live(domain, X, failed, strict):
     return out
 
 
-def _relax_and_step(domain, f, H, Z, n, times, strict=False):
+def _relax_and_step(domain, f, H, Z, n, times):
     """The relax-and-step recurrence behind every solver in the package.
 
     Over rows of (M, K+1, d) values H of the free term and Z of the
@@ -266,12 +263,17 @@ def _relax_and_step(domain, f, H, Z, n, times, strict=False):
         x_{k+1} = pre_k + (H_{k+1} - H_k) + f(pre_k) (Z_{k+1} - Z_k).
 
     At n = inf the relaxation is the projection itself, pre_k = P(x_k).
-    Returns (states, projections, failed) with ``failed`` a per-row mask;
-    see :func:`_project_live` for when a row fails.
+    The coefficient enters only through ``f.contract``.  Returns (states,
+    projections, failed) with ``failed`` a per-row mask; see
+    :func:`_project_live` for when a row fails.  That is the one failure
+    rule of the package: the batch schemes return a failed row as NaN,
+    and the single-path solvers, which run their path as a one-row batch
+    (:func:`_solve_row`), raise NumericalError.
 
     Each step reads grid point k of every row.  Time-major inputs (the
     views :func:`sample_driver_batch` returns) give contiguous (M, d)
-    slabs; C-ordered ones are read at a stride.  The states and
+    slabs; C-ordered ones are read at a stride, and a deterministic free
+    term may be a read-only view broadcast along rows.  The states and
     projections are written as time-major (K+1, M, d) buffers and
     returned as (M, K+1, d) views of them, not C-contiguous arrays.
     """
@@ -283,7 +285,7 @@ def _relax_and_step(domain, f, H, Z, n, times, strict=False):
     failed = np.zeros(M, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         x = states[0] = H[0]
-        p = projections[0] = _project_live(domain, x, failed, strict)
+        p = projections[0] = _project_live(domain, x, failed)
         for k in range(K1 - 1):
             pre = p
             if n != np.inf:
@@ -291,10 +293,32 @@ def _relax_and_step(domain, f, H, Z, n, times, strict=False):
             x = pre + (H[k + 1] - H[k])
             if Z is not None:
                 x += f.contract(pre, Z[k + 1] - Z[k])
-            p = _project_live(domain, x, failed, strict)
+            p = _project_live(domain, x, failed)
             states[k + 1] = x
             projections[k + 1] = p
     return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
+
+
+def _check_driver(domain, driver: StepPath) -> None:
+    """A step driver fit for a solver: of the domain's dimension, and
+    starting inside the closed domain."""
+    if driver.dim != domain.dim:
+        raise ValueError(
+            f"driver dimension {driver.dim} does not match domain {domain.dim}"
+        )
+    if not domain.contains(driver.values[0]):
+        raise DomainViolationError("driver must start inside the domain")
+
+
+def _solve_row(domain, f, h, z, n, times):
+    """:func:`_relax_and_step` on one path of (K+1, d) values, as its
+    (K+1, d) states and projections; a failed row raises NumericalError."""
+    states, projections, failed = _relax_and_step(
+        domain, f, h[None], None if z is None else z[None], n, times
+    )
+    if failed[0]:
+        raise NumericalError("state not finite or projection not certified")
+    return states[0], projections[0]
 
 
 def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> PenalizedPath:
@@ -302,19 +326,13 @@ def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> Penaliz
 
     Between driver jumps the state relaxes toward its projection at rate
     ``n``; at a jump the driver increment is added to the left limit.  The
-    driver must start inside the closed domain.
+    driver must start inside the closed domain.  A state that leaves the
+    float range, or has no certified projection, raises NumericalError.
     """
-    if driver.dim != domain.dim:
-        raise ValueError(
-            f"driver dimension {driver.dim} does not match domain {domain.dim}"
-        )
     n = _rate(n)
-    if not domain.contains(driver.values[0]):
-        raise DomainViolationError("driver must start inside the domain")
-    states, projections, _ = _relax_and_step(
-        domain, None, driver.values[None], None, n, driver.times, strict=True
-    )
-    return PenalizedPath(n, driver.times, states[0], projections[0], driver.q)
+    _check_driver(domain, driver)
+    states, projections = _solve_row(domain, None, driver.values, None, n, driver.times)
+    return PenalizedPath(n, driver.times, states, projections, driver.q)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConvexDomain, DomainViolationError, _rows_times
+from .domain import ConvexDomain, _rows_times
 from .path import StepPath
-from .penalty import PenalizedPath, _rate, _relax_and_step
+from .penalty import PenalizedPath, _check_driver, _rate, _relax_and_step, _solve_row
 
 __all__ = [
     "Grid",
@@ -176,9 +176,6 @@ class Brownian:
         elif sigma.ndim > 0 and sigma.shape != (dim, dim):
             raise ValueError(f"brownian sigma matrix must be {dim}x{dim}")
 
-    def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
-        return _one_row(self.increments_rows, gen, dt, dim)
-
     def increments_rows(self, gens, dt: np.ndarray, out: np.ndarray) -> None:
         """Write one row of increments per generator into the (rows, K, d)
         block ``out``: raw normals row by row, then one scaling pass."""
@@ -221,9 +218,6 @@ class CompoundPoisson:
     def _check_dim(self, dim: int) -> None:
         self.jumps._check_dim(dim)
 
-    def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
-        return _one_row(self.increments_rows, gen, dt, dim)
-
     def increments_rows(self, gens, dt: np.ndarray, out: np.ndarray) -> None:
         """Jump counts and sizes drawn row by row, then one scatter of all
         sizes into the zeroed (rows, K, d) block ``out``, in draw order."""
@@ -257,7 +251,7 @@ class Drift:
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.rate, dim, "drift rate")
 
-    def increments(self, gen, dt: np.ndarray, dim: int) -> np.ndarray:
+    def increments(self, dt: np.ndarray, dim: int) -> np.ndarray:
         return _dim_vector(self.rate, dim, "drift rate")[None, :] * dt[:, None]
 
     def expected_bracket_rate(self, dim: int) -> float:
@@ -277,7 +271,7 @@ class ConstantStart:
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.x0, dim, "h start")
 
-    def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
+    def values(self, times: np.ndarray, dim: int) -> np.ndarray:
         return np.tile(_dim_vector(self.x0, dim, "h start"), (times.shape[0], 1))
 
 
@@ -292,8 +286,8 @@ class TablePath:
         if self.path.dim != dim:
             raise ValueError("table path has wrong dimension")
 
-    def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
-        return np.array(self.path.eval_many(times))
+    def values(self, times: np.ndarray, dim: int) -> np.ndarray:
+        return self.path.eval_many(times)
 
 
 @dataclass(frozen=True)
@@ -309,9 +303,6 @@ class BrownianDrift:
         _dim_vector(self.x0, dim, "h start")
         _dim_vector(self.drift, dim, "h drift")
         Brownian(self.sigma)._check_dim(dim)
-
-    def values(self, gen, times: np.ndarray, dim: int) -> np.ndarray:
-        return _one_row(self.values_rows, gen, times, dim)
 
     def values_rows(self, gens, times: np.ndarray, out: np.ndarray) -> None:
         """Write one path per generator into the (rows, K+1, d) block ``out``."""
@@ -336,8 +327,12 @@ class DriverSpec:
     keyed by (seed, path index, component index), with H at index 0 and
     the Z components following in order, so adding a component never
     changes the draws of the others.  A part's ``draws`` flag says whether
-    it takes a stream at all.  Each part is checked against ``dim`` when
-    the spec is built.
+    it takes a stream at all, and with it which one method it has: a
+    drawing part fills a block of rows from one generator per row
+    (``values_rows`` for H, ``increments_rows`` for Z), and a
+    deterministic one returns its one row without a generator (``values``
+    for H, ``increments`` for Z).  Each part is checked against ``dim``
+    when the spec is built.
     """
 
     dim: int
@@ -464,13 +459,6 @@ def _row_streams(gen: np.random.Generator, keys: np.ndarray):
         yield gen
 
 
-def _one_row(fill, gen, grid_values: np.ndarray, dim: int) -> np.ndarray:
-    """The one-generator case of a ``*_rows`` method, as a (K, d) array."""
-    out = np.empty((1, grid_values.shape[0], dim))
-    fill([gen], grid_values, out)
-    return out[0]
-
-
 # values per scratch block of driver rows: small enough to stay in cache
 _BLOCK_VALUES = 1 << 15
 
@@ -500,7 +488,7 @@ def sample_driver_batch(
     ``SeedSequence(entropy=seed, spawn_key=(p, component))``; all keys of a
     part come from one vectorized hash, and one Philox is reset to each
     row's key in turn.  Parts that draw nothing (a constant or table H, a
-    drift) get no stream and are computed once and broadcast.
+    drift) get no stream, take no generator and are computed once.
 
     Only the raw draws (normals, jump counts and sizes) are made row by
     row.  The rest is batched over blocks of rows in a cache-sized scratch
@@ -511,15 +499,19 @@ def sample_driver_batch(
 
     H and Z are (M, K+1, d) views of time-major (K+1, M, d) buffers, not
     C-contiguous arrays: each grid point's values are one contiguous
-    (M, d) slab, which is how the schemes read them.
+    (M, d) slab, which is how the schemes read them.  A deterministic H
+    has no buffer: it is a read-only view of its (K+1, d) values
+    broadcast along paths (stride 0 on the path axis).
     """
     times = grid.times
     dt = np.diff(times)
     dim = spec.dim
-    H = np.empty((times.shape[0], paths, dim))
-    Z = np.zeros(H.shape)
-    if not spec.h.draws:
-        H[...] = spec.h.values(None, times, dim)[:, None]
+    shape = (times.shape[0], paths, dim)
+    if spec.h.draws:
+        H = np.empty(shape)
+    else:
+        H = np.broadcast_to(spec.h.values(times, dim)[:, None], shape)
+    Z = np.zeros(shape)
     rows = range(first_index, first_index + paths)
     parts = (spec.h, *spec.z_components)
     keys = {c: _philox_keys(seed, rows, c) for c, part in enumerate(parts) if part.draws}
@@ -541,24 +533,29 @@ def sample_driver_batch(
                 np.cumsum(inc, axis=1, out=inc)
                 z += inc.transpose(1, 0, 2)
             else:
-                z += np.cumsum(comp.increments(None, dt, dim), axis=0)[:, None]
+                z += np.cumsum(comp.increments(dt, dim), axis=0)[:, None]
     return H.transpose(1, 0, 2), Z.transpose(1, 0, 2)
 
 
 class Coefficient:
-    """Matrix-valued coefficient x -> f(x) applied to integrator increments."""
+    """Matrix-valued coefficient x -> f(x) applied to integrator increments.
+
+    A subclass defines only ``contract``, the rows f(X[i]) @ dZ[i] of
+    (M, d) arrays, rounded the same way whatever M.  The schemes and
+    :func:`stochastic_integral` apply f through it, and :meth:`mat` is
+    derived from it, so no second formula can drift from the first.
+    """
 
     dim: int
 
-    def mat(self, x: np.ndarray) -> np.ndarray:
+    def contract(self, X: np.ndarray, dZ: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contract(self, X: np.ndarray, dZ: np.ndarray) -> np.ndarray:
-        """Rows f(X[i]) @ dZ[i]; subclasses vectorize where possible."""
-        out = np.empty_like(dZ)
-        for i in range(X.shape[0]):
-            out[i] = self.mat(X[i]) @ dZ[i]
-        return out
+    def mat(self, x) -> np.ndarray:
+        """f(x) as a (d, d) matrix: column j is f(x) applied to the unit
+        vector e_j through ``contract``."""
+        X = np.tile(np.asarray(x, dtype=float), (self.dim, 1))
+        return self.contract(X, np.eye(self.dim)).T
 
     def growth_ratio(self, gen, samples: int = 2000, scale: float = 50.0) -> float:
         """Largest sampled ratio ||f(x)||_F / (1 + |x|); admissible
@@ -577,9 +574,6 @@ class Identity(Coefficient):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def mat(self, x):
-        return np.eye(self.dim)
-
     def contract(self, X, dZ):
         return dZ.copy()
 
@@ -591,9 +585,6 @@ class ConstantMatrix(Coefficient):
             raise ValueError("coefficient matrix must be square")
         self.matrix = A
         self.dim = A.shape[0]
-
-    def mat(self, x):
-        return self.matrix.copy()
 
     def contract(self, X, dZ):
         return _rows_times(dZ, self.matrix)
@@ -611,9 +602,6 @@ class DiagAffine(Coefficient):
 
     def diag(self, X):
         return self.base + self.slope * np.abs(X)
-
-    def mat(self, x):
-        return np.diag(self.diag(np.asarray(x, dtype=float)))
 
     def contract(self, X, dZ):
         return self.diag(X) * dZ
@@ -641,9 +629,6 @@ class PowerDiagonal(Coefficient):
     def diag(self, X):
         return np.minimum(np.abs(X), self.cap) ** self.alpha
 
-    def mat(self, x):
-        return np.diag(self.diag(np.asarray(x, dtype=float)))
-
     def contract(self, X, dZ):
         return self.diag(X) * dZ
 
@@ -657,19 +642,15 @@ class PowerDiagonal(Coefficient):
 
 
 def _path_values(domain, f, H, Z, grid):
-    """Check one path's inputs; H and Z at the grid points as one-row
-    (1, K+1, d) batches."""
-    if H.dim != domain.dim or Z.dim != domain.dim:
-        raise ValueError("driver dimensions must match the domain")
-    if f.dim != domain.dim:
-        raise ValueError("coefficient dimension must match the domain")
+    """Check one path's inputs; H and Z at the grid points, (K+1, d) each."""
+    _check_driver(domain, H)
+    if Z.dim != domain.dim or f.dim != domain.dim:
+        raise ValueError("integrator and coefficient dimensions must match the domain")
     if not (grid.covers(H.times) and grid.covers(Z.times)):
         raise ValueError("driver breakpoints must be grid points")
     if abs(grid.q - H.q) > 0 or abs(grid.q - Z.q) > 0:
         raise ValueError("driver horizons must equal the grid horizon")
-    if not domain.contains(H.values[0]):
-        raise DomainViolationError("H must start inside the domain")
-    return H.eval_many(grid.times)[None], Z.eval_many(grid.times)[None]
+    return H.eval_many(grid.times), Z.eval_many(grid.times)
 
 
 def euler_penalized(
@@ -684,14 +665,14 @@ def euler_penalized(
 
     Between grid points the state relaxes exactly toward its projection at
     rate n; at a grid point the increments of H and of the integral term
-    are added, with f evaluated at the pre-jump (relaxed) value.
+    are added, with f evaluated at the pre-jump (relaxed) value.  The
+    path is the one-row batch of :func:`euler_penalized_batch`, and raises
+    NumericalError where that row would fail.
     """
     n = _rate(n)
     hv, zv = _path_values(domain, f, H, Z, grid)
-    states, projections, _ = _relax_and_step(
-        domain, f, hv, zv, n, grid.times, strict=True
-    )
-    return PenalizedPath(n, grid.times, states[0], projections[0], grid.q)
+    states, projections = _solve_row(domain, f, hv, zv, n, grid.times)
+    return PenalizedPath(n, grid.times, states, projections, grid.q)
 
 
 def euler_projected(
@@ -702,10 +683,11 @@ def euler_projected(
     grid: Grid,
 ) -> StepPath:
     """Projected Euler path: same update with projection instead of
-    relaxation (the penalized scheme's rate-to-infinity limit)."""
+    relaxation (the penalized scheme's rate-to-infinity limit); raises
+    NumericalError where the one-row batch would fail."""
     hv, zv = _path_values(domain, f, H, Z, grid)
-    states, _, _ = _relax_and_step(domain, f, hv, zv, np.inf, grid.times, strict=True)
-    return StepPath(grid.times, states[0], grid.q)
+    states, _ = _solve_row(domain, f, hv, zv, np.inf, grid.times)
+    return StepPath(grid.times, states, grid.q)
 
 
 def _check_batch_inputs(domain, H_vals, Z_vals, grid):
@@ -776,5 +758,5 @@ def stochastic_integral(
     acc = np.zeros(Z.dim)
     for k in range(stop):
         pre = X.left_limit(grid.times[k + 1])
-        acc += f.mat(pre) @ (zv[k + 1] - zv[k])
+        acc += f.contract(pre[None], (zv[k + 1] - zv[k])[None])[0]
     return acc

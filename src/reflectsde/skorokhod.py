@@ -18,7 +18,7 @@ from .domain import (
     cone_residual,
 )
 from .path import StepPath
-from .penalty import _relax_and_step
+from .penalty import _check_driver, _solve_row
 
 __all__ = [
     "SkorokhodSolution",
@@ -42,20 +42,13 @@ def solve_skorokhod(domain: ConvexDomain, driver: StepPath) -> SkorokhodSolution
     """Reflect a step driver: each driver jump moves the state, which is
     then projected back; the regulator collects the projection offsets.
 
-    The driver must start inside the closed domain.
+    The driver must start inside the closed domain.  A state that leaves
+    the float range, or has no certified projection, raises NumericalError.
     """
-    if driver.dim != domain.dim:
-        raise ValueError(
-            f"driver dimension {driver.dim} does not match domain {domain.dim}"
-        )
-    if not domain.contains(driver.values[0]):
-        raise DomainViolationError("driver must start inside the domain")
-    moved, xs, _ = _relax_and_step(
-        domain, None, driver.values[None], None, np.inf, driver.times, strict=True
-    )
-    xs = xs[0]
+    _check_driver(domain, driver)
+    moved, xs = _solve_row(domain, None, driver.values, None, np.inf, driver.times)
     ks = np.zeros_like(xs)
-    np.cumsum(xs[1:] - moved[0, 1:], axis=0, out=ks[1:])
+    np.cumsum(xs[1:] - moved[1:], axis=0, out=ks[1:])
     return SkorokhodSolution(
         x=StepPath(driver.times, xs, driver.q),
         k=StepPath(driver.times, ks, driver.q),

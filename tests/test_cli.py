@@ -282,6 +282,19 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.startswith(f"config error: config {cfg}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["max_numerical_failures", "keep_paths"])
+    def test_negative_simulate_count(self, tmp_path, capsys, key):
+        # -1 failures allowed would fail a clean run; -1 kept paths would
+        # silently keep none
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SIMULATE_CFG, **{key: -1})))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: simulate: {key} must be nonnegative")
+        assert not out.exists()
+
     def test_coefficient_dimension(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         coefficient = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
@@ -675,6 +688,20 @@ class TestConvergeCommand:
         assert sampled.values[1, 0] == pytest.approx(-1.0)
         rates = (out / "rates.csv").read_text().splitlines()
         assert len(rates) == 3  # header + one row per rate
+
+
+@pytest.mark.parametrize("command", ["skorokhod", "penalize"])
+def test_overflowing_driver_is_a_numerical_error(tmp_path, capsys, command):
+    # the first step leaves the float range: a numerical failure of the
+    # run (exit 2), not an invalid config
+    cfg = tmp_path / "cfg.json"
+    path = {"times": [0.0, 0.5], "values": [[1e308], [-1e308]], "q": 1.0}
+    cfg.write_text(json.dumps({"domain": {"variant": "halfline"}, "path": path}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

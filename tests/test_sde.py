@@ -19,6 +19,7 @@ from reflectsde.penalty import _penalty_variation, _sup_deviation, solve_penaliz
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
+    Coefficient,
     CompoundPoisson,
     ConstantMatrix,
     ConstantStart,
@@ -67,6 +68,13 @@ def _component_gen(seed, path_index, component):
         entropy=int(seed), spawn_key=(int(path_index), int(component))
     )
     return np.random.Generator(np.random.Philox(ss))
+
+
+def one_row(fill, gen, grid_values, dim):
+    """One (K, d) row of a drawing part's ``*_rows`` method, from ``gen``."""
+    out = np.empty((1, grid_values.shape[0], dim))
+    fill([gen], grid_values, out)
+    return out[0]
 
 
 def same_bits(a, b) -> bool:
@@ -146,14 +154,14 @@ class TestJumpSizes:
 class TestComponents:
     def test_brownian_scalar_variance(self, rng):
         dt = np.full(40_000, 0.01)
-        inc = Brownian(2.0).increments(rng, dt, 1)[:, 0]
+        inc = one_row(Brownian(2.0).increments_rows, rng, dt, 1)[:, 0]
         assert abs(np.var(inc) - 4.0 * 0.01) <= 5 * 0.04 * np.sqrt(2 / 40_000)
         assert Brownian(2.0).expected_bracket_rate(3) == pytest.approx(12.0)
 
     def test_brownian_matrix_covariance(self, rng):
         sigma = np.array([[1.0, 0.0], [0.5, 0.25]])
         dt = np.full(60_000, 0.02)
-        inc = Brownian(sigma).increments(rng, dt, 2)
+        inc = one_row(Brownian(sigma).increments_rows, rng, dt, 2)
         cov = inc.T @ inc / (60_000 * 0.02)
         assert np.allclose(cov, sigma @ sigma.T, atol=0.02)
         want = float(np.sum(sigma**2))
@@ -163,7 +171,8 @@ class TestComponents:
         comp = CompoundPoisson(5.0, JumpSizes("normal", (0.0, 0.6)))
         dt = np.full(100, 0.01)
         sq = [
-            float(np.sum(comp.increments(rng, dt, 1) ** 2)) for _ in range(500)
+            float(np.sum(one_row(comp.increments_rows, rng, dt, 1) ** 2))
+            for _ in range(500)
         ]
         want = comp.expected_bracket_rate(1) * 1.0  # 5 * 0.36
         se = float(np.std(sq)) / np.sqrt(500)
@@ -172,7 +181,7 @@ class TestComponents:
     def test_drift_is_deterministic(self, rng):
         comp = Drift([0.5, -2.0])
         dt = np.array([0.1, 0.4])
-        inc = comp.increments(rng, dt, 2)
+        inc = comp.increments(dt, 2)
         assert np.allclose(inc, [[0.05, -0.2], [0.2, -0.8]])
         assert comp.variation_rate(2) == pytest.approx(2.5)
         assert comp.expected_bracket_rate(2) == 0.0
@@ -306,10 +315,11 @@ class TestPhiloxKeys:
         seed, first = 2**32, 2**32 - 2
         H, Z = sample_driver_batch(spec, grid, seed, paths=4, first_index=first)
         for i, p in enumerate(range(first, first + 4)):
-            h = spec.h.values(_component_gen(seed, p, 0), grid.times, 2)
+            h = one_row(spec.h.values_rows, _component_gen(seed, p, 0), grid.times, 2)
             z = np.zeros((grid.cells, 2))
             for c, comp in enumerate(spec.z_components, start=1):
-                z += np.cumsum(comp.increments(_component_gen(seed, p, c), dt, 2), axis=0)
+                gen = _component_gen(seed, p, c)
+                z += np.cumsum(one_row(comp.increments_rows, gen, dt, 2), axis=0)
             assert same_bits(H[i], h)
             assert same_bits(Z[i, 1:], z) and not Z[i, 0].any()
 
@@ -359,6 +369,17 @@ class TestTimeMajorLayout:
         )
         grid = Grid.regular(1.0, cells)
         return sample_driver_batch(spec, grid, seed=4, paths=paths), grid
+
+    @pytest.mark.parametrize(
+        "name", ["d1-h-constant", "d2-h-constant", "d1-h-table", "d2-h-table"]
+    )
+    def test_deterministic_h_is_a_read_only_broadcast(self, name):
+        # no (K+1, M, d) buffer: one (K+1, d) row, stride 0 along paths
+        spec = contract_specs()[name]
+        H, Z = sample_driver_batch(spec, Grid.regular(1.0, 12), seed=7, paths=3)
+        assert H.shape == Z.shape == (3, 13, spec.dim)
+        assert not H.flags.writeable and H.strides[0] == 0
+        assert Z.flags.writeable
 
     def test_results_are_views_of_time_major_buffers(self):
         domain = self.domain("box", 2)
@@ -595,6 +616,63 @@ class TestCoefficients:
 
     def test_growth_ratio_identity(self):
         assert Identity(3).growth_ratio(np.random.default_rng(1)) <= np.sqrt(3)
+
+    def test_only_contract_is_defined(self):
+        for cls in (Identity, ConstantMatrix, DiagAffine, PowerDiagonal):
+            assert "contract" in vars(cls) and "mat" not in vars(cls)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mat_is_contract_on_unit_vectors(self, rng, d):
+        A = rng.normal(size=(d, d))
+        for scale in (1e-3, 1.0, 1e3):
+            for x in rng.normal(scale=scale, size=(20, d)):
+                assert (Identity(d).mat(x) == np.eye(d)).all()
+                assert (ConstantMatrix(A).mat(x) == A).all()
+                for f in (DiagAffine(d, 0.5, 0.25), PowerDiagonal(d, 0.75, cap=2.0)):
+                    assert (f.mat(x) == np.diag(f.diag(x))).all()
+                assert (Twist(d).mat(x) == Twist(d).matrix(x)).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contract_alone_runs_every_scheme(self, d):
+        f = Twist(d)
+        assert f.growth_ratio(np.random.default_rng(2)) <= 1.25 * np.sqrt(d)
+        domain = Ball(np.zeros(d), 1.0)
+        spec = DriverSpec(d, ConstantStart(np.zeros(d)), (Brownian(1.5),))
+        grid = Grid.regular(1.0, 20)
+        H, Z = sample_driver_batch(spec, grid, seed=6, paths=4)
+        states, projections = euler_penalized_batch(domain, f, H, Z, 16.0, grid)
+        values = euler_projected_batch(domain, f, H, Z, grid)
+        assert np.isfinite(states).all() and np.any(states != projections)
+        for i in range(4):
+            h, z = sample_driver(spec, grid, seed=6, path_index=i)
+            one = euler_penalized(domain, f, h, z, n=16.0, grid=grid)
+            assert same_bits(states[i], one.states)
+            assert same_bits(projections[i], one.projections)
+            proj = euler_projected(domain, f, h, z, grid=grid)
+            assert same_bits(values[i], proj.values)
+            TestEulerSchemes._check_decomposition(one, f, h, z, grid)
+            zv = z.eval_many(grid.times)
+            want = sum(
+                f.mat(proj.values[k]) @ (zv[k + 1] - zv[k]) for k in range(grid.cells)
+            )
+            assert np.allclose(stochastic_integral(f, proj, z, grid), want, atol=1e-12)
+
+
+class Twist(Coefficient):
+    """A coefficient given by ``contract`` alone: f(x) = diag(1 + |x| / 2)
+    + S / 4, with S the cyclic shift (S v)_i = v_{i-1}.  Elementwise, so a
+    row rounds alike in any batch."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def contract(self, X, dZ):
+        return (1.0 + 0.5 * np.abs(X)) * dZ + 0.25 * np.roll(dZ, 1, axis=1)
+
+    def matrix(self, x):
+        """f(x) written out, as the test's oracle."""
+        shift = np.roll(np.eye(self.dim), 1, axis=0)
+        return np.diag(1.0 + 0.5 * np.abs(x)) + 0.25 * shift
 
 
 def walk_driver(rng, grid, dim, start):

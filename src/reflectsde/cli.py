@@ -64,11 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("converge", "run a named convergence benchmark"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--config",
-            required=True,
-            help="path to a JSON config, or the name of a builtin one",
-        )
+        config = "path to a JSON config, or the name of a builtin one"
+        p.add_argument("--config", required=True, help=config)
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--paths", type=int, help="override the path count")
         p.add_argument("--out", default=".", help="output directory")
@@ -81,44 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(ref: str, command: str) -> dict:
+def _load_config(ref: str) -> dict:
     path = Path(ref)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config {ref}: cannot read ({exc})") from exc
-        try:
-            cfg = json.loads(text)
-        # nesting deeper than the interpreter's recursion limit is invalid too
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config {ref}: invalid JSON ({exc})") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {ref}: expected a JSON object")
-    else:
-        cfg = builtin_config(ref)
-    declared = cfg.get("experiment")
-    if declared is not None and declared != command:
-        raise ConfigError(
-            f"config is for experiment {declared!r}, not {command!r}"
-        )
-    cfg["experiment"] = command
-    _reject_non_finite(cfg, command)
+    if not path.exists():
+        return builtin_config(ref)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {ref}: cannot read ({exc})") from exc
+    try:
+        cfg = json.loads(text)
+    # invalid JSON too: nesting past the recursion limit, and an integer
+    # literal past Python's digit limit (json.loads raises a plain ValueError)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config {ref}: invalid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {ref}: expected a JSON object")
     return cfg
-
-
-def _reject_non_finite(node, command: str, where: str = "") -> None:
-    """Raise a ConfigError naming the key path of the first number in a
-    parsed config that is not finite (JSON ``NaN``, ``Infinity`` or a
-    literal beyond the float range such as ``1e400``)."""
-    if isinstance(node, float) and not np.isfinite(node):
-        raise ConfigError(f"{command}: {where} must be finite, got {node}")
-    if isinstance(node, dict):
-        for key, child in node.items():
-            _reject_non_finite(child, command, f"{where}.{key}" if where else key)
-    elif isinstance(node, list):
-        for i, child in enumerate(node):
-            _reject_non_finite(child, command, f"{where}[{i}]")
 
 
 def _write_path_artifact(path_obj, stem: Path, fmt: str) -> None:
@@ -141,15 +117,18 @@ def _write_path_artifact(path_obj, stem: Path, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.paths is not None:
-            cfg["paths"] = args.paths
-
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # the numerical-failure code here
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
+        cfg = _load_config(args.config)
+        # the command's config table decides whether it takes an override
+        for key in ("seed", "paths"):
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
         report, artifacts = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -158,6 +137,8 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    # set once the runner has refused a config declared for another command
+    cfg["experiment"] = args.command
     manifest = {
         "command": args.command,
         "config": cfg,

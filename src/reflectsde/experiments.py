@@ -1,9 +1,14 @@
 """Config-driven experiment runners shared by the CLI and the test suite.
 
 Every runner takes a plain dict (already merged with any command-line
-overrides), validates it, and returns an ExperimentReport plus named
-artifacts (paths, tables).  Runners are deterministic functions of the
-config, including all seeds, so reruns reproduce outputs byte for byte.
+overrides) and first walks it against its command's table in
+``_COMMANDS``, which gives each key of each section its type and default:
+an unknown key, a value of the wrong type or a number that is not finite
+is a ConfigError before anything runs.  The builders pass the checked
+values to the constructors, which keep their own range checks.  A runner
+returns an ExperimentReport plus named artifacts (paths, tables); it is a
+deterministic function of the config, seeds included, so reruns
+reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -19,30 +24,11 @@ from .path import StepPath
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
 from .penalty import _penalty_variation, _rate, _relaxed, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
-from .sde import (
-    Brownian,
-    BrownianDrift,
-    CompoundPoisson,
-    ConstantMatrix,
-    ConstantStart,
-    DiagAffine,
-    Drift,
-    DriverSpec,
-    Grid,
-    Identity,
-    JumpSizes,
-    PowerDiagonal,
-    TablePath,
-    euler_penalized_batch,
-    euler_projected_batch,
-    sample_driver_batch,
-)
-from .stats import (
-    ExperimentReport,
-    ks_statistic,
-    oscillation_diagnostic,
-    reference_cdf,
-)
+from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, ConstantStart
+from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
+from .sde import TablePath, euler_penalized_batch, euler_projected_batch
+from .sde import sample_driver_batch
+from .stats import ExperimentReport, ks_statistic, oscillation_diagnostic, reference_cdf
 
 __all__ = [
     "ConfigError",
@@ -91,6 +77,188 @@ class _Section:
             raise ConfigError(f"{self.name}: {exc}") from exc
 
 
+# The config schema: one table per section, mapping each key to its entry.
+# - A default (float, int, str, or a tuple: a list typed by its first
+#   element, pairs position by position) makes the key optional, of that type.
+# - A type (float, int, str, _Numbers) or a section makes it required.
+# - [entry] is a list of entries, empty when the key is absent.
+# - _Optional(entry), absent or null, is not passed on to the constructor.
+
+
+class _Numbers:
+    """A number or a list of them, nested to any depth, passed on as given."""
+
+
+class _Optional:
+    def __init__(self, entry):
+        self.entry = entry
+
+
+class _Tagged:
+    """A section whose table is chosen by the value of its tag key; with a
+    default tag, an absent section holds that tag's defaults."""
+
+    def __init__(self, tag: str, default=None, **tables):
+        self.tag, self.default, self.tables = tag, default, tables
+
+
+_ANCHORED = {"anchor": _Optional(_Numbers), "anchor_clearance": _Optional(float)}
+_DOMAIN = _Tagged(
+    "variant",
+    halfline=_ANCHORED,
+    halfspace={"normal": _Numbers, "offset": float, **_ANCHORED},
+    box={"lower": _Numbers, "upper": _Numbers, **_ANCHORED},
+    ball={"center": _Numbers, "radius": float, **_ANCHORED},
+    polyhedron={
+        **_ANCHORED,
+        "faces": [{"normal": _Numbers, "offset": float}],
+        "anchor": _Numbers,
+    },
+)
+_PATH = {"times": _Numbers, "values": _Numbers, "q": _Optional(float)}
+_SIGMA = {"sigma": _Optional(_Numbers)}
+_H = _Tagged(
+    "kind",
+    constant={"x0": _Numbers},
+    brownian={"x0": _Numbers, **_SIGMA, "drift": _Optional(_Numbers)},
+    table=_PATH,
+)
+_Z = _Tagged(
+    "kind",
+    brownian=_SIGMA,
+    compound_poisson={"rate": float, "jumps": {"tag": str, "params": [float]}},
+    drift={"rate": _Numbers},
+)
+_COEFFICIENT = _Tagged(
+    "kind",
+    "identity",
+    identity={},
+    constant={"matrix": _Numbers},
+    diag_affine={"base": float, "slope": float},
+    power_diag={"alpha": float, "cap": _Optional(float)},
+)
+_SEED = {"seed": 0}
+_SKOROKHOD = {"domain": _DOMAIN, "path": _PATH, "tol": 1e-9}
+_PENALIZE = {
+    "domain": _DOMAIN,
+    "path": _PATH,
+    "n": _Optional(float),
+    "n_list": (100.0,),
+    "delta": _Optional(float),
+}
+_SIMULATE = {
+    "domain": _DOMAIN,
+    "driver": {"dim": int, "h": _H, "z": [_Z]},
+    "grid": {"q": float, "cells": int},
+    "coefficient": _COEFFICIENT,
+    "n": 1e4,
+    "paths": 100,
+    **_SEED,
+    "keep_paths": 5,
+    "max_numerical_failures": 0,
+}
+
+
+def _path(parts) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)[1:]
+
+
+def _wrong(root: str, parts, kind, value) -> ConfigError:
+    """A value of the wrong type.  One that should hold a section is named
+    by its own path, as the section's constructor errors are; any other by
+    the section it lies in and its key path there, or by the command."""
+    got = {bool: "a boolean", str: "a string", dict: "an object", list: "a list"}
+    got = got.get(type(value), "null" if value is None else repr(value))
+    inner = kind[0] if isinstance(kind, list) else kind
+    if isinstance(inner, (dict, _Tagged)):
+        noun = "a list" if isinstance(kind, list) else "an object"
+        return ConfigError(f"{_path(parts) or root}: expected {noun}, got {got}")
+    if len(parts) > 1 and isinstance(parts[1], str):
+        root, parts = parts[0], parts[1:]
+    nouns = {int: "an integer", str: "a string", _Numbers: "a number or a list of them"}
+    noun = f"a list of {len(kind)} entries" if isinstance(kind, tuple) else "a list"
+    if not isinstance(kind, (list, tuple)):
+        noun = nouns.get(kind, "a number")
+    return ConfigError(f"{root}: {_path(parts)} must be {noun}, got {got}")
+
+
+def _kind(entry):
+    """The type a table entry gives its key: a default's own type."""
+    if isinstance(entry, tuple):
+        first = entry[0]
+        return [tuple(map(type, first)) if isinstance(first, tuple) else type(first)]
+    return type(entry) if isinstance(entry, (float, int, str)) else entry
+
+
+def _walk(kind, value, root: str, parts=()):
+    """``value`` checked against a table entry's type: numbers cast to it,
+    lists made tuples, sections walked with their defaults filled in.  An
+    unknown key, a missing required one, a value of the wrong type or a
+    number that is not finite raises a ConfigError."""
+    where = _path(parts) or root
+    if isinstance(kind, (dict, _Tagged)) and not isinstance(value, dict):
+        raise _wrong(root, parts, kind, value)
+    if isinstance(kind, _Tagged):
+        tag = value.get(kind.tag, kind.default)
+        if tag is None:
+            raise ConfigError(f"{where}: missing required key {kind.tag!r}")
+        if not isinstance(tag, str) or tag not in kind.tables:
+            raise ConfigError(f"{where}: unknown {kind.tag} {tag!r}")
+        rest = {k: v for k, v in value.items() if k != kind.tag}
+        return {kind.tag: tag, **_walk(kind.tables[tag], rest, root, parts)}
+    if isinstance(kind, dict):
+        checked = {}
+        for key, entry in kind.items():
+            if isinstance(entry, _Optional):
+                if value.get(key) is not None:
+                    checked[key] = _walk(entry.entry, value[key], root, (*parts, key))
+            elif key in value:
+                checked[key] = _walk(_kind(entry), value[key], root, (*parts, key))
+            elif isinstance(entry, (float, int, str, tuple)):
+                checked[key] = entry
+            elif isinstance(entry, list):
+                checked[key] = ()
+            elif isinstance(entry, _Tagged) and entry.default:
+                checked[key] = _walk(entry, {}, root, (*parts, key))
+            else:
+                raise ConfigError(f"{where}: missing required key {key!r}")
+        # after the known keys, so that a non-finite number is named first
+        for key in value:
+            if key not in kind:
+                raise ConfigError(f"{root}: {_path((*parts, key))}: unknown key")
+        return checked
+    if isinstance(kind, (list, tuple)):
+        fixed = isinstance(kind, tuple)
+        if not isinstance(value, (list, tuple)) or fixed and len(value) != len(kind):
+            raise _wrong(root, parts, kind, value)
+        kinds = kind if fixed else kind * len(value)
+        pairs = enumerate(zip(kinds, value))
+        return tuple(_walk(k, v, root, (*parts, i)) for i, (k, v) in pairs)
+    if kind is _Numbers and isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _walk(_Numbers, item, root, (*parts, i))
+        return value
+    if not (isinstance(value, str) if kind is str else type(value) in (int, float)):
+        raise _wrong(root, parts, kind, value)
+    # NaN, an infinity (JSON reads 1e400 as one), or an integer past the floats
+    if kind is not str and not abs(value) <= np.finfo(float).max:
+        raise ConfigError(f"{root}: {where} must be finite, got {value}")
+    if kind is int and not float(value).is_integer():
+        raise _wrong(root, parts, kind, value)
+    return kind(value) if kind in (int, float) else value
+
+
+def _checked(command: str, cfg):
+    """A command's config checked against its table, with every default
+    filled in; the runners read nothing else."""
+    declared = cfg.get("experiment", command) if isinstance(cfg, dict) else command
+    if declared != command:
+        raise ConfigError(f"config is for experiment {declared!r}, not {command!r}")
+    if isinstance(cfg, dict):
+        cfg = {k: v for k, v in cfg.items() if k != "experiment"}
+    return _walk(_COMMANDS[command], cfg, command)
+
+
 def _row(n, mesh, M, statistic, value, threshold=None, passed=True) -> dict:
     """One row of a convergence table; a row without a threshold has
     ``None`` there, which the report writes as JSON ``null``."""
@@ -98,155 +266,77 @@ def _row(n, mesh, M, statistic, value, threshold=None, passed=True) -> dict:
     return dict(zip(keys, (n, mesh, M, statistic, value, threshold, bool(passed))))
 
 
-def _require(cfg: dict, key: str, context: str):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(cfg).__name__}")
-    if key not in cfg:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return cfg[key]
+def _split(cfg: dict, tag: str):
+    args = dict(cfg)
+    return args.pop(tag), args
 
 
 def build_domain(cfg: dict) -> ConvexDomain:
-    variant = _require(cfg, "variant", "domain")
-    anchor = cfg.get("anchor")
-    clearance = cfg.get("anchor_clearance")
+    """The domain of a checked ``domain`` section."""
+    variant, args = _split(cfg, "variant")
     with _Section("domain"):
         if variant == "halfline":
-            return HalfSpace(
-                [1.0], 0.0, anchor=[1.0] if anchor is None else anchor,
-                anchor_clearance=clearance,
-            )
-        if variant == "halfspace":
-            return HalfSpace(
-                _require(cfg, "normal", "domain.halfspace"),
-                _require(cfg, "offset", "domain.halfspace"),
-                anchor=anchor,
-                anchor_clearance=clearance,
-            )
-        if variant == "box":
-            return Box(
-                _require(cfg, "lower", "domain.box"),
-                _require(cfg, "upper", "domain.box"),
-                anchor=anchor,
-                anchor_clearance=clearance,
-            )
-        if variant == "ball":
-            return Ball(
-                _require(cfg, "center", "domain.ball"),
-                _require(cfg, "radius", "domain.ball"),
-                anchor=anchor,
-                anchor_clearance=clearance,
-            )
+            return HalfSpace([1.0], 0.0, **args)
         if variant == "polyhedron":
-            faces = [
-                HalfSpace(
-                    _require(f, "normal", "domain.faces"),
-                    _require(f, "offset", "domain.faces"),
-                )
-                for f in _require(cfg, "faces", "domain.polyhedron")
-            ]
-            if anchor is None:
-                raise ConfigError("domain.polyhedron: anchor is required")
-            return Polyhedron(faces, anchor=anchor, anchor_clearance=clearance)
-    raise ConfigError(f"domain: unknown variant {variant!r}")
+            faces = [HalfSpace(**face) for face in args.pop("faces")]
+            return Polyhedron(faces, **args)
+        return {"halfspace": HalfSpace, "box": Box, "ball": Ball}[variant](**args)
 
 
 def _build_h(cfg: dict):
-    kind = _require(cfg, "kind", "driver.h")
+    kind, args = _split(cfg, "kind")
     with _Section("driver.h"):
-        if kind == "constant":
-            return ConstantStart(_require(cfg, "x0", "driver.h"))
-        if kind == "brownian":
-            return BrownianDrift(
-                _require(cfg, "x0", "driver.h"),
-                sigma=cfg.get("sigma", 1.0),
-                drift=cfg.get("drift", 0.0),
-            )
         if kind == "table":
-            return TablePath(
-                StepPath(
-                    _require(cfg, "times", "driver.h"),
-                    _require(cfg, "values", "driver.h"),
-                    q=cfg.get("q"),
-                )
-            )
-    raise ConfigError(f"driver.h: unknown kind {kind!r}")
+            return TablePath(StepPath(**args))
+        return {"constant": ConstantStart, "brownian": BrownianDrift}[kind](**args)
 
 
 def _build_z_component(cfg: dict):
-    kind = _require(cfg, "kind", "driver.z")
+    kind, args = _split(cfg, "kind")
     with _Section("driver.z"):
-        if kind == "brownian":
-            return Brownian(sigma=cfg.get("sigma", 1.0))
         if kind == "compound_poisson":
-            jumps = _require(cfg, "jumps", "driver.z")
-            return CompoundPoisson(
-                rate=float(_require(cfg, "rate", "driver.z")),
-                jumps=JumpSizes(
-                    tag=_require(jumps, "tag", "driver.z.jumps"),
-                    params=tuple(jumps.get("params", ())),
-                ),
-            )
-        if kind == "drift":
-            return Drift(rate=_require(cfg, "rate", "driver.z"))
-    raise ConfigError(f"driver.z: unknown kind {kind!r}")
+            return CompoundPoisson(args["rate"], JumpSizes(**args["jumps"]))
+        return {"brownian": Brownian, "drift": Drift}[kind](**args)
 
 
 def build_driver(cfg: dict) -> DriverSpec:
+    """The driver of a checked ``driver`` section."""
     with _Section("driver"):
-        dim = int(_require(cfg, "dim", "driver"))
-        h = _build_h(_require(cfg, "h", "driver"))
-        z = tuple(_build_z_component(c) for c in cfg.get("z", []))
-        return DriverSpec(dim=dim, h=h, z_components=z)
+        h = _build_h(cfg["h"])
+        z = tuple(map(_build_z_component, cfg["z"]))
+        return DriverSpec(dim=cfg["dim"], h=h, z_components=z)
 
 
 def build_coefficient(cfg: dict, dim: int):
-    kind = _require(cfg, "kind", "coefficient")
+    """The coefficient of a checked ``coefficient`` section in dimension ``dim``."""
+    kind, args = _split(cfg, "kind")
     with _Section("coefficient"):
-        if kind == "identity":
-            return Identity(dim)
         if kind == "constant":
-            return ConstantMatrix(_require(cfg, "matrix", "coefficient"))
-        if kind == "diag_affine":
-            return DiagAffine(
-                dim,
-                base=float(_require(cfg, "base", "coefficient")),
-                slope=float(_require(cfg, "slope", "coefficient")),
-            )
-        if kind == "power_diag":
-            return PowerDiagonal(
-                dim,
-                alpha=float(_require(cfg, "alpha", "coefficient")),
-                cap=float(cfg.get("cap", np.inf)),
-            )
-    raise ConfigError(f"coefficient: unknown kind {kind!r}")
+            return ConstantMatrix(**args)
+        diagonal = {"identity": Identity, "diag_affine": DiagAffine}
+        return {**diagonal, "power_diag": PowerDiagonal}[kind](dim, **args)
 
 
 def build_grid(cfg: dict) -> Grid:
+    """The grid of a checked ``grid`` section."""
     with _Section("grid"):
-        return Grid.regular(
-            float(_require(cfg, "q", "grid")), int(_require(cfg, "cells", "grid"))
-        )
+        return Grid.regular(**cfg)
 
 
 def _build_input_path(cfg: dict) -> StepPath:
-    spec = _require(cfg, "path", "experiment")
     with _Section("path"):
-        return StepPath(
-            _require(spec, "times", "path"),
-            _require(spec, "values", "path"),
-            q=spec.get("q"),
-        )
+        return StepPath(**cfg)
 
 
 def run_skorokhod(cfg: dict):
     """Reflect a configured step driver and verify the solution."""
-    domain = build_domain(_require(cfg, "domain", "skorokhod"))
-    driver = _build_input_path(cfg)
+    cfg = _checked("skorokhod", cfg)
+    domain = build_domain(cfg["domain"])
+    driver = _build_input_path(cfg["path"])
+    tol = cfg["tol"]
+    if not tol > 0.0:
+        raise ConfigError(f"skorokhod: tol must be positive, got {tol}")
     with _Section("skorokhod"):
-        tol = float(cfg.get("tol", 1e-9))
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise ConfigError(f"skorokhod: tol must be finite and positive, got {tol}")
         solution = solve_skorokhod(domain, driver)
     with np.errstate(over="raise", invalid="raise"):
         check = verify_solution(domain, solution, tol=tol)
@@ -259,22 +349,22 @@ def run_skorokhod(cfg: dict):
         ("normal", check.normal_residual, check.normal_ok, jumps),
     ):
         report.add_entry(f"{name}_residual", residual, tol, ok, size, "deterministic")
-    artifacts = {"x": solution.x, "k": solution.k}
-    return report, artifacts
+    return report, {"x": solution.x, "k": solution.k}
 
 
 def run_penalize(cfg: dict):
     """Solve the penalized equation for one or more rates."""
-    domain = build_domain(_require(cfg, "domain", "penalize"))
-    driver = _build_input_path(cfg)
-    with _Section("penalize"):
-        rates = [float(n) for n in cfg.get("n_list", [cfg.get("n", 100.0)])]
+    checked = _checked("penalize", cfg)
+    if "n" in checked and "n_list" in cfg:
+        raise ConfigError("penalize: n and n_list both given; give one of them")
+    domain = build_domain(checked["domain"])
+    driver = _build_input_path(checked["path"])
+    rates = [checked["n"]] if "n" in checked else list(checked["n_list"])
     if not rates:
         raise ConfigError("penalize: empty rate sweep")
     report = ExperimentReport(params={"experiment": "penalize", "n_list": rates})
-    artifacts = {}
-    rows = []
-    delta = cfg.get("delta")
+    artifacts, rows = {}, []
+    delta = checked.get("delta")
     # arithmetic that leaves the float range fails as a numerical error
     with _Section("penalize"), np.errstate(over="raise", invalid="raise"):
         for n in rates:
@@ -283,16 +373,10 @@ def run_penalize(cfg: dict):
             variation = sol.penalty_variation()
             rows.append(_row(n, 0.0, 1, "penalty_variation", variation))
         if delta is not None:
-            bounds = penalty_bounds(domain, driver, float(delta))
-            report.params["delta"] = float(delta)
-            report.add_entry(
-                "modulus_precondition",
-                bounds.modulus,
-                bounds.clearance / 2.0,
-                bounds.precondition_ok,
-                1,
-                "deterministic",
-            )
+            bounds = penalty_bounds(domain, driver, delta)
+            report.params["delta"] = delta
+            check = (bounds.modulus, bounds.clearance / 2.0, bounds.precondition_ok)
+            report.add_entry("modulus_precondition", *check, 1, "deterministic")
             for key, sol in artifacts.items():
                 for name, value, bound in (
                     ("sup_bound", sol.sup_deviation(domain.anchor), bounds.bound_sup),
@@ -306,30 +390,29 @@ def run_penalize(cfg: dict):
 
 def run_simulate(cfg: dict):
     """Run the penalized Euler scheme over sampled drivers."""
-    domain = build_domain(_require(cfg, "domain", "simulate"))
-    spec = build_driver(_require(cfg, "driver", "simulate"))
+    cfg = _checked("simulate", cfg)
+    domain = build_domain(cfg["domain"])
+    spec = build_driver(cfg["driver"])
     if spec.dim != domain.dim:
         raise ConfigError("simulate: driver and domain dimensions differ")
-    grid = build_grid(_require(cfg, "grid", "simulate"))
-    f = build_coefficient(cfg.get("coefficient", {"kind": "identity"}), spec.dim)
+    grid = build_grid(cfg["grid"])
+    f = build_coefficient(cfg["coefficient"], spec.dim)
     if f.dim != domain.dim:
-        raise ConfigError(
-            f"simulate: coefficient dimension {f.dim} does not match "
-            f"domain {domain.dim}"
-        )
+        mismatch = f"coefficient dimension {f.dim} does not match domain {domain.dim}"
+        raise ConfigError(f"simulate: {mismatch}")
     with _Section("simulate"):
-        n = _rate(cfg.get("n", 1e4))
-        paths = int(cfg.get("paths", 100))
-        if paths < 1:
-            raise ConfigError("simulate: need at least one path")
-        seed = int(cfg.get("seed", 0))
-        keep = int(cfg.get("keep_paths", 5))
-        max_failures = int(cfg.get("max_numerical_failures", 0))
-        for key, count in (("keep_paths", keep), ("max_numerical_failures", max_failures)):
-            if count < 0:
-                raise ConfigError(f"simulate: {key} must be nonnegative, got {count}")
-        keep = min(keep, paths)
-        # overflowing draws leave non-finite rows, counted as failures below
+        n = _rate(cfg["n"])
+    paths, seed, keep, max_failures = (
+        cfg[key] for key in ("paths", "seed", "keep_paths", "max_numerical_failures")
+    )
+    if paths < 1:
+        raise ConfigError("simulate: need at least one path")
+    for key, count in (("keep_paths", keep), ("max_numerical_failures", max_failures)):
+        if count < 0:
+            raise ConfigError(f"simulate: {key} must be nonnegative, got {count}")
+    keep = min(keep, paths)
+    # overflowing draws leave non-finite rows, counted as failures below
+    with _Section("simulate"):
         with np.errstate(over="ignore"):
             H, Z = sample_driver_batch(spec, grid, seed, paths)
     with _Section("simulate: driver.h start"):
@@ -358,25 +441,13 @@ def run_simulate(cfg: dict):
                 reason = "driver values not finite"
         failures.append({"path": int(i), "error": reason})
 
+    run = {"n": n, "paths": paths, "seed": seed, "cells": grid.cells, "q": grid.q}
     report = ExperimentReport(
-        params={
-            "experiment": "simulate",
-            "n": n,
-            "paths": paths,
-            "seed": seed,
-            "cells": grid.cells,
-            "q": grid.q,
-            "numerical_failures": failures,
-        }
+        params={"experiment": "simulate", **run, "numerical_failures": failures}
     )
-    report.add_entry(
-        "numerical_failures",
-        len(failures),
-        max_failures,
-        len(failures) <= max_failures,
-        paths,
-        f"seed={seed}",
-    )
+    count = len(failures)
+    entry = ("numerical_failures", count, max_failures, count <= max_failures)
+    report.add_entry(*entry, paths, f"seed={seed}")
     if ok.any():
         # finite finals can sum past the float range: that statistic is null
         with np.errstate(over="ignore"):
@@ -389,6 +460,17 @@ def run_simulate(cfg: dict):
 
 def _finite_or_none(value):
     return float(value) if np.isfinite(value) else None
+
+
+def _study_report(benchmark: str, **params) -> ExperimentReport:
+    return ExperimentReport(
+        params={"experiment": "converge", "benchmark": benchmark, **params}
+    )
+
+
+def _add_check(report, name: str, holds, paths: int, seed: int) -> None:
+    """A pass/fail entry: value 0 when the check holds, else 1, against 1/2."""
+    report.add_entry(name, 0.0 if holds else 1.0, 0.5, holds, paths, f"seed={seed}")
 
 
 def rbm_benchmark(
@@ -419,17 +501,7 @@ def rbm_benchmark(
     se = float(np.std(np.abs(finals), ddof=1) / np.sqrt(paths))
     mean_err = abs(abs_mean - target)
 
-    report = ExperimentReport(
-        params={
-            "experiment": "converge",
-            "benchmark": "rbm",
-            "seed": seed,
-            "paths": paths,
-            "n": n,
-            "cells": cells,
-            "q": q,
-        }
-    )
+    report = _study_report("rbm", seed=seed, paths=paths, n=n, cells=cells, q=q)
     rows = report.tables["convergence"] = []
     for name, value, threshold, passed in (
         ("ks_half_normal", ks, ks_threshold, ks < ks_threshold),
@@ -468,26 +540,10 @@ def oscillation_benchmark(
     xs = [StepPath(grid.times, s, grid.q) for s in states]
     zs = [StepPath(grid.times, z, grid.q) for z in Z]
     table = oscillation_diagnostic(xs, zs, deltas, epsilons, q)
-    report = ExperimentReport(
-        params={
-            "experiment": "converge",
-            "benchmark": "cp-oscillation",
-            "seed": seed,
-            "paths": paths,
-            "n": n,
-            "cells": cells,
-            "rate": rate,
-        }
-    )
+    params = dict(seed=seed, paths=paths, n=n, cells=cells, rate=rate)
+    report = _study_report("cp-oscillation", **params)
     band = 2.0 / np.sqrt(paths)
-    report.add_entry(
-        "oscillation_monotone",
-        0.0 if table.monotone_within() else 1.0,
-        0.5,
-        table.monotone_within(),
-        paths,
-        f"seed={seed}",
-    )
+    _add_check(report, "oscillation_monotone", table.monotone_within(), paths, seed)
     report.tables["oscillation"] = [
         _row(n, q / cells, paths, f"tail[eps={eps:g},delta={delta:g}]", float(p), band)
         for eps, tails in zip(table.epsilons, table.probabilities)
@@ -537,24 +593,10 @@ def refinement_study(
         medians.append(med)
         rows.append(_row(float(n), q / cells, paths, "median_sup_distance", med))
 
-    report = ExperimentReport(
-        params={
-            "experiment": "converge",
-            "benchmark": "strong-refinement",
-            "seed": seed,
-            "paths": paths,
-            "levels": [[float(n), int(c)] for n, c in levels],
-        }
-    )
+    ladder = [[float(n), int(c)] for n, c in levels]
+    report = _study_report("strong-refinement", seed=seed, paths=paths, levels=ladder)
     decreasing = all(m2 < m1 for m1, m2 in zip(medians, medians[1:]))
-    report.add_entry(
-        "median_sup_strictly_decreasing",
-        0.0 if decreasing else 1.0,
-        0.5,
-        decreasing,
-        paths,
-        f"seed={seed}",
-    )
+    _add_check(report, "median_sup_strictly_decreasing", decreasing, paths, seed)
     report.tables["convergence"] = rows
     return report
 
@@ -612,20 +654,9 @@ def tail_structure_study(
     c_one = headroom * worst
 
     fresh = empirical_tails(seed)
-    report = ExperimentReport(
-        params={
-            "experiment": "converge",
-            "benchmark": "tail-structure",
-            "seed": seed,
-            "calibration_seed": calibration_seed,
-            "paths": paths,
-            "cells": cells,
-            "delta": delta,
-            "c_one": c_one,
-            "c1_threshold_divisor": c1,
-            "expected_energy": expected_energy,
-        }
-    )
+    params = dict(seed=seed, calibration_seed=calibration_seed, paths=paths)
+    params.update(cells=cells, delta=delta, c_one=c_one, c1_threshold_divisor=c1)
+    report = _study_report("tail-structure", **params, expected_energy=expected_energy)
     rows = []
     for n in n_list:
         sup_dev, variation = fresh[n]
@@ -636,14 +667,8 @@ def tail_structure_study(
                 ("variation", float(np.mean(variation >= eta**2))),
             ):
                 passed = lhs <= rhs + 1e-12
-                report.add_entry(
-                    f"tail[{form},n={n:g},eta={eta:g}]",
-                    lhs,
-                    rhs,
-                    passed,
-                    paths,
-                    f"seed={seed}",
-                )
+                entry = (f"tail[{form},n={n:g},eta={eta:g}]", lhs, rhs, passed)
+                report.add_entry(*entry, paths, f"seed={seed}")
                 stat = f"tail_{form}[eta={eta:g}]"
                 rows.append(_row(float(n), q / cells, paths, stat, lhs, rhs, passed))
     report.tables["tails"] = rows
@@ -651,8 +676,8 @@ def tail_structure_study(
 
 
 # The convergence studies by benchmark tag.  A study's keyword defaults are
-# the one table of its parameters: the built-in configs copy them, and
-# run_converge casts config values to their types.
+# the one table of its parameters: the built-in configs copy them, and the
+# converge table is built from them.
 _STUDIES = {
     "rbm": rbm_benchmark,
     "cp-oscillation": oscillation_benchmark,
@@ -666,19 +691,19 @@ def _study_defaults(benchmark: str) -> dict:
     return {p.name: p.default for p in params if p.default is not p.empty}
 
 
+_COMMANDS = {
+    "skorokhod": _SKOROKHOD,
+    "penalize": _PENALIZE,
+    "simulate": _SIMULATE,
+    "converge": _Tagged(
+        "benchmark", **{b: {**_SEED, **_study_defaults(b)} for b in _STUDIES}
+    ),
+}
+
+
 def _converge_config(benchmark: str) -> dict:
     cfg = {"experiment": "converge", "benchmark": benchmark, "seed": 20260817}
     return json.loads(json.dumps({**cfg, **_study_defaults(benchmark)}))
-
-
-def _coerce(default, value):
-    """Cast a config value to the type of the study default it replaces,
-    element by element for lists (pairs position by position)."""
-    if not isinstance(default, tuple):
-        return type(default)(value)
-    if isinstance(default[0], tuple):
-        return tuple(tuple(map(_coerce, default[0], v)) for v in value)
-    return tuple(_coerce(default[0], v) for v in value)
 
 
 BUILTIN_CONFIGS = {
@@ -694,7 +719,7 @@ BUILTIN_CONFIGS = {
             "values": [[0.5], [-0.75], [1.0], [-0.25]],
             "q": 1.0,
         },
-        "tol": 1e-9,
+        "tol": _SKOROKHOD["tol"],
     },
 }
 
@@ -709,17 +734,9 @@ def builtin_config(name: str) -> dict:
 def run_converge(cfg: dict):
     """Run a convergence study by its tag; keys of the config override the
     study's defaults."""
-    benchmark = _require(cfg, "benchmark", "converge")
-    if not isinstance(benchmark, str) or benchmark not in _STUDIES:
-        raise ConfigError(f"converge: unknown benchmark {benchmark!r}")
-    with _Section("converge"):
-        seed = int(cfg.get("seed", 0))
-        params = {
-            key: _coerce(default, cfg[key])
-            for key, default in _study_defaults(benchmark).items()
-            if key in cfg
-        }
-    if params.get("paths", 1) < 1:
+    params = _checked("converge", cfg)
+    benchmark, seed = params.pop("benchmark"), params.pop("seed")
+    if params["paths"] < 1:
         raise ConfigError("converge: need at least one path")
     # a study rejects parameters it cannot run with by ValueError; one
     # whose arithmetic leaves the float range fails as a numerical error

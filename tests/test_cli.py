@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import reflectsde
 from reflectsde.cli import main
 from reflectsde.domain import HalfSpace, NumericalError
+from reflectsde import experiments
 from reflectsde.experiments import build_driver, builtin_config, config_digest
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
@@ -71,6 +72,22 @@ def on_plane(h=None, z=None):
     }
     domain = {"variant": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
     return {"domain": domain, "driver": driver}
+
+
+# the three-jump path of the halfline-threejump built-in, as a penalize config
+PENALIZE_CFG = {
+    **{k: v for k, v in builtin_config("halfline-threejump").items() if k != "tol"},
+    "experiment": "penalize",
+}
+
+
+def run_config(tmp_path, command, cfg, *flags):
+    """Exit code of one CLI run on ``cfg``, and whether it made --out."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code = main([command, "--config", str(path), *flags, "--out", str(out)])
+    return code, out.exists()
 
 
 class TestSkorokhodCommand:
@@ -153,6 +170,14 @@ class TestConfigErrors:
     def test_deeply_nested_json_file(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid JSON" in err
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"paths": 1' + "0" * 5000 + "}")
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
@@ -833,7 +858,7 @@ def fuzz_base(name):
     if command == "simulate":
         cfg = SIMULATE_CFG
     elif name == "penalize":
-        cfg = dict(builtin_config("halfline-threejump"), experiment="penalize")
+        cfg = PENALIZE_CFG
     else:
         cfg = builtin_config(name)
     return command, json.loads(json.dumps({**cfg, **overrides}))
@@ -854,14 +879,15 @@ def fuzz_locations(node, prefix=()):
 
 @st.composite
 def perturbed_configs(draw):
-    """A base config with one entry dropped, retyped, resized, made
-    negative, zero, NaN, infinite or huge, or given an unknown kind."""
+    """A base config with one entry dropped, renamed, retyped, resized,
+    made negative, zero, NaN, infinite or huge, or given an unknown kind."""
     name = draw(st.sampled_from(sorted(FUZZ_BASES)))
     command, cfg = fuzz_base(name)
     mutation = draw(
         st.sampled_from(
             [
                 "drop",
+                "rename",
                 "type",
                 "length",
                 "negative",
@@ -878,6 +904,8 @@ def perturbed_configs(draw):
         places = [p for p in places if p[-1] in FUZZ_KIND_KEYS]
     elif mutation == "huge":
         places = [p for p in places if not FUZZ_SIZE_KEYS.intersection(p)]
+    elif mutation == "rename":
+        places = [p for p in places if isinstance(p[-1], str)]
     where = draw(st.sampled_from(places))
     parent = cfg
     for key in where[:-1]:
@@ -885,6 +913,8 @@ def perturbed_configs(draw):
     key, value = where[-1], parent[where[-1]]
     if mutation == "drop":
         del parent[key]
+    elif mutation == "rename":
+        parent[key + "_"] = parent.pop(key)
     elif mutation == "type":
         parent[key] = draw(st.sampled_from(["x", None, True, {}, [], [[1.0]]]))
     elif mutation == "length":
@@ -906,7 +936,7 @@ def perturbed_configs(draw):
         parent[key] = draw(st.sampled_from([1e308, -1e308]))
     else:
         parent[key] = "bogus"
-    return command, cfg
+    return command, cfg, mutation
 
 
 @settings(
@@ -920,7 +950,7 @@ def perturbed_configs(draw):
 def test_cli_exit_codes_on_perturbed_configs(case):
     # any config, however malformed, ends in an exit code, never a traceback,
     # and every JSON file a run writes is strict JSON
-    command, cfg = case
+    command, cfg, mutation = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -931,3 +961,153 @@ def test_cli_exit_codes_on_perturbed_configs(case):
         # a config error leaves no output directory
         assert code != 1 or not out.exists()
     assert code in {0, 1, 2, 3}
+    # a renamed key is unknown to its section's table
+    assert mutation != "rename" or code == 1
+
+
+def table_defaults():
+    """(command, study tag, key, default) of every default in the config
+    tables; the study tag is None outside converge."""
+    for command, entry in experiments._COMMANDS.items():
+        tables = entry.tables.items() if command == "converge" else [(None, entry)]
+        for tag, table in tables:
+            for key, default in table.items():
+                if isinstance(default, (float, int, str, tuple)):
+                    yield command, tag, key, default
+
+
+# study defaults that no report's params show: they shape rows and thresholds
+UNREPORTED = {
+    "rbm": {"mean_sigmas"},
+    "cp-oscillation": {"q", "deltas", "epsilons"},
+    "strong-refinement": {"q", "reference_factor"},
+    "tail-structure": {"q", "n_list", "etas", "headroom"},
+}
+
+
+def small_converge(benchmark):
+    """The built-in of a convergence study, sized as its fuzz base."""
+    name = {"rbm": "rbm-benchmark"}.get(benchmark, benchmark)
+    return {**builtin_config(name), **FUZZ_BASES[name][1]}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, cfg, flags, message",
+        [
+            pytest.param(
+                "simulate", dict(SIMULATE_CFG, pahts=3), [],
+                "simulate: pahts: unknown key", id="misspelled-key",
+            ),
+            pytest.param(
+                "simulate", dict(SIMULATE_CFG, paths=True), [],
+                "simulate: paths must be an integer, got a boolean", id="bool-count",
+            ),
+            pytest.param(
+                "simulate", dict(SIMULATE_CFG, paths=2.7), [],
+                "simulate: paths must be an integer, got 2.7", id="fractional-count",
+            ),
+            pytest.param(
+                "simulate", dict(SIMULATE_CFG, seed="5"), [],
+                "simulate: seed must be an integer, got a string", id="string-seed",
+            ),
+            pytest.param(
+                "simulate",
+                dict(SIMULATE_CFG, driver=dict(SIMULATE_CFG["driver"], dim=1.5)),
+                [],
+                "driver: dim must be an integer, got 1.5",
+                id="fractional-dim",
+            ),
+            pytest.param(
+                "simulate",
+                dict(SIMULATE_CFG, domain={"variant": "halfline", "anchr": [1.0]}),
+                [],
+                "simulate: domain.anchr: unknown key",
+                id="misspelled-domain-key",
+            ),
+            pytest.param(
+                "penalize", dict(PENALIZE_CFG, n_list="12"), [],
+                "penalize: n_list must be a list, got a string", id="string-rates",
+            ),
+            pytest.param(
+                "converge", dict(small_converge("cp-oscillation"), deltas="42"), [],
+                "converge: deltas must be a list, got a string", id="string-deltas",
+            ),
+            pytest.param(
+                "converge",
+                dict(small_converge("strong-refinement"), levels=[[100.0, True], [1e4, 8]]),
+                [],
+                "converge: levels[0][1] must be an integer, got a boolean",
+                id="bool-cells",
+            ),
+            pytest.param(
+                "skorokhod", builtin_config("halfline-threejump"), ["--seed", "5"],
+                "skorokhod: seed: unknown key", id="seed-flag-without-seed",
+            ),
+        ],
+    )
+    def test_once_silent_configs_are_refused(
+        self, tmp_path, capsys, command, cfg, flags, message
+    ):
+        # each of these ran and exited 0 before the config schema existed
+        assert run_config(tmp_path, command, cfg, *flags) == (1, False)
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_penalize_takes_n_or_n_list(self, tmp_path, capsys):
+        cfg = dict(PENALIZE_CFG, n=5.0, n_list=[1.0, 2.0])
+        assert run_config(tmp_path, "penalize", cfg) == (1, False)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: penalize: ")
+        assert "n and n_list" in err
+
+    @pytest.mark.parametrize(
+        "command, tag, key, default",
+        [
+            pytest.param(*case, id=f"{case[1] or case[0]}-{case[2]}")
+            for case in table_defaults()
+            if case[2] not in UNREPORTED.get(case[1], ())
+        ],
+    )
+    def test_table_default_is_what_the_run_reports(
+        self, tmp_path, command, tag, key, default
+    ):
+        base = small_converge(tag) if tag else {
+            "skorokhod": builtin_config("halfline-threejump"),
+            "penalize": PENALIZE_CFG,
+            "simulate": SIMULATE_CFG,
+        }[command]
+        cfg = {k: v for k, v in base.items() if k != key}
+        # a study this small may fail its statistical check (exit 3)
+        code, made = run_config(tmp_path, command, cfg)
+        assert code in (0, 3) and made
+        out = tmp_path / "run"
+        report = json.loads((out / "report.json").read_text())
+        # the first entry is the KS check (rbm) or the failure count (simulate)
+        first = report["entries"][0]["threshold"] if report["entries"] else None
+        reported = {
+            "keep_paths": len(list(out.glob("path_*.csv"))),
+            "ks_threshold": first,
+            "max_numerical_failures": first,
+            **report["params"],
+        }
+        assert reported[key] == json.loads(json.dumps(default))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--out", "run"],
+            ["simulate", "--config", "cfg.json", "--paths", "abc"],
+            ["bogus", "--config", "cfg.json"],
+        ],
+        ids=["missing-config", "non-integer-paths", "unknown-command"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse's own exit code, 2, would read as a numerical failure
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out

@@ -33,8 +33,6 @@ from .experiments import (
     run_simulate,
     run_skorokhod,
 )
-from .path import StepPath
-from .penalty import PenalizedPath
 
 __all__ = ["main", "build_parser"]
 
@@ -97,25 +95,6 @@ def _load_config(ref: str) -> dict:
     return cfg
 
 
-def _write_path_artifact(path_obj, stem: Path, fmt: str) -> None:
-    if isinstance(path_obj, PenalizedPath):
-        if fmt == "json":
-            stem.with_suffix(".json").write_text(path_obj.to_json())
-        else:
-            sampled = path_obj.to_step(path_obj.times)
-            stem.with_suffix(".csv").write_text(sampled.to_csv_string())
-    elif isinstance(path_obj, StepPath):
-        if fmt == "json":
-            payload = {
-                "q": path_obj.q,
-                "times": [float(t) for t in path_obj.times],
-                "values": [[float(v) for v in row] for row in path_obj.values],
-            }
-            stem.with_suffix(".json").write_text(json.dumps(payload))
-        else:
-            stem.with_suffix(".csv").write_text(path_obj.to_csv_string())
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -159,8 +138,9 @@ def main(argv=None) -> int:
             json.dumps(manifest, indent=2, sort_keys=True)
         )
         (out_dir / "report.json").write_text(report.to_json())
-        for name, artifact in artifacts.items():
-            _write_path_artifact(artifact, out_dir / name, args.format)
+        for name, path in artifacts.items():
+            text = path.to_json() if args.format == "json" else path.to_csv_string()
+            (out_dir / f"{name}.{args.format}").write_text(text)
         for table_name in report.tables:
             (out_dir / f"{table_name}.csv").write_text(report.table_csv(table_name))
     except OSError as exc:

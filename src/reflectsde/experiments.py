@@ -20,9 +20,9 @@ import json
 import numpy as np
 
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
-from .path import StepPath
+from .path import StepPath, _segment
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
-from .penalty import _penalty_variation, _rate, _relaxed, _sup_deviation
+from .penalty import _penalty_variation, _rate, _relaxed, _relaxed_from, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, ConstantStart
 from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
@@ -362,14 +362,20 @@ def run_penalize(cfg: dict):
     rates = [checked["n"]] if "n" in checked else list(checked["n_list"])
     if not rates:
         raise ConfigError("penalize: empty rate sweep")
+    # each rate writes an artifact of its own, and a report entry per bound
+    names = [f"penalized_n{n:g}" for n in rates]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            twin = rates[names.index(name)]
+            clash = f"rates {twin!r} and {rates[i]!r} both name {name}"
+            raise ConfigError(f"penalize: {clash}")
     report = ExperimentReport(params={"experiment": "penalize", "n_list": rates})
     artifacts, rows = {}, []
     delta = checked.get("delta")
     # arithmetic that leaves the float range fails as a numerical error
     with _Section("penalize"), np.errstate(over="raise", invalid="raise"):
-        for n in rates:
-            sol = solve_penalized(domain, driver, n)
-            artifacts[f"penalized_n{n:g}"] = sol
+        for name, n in zip(names, rates):
+            sol = artifacts[name] = solve_penalized(domain, driver, n)
             variation = sol.penalty_variation()
             rows.append(_row(n, 0.0, 1, "penalty_variation", variation))
         if delta is not None:
@@ -583,11 +589,10 @@ def refinement_study(
         Hc = H_fine[:, ::factor]
         Zc = Z_fine[:, ::factor]
         states, projections = euler_penalized_batch(domain, f, Hc, Zc, float(n), coarse)
-        # evaluate the penalized path at every fine grid point: fine point
-        # k * factor + j lies in coarse cell k
-        cell = np.arange(coarse.cells).repeat(factor)
-        elapsed = fine.times[:-1] - coarse.times[cell]
-        inner = _relaxed(states[:, cell], projections[:, cell], float(n), elapsed)
+        # the penalized paths at every fine grid point before q, then at q
+        ts = fine.times[:-1]
+        j = _segment(coarse.times, ts)
+        inner = _relaxed_from(states, projections, float(n), coarse.times, j, ts)
         vals = np.hstack([inner[:, :, 0], states[:, -1:, 0]])
         med = float(np.median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
         medians.append(med)

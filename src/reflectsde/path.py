@@ -1,5 +1,13 @@
 """Piecewise-constant cadlag paths and their oscillation functionals.
 
+Step paths and penalized paths share one breakpoint core, ``_Breakpoints``:
+the check of breakpoints and horizon (which ``sde.Grid`` runs too),
+immutability, the time check, and evaluation, batched evaluation and left
+limits over one hook, the value held from breakpoint j at time t.  A step
+path holds ``values[j]``; a penalized path relaxes toward the projection
+(``penalty._relaxed_from``).  Each path type serializes itself, to CSV and
+to JSON.
+
 The partition modulus and the interlaced moduli are exact for step paths
 in any dimension.  The partition modulus bisects over the diameters of
 runs of segment values; the interlaced moduli read their oscillations from
@@ -13,6 +21,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import json
 
 import numpy as np
 
@@ -29,54 +38,68 @@ __all__ = [
 _PAIRS_PER_BLOCK = 1_000_000
 
 
-class StepPath:
-    """Right-continuous step path on [0, q] with finitely many jumps.
+def _breakpoints(times, q=None):
+    """Breakpoints as a read-only float copy, and the horizon.
 
-    ``times`` are the breakpoints (strictly increasing, starting at 0) and
-    ``values[j]`` is the value held on ``[times[j], times[j+1])``; the last
-    value extends to the horizon ``q``.  Values are stored as an (m, d)
-    array even in dimension one.  Instances are immutable.
+    There is at least one breakpoint; the first is 0 and they increase
+    strictly to a finite last one.  The horizon q, by default the last
+    breakpoint, is at least the last one and positive.
+    """
+    t = np.array(times, dtype=float)
+    if t.ndim != 1 or t.shape[0] == 0:
+        raise ValueError(f"breakpoints must be a nonempty (m,) array, got {t.shape}")
+    if t[0] != 0.0:
+        raise ValueError("first breakpoint must be t = 0")
+    # a NaN fails the comparisons, and an infinity can only be the last
+    if not ((t[1:] > t[:-1]).all() and t[-1] < np.inf):
+        raise ValueError("breakpoints must be finite and strictly increasing")
+    q = float(t[-1]) if q is None else float(q)
+    if q < t[-1]:
+        raise ValueError(f"horizon {q} precedes last breakpoint {t[-1]}")
+    if not q > 0.0:
+        raise ValueError("horizon must be positive")
+    t.setflags(write=False)
+    return t, q
+
+
+def _rows_of(values, m: int) -> np.ndarray:
+    """One row per breakpoint as a read-only (m, d) C-ordered float copy."""
+    v = np.array(values, dtype=float, order="C")
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.ndim != 2 or v.shape[0] != m:
+        raise ValueError(f"values {v.shape} must be (m, d) for m = {m} breakpoints")
+    v.setflags(write=False)
+    return v
+
+
+def _segment(times, ts):
+    """Index of the breakpoint each time in ``ts`` is held from: the last
+    j with times[j] <= t."""
+    return np.searchsorted(times, ts, side="right") - 1
+
+
+class _Breakpoints:
+    """A path on [0, q] given by its breakpoints and the values there.
+
+    ``values[j]`` is the value stored at breakpoint ``times[j]``; the value
+    at a time t in [times[j], times[j+1]) (or [times[-1], q]) is
+    ``_held(j, t)``, which each path type defines.  Instances are immutable.
     """
 
     __slots__ = ("times", "values", "q")
 
     def __init__(self, times, values, q=None):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if t.ndim != 1 or v.ndim != 2 or t.shape[0] != v.shape[0]:
-            raise ValueError(
-                f"times {t.shape} and values {v.shape} must be (m,) and (m, d)"
-            )
-        if t.shape[0] == 0:
-            raise ValueError("a step path needs at least one breakpoint")
-        if t[0] != 0.0:
-            raise ValueError("first breakpoint must be t = 0")
-        if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        t, q = _breakpoints(times, q)
+        v = _rows_of(values, t.shape[0])
+        if not np.isfinite(v).all():
             raise ValueError("path data must be finite")
-        q = float(t[-1]) if q is None else float(q)
-        if q < t[-1]:
-            raise ValueError(f"horizon {q} precedes last breakpoint {t[-1]}")
-        if q <= 0.0:
-            raise ValueError("horizon must be positive")
-        t = t.copy()
-        v = v.copy()
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
-        raise AttributeError("StepPath is immutable")
-
-    @classmethod
-    def constant(cls, value, q: float) -> "StepPath":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(np.zeros(1), v[None, :], q)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self) -> int:
@@ -90,24 +113,41 @@ class StepPath:
 
     def eval(self, t) -> np.ndarray:
         """Value at time t (right-continuous)."""
-        t = self._check_time(t)
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[idx].copy()
+        return self.eval_many(self._check_time(t))
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.q):
+        # NaN fails both comparisons
+        if ts.size and not (0.0 <= ts.min() and ts.max() <= self.q):
             raise ValueError("evaluation times outside the horizon")
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        return self.values[idx]
+        return self._held(_segment(self.times, ts), ts)
 
     def left_limit(self, t) -> np.ndarray:
-        """Limit from the left; at t = 0 this is the initial value."""
+        """Limit from the left; at t = 0 this is the stored first value."""
         t = self._check_time(t)
         if t == 0.0:
             return self.values[0].copy()
-        idx = int(np.searchsorted(self.times, t, side="left")) - 1
-        return self.values[max(idx, 0)].copy()
+        return self._held(int(np.searchsorted(self.times, t, side="left")) - 1, t)
+
+
+class StepPath(_Breakpoints):
+    """Right-continuous step path on [0, q] with finitely many jumps.
+
+    ``times`` are the breakpoints (strictly increasing, starting at 0) and
+    ``values[j]`` is the value held on ``[times[j], times[j+1])``; the last
+    value extends to the horizon ``q``.  Values are stored as an (m, d)
+    array even in dimension one.  Instances are immutable.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, value, q: float) -> "StepPath":
+        v = np.atleast_1d(np.asarray(value, dtype=float))
+        return cls(np.zeros(1), v[None, :], q)
+
+    def _held(self, j, t) -> np.ndarray:
+        return self.values.take(j, axis=0)
 
     def jump(self, t) -> np.ndarray:
         return self.eval(t) - self.left_limit(t)
@@ -138,6 +178,11 @@ class StepPath:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+    def to_json(self) -> str:
+        """The horizon, breakpoints and values as one JSON object."""
+        times, values = self.times.tolist(), self.values.tolist()
+        return json.dumps({"q": self.q, "times": times, "values": values})
 
     @classmethod
     def from_csv(cls, stream, q=None) -> "StepPath":
@@ -268,8 +313,8 @@ def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
     np.not_equal(times[1:], times[:-1], out=fresh[1:])
     times = times[fresh]
     times = times[: int(times.searchsorted(q, "right"))]
-    first = path_x.values[tx.searchsorted(times, "right") - 1]
-    second = path_y.values[ty.searchsorted(times, "right") - 1]
+    first = path_x.values[_segment(tx, times)]
+    second = path_y.values[_segment(ty, times)]
     return times, first, second
 
 
@@ -312,7 +357,7 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
         raise ValueError("delta must be positive")
     times, first, second = _merged_pair(path_x, path_y, q)
     starts = np.flatnonzero((second[1:] != second[:-1]).any(axis=1)) + 1
-    lows = times.searchsorted(times[starts] - float(delta), "right") - 1
+    lows = _segment(times, times[starts] - float(delta))
     out = 0.0
     for k, lo in zip(starts.tolist(), np.maximum(lows, 0).tolist()):
         if lo >= k - 1:

@@ -7,7 +7,11 @@ projection of the current state between jumps, at rate ``n``:
 
 with p_j the projection of the breakpoint state x_j.  The formula is exact
 because the projection of every point on the segment from x_j to p_j is
-p_j itself, so the pull direction is frozen within a segment.
+p_j itself, so the pull direction is frozen within a segment.  A
+``PenalizedPath`` is the breakpoint core of ``path`` with this formula as
+the value held from each breakpoint; it writes its CSV as the step path of
+its values at its own breakpoints, and its JSON as its states and
+projections.
 
 The same relax-and-step recurrence, batched over paths and with an
 optional integrator term, is the one kernel every solver and Euler scheme
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConvexDomain, DomainViolationError, NumericalError
-from .path import StepPath, modulus_prime
+from .path import StepPath, _Breakpoints, _rows_of, modulus_prime
 
 __all__ = [
     "PenalizedPath",
@@ -35,77 +39,36 @@ SUP_FACTOR = 2.0 * np.sqrt(7.0)
 VARIATION_FACTOR = 55.0
 
 
-class PenalizedPath:
+class PenalizedPath(_Breakpoints):
     """Piecewise-exponential path from the penalized equation.
 
-    Stores breakpoint states, their projections, and the rate ``n``;
-    everything else (values, left limits, variation of the penalty term)
-    is evaluated from the closed form.  Immutable.
+    Stores breakpoint states (its ``values``, also named ``states``), their
+    projections, and the rate ``n``; everything else (values between
+    breakpoints, left limits, variation of the penalty term) is evaluated
+    from the closed form.  Immutable.
     """
 
-    __slots__ = ("n", "times", "states", "projections", "q")
+    __slots__ = ("n", "projections")
 
     def __init__(self, n, times, states, projections, q):
         n = _rate(n)
-        t = np.asarray(times, dtype=float).copy()
-        s = np.asarray(states, dtype=float).copy()
-        p = np.asarray(projections, dtype=float).copy()
-        if s.ndim == 1:
-            s = s[:, None]
-        if p.ndim == 1:
-            p = p[:, None]
-        if t.ndim != 1 or s.shape != p.shape or s.shape[0] != t.shape[0]:
-            raise ValueError("times, states, projections shapes disagree")
-        if t[0] != 0.0 or (t.shape[0] > 1 and not np.all(np.diff(t) > 0)):
-            raise ValueError("breakpoints must start at 0 and increase")
-        q = float(q)
-        if q < t[-1] or q <= 0.0:
-            raise ValueError("bad horizon")
-        for arr in (t, s, p):
-            arr.setflags(write=False)
+        super().__init__(times, states, q)
+        p = _rows_of(projections, self.times.shape[0])
+        if p.shape != self.values.shape:
+            raise ValueError(f"projections {p.shape} do not match the states")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
         object.__setattr__(self, "projections", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PenalizedPath is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def _check_time(self, t) -> float:
-        t = float(t)
-        if not 0.0 <= t <= self.q:
-            raise ValueError(f"time {t} outside [0, {self.q}]")
-        return t
+    def states(self) -> np.ndarray:
+        return self.values
 
     def _rows(self):
         """This path as the one-row batch of the closed-form functions."""
-        return self.states[None], self.projections[None], self.n, self.times, self.q
+        return self.values[None], self.projections[None], self.n, self.times, self.q
 
-    def _from(self, j, t) -> np.ndarray:
-        """Value at time(s) t relaxed from breakpoint(s) j."""
-        return _relaxed(self.states[j], self.projections[j], self.n, t - self.times[j])
-
-    def eval(self, t) -> np.ndarray:
-        t = self._check_time(t)
-        return self._from(int(np.searchsorted(self.times, t, side="right")) - 1, t)
-
-    def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.q):
-            raise ValueError("evaluation times outside the horizon")
-        return self._from(np.searchsorted(self.times, ts, side="right") - 1, ts)
-
-    def left_limit(self, t) -> np.ndarray:
-        t = self._check_time(t)
-        if t == 0.0:
-            return self.states[0].copy()
-        j = max(int(np.searchsorted(self.times, t, side="left")) - 1, 0)
-        return self._from(j, t)
+    def _held(self, j, t) -> np.ndarray:
+        return _relaxed_from(self.values, self.projections, self.n, self.times, j, t)
 
     def segment_end_values(self) -> np.ndarray:
         """Value approached at the right end of each segment (the last one
@@ -119,7 +82,7 @@ class PenalizedPath:
         coordinatewise extremum or crossing of the continuous path is
         witnessed by this (2m, d) array.
         """
-        out = np.repeat(self.states, 2, axis=0)
+        out = np.repeat(self.values, 2, axis=0)
         out[1::2] = self.segment_end_values()
         return out
 
@@ -144,33 +107,22 @@ class PenalizedPath:
         times = np.asarray(times, dtype=float)
         return StepPath(times, self.eval_many(times), self.q)
 
+    def to_csv_string(self) -> str:
+        """The CSV of the path sampled at its own breakpoints."""
+        return self.to_step(self.times).to_csv_string()
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "q": self.q,
-                "segments": [
-                    {
-                        "t": float(t),
-                        "state": [float(v) for v in s],
-                        "projection": [float(v) for v in p],
-                    }
-                    for t, s, p in zip(self.times, self.states, self.projections)
-                ],
-            }
-        )
+        """The rate, horizon and each breakpoint's state and projection."""
+        rows = zip(self.times.tolist(), self.values.tolist(), self.projections.tolist())
+        segments = [{"t": t, "state": s, "projection": p} for t, s, p in rows]
+        return json.dumps({"n": self.n, "q": self.q, "segments": segments})
 
     @classmethod
     def from_json(cls, text: str) -> "PenalizedPath":
         raw = json.loads(text)
-        segs = raw["segments"]
-        return cls(
-            raw["n"],
-            np.array([s["t"] for s in segs]),
-            np.array([s["state"] for s in segs]),
-            np.array([s["projection"] for s in segs]),
-            raw["q"],
-        )
+        keys = ("t", "state", "projection")
+        columns = ([seg[key] for seg in raw["segments"]] for key in keys)
+        return cls(raw["n"], *columns, raw["q"])
 
     def __repr__(self) -> str:
         return (
@@ -198,6 +150,12 @@ def _relaxed(states, projections, n, elapsed):
     projections P after ``elapsed`` time (broadcast against X[..., 0])."""
     decay = np.exp(-n * np.asarray(elapsed))[..., None]
     return projections + (states - projections) * decay
+
+
+def _relaxed_from(states, projections, n, times, j, t):
+    """Values at times t relaxed from breakpoints j, of one path's (m, d)
+    states and projections or of rows of (M, m, d) ones."""
+    return _relaxed(states[..., j, :], projections[..., j, :], n, t - times[j])
 
 
 def _segment_ends(states, projections, n, times, q):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConvexDomain, _rows_times
-from .path import StepPath
+from .path import StepPath, _breakpoints
 from .penalty import PenalizedPath, _check_driver, _rate, _relax_and_step, _solve_row
 
 __all__ = [
@@ -47,13 +47,9 @@ class Grid:
     __slots__ = ("times",)
 
     def __init__(self, times):
-        t = np.asarray(times, dtype=float).copy()
-        if t.ndim != 1 or t.shape[0] < 2:
+        if np.ndim(times) != 1 or len(times) < 2:
             raise ValueError("grid needs at least two points")
-        if t[0] != 0.0 or not np.all(np.diff(t) > 0):
-            raise ValueError("grid must start at 0 and increase strictly")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", _breakpoints(times)[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("Grid is immutable")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, manifests, exit codes, replay."""
 
+import hashlib
 import json
 import platform
 import subprocess
@@ -715,6 +716,74 @@ class TestConvergeCommand:
         assert len(rates) == 3  # header + one row per rate
 
 
+def _penalized_json(n, third, fourth):
+    """The JSON artifact of the three-jump path penalized at rate n; the
+    last two breakpoint states lie inside, so each is its own projection."""
+    return (
+        f'{{"n": {n}, "q": 1.0, "segments": ['
+        '{"t": 0.0, "state": [0.5], "projection": [0.5]}, '
+        '{"t": 0.25, "state": [-0.75], "projection": [0.0]}, '
+        f'{{"t": 0.5, "state": [{third}], "projection": [{third}]}}, '
+        f'{{"t": 0.75, "state": [{fourth}], "projection": [{fourth}]}}]}}'
+    )
+
+
+# Path artifacts byte for byte, as the CLI wrote them before paths
+# serialized themselves: the three-jump path reflected (skorokhod) and
+# penalized at three rates (penalize), in both formats.
+THREEJUMP_ARTIFACTS = {
+    ("skorokhod", "json"): {
+        "x.json": '{"q": 1.0, "times": [0.0, 0.25, 0.5, 0.75], '
+        '"values": [[0.5], [0.0], [1.75], [0.5]]}',
+        "k.json": '{"q": 1.0, "times": [0.0, 0.25, 0.5, 0.75], '
+        '"values": [[0.0], [0.75], [0.75], [0.75]]}',
+    },
+    ("penalize", "csv"): {
+        "penalized_n10.csv": "t,x_1\r\n0.0,0.5\r\n0.25,-0.75\r\n"
+        "0.5,1.6884362510320758\r\n0.75,0.43843625103207584\r\n",
+        "penalized_n100.csv": "t,x_1\r\n0.0,0.5\r\n0.25,-0.75\r\n"
+        "0.5,1.749999999989584\r\n0.75,0.4999999999895841\r\n",
+        "penalized_n1000.csv": "t,x_1\r\n0.0,0.5\r\n0.25,-0.75\r\n0.5,1.75\r\n0.75,0.5\r\n",
+    },
+    ("penalize", "json"): {
+        "penalized_n10.json": _penalized_json(
+            10.0, 1.6884362510320758, 0.43843625103207584
+        ),
+        "penalized_n100.json": _penalized_json(
+            100.0, 1.749999999989584, 0.4999999999895841
+        ),
+        "penalized_n1000.json": _penalized_json(1000.0, 1.75, 0.5),
+    },
+}
+
+
+class TestArtifactBytes:
+    @pytest.mark.parametrize(
+        "command, fmt", sorted(THREEJUMP_ARTIFACTS), ids="-".join
+    )
+    def test_three_jump_artifacts(self, tmp_path, command, fmt):
+        cfg = dict(PENALIZE_CFG, experiment=command)
+        if command == "penalize":
+            cfg.update(n_list=[10.0, 100.0, 1000.0], delta=0.25)
+        code, _ = run_config(tmp_path, command, cfg, "--format", fmt)
+        assert code == 0
+        expected = THREEJUMP_ARTIFACTS[command, fmt]
+        written = {p.name for p in (tmp_path / "run").iterdir()}
+        assert written - {"manifest.json", "report.json", "rates.csv"} == set(expected)
+        for name, text in expected.items():
+            assert (tmp_path / "run" / name).read_bytes() == text.encode()
+
+    def test_kept_simulate_path(self, tmp_path):
+        # the driver comes from numpy's Philox and normal streams, so this
+        # digest holds where the sampler's stream digests in test_sde hold
+        code, _ = run_config(tmp_path, "simulate", SIMULATE_CFG)
+        assert code == 0
+        data = (tmp_path / "run" / "path_0.csv").read_bytes()
+        assert data.startswith(b"t,x_1\r\n0.0,0.5\r\n0.03125,0.37725500134336765\r\n")
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == "ae04609aaf23f7c70b22c6506c914fa84132fec02cc569cf2bc49e261f5504a9"
+
+
 @pytest.mark.parametrize("command", ["skorokhod", "penalize"])
 def test_overflowing_driver_is_a_numerical_error(tmp_path, capsys, command):
     # the first step leaves the float range: a numerical failure of the
@@ -1059,6 +1128,34 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: penalize: ")
         assert "n and n_list" in err
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ([100.0, 100.0000001, 100.0], "rates 100.0 and 100.0000001 both name penalized_n100"),
+            ([2.0, 1.0, 2.0], "rates 2.0 and 2.0 both name penalized_n2"),
+        ],
+        ids=["rounded", "repeated"],
+    )
+    def test_penalize_refuses_rates_of_one_artifact_name(
+        self, tmp_path, capsys, rates, message
+    ):
+        # each rate writes penalized_n{n:g} and is checked against the
+        # bounds under that name, so two rates of one name would leave one
+        # artifact and one pair of bound entries for both
+        cfg = dict(PENALIZE_CFG, n_list=rates, delta=0.25)
+        assert run_config(tmp_path, "penalize", cfg) == (1, False)
+        assert capsys.readouterr().err == f"config error: penalize: {message}\n"
+
+    def test_penalize_artifacts_keep_fractional_rates(self, tmp_path):
+        # a point in the rate is not taken for a file suffix, so 0.5 and
+        # 0.25 do not both write penalized_n0.csv
+        cfg = dict(PENALIZE_CFG, n_list=[0.5, 0.25, 1.5e6])
+        assert run_config(tmp_path, "penalize", cfg) == (0, True)
+        written = {p.name for p in (tmp_path / "run").glob("penalized_*")}
+        assert written == {
+            "penalized_n0.5.csv", "penalized_n0.25.csv", "penalized_n1.5e+06.csv"
+        }
 
     @pytest.mark.parametrize(
         "command, tag, key, default",

@@ -311,3 +311,30 @@ class TestAprioriBounds:
             penalty_bounds(HALFLINE, y, delta=1.5)
         with pytest.raises(ValueError):
             penalty_bounds(HALFLINE, y, delta=0.0)
+
+
+def _path_of_type(kind, times, values, q):
+    if kind is StepPath:
+        return StepPath(times, values, q)
+    return PenalizedPath(1.0, times, values, values, q)
+
+
+@pytest.mark.parametrize("kind", [StepPath, PenalizedPath], ids=lambda k: k.__name__)
+def test_nan_times_and_empty_paths_raise(kind):
+    # both path types check their breakpoints, horizon and times in one place
+    path = _path_of_type(kind, [0.0, 0.5], [[1.0], [2.0]], 1.0)
+    for call in (
+        path.eval,
+        path.left_limit,
+        lambda t: path.eval_many([t]),
+        lambda t: path.eval_many([0.25, t]),
+    ):
+        with pytest.raises(ValueError):
+            call(np.nan)
+    with pytest.raises(ValueError):
+        _path_of_type(kind, [], [], 1.0)
+    with pytest.raises(ValueError):
+        _path_of_type(kind, [0.0, np.inf], [[1.0], [2.0]], np.inf)
+    if kind is PenalizedPath:
+        with pytest.raises(ValueError):
+            PenalizedPath.from_json('{"n": 1.0, "q": 1.0, "segments": []}')

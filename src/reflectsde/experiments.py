@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
-from .path import StepPath, _segment
+from .path import StepPath, _median, _segment, _sorted_unique
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
 from .penalty import _penalty_variation, _rate, _relaxed, _relaxed_from, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
@@ -422,7 +422,7 @@ def run_simulate(cfg: dict):
         with np.errstate(over="ignore"):
             H, Z = sample_driver_batch(spec, grid, seed, paths)
     with _Section("simulate: driver.h start"):
-        inside = all(domain.contains(x0) for x0 in np.unique(H[:, 0], axis=0))
+        inside = all(domain.contains(x0) for x0 in _sorted_unique(H[:, 0]))
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
     states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
@@ -498,8 +498,8 @@ def rbm_benchmark(
     spec = DriverSpec(dim=1, h=ConstantStart(0.0), z_components=(Brownian(1.0),))
     grid = Grid.regular(q, cells)
     H, Z = sample_driver_batch(spec, grid, seed, paths)
-    states, _ = euler_penalized_batch(domain, Identity(1), H, Z, n, grid)
-    finals = states[:, -1, 0]
+    states, _ = euler_penalized_batch(domain, Identity(1), H, Z, n, grid, at=[grid.cells])
+    finals = states[:, 0, 0]
 
     ks = ks_statistic(finals, reference_cdf("half_normal", scale=np.sqrt(q)))
     target = np.sqrt(2.0 * q / np.pi)
@@ -594,7 +594,7 @@ def refinement_study(
         j = _segment(coarse.times, ts)
         inner = _relaxed_from(states, projections, float(n), coarse.times, j, ts)
         vals = np.hstack([inner[:, :, 0], states[:, -1:, 0]])
-        med = float(np.median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
+        med = float(_median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
         medians.append(med)
         rows.append(_row(float(n), q / cells, paths, "median_sup_distance", med))
 

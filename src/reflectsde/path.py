@@ -79,6 +79,37 @@ def _segment(times, ts):
     return np.searchsorted(times, ts, side="right") - 1
 
 
+# np.unique (np.union1d too) and np.median import numpy.ma on first use,
+# 10-15 ms inside a run; the package uses these exact equivalents instead.
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, or the distinct rows of a 2-D
+    one, in ascending (lexicographic) order: ``np.unique(values)``, or
+    ``np.unique(values, axis=0)`` for rows, on NaN-free input.  Rows are
+    sorted as one structured value each, as ``np.unique`` sorts them, so
+    the same one of equal rows (say 0.0 and -0.0) is kept."""
+    items = values
+    if values.ndim == 2:
+        fields = [(f"f{i}", values.dtype) for i in range(values.shape[1])]
+        items = np.ascontiguousarray(values).view(fields)[:, 0]
+    ordered = np.sort(items)
+    keep = np.ones(ordered.shape[0], dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep].view(values.dtype).reshape(-1, *values.shape[1:])
+
+
+def _median(values: np.ndarray):
+    """``np.median`` of a nonempty 1-D array: the mean of the middle value,
+    or of the two middle ones, and NaN when any value is NaN."""
+    half, odd = divmod(values.shape[0], 2)
+    # np.median's own partition and mean, so a signed zero comes out as there
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[half - 1 + odd : half + 1])
+
+
 class _Breakpoints:
     """A path on [0, q] given by its breakpoints and the values there.
 
@@ -296,7 +327,7 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
         return False
 
     # the least diameter that passes; the largest, one cell [0, q), always does
-    levels = np.unique(diam)
+    levels = _sorted_unique(diam.ravel())
     return float(levels[bisect.bisect_left(levels, True, key=feasible)])
 
 

@@ -145,11 +145,13 @@ def _rate(n) -> float:
     return n
 
 
-def _relaxed(states, projections, n, elapsed):
+def _relaxed(states, projections, n, elapsed, out=None):
     """P + (X - P) exp(-n elapsed): the value reached from states X with
-    projections P after ``elapsed`` time (broadcast against X[..., 0])."""
+    projections P after ``elapsed`` time (broadcast against X[..., 0]),
+    written into ``out`` when given."""
     decay = np.exp(-n * np.asarray(elapsed))[..., None]
-    return projections + (states - projections) * decay
+    out = np.multiply(np.subtract(states, projections, out=out), decay, out=out)
+    return np.add(projections, out, out=out)
 
 
 def _relaxed_from(states, projections, n, times, j, t):
@@ -210,7 +212,20 @@ def _project_live(domain, X, failed):
     return out
 
 
-def _relax_and_step(domain, f, H, Z, n, times):
+def _kept_indices(at, K1):
+    """The grid indices a run keeps: all K1 of them for None, else ``at``
+    as strictly increasing integers in [0, K1)."""
+    if at is None:
+        return np.arange(K1)
+    idx = np.asarray(at)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise ValueError(f"at must be a nonempty list of grid indices, got {at!r}")
+    if idx[0] < 0 or idx[-1] >= K1 or np.any(idx[1:] <= idx[:-1]):
+        raise ValueError(f"at must increase strictly within [0, {K1 - 1}], got {at!r}")
+    return idx
+
+
+def _relax_and_step(domain, f, H, Z, n, times, at=None):
     """The relax-and-step recurrence behind every solver in the package.
 
     Over rows of (M, K+1, d) values H of the free term and Z of the
@@ -228,32 +243,53 @@ def _relax_and_step(domain, f, H, Z, n, times):
     and the single-path solvers, which run their path as a one-row batch
     (:func:`_solve_row`), raise NumericalError.
 
+    ``at`` lists the grid indices whose states and projections are kept,
+    strictly increasing in [0, K]; None keeps all K+1.  A kept state is
+    written into its own output slab; any other lives in one of two
+    reused (M, d) scratch slabs until the next step has read it, and the
+    relaxation and the integrator increment each reuse one slab, so the
+    run holds O(M d) memory beyond the kept slabs.  Which points are kept
+    does not change a bit of the ones that are.
+
     Each step reads grid point k of every row.  Time-major inputs (the
     views :func:`sample_driver_batch` returns) give contiguous (M, d)
     slabs; C-ordered ones are read at a stride, and a deterministic free
-    term may be a read-only view broadcast along rows.  The states and
-    projections are written as time-major (K+1, M, d) buffers and
-    returned as (M, K+1, d) views of them, not C-contiguous arrays.
+    term may be a read-only view broadcast along rows.  The kept states
+    and projections are written as time-major (len(at), M, d) buffers and
+    returned as (M, len(at), d) views of them, not C-contiguous arrays.
     """
     M, K1, d = H.shape
     H = H.transpose(1, 0, 2)
     Z = None if Z is None else Z.transpose(1, 0, 2)
-    states = np.empty((K1, M, d))
+    at = _kept_indices(at, K1)
+    states = np.empty((at.shape[0], M, d))
     projections = np.empty_like(states)
+    slot = np.full(K1, -1)
+    slot[at] = np.arange(at.shape[0])
+    scratch = np.empty((2, M, d)) if at.shape[0] < K1 else None
+    relaxed = None if n == np.inf else np.empty((M, d))
+    dZ = None if Z is None else np.empty((M, d))
     failed = np.zeros(M, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = states[0] = H[0]
-        p = projections[0] = _project_live(domain, x, failed)
-        for k in range(K1 - 1):
-            pre = p
-            if n != np.inf:
-                pre = _relaxed(x, p, n, times[k + 1] - times[k])
-            x = pre + (H[k + 1] - H[k])
-            if Z is not None:
-                x += f.contract(pre, Z[k + 1] - Z[k])
+        for k in range(K1):
+            # x_k goes to its kept slab, else to the scratch slab x_{k-1} is
+            # not in: at n = inf pre_{k-1} is P(x_{k-1}), which a domain may
+            # return as x_{k-1} itself, and it is read while x_k is written
+            slab = states[slot[k]] if slot[k] >= 0 else scratch[k % 2]
+            if k == 0:
+                slab[...] = H[0]
+            else:
+                pre = p
+                if relaxed is not None:
+                    pre = _relaxed(x, p, n, times[k] - times[k - 1], out=relaxed)
+                np.subtract(H[k], H[k - 1], out=slab)
+                np.add(pre, slab, out=slab)
+                if Z is not None:
+                    slab += f.contract(pre, np.subtract(Z[k], Z[k - 1], out=dZ))
+            x = slab
             p = _project_live(domain, x, failed)
-            states[k + 1] = x
-            projections[k + 1] = p
+            if slot[k] >= 0:
+                projections[slot[k]] = p
     return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
 
 

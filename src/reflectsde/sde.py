@@ -490,8 +490,12 @@ def sample_driver_batch(
     row.  The rest is batched over blocks of rows in a cache-sized scratch
     buffer: ``sqrt(dt)`` and sigma scaling, the jump scatter, the cumulative
     sum along the grid, and the sum of the components' cumulative sums in
-    component order.  The arithmetic per row is the same as for one row,
-    so :func:`sample_driver` is bit-identical to the matching row.
+    component order.  Z is not zero-filled first: the first component's
+    sum is written straight into it and later ones are added, with
+    ``+ 0.0`` on each row's first increment, so Z has the bits of zeros
+    plus the sums (a -0.0 sum reads +0.0).  The arithmetic per row is the
+    same as for one row, so :func:`sample_driver` is bit-identical to the
+    matching row.
 
     H and Z are (M, K+1, d) views of time-major (K+1, M, d) buffers, not
     C-contiguous arrays: each grid point's values are one contiguous
@@ -507,7 +511,10 @@ def sample_driver_batch(
         H = np.empty(shape)
     else:
         H = np.broadcast_to(spec.h.values(times, dim)[:, None], shape)
-    Z = np.zeros(shape)
+    Z = np.empty(shape)
+    Z[0] = 0.0
+    if not spec.z_components:
+        Z[1:] = 0.0
     rows = range(first_index, first_index + paths)
     parts = (spec.h, *spec.z_components)
     keys = {c: _philox_keys(seed, rows, c) for c, part in enumerate(parts) if part.draws}
@@ -526,10 +533,20 @@ def sample_driver_batch(
             if comp.draws:
                 inc = scratch[: stop - start]
                 comp.increments_rows(_row_streams(gen, keys[c][start:stop]), dt, inc)
-                np.cumsum(inc, axis=1, out=inc)
-                z += inc.transpose(1, 0, 2)
+                if c == 1:
+                    # 0.0 + S is S but for a -0.0 sum, and a sum is -0.0 only
+                    # while every increment so far is: + 0.0 on the first one
+                    # gives the bits of adding S to zeros
+                    inc[:, 0] += 0.0
+                    np.cumsum(inc, axis=1, out=z.transpose(1, 0, 2))
+                    continue
+                total = np.cumsum(inc, axis=1, out=inc).transpose(1, 0, 2)
             else:
-                z += np.cumsum(comp.increments(dt, dim), axis=0)[:, None]
+                total = np.cumsum(comp.increments(dt, dim), axis=0)[:, None]
+            if c == 1:
+                np.add(0.0, total, out=z)
+            else:
+                z += total
     return H.transpose(1, 0, 2), Z.transpose(1, 0, 2)
 
 
@@ -537,9 +554,11 @@ class Coefficient:
     """Matrix-valued coefficient x -> f(x) applied to integrator increments.
 
     A subclass defines only ``contract``, the rows f(X[i]) @ dZ[i] of
-    (M, d) arrays, rounded the same way whatever M.  The schemes and
-    :func:`stochastic_integral` apply f through it, and :meth:`mat` is
-    derived from it, so no second formula can drift from the first.
+    (M, d) arrays, rounded the same way whatever M; the result may be
+    ``dZ`` itself (the identity's is), so callers only read it.  The
+    schemes and :func:`stochastic_integral` apply f through it, and
+    :meth:`mat` is derived from it, so no second formula can drift from
+    the first.
     """
 
     dim: int
@@ -571,7 +590,7 @@ class Identity(Coefficient):
         self.dim = int(dim)
 
     def contract(self, X, dZ):
-        return dZ.copy()
+        return dZ
 
 
 class ConstantMatrix(Coefficient):
@@ -699,20 +718,27 @@ def euler_penalized_batch(
     Z_vals: np.ndarray,
     n: float,
     grid: Grid,
+    at=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized penalized scheme over (M, K+1, d) driver values.
 
-    Returns (states, projections) of the same shape, as views of
+    Returns (states, projections) of shape (M, K+1, d), as views of
     time-major (K+1, M, d) buffers, not C-contiguous arrays.  Single paths
     and batches run the same kernel, so row i agrees bit for bit with
     :func:`euler_penalized` on the same driver, and the driver arrays'
     layout does not change a bit.  A row whose state stops being finite or
     that has no certified projection is NaN throughout.
+
+    ``at`` keeps only the listed grid indices, strictly increasing in
+    [0, K]: the result is then (M, len(at), d), equal bit for bit to the
+    full history at those indices, and no other grid point's states or
+    projections are stored.  A runner that reads the marginal at t = q
+    passes ``at=[grid.cells]``.
     """
     n = _rate(n)
     _check_batch_inputs(domain, H_vals, Z_vals, grid)
     states, projections, failed = _relax_and_step(
-        domain, f, H_vals, Z_vals, n, grid.times
+        domain, f, H_vals, Z_vals, n, grid.times, at
     )
     states[failed] = projections[failed] = np.nan
     return states, projections

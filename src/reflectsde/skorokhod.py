@@ -17,7 +17,7 @@ from .domain import (
     DomainViolationError,
     cone_residual,
 )
-from .path import StepPath
+from .path import StepPath, _sorted_unique
 from .penalty import _check_driver, _solve_row
 
 __all__ = [
@@ -116,7 +116,7 @@ def verify_solution(
     with y - x for every y in the domain.
     """
     x, k, y = solution.x, solution.k, solution.driver
-    times = np.union1d(np.union1d(x.times, k.times), y.times)
+    times = _sorted_unique(np.concatenate((x.times, k.times, y.times)))
     xs = x.eval_many(times)
     ks = k.eval_many(times)
     ys = y.eval_many(times)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .path import StepPath, modulus_bar, upcrossings_of_values
+from .path import StepPath, _median, modulus_bar, upcrossings_of_values
 from .penalty import PenalizedPath
 
 __all__ = [
@@ -120,7 +120,7 @@ def energy_distance(first, second) -> float:
     if a.shape[1] == 1 and b.shape[1] == 1:
         # shifting both samples keeps every distance; centring them keeps
         # the prefix sums, and so their rounding, at the scale of the spread
-        center = np.median(np.concatenate((a[:, 0], b[:, 0])))
+        center = _median(np.concatenate((a[:, 0], b[:, 0])))
         a, b = np.sort(a[:, 0] - center), np.sort(b[:, 0] - center)
         mean_dist = _mean_abs_sorted
     else:

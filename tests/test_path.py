@@ -461,3 +461,48 @@ class TestUpcrossings:
         base = upcrossings_of_values(vals, -0.5, 0.5)
         wider = upcrossings_of_values(vals, -0.8, 0.8)
         assert wider <= base
+
+
+def _values(rng, pool, n):
+    return rng.choice(np.asarray(pool, dtype=float), size=n)
+
+
+POOLS = {
+    "normal": None,
+    "signed-zeros": [-0.0, 0.0, 1.0, -1.0],
+    "infinite": [-0.0, 0.0, np.inf, -np.inf, 2.0],
+    "huge": [1e308, 1.7e308, -0.0, 3.0],
+    "nan": [np.nan, -0.0, 0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_median_is_np_median(pool):
+    # same value, type and sign bit, odd and even sizes, NaN when any is
+    rng = np.random.default_rng(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in [*range(1, 12), 40, 41, 1000, 1001]:
+            for _ in range(20):
+                v = rng.normal(size=n) if POOLS[pool] is None else _values(rng, POOLS[pool], n)
+                want, got = np.median(v), path_module._median(v)
+                assert type(got) is type(want) and got.tobytes() == want.tobytes(), v
+
+
+@pytest.mark.parametrize("pool", ["normal", "signed-zeros", "infinite"])
+def test_sorted_unique_is_np_unique(pool):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 50, 400):
+        for d in (1, 2, 3):
+            X = (
+                np.round(rng.normal(size=(n, d)))
+                if POOLS[pool] is None
+                else _values(rng, POOLS[pool], (n, d))
+            )
+            for values, want in (
+                (X[:, 0], np.unique(X[:, 0])),
+                (X.ravel(), np.unique(X)),
+                (X, np.unique(X, axis=0)),
+                (np.broadcast_to(X[:1], X.shape), np.unique(X[:1], axis=0)),
+            ):
+                got = path_module._sorted_unique(values)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()

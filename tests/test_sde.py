@@ -1,6 +1,7 @@
 """Grids, driver sampling, coefficients, and the Euler schemes."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from reflectsde.domain import (
 )
 from reflectsde import experiments
 from reflectsde.path import StepPath
-from reflectsde.penalty import _penalty_variation, _sup_deviation, solve_penalized
+from reflectsde.penalty import _penalty_variation, _relax_and_step, _sup_deviation
+from reflectsde.penalty import solve_penalized
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
@@ -322,6 +324,185 @@ class TestPhiloxKeys:
                 z += np.cumsum(one_row(comp.increments_rows, gen, dt, 2), axis=0)
             assert same_bits(H[i], h)
             assert same_bits(Z[i, 1:], z) and not Z[i, 0].any()
+
+
+class TestFirstComponentWritten:
+    """The sampler writes the first Z component's sum instead of adding it
+    to zeros; Z must keep the bits of zeros plus each component's sum,
+    signed zeros included."""
+
+    @staticmethod
+    def added_to_zeros(spec, grid, seed, paths):
+        """Z built row by row as zeros plus each component's sum in turn."""
+        dt = np.diff(grid.times)
+        Z = np.zeros((paths, grid.cells + 1, spec.dim))
+        for i in range(paths):
+            for c, comp in enumerate(spec.z_components, start=1):
+                if comp.draws:
+                    gen = _component_gen(seed, i, c)
+                    inc = one_row(comp.increments_rows, gen, dt, spec.dim)
+                else:
+                    inc = comp.increments(dt, spec.dim)
+                Z[i, 1:] += np.cumsum(inc, axis=0)
+        return Z
+
+    SPECS = {
+        "drift-first": DriverSpec(2, ConstantStart([0.5, 0.5]), (Drift([-0.0, 1.0]),)),
+        "drift-then-brownian": DriverSpec(
+            2, ConstantStart([0.5, 0.5]), (Drift([-0.0, 1.0]), Brownian(1.0))
+        ),
+        "tiny-brownian": DriverSpec(1, ConstantStart(0.0), (Brownian(1e-320),)),
+        "least-brownian": DriverSpec(
+            1, ConstantStart(0.0), (Brownian(5e-324), Drift([-0.0]))
+        ),
+        "no-z": DriverSpec(2, ConstantStart([0.5, 0.5]), ()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_z_keeps_values_and_signs(self, name):
+        spec = self.SPECS[name]
+        grid = Grid.regular(1.0, 200)
+        _, Z = sample_driver_batch(spec, grid, seed=5, paths=40)
+        want = self.added_to_zeros(spec, grid, 5, 40)
+        assert np.array_equal(np.signbit(Z), np.signbit(want))
+        assert same_bits(Z, want)
+
+    def test_negative_zero_sums_occur(self):
+        # the cases above test the + 0.0 only if some sum would be -0.0
+        for name in ("drift-first", "least-brownian"):
+            spec = self.SPECS[name]
+            grid = Grid.regular(1.0, 200)
+            dt = np.diff(grid.times)
+            comp = spec.z_components[0]
+            if comp.draws:
+                firsts = [
+                    one_row(comp.increments_rows, _component_gen(5, i, 1), dt, 1)[0, 0]
+                    for i in range(40)
+                ]
+            else:
+                firsts = comp.increments(dt, spec.dim)[0]
+            assert np.any(np.signbit(firsts) & (np.asarray(firsts) == 0.0)), name
+
+
+class TestKeptGridPoints:
+    """``at`` keeps some grid points of the scheme and not a bit changes."""
+
+    CELLS = 40
+    ATS = ([0], [CELLS], [0, 17, CELLS])
+
+    @staticmethod
+    def drivers(domain, drawn_h):
+        d = domain.dim
+        h = BrownianDrift(domain.anchor, 0.3) if drawn_h else ConstantStart(domain.anchor)
+        spec = DriverSpec(
+            dim=d,
+            h=h,
+            z_components=(
+                Brownian(0.8),
+                CompoundPoisson(2.0, JumpSizes("normal", (0.0, 0.5))),
+            ),
+        )
+        grid = Grid.regular(1.0, TestKeptGridPoints.CELLS)
+        return sample_driver_batch(spec, grid, seed=9, paths=25), grid
+
+    @staticmethod
+    def run(domain, f, H, Z, n, grid, at=None):
+        if n == np.inf:
+            return _relax_and_step(domain, f, H, Z, n, grid.times, at)
+        return euler_penalized_batch(domain, f, H, Z, n, grid, at=at)
+
+    @pytest.mark.parametrize("coef", ["identity", "diag-affine"])
+    @pytest.mark.parametrize("h", ["drawn", "broadcast"])
+    @pytest.mark.parametrize("n", [32.0, np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["halfspace", "polyhedron", "box", "ball"])
+    def test_kept_points_equal_the_full_history(self, kind, d, n, h, coef):
+        domain = TestTimeMajorLayout.domain(kind, d)
+        f = TestTimeMajorLayout.coefficient(coef, d)
+        (H, Z), grid = self.drivers(domain, h == "drawn")
+        assert (H.strides[0] == 0) == (h == "broadcast")
+        full = self.run(domain, f, H, Z, n, grid)
+        assert np.isfinite(full[0]).all() and np.any(full[0] != full[1])
+        for at in self.ATS:
+            kept = self.run(domain, f, H, Z, n, grid, at)
+            assert kept[0].shape == (25, len(at), d)
+            assert same_bits(kept[0], full[0][:, at]), at
+            assert same_bits(kept[1], full[1][:, at]), at
+            if n == np.inf:
+                assert same_bits(kept[2], full[2])
+
+    def test_projection_that_returns_its_input(self):
+        # a domain may return X itself when every row is inside; at n = inf
+        # that is pre_k, so x_{k+1} must not be written over x_k's slab
+        class Passthrough(HalfSpace):
+            def project_points(self, X):
+                P = super().project_points(X)
+                return X if np.array_equal(P, X) else P
+
+        domain = Passthrough([1.0], -3.0, anchor=[0.0])
+        (H, Z), grid = self.drivers(domain, drawn_h=True)
+        full = _relax_and_step(domain, Identity(1), H, Z, np.inf, grid.times)
+        for at in self.ATS:
+            kept = _relax_and_step(domain, Identity(1), H, Z, np.inf, grid.times, at)
+            assert same_bits(kept[0], full[0][:, at]), at
+            assert same_bits(kept[1], full[1][:, at]), at
+
+    def test_failed_rows_are_nan_in_every_kept_slab(self):
+        class Flaky(HalfSpace):
+            def project_points(self, X):
+                out = super().project_points(X)
+                stuck = X[:, 0] > 50.0
+                if stuck.any():
+                    out[stuck] = np.nan
+                    raise NumericalError("forced", out)
+                return out
+
+        domain = Flaky([1.0], 0.0)
+        grid = Grid.regular(1.0, self.CELLS)
+        H = np.full((4, self.CELLS + 1, 1), 0.5)
+        H[1, 25:] = 100.0
+        Z = np.zeros_like(H)
+        Z[:, :, 0] = np.linspace(0.0, -1.0, self.CELLS + 1)
+        Z[2, 30:] = np.inf
+        f = Identity(1)
+        full = euler_penalized_batch(domain, f, H, Z, 10.0, grid)
+        for at in self.ATS:
+            states, projections = euler_penalized_batch(domain, f, H, Z, 10.0, grid, at=at)
+            # rows 1 and 2 fail after every kept point but the last
+            for arr, whole in ((states, full[0]), (projections, full[1])):
+                assert np.isnan(arr[1:3]).all() and np.isfinite(arr[[0, 3]]).all()
+                assert same_bits(arr, whole[:, at])
+
+    @pytest.mark.parametrize(
+        "at", [[3, 1], [2, 2], [-1], [CELLS + 1], [], [1.5], [True]],
+        ids=["unsorted", "repeated", "negative", "past-K", "empty", "float", "bool"],
+    )
+    def test_bad_indices_raise(self, at):
+        grid = Grid.regular(1.0, self.CELLS)
+        H = np.full((2, self.CELLS + 1, 1), 0.5)
+        with pytest.raises(ValueError, match="at must"):
+            euler_penalized_batch(HALFLINE, Identity(1), H, H, 10.0, grid, at=at)
+
+    def test_history_is_not_allocated(self):
+        # tracemalloc sees numpy's buffers: keeping only t = q holds a few
+        # (M, d) slabs, the full history two (K+1, M, d) buffers
+        M, K = 2000, 256
+        spec = DriverSpec(dim=1, h=ConstantStart(0.0), z_components=(Brownian(1.0),))
+        grid = Grid.regular(1.0, K)
+        H, Z = sample_driver_batch(spec, grid, seed=1, paths=M)
+        slab = M * 8
+
+        def peak(at):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                euler_penalized_batch(HALFLINE, Identity(1), H, Z, 64.0, grid, at=at)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak([K]) < 16 * slab
+        assert peak(None) >= 2 * (K + 1) * slab
 
 
 class TestTimeMajorLayout:

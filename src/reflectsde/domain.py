@@ -238,8 +238,12 @@ class HalfSpace(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        s = _rows_times(X, self.normal[None, :])[:, 0] - self.offset
-        return np.where(s[:, None] >= 0.0, X, X - s[:, None] * self.normal)
+        s = _rows_times(X, self.normal[None, :])
+        s -= self.offset
+        out = np.multiply(s, self.normal)
+        np.subtract(X, out, out=out)
+        np.copyto(out, X, where=s >= 0.0)
+        return out
 
     def boundary_distance(self, x) -> float:
         return abs(self._interior_clearance(_vec(x, self.dim)))

@@ -145,11 +145,14 @@ def _rate(n) -> float:
     return n
 
 
-def _relaxed(states, projections, n, elapsed, out=None):
+def _relaxed(states, projections, n, elapsed):
     """P + (X - P) exp(-n elapsed): the value reached from states X with
-    projections P after ``elapsed`` time (broadcast against X[..., 0]),
-    written into ``out`` when given."""
-    decay = np.exp(-n * np.asarray(elapsed))[..., None]
+    projections P after ``elapsed`` time (broadcast against X[..., 0])."""
+    return _pulled(states, projections, np.exp(-n * np.asarray(elapsed))[..., None])
+
+
+def _pulled(states, projections, decay, out=None):
+    """P + (X - P) decay, written into ``out`` when given."""
     out = np.multiply(np.subtract(states, projections, out=out), decay, out=out)
     return np.add(projections, out, out=out)
 
@@ -192,9 +195,12 @@ def _project_live(domain, X, failed):
 
     A row that is not finite, or that has no certified projection (NaN in
     the result a NumericalError carries), is marked in ``failed`` and
-    gets NaN; a failed row is not projected again.
+    gets NaN; a failed row is not projected again.  Rows of X are the
+    kernel's states, and a failed row's projection holds NaN, so its state
+    is not finite at any later step: when all of X is finite no row has
+    failed, and ``failed`` needs no scan.
     """
-    fresh = not failed.any() and np.isfinite(X).all()
+    fresh = np.isfinite(X).all()
     if not fresh:
         failed |= ~np.isfinite(X).all(axis=1)
     live = slice(None) if fresh else np.flatnonzero(~failed)
@@ -251,6 +257,11 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
     run holds O(M d) memory beyond the kept slabs.  Which points are kept
     does not change a bit of the ones that are.
 
+    What does not depend on the rows is computed before the loop: the
+    decay factors of all steps in one ``np.exp`` (the same bits as one
+    scalar exp per step), and the increments of a free term that has one
+    row or is broadcast along rows, differenced on that row.
+
     Each step reads grid point k of every row.  Time-major inputs (the
     views :func:`sample_driver_batch` returns) give contiguous (M, d)
     slabs; C-ordered ones are read at a stride, and a deterministic free
@@ -259,6 +270,7 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
     returned as (M, len(at), d) views of them, not C-contiguous arrays.
     """
     M, K1, d = H.shape
+    one_h = M == 1 or (M > 1 and H.strides[0] == 0)
     H = H.transpose(1, 0, 2)
     Z = None if Z is None else Z.transpose(1, 0, 2)
     at = _kept_indices(at, K1)
@@ -266,30 +278,39 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
     projections = np.empty_like(states)
     slot = np.full(K1, -1)
     slot[at] = np.arange(at.shape[0])
+    slot = slot.tolist()
     scratch = np.empty((2, M, d)) if at.shape[0] < K1 else None
     relaxed = None if n == np.inf else np.empty((M, d))
     dZ = None if Z is None else np.empty((M, d))
     failed = np.zeros(M, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the per-step constants; every row has the free term's increments
+        # when it has one row or stride 0 along rows
+        decay = None if relaxed is None else np.exp(-n * (times[1:] - times[:-1]))
+        dH = np.diff(H[:, 0], axis=0) if one_h else None
         for k in range(K1):
             # x_k goes to its kept slab, else to the scratch slab x_{k-1} is
             # not in: at n = inf pre_{k-1} is P(x_{k-1}), which a domain may
             # return as x_{k-1} itself, and it is read while x_k is written
-            slab = states[slot[k]] if slot[k] >= 0 else scratch[k % 2]
+            kept = slot[k]
+            slab = states[kept] if kept >= 0 else scratch[k % 2]
             if k == 0:
                 slab[...] = H[0]
             else:
                 pre = p
-                if relaxed is not None:
-                    pre = _relaxed(x, p, n, times[k] - times[k - 1], out=relaxed)
-                np.subtract(H[k], H[k - 1], out=slab)
-                np.add(pre, slab, out=slab)
+                if decay is not None:
+                    pre = _pulled(x, p, decay[k - 1], out=relaxed)
+                if dH is None:
+                    np.subtract(H[k], H[k - 1], out=slab)
+                    np.add(pre, slab, out=slab)
+                else:
+                    np.add(pre, dH[k - 1], out=slab)
                 if Z is not None:
                     slab += f.contract(pre, np.subtract(Z[k], Z[k - 1], out=dZ))
             x = slab
             p = _project_live(domain, x, failed)
-            if slot[k] >= 0:
-                projections[slot[k]] = p
+            if kept >= 0:
+                projections[kept] = p
     return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
 
 

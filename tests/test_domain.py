@@ -10,6 +10,7 @@ from reflectsde.domain import (
     HalfSpace,
     NumericalError,
     Polyhedron,
+    _rows_times,
     anchor_gap,
     cone_residual,
     project,
@@ -119,6 +120,45 @@ class TestHalfSpace:
             HalfSpace([1.0], 0.0, anchor=[-0.5])
         d = HalfSpace([1.0], 0.0, anchor=[2.0], anchor_clearance=0.5)
         assert d.anchor_clearance == 0.5
+
+    # edge values for the oracle: signed zeros, the smallest subnormal and
+    # a larger one, infinities, NaN and the ends of the float range
+    EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.0,
+             np.inf, -np.inf, np.nan, 1e308, -1e308)
+    NORMALS = {
+        1: ([1.0], [-1.0]),
+        2: ([0.6, -0.8], [0.0, 1.0]),
+        3: ([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0], [0.0, 0.0, -1.0]),
+    }
+
+    @staticmethod
+    def where_oracle(domain, X):
+        """The half-space projection as one np.where over both branches."""
+        s = _rows_times(X, domain.normal[None, :])[:, 0] - domain.offset
+        return np.where(s[:, None] >= 0.0, X, X - s[:, None] * domain.normal)
+
+    @pytest.mark.parametrize("offset", [0.0, -0.0, 5e-324, -1.0, 1e300, -1e300])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_where_oracle(self, d, offset):
+        rng = np.random.default_rng(d)
+        edges = np.array(self.EDGES)
+        grid = np.stack(np.meshgrid(*[edges] * min(d, 2), indexing="ij"), -1)
+        X = grid.reshape(-1, min(d, 2))
+        if d == 3:
+            X = np.column_stack([X, rng.choice(edges, X.shape[0])])
+        # points on the face and a subnormal step to either side of it
+        for normal in self.NORMALS[d]:
+            anchor = (2.0 * abs(offset) + 1.0) * np.array(normal)
+            domain = HalfSpace(normal, offset, anchor=anchor)
+            face = domain.project_points(rng.normal(size=(8, d)) - 5.0 * domain.normal)
+            rows = [X, face, face + 5e-324 * domain.normal, face - 5e-324 * domain.normal]
+            rows = np.concatenate(rows)
+            # inf - inf and overflow warn alike in both; the bits are compared
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = domain.project_points(rows), self.where_oracle(domain, rows)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.tobytes() == want.tobytes()
+            assert got is not rows and not np.shares_memory(got, rows)
 
 
 class TestBox:

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from reflectsde.domain import Ball, Box, HalfSpace, Polyhedron
+from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath
 from reflectsde.penalty import (
     SUP_FACTOR,
     VARIATION_FACTOR,
     PenalizedPath,
     _penalty_variation,
+    _relax_and_step,
     _relaxed,
     _sup_deviation,
     penalty_bounds,
@@ -17,8 +18,10 @@ from reflectsde.penalty import (
 )
 from reflectsde.sde import (
     Brownian,
+    BrownianDrift,
     CompoundPoisson,
     ConstantStart,
+    DiagAffine,
     DriverSpec,
     Drift,
     Grid,
@@ -252,6 +255,123 @@ class TestBatchedClosedForm:
                     assert variation[i] == one.penalty_variation(), (dim, name)
                     assert partial[i] == one.penalty_variation(t), (dim, name)
                     assert sup[i] == one.sup_deviation(domain.anchor), (dim, name)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes; ``tobytes`` is C-ordered, so layout aside."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_relax_and_step(domain, f, H, Z, n, times):
+    """The relax-and-step recurrence one step at a time, as the oracle of
+    the kernel: each step's decay is a scalar exp of its length, the free
+    term is differenced row by row, and the failure rule is applied to
+    every row at every step.  Returns the full (M, K+1, d) history."""
+    M, K1, d = H.shape
+    states = np.empty((M, K1, d))
+    projections = np.empty_like(states)
+    failed = np.zeros(M, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K1):
+            if k == 0:
+                x = np.array(H[:, 0], dtype=float)
+            else:
+                pre = p
+                if n != np.inf:
+                    pre = p + (x - p) * np.exp(-n * (times[k] - times[k - 1]))
+                x = pre + (H[:, k] - H[:, k - 1])
+                if Z is not None:
+                    x = x + f.contract(pre, Z[:, k] - Z[:, k - 1])
+            failed |= ~np.isfinite(x).all(axis=1)
+            live = np.flatnonzero(~failed)
+            try:
+                P = domain.project_points(x[live])
+            except NumericalError as exc:
+                P = exc.result
+                failed[live] |= np.isnan(P[:, 0])
+            p = np.full_like(x, np.nan)
+            p[live] = P
+            states[:, k], projections[:, k] = x, p
+    return states, projections, failed
+
+
+class TestKernelReference:
+    """``_relax_and_step`` hoists the decay factors out of its loop,
+    differences a broadcast free term on its one row and does not scan
+    the failed rows each step; none of that may change a bit of the
+    per-step recurrence."""
+
+    RATES = [3.7, 64.0, 4096.0, 1e6, np.inf]
+    # a non-uniform grid of 48 cells, and every 4th point of it
+    FINE = Grid(np.concatenate([[0.0], np.cumsum(1.0 + np.arange(48) % 5 * 0.37)]) / 10.0)
+    GRIDS = {"non-uniform": FINE, "coarsened": FINE.coarsen(4)}
+
+    @staticmethod
+    def drivers(domain, h, grid):
+        d = domain.dim
+        start = BrownianDrift(domain.anchor, 0.3) if h == "drawn" else ConstantStart(domain.anchor)
+        spec = DriverSpec(
+            dim=d,
+            h=start,
+            z_components=(
+                Brownian(0.8),
+                Drift([-1.0] * d),
+                CompoundPoisson(2.0, JumpSizes("normal", (0.0, 0.5))),
+            ),
+        )
+        H, Z = sample_driver_batch(spec, grid, seed=21, paths=1 if h == "one-row" else 12)
+        if h == "one-row":
+            # a single path's values, as _solve_row passes them
+            H, Z = np.array(H[0])[None], np.array(Z[0])[None]
+        assert (H.strides[0] == 0) == (h != "drawn")
+        return H, Z
+
+    def check(self, domain, f, H, Z, n, times):
+        got = _relax_and_step(domain, f, H, Z, n, times)
+        want = reference_relax_and_step(domain, f, H, Z, n, times)
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        return got
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("h", ["drawn", "broadcast", "one-row"])
+    @pytest.mark.parametrize("n", RATES)
+    @pytest.mark.parametrize("dim, name", [(1, "halfspace"), (2, "polyhedron"), (2, "ball")])
+    def test_matches_the_per_step_loop(self, dim, name, n, h, grid):
+        domain = DOMAINS[dim][name]
+        grid = self.GRIDS[grid]
+        H, Z = self.drivers(domain, h, grid)
+        for f in (Identity(dim), DiagAffine(dim, base=0.5, slope=0.25)):
+            X, P, failed = self.check(domain, f, H, Z, n, grid.times)
+            assert not failed.any() and np.any(X != P)
+        self.check(domain, None, H, None, n, grid.times)
+
+    @pytest.mark.parametrize("n", [10.0, np.inf])
+    def test_rows_that_fail_mid_path(self, n):
+        class Flaky(HalfSpace):
+            def project_points(self, X):
+                out = super().project_points(X)
+                stuck = X[:, 0] > 50.0
+                if stuck.any():
+                    out[stuck] = np.nan
+                    raise NumericalError("forced", out)
+                return out
+
+        domain = Flaky([1.0], 0.0)
+        times = self.FINE.times
+        K1 = times.shape[0]
+        for broadcast in (False, True):
+            H = np.full((4, K1, 1), 0.5)
+            if not broadcast:
+                H[1, 25:] = 100.0
+            H = np.broadcast_to(H[:1], H.shape) if broadcast else H
+            Z = np.zeros((4, K1, 1))
+            Z[:, :, 0] = np.linspace(0.0, -1.0, K1)
+            Z[2, 30:] = np.inf
+            Z[3, 40:] = 80.0
+            _, _, failed = self.check(domain, Identity(1), H, Z, n, times)
+            assert failed.tolist() == [False, not broadcast, True, True]
 
 
 class TestAprioriBounds:

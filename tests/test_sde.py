@@ -14,7 +14,7 @@ from reflectsde.domain import (
     NumericalError,
     Polyhedron,
 )
-from reflectsde import experiments
+from reflectsde import experiments, sde
 from reflectsde.path import StepPath
 from reflectsde.penalty import _penalty_variation, _relax_and_step, _sup_deviation
 from reflectsde.penalty import solve_penalized
@@ -382,6 +382,96 @@ class TestFirstComponentWritten:
             else:
                 firsts = comp.increments(dt, spec.dim)[0]
             assert np.any(np.signbit(firsts) & (np.asarray(firsts) == 0.0)), name
+
+
+class TestBlockSize:
+    """The sampler works over blocks of rows; the block size changes no
+    bit of H or Z, signed zeros included, and bounds its scratch memory."""
+
+    # a non-uniform grid: spacings from 1 to 3 in a fixed pattern
+    GRID = Grid(np.concatenate([[0.0], np.cumsum(1.0 + np.arange(37) % 3)]) / 74.0)
+
+    @staticmethod
+    def spec(name, d):
+        zeros = np.zeros(d)
+        jumps = CompoundPoisson(3.0, JumpSizes("normal", (0.0, 0.5)))
+        if name == "drawn-first":
+            return DriverSpec(d, ConstantStart(zeros), (Brownian(0.7),))
+        if name == "underflowing":
+            # increments at 5e-324 scale are mostly +0.0 or -0.0
+            return DriverSpec(d, ConstantStart(zeros), (Brownian(5e-324),))
+        if name == "three-components":
+            return DriverSpec(d, ConstantStart(zeros), (Brownian(1.0), jumps, Drift(-0.25)))
+        if name == "brownian-drift-h":
+            h = BrownianDrift(np.full(d, 0.5), 0.4, np.linspace(-0.2, 0.3, d))
+            return DriverSpec(d, h, (jumps, Brownian(np.full(d, 0.6))))
+        raise KeyError(name)
+
+    SPECS = ("drawn-first", "underflowing", "three-components", "brownian-drift-h")
+
+    @staticmethod
+    def sampled(monkeypatch, spec, block):
+        monkeypatch.setattr(sde, "_BLOCK_VALUES", block)
+        return sample_driver_batch(spec, TestBlockSize.GRID, seed=13, paths=23)
+
+    def check(self, monkeypatch, spec):
+        want = self.sampled(monkeypatch, spec, 2**30)
+        zeros_plus = TestFirstComponentWritten.added_to_zeros(spec, self.GRID, 13, 23)
+        assert same_bits(want[1], zeros_plus)
+        for block in (1, 7, 2**15):
+            got = self.sampled(monkeypatch, spec, block)
+            for a, b in zip(got, want):
+                assert np.array_equal(np.signbit(a), np.signbit(b)), block
+                assert same_bits(a, b), block
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_block_size_changes_no_bit(self, monkeypatch, name, d):
+        self.check(monkeypatch, self.spec(name, d))
+
+    def test_deterministic_first_component(self, monkeypatch):
+        spec = DriverSpec(2, ConstantStart([0.5, 0.5]), (Drift([-0.0, 1.0]), Brownian(1.0)))
+        self.check(monkeypatch, spec)
+
+    def test_scratch_is_bounded(self):
+        # tracemalloc sees numpy's buffers: beyond Z itself the sampler
+        # holds one block of draws, the row keys and a few (K,) arrays
+        M, K = 2000, 1024
+        spec = DriverSpec(dim=1, h=ConstantStart(0.0), z_components=(Brownian(1.0),))
+        grid = Grid.regular(1.0, K)
+        sample_driver_batch(spec, Grid.regular(1.0, 4), seed=1, paths=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, Z = sample_driver_batch(spec, grid, seed=1, paths=M)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert Z.nbytes == (K + 1) * M * 8
+        assert peak < Z.nbytes + 2 * 2**20
+
+
+class TestSampleArguments:
+    @pytest.mark.parametrize("paths", [-1, -7])
+    def test_negative_paths_raise(self, paths):
+        spec = DriverSpec(1, ConstantStart(0.0), (Brownian(1.0),))
+        with pytest.raises(ValueError, match="paths must be nonnegative"):
+            sample_driver_batch(spec, Grid.regular(1.0, 4), seed=1, paths=paths)
+
+    @pytest.mark.parametrize("paths", [0, 3])
+    def test_negative_first_index_raises(self, paths):
+        spec = DriverSpec(1, BrownianDrift(0.0), (Brownian(1.0),))
+        with pytest.raises(ValueError, match="first_index must be nonnegative"):
+            sample_driver_batch(spec, Grid.regular(1.0, 4), 1, paths, first_index=-1)
+
+    @pytest.mark.parametrize("h", [BrownianDrift([0.5, 0.5]), ConstantStart([0.5, 0.5])])
+    def test_no_paths_is_empty(self, h):
+        spec = DriverSpec(2, h, (Brownian(1.0), Drift(1.0)))
+        grid = Grid.regular(1.0, 4)
+        H, Z = sample_driver_batch(spec, grid, seed=1, paths=0)
+        assert H.shape == Z.shape == (0, 5, 2)
+        states, projections = euler_penalized_batch(WEDGE, Identity(2), H, Z, 8.0, grid)
+        assert states.shape == projections.shape == (0, 5, 2)
 
 
 class TestKeptGridPoints:

@@ -6,6 +6,8 @@ drivers, ``converge`` runs a named convergence benchmark.  Every run
 writes a manifest with the resolved config, its hash and the Python,
 numpy and package versions next to the outputs, so a rerun of the same
 manifest under the same versions reproduces the outputs byte for byte.
+The files are written into a staging directory first and moved to
+``--out`` once every one is written, so a failed write leaves none.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failures
 beyond the configured threshold or arithmetic that leaves the float
@@ -15,8 +17,11 @@ range, 3 a benchmark check failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import platform
+import shutil
 import sys
 from pathlib import Path
 
@@ -95,6 +100,41 @@ def _load_config(ref: str) -> dict:
     return cfg
 
 
+def _write_all(out_dir: Path, files) -> None:
+    """Write the (name, text) pairs of ``files`` to ``out_dir``, all or none.
+
+    They are written into a staging directory this function makes: a
+    sibling of a new ``out_dir``, which is then renamed to it, or a hidden
+    directory inside an existing one, whose files are then moved in.  On
+    failure only the staging directory is removed.  A file is moved in only
+    once every file is written and no name is taken by a directory.
+    """
+    fresh = not out_dir.exists()
+    if fresh:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        stage = out_dir.parent / f".{out_dir.name}-{os.urandom(4).hex()}.part"
+    else:
+        stage = out_dir / f".reflectsde-{os.urandom(4).hex()}.part"
+    stage.mkdir()
+    try:
+        names = []
+        for name, text in files:
+            (stage / name).write_text(text)
+            names.append(name)
+        if fresh:
+            stage.rename(out_dir)
+            return
+        for target in (out_dir / name for name in names):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for name in names:
+            os.replace(stage / name, out_dir / name)
+        stage.rmdir()
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -130,19 +170,19 @@ def main(argv=None) -> int:
             "reflectsde": __version__,
         },
     }
-    # made once the config checks passed, so a config error leaves none
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True)
-        )
-        (out_dir / "report.json").write_text(report.to_json())
+
+    def outputs():
+        yield "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
+        yield "report.json", report.to_json()
         for name, path in artifacts.items():
             text = path.to_json() if args.format == "json" else path.to_csv_string()
-            (out_dir / f"{name}.{args.format}").write_text(text)
+            yield f"{name}.{args.format}", text
         for table_name in report.tables:
-            (out_dir / f"{table_name}.csv").write_text(report.table_csv(table_name))
+            yield f"{table_name}.csv", report.table_csv(table_name)
+
+    # written once the config checks passed, so a config error leaves none
+    try:
+        _write_all(Path(args.out), outputs())
     except OSError as exc:
         print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG

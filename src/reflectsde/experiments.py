@@ -426,11 +426,10 @@ def run_simulate(cfg: dict):
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
     states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
-    kept = {
-        f"path_{i}": PenalizedPath(n, grid.times, states[i], projections[i], grid.q)
-        for i in range(keep)
-        if not np.isnan(states[i, 0, 0])
-    }
+    # one batch of the kept rows only, so no other row stays in memory
+    rows = [i for i in range(keep) if not np.isnan(states[i, 0, 0])]
+    batch = PenalizedPath._batch(n, grid.times, states[rows], projections[rows], grid.q)
+    kept = {f"path_{i}": path for i, path in zip(rows, batch)}
     # failed rows are NaN; a finite gap above about 1e154 overflows it
     with np.errstate(over="ignore"):
         variations = _penalty_variation(
@@ -542,9 +541,10 @@ def oscillation_benchmark(
     grid = Grid.regular(q, cells)
     H, Z = sample_driver_batch(spec, grid, seed, paths)
     states, _ = euler_penalized_batch(domain, Identity(1), H, Z, n, grid)
-    # penalized paths enter moduli through their breakpoint states
-    xs = [StepPath(grid.times, s, grid.q) for s in states]
-    zs = [StepPath(grid.times, z, grid.q) for z in Z]
+    # penalized paths enter moduli through their breakpoint states; one
+    # batch, so every pair holds one breakpoint array
+    steps = StepPath._batch(grid.times, np.concatenate((states, Z)), grid.q)
+    xs, zs = steps[:paths], steps[paths:]
     table = oscillation_diagnostic(xs, zs, deltas, epsilons, q)
     params = dict(seed=seed, paths=paths, n=n, cells=cells, rate=rate)
     report = _study_report("cp-oscillation", **params)

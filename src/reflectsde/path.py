@@ -6,14 +6,20 @@ immutability, the time check, and evaluation, batched evaluation and left
 limits over one hook, the value held from breakpoint j at time t.  A step
 path holds ``values[j]``; a penalized path relaxes toward the projection
 (``penalty._relaxed_from``).  Each path type serializes itself, to CSV and
-to JSON.
+to JSON.  Paths built from one batch on one grid (``_Breakpoints._batch``)
+are checked and copied once and hold one breakpoint array, which the
+interlaced moduli recognise by identity before comparing breakpoints.
 
 The partition modulus and the interlaced moduli are exact for step paths
 in any dimension.  The partition modulus bisects over the diameters of
-runs of segment values; the interlaced moduli read their oscillations from
-one scan, ``_reach``, which gives each breakpoint value its largest
-distance to an earlier one: in dimension one from the running minimum and
-maximum, in O(L), and otherwise by a blocked pairwise scan.
+runs of segment values.  The interlaced moduli need, for each breakpoint
+value, its largest distance to an earlier one in a window.  For a pair of
+one-dimensional paths the scan takes it from the running minimum and
+maximum, in O(L), compares the squares fl(x * x) of the distances and
+takes one square root per call: sqrt(fl(x * x)) is nondecreasing in |x|,
+also where x * x underflows or overflows, so the root of the largest
+minimum has the bits of the largest minimum of roots.  Otherwise
+``_reach`` gives the distances by a blocked pairwise scan.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import bisect
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -62,21 +69,29 @@ def _breakpoints(times, q=None):
     return t, q
 
 
-def _rows_of(values, m: int) -> np.ndarray:
-    """One row per breakpoint as a read-only (m, d) C-ordered float copy."""
+def _rows_of(values, m: int, batch: bool = False) -> np.ndarray:
+    """One row per breakpoint as a read-only (m, d) C-ordered float copy;
+    with ``batch``, one such (m, d) block per path in one (M, m, d) copy."""
     v = np.array(values, dtype=float, order="C")
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[0] != m:
-        raise ValueError(f"values {v.shape} must be (m, d) for m = {m} breakpoints")
+    lead = int(batch)
+    if v.ndim == 1 + lead:
+        v = v[..., None]
+    if v.ndim != 2 + lead or v.shape[lead] != m:
+        raise ValueError(f"values {v.shape[lead:]} must be (m, d) for m = {m} breakpoints")
     v.setflags(write=False)
     return v
 
 
-def _segment(times, ts):
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("path data must be finite")
+    return values
+
+
+def _segment(times: np.ndarray, ts):
     """Index of the breakpoint each time in ``ts`` is held from: the last
     j with times[j] <= t."""
-    return np.searchsorted(times, ts, side="right") - 1
+    return times.searchsorted(ts, side="right") - 1
 
 
 # np.unique (np.union1d too) and np.median import numpy.ma on first use,
@@ -122,12 +137,23 @@ class _Breakpoints:
 
     def __init__(self, times, values, q=None):
         t, q = _breakpoints(times, q)
-        v = _rows_of(values, t.shape[0])
-        if not np.isfinite(v).all():
-            raise ValueError("path data must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "q", q)
+        self._hold(times=t, values=_finite(_rows_of(values, t.shape[0])), q=q)
+
+    @classmethod
+    def _batch(cls, times, values, q=None) -> list:
+        """One path per (m, d) block of (M, m, d) ``values``, equal to
+        ``cls(times, values[i], q)``.  The constructor's checks and copies
+        are made once for the batch: every path holds the same breakpoint
+        array, and a read-only view of one copy of the values."""
+        t, q = _breakpoints(times, q)
+        v = _finite(_rows_of(values, t.shape[0], batch=True))
+        return [object.__new__(cls)._hold(times=t, values=row, q=q) for row in v]
+
+    def _hold(self, **fields):
+        """Set fields the caller has checked; returns the path."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -246,25 +272,12 @@ def _reach(points: np.ndarray) -> np.ndarray:
     """r[j] = largest distance from points[j] to an earlier point; r[0] = 0.
 
     Each distance is sqrt(sum(diff * diff)) of diff = points[j] - points[i].
-    In dimension one the largest is found in O(L) from the running extremes
-    of the earlier points, with the same bits as the pairwise scan: rounded
-    subtraction is monotone, so the largest |fl(p_j - p_i)| over i < j is
-    taken at the running minimum or maximum; and sqrt(fl(x * x)) is
-    nondecreasing in |x|, also where x * x underflows or overflows.
-
-    In higher dimensions rows are taken in blocks of at most
-    ``_PAIRS_PER_BLOCK`` pairs, so the temporaries stay bounded for any
-    number of points.
+    Rows are taken in blocks of at most ``_PAIRS_PER_BLOCK`` pairs, so the
+    temporaries stay bounded for any number of points.  (Pairs of paths in
+    dimension one take the running-extremes scan of :func:`modulus_bar`.)
     """
     L = points.shape[0]
     out = np.zeros(L)
-    if L > 1 and points.shape[1] == 1:
-        p = points[:, 0]
-        low = np.minimum.accumulate(p[:-1])
-        high = np.maximum.accumulate(p[:-1])
-        far = np.maximum(np.abs(p[1:] - low), np.abs(high - p[1:]))
-        out[1:] = np.sqrt(far * far)
-        return out
     step = max(1, _PAIRS_PER_BLOCK // L)
     for lo in range(1, L, step):
         hi = min(lo + step, L)
@@ -334,7 +347,8 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
 def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
     """Merged breakpoints up to q and both paths' values on them."""
     tx, ty = path_x.times, path_y.times
-    if tx.shape == ty.shape and (tx == ty).all():
+    # paths of one batch hold one breakpoint array
+    if tx is ty or (tx.shape == ty.shape and (tx == ty).all()):
         n = int(tx.searchsorted(q, "right"))
         return tx[:n], path_x.values[:n], path_y.values[:n]
     times = np.concatenate((tx, ty))
@@ -377,8 +391,17 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     of earlier times is widest at the first segment of such a run, so only
     indices k where the second path changes serve as t.  For each, with lo
     the first index whose successor starts after times[k] - delta, the
-    scan takes the earlier factor from :func:`_reach` over lo..k-1, in
-    O(k - lo) for paths in dimension one.
+    earlier factor at u is the largest distance from x_u to an earlier x
+    in the window.  In higher dimensions :func:`_reach` gives it.
+
+    When both paths are one-dimensional the scan reads the value columns
+    and takes that distance, in O(k - lo), from the running minimum and
+    maximum: rounded subtraction is monotone, so the largest
+    |fl(x_u - x_s)| is taken at one of them.  Each distance is
+    sqrt(fl(x * x)) of a difference x, as in higher dimensions, and that is
+    nondecreasing in |x|, also where x * x underflows or overflows; so the
+    scan compares the squares fl(x * x) and takes one square root, of the
+    largest min(far^2, d^2), with the same bits as rooting every factor.
     """
     qx = min(path_x.q, path_y.q)
     q = qx if q is None else float(q)
@@ -387,16 +410,31 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     times, first, second = _merged_pair(path_x, path_y, q)
-    starts = np.flatnonzero((second[1:] != second[:-1]).any(axis=1)) + 1
+    one_dim = first.shape[1] == second.shape[1] == 1
+    if one_dim:
+        x, y = first[:, 0], second[:, 0]
+        starts = (y[1:] != y[:-1]).nonzero()[0] + 1
+    else:
+        starts = (second[1:] != second[:-1]).any(axis=1).nonzero()[0] + 1
     lows = _segment(times, times[starts] - float(delta))
     out = 0.0
-    for k, lo in zip(starts.tolist(), np.maximum(lows, 0).tolist()):
+    for k, lo in zip(starts.tolist(), lows.tolist()):
+        lo = max(lo, 0)
         if lo >= k - 1:
             continue
-        a = _reach(first[lo:k])[1:]
-        b = _lengths(second[k] - second[lo + 1 : k])
-        out = max(out, float(np.minimum(a, b).max()))
-    return out
+        if one_dim:
+            earlier, u = x[lo : k - 1], x[lo + 1 : k]
+            # the larger of u - min and max - u is the distance to the
+            # farther extreme: where one is negative, the other is larger
+            low, high = np.minimum.accumulate(earlier), np.maximum.accumulate(earlier)
+            far = np.maximum(u - low, high - u)
+            d = y[k] - y[lo + 1 : k]
+            out = max(out, np.minimum(far * far, d * d).max())
+        else:
+            a = _reach(first[lo:k])[1:]
+            b = _lengths(second[k] - second[lo + 1 : k])
+            out = max(out, np.minimum(a, b).max())
+    return math.sqrt(out) if one_dim else float(out)
 
 
 def upcrossings_of_values(values, a: float, b: float) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConvexDomain, DomainViolationError, NumericalError
-from .path import StepPath, _Breakpoints, _rows_of, modulus_prime
+from .path import StepPath, _Breakpoints, _breakpoints, _finite, _rows_of, modulus_prime
 
 __all__ = [
     "PenalizedPath",
@@ -56,8 +56,24 @@ class PenalizedPath(_Breakpoints):
         p = _rows_of(projections, self.times.shape[0])
         if p.shape != self.values.shape:
             raise ValueError(f"projections {p.shape} do not match the states")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "projections", p)
+        self._hold(n=n, projections=p)
+
+    @classmethod
+    def _batch(cls, n, times, states, projections, q) -> list:
+        """One path per (m, d) block of (M, m, d) ``states`` and
+        ``projections``, equal to ``cls(n, times, states[i],
+        projections[i], q)``, with the checks and copies made once for the
+        batch as in :meth:`_Breakpoints._batch`."""
+        n = _rate(n)
+        t, q = _breakpoints(times, q)
+        v = _finite(_rows_of(states, t.shape[0], batch=True))
+        p = _rows_of(projections, t.shape[0], batch=True)
+        if p.shape != v.shape:
+            raise ValueError(f"projections {p.shape} do not match the states {v.shape}")
+        return [
+            object.__new__(cls)._hold(times=t, values=x, q=q, n=n, projections=px)
+            for x, px in zip(v, p)
+        ]
 
     @property
     def states(self) -> np.ndarray:
@@ -108,8 +124,11 @@ class PenalizedPath(_Breakpoints):
         return StepPath(times, self.eval_many(times), self.q)
 
     def to_csv_string(self) -> str:
-        """The CSV of the path sampled at its own breakpoints."""
-        return self.to_step(self.times).to_csv_string()
+        """The CSV of the path sampled at its own breakpoints: the step
+        path ``to_step(self.times)``, holding this path's breakpoints."""
+        values = _finite(_rows_of(self.eval_many(self.times), self.times.shape[0]))
+        step = object.__new__(StepPath)._hold(times=self.times, values=values, q=self.q)
+        return step.to_csv_string()
 
     def to_json(self) -> str:
         """The rate, horizon and each breakpoint's state and projection."""

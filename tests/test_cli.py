@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: artifacts, manifests, exit codes, replay."""
 
+import errno
 import hashlib
 import json
+import os
 import platform
 import runpy
 import subprocess
@@ -293,6 +295,60 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"config error: --out {out}: ")
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["converge", "--config", "cp-oscillation", "--paths", "4"], "report.json"),
+            (["skorokhod", "--config", "halfline-threejump"], "x.csv"),
+        ],
+        ids=["report", "artifact"],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, argv, blocked):
+        # the files are moved in only once all are written and no name is
+        # taken by a directory; the user's own files stay as they were
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        (out / "notes.txt").write_bytes(b"mine\r\n")
+        (out / "manifest.json").write_text("an earlier run")
+        assert main([*argv, "--out", str(out)]) == 1
+        left = sorted(p.name for p in out.iterdir())
+        assert left == sorted([blocked, "manifest.json", "notes.txt"])
+        assert list((out / blocked).iterdir()) == []
+        assert (out / "notes.txt").read_bytes() == b"mine\r\n"
+        assert (out / "manifest.json").read_text() == "an earlier run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def test_failed_write_to_a_new_out_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        inner = Path.write_text
+
+        def full(self, text, *args, **kwargs):
+            if self.name == "report.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return inner(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "new" / "run"
+        argv = ["skorokhod", "--config", "halfline-threejump", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: --out {out}: No space left on device\n"
+        assert not out.exists()
+        assert list((tmp_path / "new").iterdir()) == []
+
+    def test_error_while_serializing_leaves_nothing(self, tmp_path, monkeypatch):
+        def broken(self):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(StepPath, "to_csv_string", broken)
+        out = tmp_path / "run"
+        out.mkdir()
+        argv = ["skorokhod", "--config", "halfline-threejump"]
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            main([*argv, "--out", str(out)])
+        assert list(out.iterdir()) == []
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            main([*argv, "--out", str(tmp_path / "fresh")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
     def test_config_names_a_directory(self, tmp_path, capsys):
         folder = tmp_path / "configs"
         folder.mkdir()
@@ -505,6 +561,43 @@ class TestSimulateCommand:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_new_out_is_the_staged_directory(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SIMULATE_CFG))
+        out = tmp_path / "deep" / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        names = ["manifest.json", "path_0.csv", "path_1.csv", "report.json"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert [p.name for p in (tmp_path / "deep").iterdir()] == ["run"]
+        # the mode a plain mkdir gives, not a private temporary one
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_existing_out_keeps_the_users_files(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SIMULATE_CFG))
+        fresh = tmp_path / "fresh"
+        assert main(["simulate", "--config", str(cfg), "--out", str(fresh)]) == 0
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        (out / "sub" / "data.csv").write_text("1,2\n")
+        (out / "notes.txt").write_text("mine")
+        (out / "report.json").write_text("stale")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        names = ["manifest.json", "notes.txt", "path_0.csv", "path_1.csv", "report.json", "sub"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert (out / "notes.txt").read_text() == "mine"
+        assert (out / "sub" / "data.csv").read_text() == "1,2\n"
+        for p in fresh.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes()
+        # the default --out is the working directory
+        monkeypatch.chdir(out)
+        assert main(["simulate", "--config", str(cfg), "--seed", "4"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 4
+        assert (out / "notes.txt").read_text() == "mine"
+
     def test_flag_overrides_land_in_manifest(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SIMULATE_CFG))
@@ -592,6 +685,30 @@ class TestSimulateCommand:
         assert sorted(f["path"] for f in failures) == bad
         reasons = {f["error"] for f in failures}
         assert "penalty variation not finite" in reasons
+
+    def test_kept_paths_hold_only_kept_rows(self):
+        # one batch of the kept, unfailed rows: no other row stays in memory
+        cfg = dict(SIMULATE_CFG, keep_paths=20)
+        sizes = {"tag": "normal", "params": [0.0, 1e308]}
+        jumps = {"kind": "compound_poisson", "rate": 2.0, "jumps": sizes}
+        cfg["driver"] = dict(SIMULATE_CFG["driver"], z=[jumps])
+        _, artifacts = experiments.run_simulate(json.loads(json.dumps(cfg)))
+        grid = Grid.regular(1.0, 32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H, Z = sample_driver_batch(build_driver(cfg["driver"]), grid, 3, 20)
+            states, projections = euler_penalized_batch(
+                HalfSpace([1.0], 0.0), Identity(1), H, Z, 100.0, grid
+            )
+        rows = [i for i in range(20) if np.isfinite(states[i]).all()]
+        assert 0 < len(rows) < 20
+        assert list(artifacts) == [f"path_{i}" for i in rows]
+        for i in rows:
+            path = artifacts[f"path_{i}"]
+            assert path.states.tobytes() == states[i].tobytes()
+            assert path.projections.tobytes() == projections[i].tobytes()
+            for held in (path.states, path.projections):
+                assert held.base.shape == (len(rows), 33, 1)
+            assert path.times is artifacts[f"path_{rows[0]}"].times
 
     def test_projection_failure_counts_only_its_path(self, tmp_path, monkeypatch):
         # a projection that diverges below a cut only the lowest path crosses

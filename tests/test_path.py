@@ -99,6 +99,35 @@ def pairwise_modulus_bar(px, py, delta, q):
     return best
 
 
+def per_start_modulus_bar(px, py, delta, q):
+    """modulus_bar of one-dimensional paths by the per-start formula with a
+    square root per factor: the earlier factor sqrt(far * far) from the
+    running extremes of the window, the later one sqrt(sum(d * d))."""
+    ts = np.union1d(px.times, py.times)
+    ts = ts[ts <= q]
+    X = px.eval_many(ts)[:, 0]
+    Y = py.eval_many(ts)
+    best = 0.0
+    for k in range(1, len(ts)):
+        if not (Y[k] != Y[k - 1]).any():
+            continue
+        lo = max(int(np.searchsorted(ts, ts[k] - delta, side="right")) - 1, 0)
+        if lo >= k - 1:
+            continue
+        p = X[lo:k]
+        low = np.minimum.accumulate(p[:-1])
+        high = np.maximum.accumulate(p[:-1])
+        far = np.maximum(np.abs(p[1:] - low), np.abs(high - p[1:]))
+        diff = Y[k] - Y[lo + 1 : k]
+        b = np.sqrt((diff * diff).sum(axis=-1))
+        best = max(best, float(np.minimum(np.sqrt(far * far), b).max()))
+    return best
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def brute_upcrossings(values, a, b):
     """Largest k admitting an alternating below/above subsequence."""
     m = len(values)
@@ -164,6 +193,85 @@ class TestStepPathBasics:
         p = StepPath([0.0, 0.5], [1.0, 2.0], q=1.0)
         assert p.values.shape == (2, 1)
         assert p.dim == 1
+
+
+def same_path(got, want):
+    """Same type, bits of breakpoints and values, horizon and flags."""
+    assert type(got) is type(want)
+    for a, b in ((got.times, want.times), (got.values, want.values)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and a.flags.c_contiguous
+    assert got.q == want.q and type(got.q) is type(want.q)
+    with pytest.raises(AttributeError, match="immutable"):
+        got.q = 2.0
+
+
+class TestBatchedPaths:
+    def test_each_path_is_the_constructors(self, rng):
+        times = np.array([0.0, 0.25, 0.5, 0.875])
+        for dim in (1, 2, 3):
+            values = rng.choice([0.0, -0.0, 1.5, -2.0, 5e-324], size=(5, 4, dim))
+            # a time-major batch, read through its transpose, as the sampler returns
+            major = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
+            for q in (None, 2.0):
+                for source in (values, major, values.tolist()):
+                    batch = StepPath._batch(times, source, q)
+                    assert len(batch) == 5
+                    for path, row in zip(batch, values):
+                        same_path(path, StepPath(times, row, q))
+        # (M, m) values give one-dimensional paths, as (m,) values do
+        flat = rng.normal(size=(3, 4))
+        for path, row in zip(StepPath._batch(times, flat), flat):
+            same_path(path, StepPath(times, row))
+
+    def test_paths_hold_one_breakpoint_array_and_one_copy(self, rng):
+        times = np.linspace(0.0, 1.0, 9)
+        values = rng.normal(size=(6, 9, 2))
+        batch = StepPath._batch(times, values, 1.0)
+        for path in batch:
+            assert path.times is batch[0].times
+            assert path.values.base is batch[0].values.base
+        assert batch[0].values.base.shape == values.shape
+        # copies: changing the inputs changes no path
+        before = [p.values.tobytes() for p in batch]
+        times[1] = 0.01
+        values[:] = 7.0
+        assert [p.values.tobytes() for p in batch] == before
+        assert batch[0].times[1] == 0.125
+        with pytest.raises(ValueError):
+            batch[0].values.setflags(write=True)
+
+    def test_empty_batch(self):
+        assert StepPath._batch([0.0, 0.5], np.empty((0, 2, 1)), 1.0) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_the_constructors_error(self, rng, bad):
+        times = [0.0, 0.5, 0.75]
+        values = rng.normal(size=(4, 3, 2))
+        values[2, 1, 0] = bad
+        with pytest.raises(ValueError) as alone:
+            StepPath(times, values[2])
+        with pytest.raises(ValueError) as batched:
+            StepPath._batch(times, values)
+        assert str(batched.value) == str(alone.value) == "path data must be finite"
+
+    @pytest.mark.parametrize(
+        "times, shape, q",
+        [
+            ([0.0, 0.5, 0.5], (2, 3, 1), None),
+            ([0.1, 0.5], (2, 2, 1), None),
+            ([0.0, 0.5], (2, 2, 1), 0.25),
+            ([0.0, 0.5], (2, 3, 1), None),
+        ],
+        ids=["not-increasing", "no-zero", "horizon", "rows"],
+    )
+    def test_bad_batches_raise_the_constructors_errors(self, times, shape, q):
+        values = np.ones(shape)
+        with pytest.raises(ValueError) as alone:
+            StepPath(times, values[0], q)
+        with pytest.raises(ValueError) as batched:
+            StepPath._batch(times, values, q)
+        assert str(batched.value) == str(alone.value)
 
 
 class TestCsvRoundTrip:
@@ -387,6 +495,10 @@ class TestInterlacedModuli:
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-200, 1e200])
     @pytest.mark.parametrize("kind", ["random", "tied", "increasing", "decreasing"])
     def test_running_extremes_match_pairwise_reach(self, rng, scale, kind):
+        # the one-dimensional scan's earlier factor, read through the
+        # modulus: a second path jumping by 1e308 (its square overflows)
+        # just after breakpoint j leaves the largest pairwise distance
+        # among the first j + 1 points
         for length in (1, 2, 3, 17, 60):
             p = rng.normal(size=(length, 1))
             if kind == "tied":
@@ -394,11 +506,74 @@ class TestInterlacedModuli:
             elif kind != "random":
                 p = np.sort(p, axis=0)[:: 1 if kind == "increasing" else -1]
             p = p * scale
+            x = StepPath(np.arange(length) / length, p, q=1.0)
             # squares past the float range overflow to inf in both scans
             with np.errstate(over="ignore"):
-                got = path_module._reach(p)
-                want = pairwise_reach(p)
-            assert got.tobytes() == want.tobytes()
+                want = np.maximum.accumulate(pairwise_reach(p))
+                for j in range(length):
+                    t = (j + 0.5) / length
+                    y = StepPath([0.0, t], [[0.0], [1e308]], q=1.0)
+                    assert bits(modulus_bar(x, y, 2.0, t)) == bits(want[j])
+
+    # 1e-160: squares in the subnormal range, where sqrt(x * x) != |x|
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-160, 1e-200, 1e200])
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed-zeros", "zero-steps"])
+    @pytest.mark.parametrize("grids", ["shared", "equal", "merged", "disjoint"])
+    def test_one_dim_scan_matches_per_start_roots(self, rng, scale, kind, grids):
+        # comparing squares and rooting once gives the bits of a root per
+        # factor, also where the squares underflow or overflow
+        pool = {
+            "signed-zeros": [0.0, -0.0, 1.0, -1.0],
+            "zero-steps": [0.0, -0.0, 0.0, -0.0, 1.0, -2.0],
+        }
+        for trial in range(12):
+            m = int(rng.integers(2, 30))
+            tx = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, m - 1)]))
+            if grids in ("shared", "equal"):
+                ty = tx.copy()
+            elif grids == "merged":
+                ty = np.union1d(tx[:: 2], rng.uniform(0, 1, m // 2))
+            else:
+                # only t = 0 in common
+                ty = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, m // 2 + 1)]))
+            values = []
+            for n in (len(tx), len(ty)):
+                if kind in pool:
+                    v = rng.choice(pool[kind], size=n)
+                    # zero steps: runs of +-0 increments between jumps
+                    v = np.cumsum(v) if kind == "zero-steps" else v
+                else:
+                    v = rng.normal(size=n)
+                    v = np.round(v) if kind == "tied" else v
+                values.append(v[:, None] * scale)
+            if grids == "shared":
+                x, y = StepPath._batch(tx, np.stack(values), 1.0)
+                assert x.times is y.times
+            else:
+                x, y = StepPath(tx, values[0], 1.0), StepPath(ty, values[1], 1.0)
+            q = 1.0 if trial % 3 == 0 else float(rng.uniform(0.1, 1.0))
+            delta = 3.0 if trial % 4 == 1 else float(rng.uniform(0.01, 0.9))
+            with np.errstate(over="ignore"):
+                got = modulus_bar(x, y, delta, q)
+                want = per_start_modulus_bar(x, y, delta, q)
+                pairwise = pairwise_modulus_bar(x, y, delta, q)
+            assert bits(got) == bits(want) == bits(pairwise), (trial, q, delta)
+
+    def test_shared_grid_is_recognised_by_identity(self, rng):
+        # paths of one batch hold one breakpoint array: the merge takes it
+        # without an elementwise comparison
+        class Uncomparable(np.ndarray):
+            def __eq__(self, other):
+                raise AssertionError("shared breakpoints compared elementwise")
+
+        times = np.linspace(0.0, 1.0, 17).view(Uncomparable)
+        times.setflags(write=False)
+        x, y = StepPath._batch(times.view(np.ndarray), rng.normal(size=(2, 17, 1)), 1.0)
+        shared = [
+            object.__new__(StepPath)._hold(times=times, values=p.values, q=1.0) for p in (x, y)
+        ]
+        for delta in (0.05, 0.3, 2.0):
+            assert modulus_bar(*shared, delta) == modulus_bar(x, y, delta)
 
     def test_grids_shared_equal_or_disjoint(self, rng):
         for trial in range(30):

@@ -262,6 +262,81 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestBatchedPenalizedPaths:
+    def batch(self, rng, dim=2, rows=5):
+        times = np.array([0.0, 0.125, 0.5, 0.75])
+        states = rng.choice([0.0, -0.0, 1.5, -2.0, 5e-324], size=(rows, 4, dim))
+        projections = np.maximum(states, 0.0)
+        return times, states, projections
+
+    def test_each_path_is_the_constructors(self, rng):
+        for dim in (1, 2, 3):
+            times, states, projections = self.batch(rng, dim)
+            for q in (0.75, 1.5):
+                batch = PenalizedPath._batch(4.0, times, states, projections, q)
+                for path, x, p in zip(batch, states, projections):
+                    want = PenalizedPath(4.0, times, x, p, q)
+                    assert type(path) is PenalizedPath
+                    assert path.n == want.n and path.q == want.q
+                    for got, exp in (
+                        (path.times, want.times),
+                        (path.states, want.states),
+                        (path.projections, want.projections),
+                    ):
+                        assert same_bits(got, exp) and not got.flags.writeable
+                    assert path.to_json() == want.to_json()
+                    assert path.to_csv_string() == want.to_csv_string()
+                    with pytest.raises(AttributeError, match="immutable"):
+                        path.n = 1.0
+                assert all(p.times is batch[0].times for p in batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_errors_are_the_constructors(self, rng, bad):
+        times, states, projections = self.batch(rng)
+        cases = [
+            ((0.0, times, states, projections, 1.0), 0),
+            ((4.0, times[::-1], states, projections, 1.0), 0),
+            ((4.0, times, states, projections[:, :, :1], 1.0), 0),
+        ]
+        broken = states.copy()
+        broken[3, 2, 1] = bad
+        cases.append(((4.0, times, broken, projections, 1.0), 3))
+        for (n, t, x, p, q), row in cases:
+            with pytest.raises(ValueError) as alone:
+                PenalizedPath(n, t, x[row], p[row], q)
+            with pytest.raises(ValueError) as batched:
+                PenalizedPath._batch(n, t, x, p, q)
+            # the batch names the batch's shapes where the shapes differ
+            if "projections" not in str(alone.value):
+                assert str(batched.value) == str(alone.value)
+            else:
+                assert str(batched.value).startswith("projections (5, 4, 1) do not match")
+
+    def test_csv_is_the_step_path_on_its_own_breakpoints(self, rng, monkeypatch):
+        times, states, projections = self.batch(rng)
+        path = PenalizedPath(3.0, times, states[0] + 0.25, projections[0], 1.0)
+        want = path.to_step(times).to_csv_string()
+        written = []
+        inner = StepPath.to_csv_string
+
+        def spy(step):
+            written.append(step)
+            return inner(step)
+
+        monkeypatch.setattr(StepPath, "to_csv_string", spy)
+        assert path.to_csv_string() == want
+        step = written[-1]
+        assert step.times is path.times and step.q == path.q
+        assert not step.values.flags.writeable
+        # a non-finite value at a breakpoint is the step path's error
+        infinite = PenalizedPath(3.0, times, states[0], np.full((4, 2), np.inf), 1.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="path data must be finite"):
+                infinite.to_step(times)
+            with pytest.raises(ValueError, match="path data must be finite"):
+                infinite.to_csv_string()
+
+
 def reference_relax_and_step(domain, f, H, Z, n, times):
     """The relax-and-step recurrence one step at a time, as the oracle of
     the kernel: each step's decay is a scalar exp of its length, the free

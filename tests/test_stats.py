@@ -305,6 +305,29 @@ class TestOscillationDiagnostic:
         assert len(calls) == 8 * len(deltas)
         assert sorted(set(calls)) == sorted(deltas)
 
+    def test_no_step_path_constructed_per_path(self, monkeypatch):
+        # the x and z paths are one batch on one breakpoint array
+        calls = []
+        inner = StepPath.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepPath, "__init__", counted)
+        seen = []
+        modulus = stats.modulus_bar
+
+        def pairs(x, z, *args):
+            seen.append((x, z))
+            return modulus(x, z, *args)
+
+        monkeypatch.setattr(stats, "modulus_bar", pairs)
+        oscillation_benchmark(seed=7, paths=8, deltas=(0.2,))
+        assert calls == []
+        assert len(seen) == 8
+        assert all(x.times is seen[0][0].times and z.times is x.times for x, z in seen)
+
 
 class TestMarginalConvergence:
     def test_ks_on_shrinking_grids(self):

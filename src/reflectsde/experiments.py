@@ -22,7 +22,7 @@ import numpy as np
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
 from .path import StepPath, _median, _segment, _sorted_unique
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
-from .penalty import _penalty_variation, _rate, _relaxed, _relaxed_from, _sup_deviation
+from .penalty import _penalty_variation, _rate, _relaxed_from, _sup_deviation
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, ConstantStart
 from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
@@ -426,21 +426,25 @@ def run_simulate(cfg: dict):
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
     states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
+    # a failed row is NaN throughout, and a projection that is not finite
+    # fails its row at the next step, so only the last one can be left:
+    # a row is finite when its last projection is
+    finite = np.isfinite(projections[:, -1]).all(axis=1)
     # one batch of the kept rows only, so no other row stays in memory
-    rows = [i for i in range(keep) if not np.isnan(states[i, 0, 0])]
+    rows = [i for i in range(keep) if finite[i]]
     batch = PenalizedPath._batch(n, grid.times, states[rows], projections[rows], grid.q)
     kept = {f"path_{i}": path for i, path in zip(rows, batch)}
-    # failed rows are NaN; a finite gap above about 1e154 overflows it
+    # a finite gap above about 1e154 overflows the variation
     with np.errstate(over="ignore"):
         variations = _penalty_variation(
             states, projections, n, grid.times, grid.q, grid.q
         )
-    finals = _relaxed(states[:, -1], projections[:, -1], n, 0.0)
-    ok = np.isfinite(variations)
+    finals = states[:, -1]
+    ok = finite & np.isfinite(variations)
     failures = []
     for i in np.flatnonzero(~ok):
         reason = "penalty variation not finite"
-        if np.isnan(states[i, 0, 0]):
+        if not finite[i]:
             reason = "state not finite or projection not certified"
             if not (np.isfinite(H[i]).all() and np.isfinite(Z[i]).all()):
                 reason = "driver values not finite"
@@ -589,11 +593,10 @@ def refinement_study(
         Hc = H_fine[:, ::factor]
         Zc = Z_fine[:, ::factor]
         states, projections = euler_penalized_batch(domain, f, Hc, Zc, float(n), coarse)
-        # the penalized paths at every fine grid point before q, then at q
-        ts = fine.times[:-1]
+        # the penalized paths at every fine grid point
+        ts = fine.times
         j = _segment(coarse.times, ts)
-        inner = _relaxed_from(states, projections, float(n), coarse.times, j, ts)
-        vals = np.hstack([inner[:, :, 0], states[:, -1:, 0]])
+        vals = _relaxed_from(states, projections, float(n), coarse.times, j, ts)[:, :, 0]
         med = float(_median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
         medians.append(med)
         rows.append(_row(float(n), q / cells, paths, "median_sup_distance", med))

@@ -206,6 +206,10 @@ class StepPath(_Breakpoints):
     def _held(self, j, t) -> np.ndarray:
         return self.values.take(j, axis=0)
 
+    def skeleton_values(self) -> np.ndarray:
+        """The values, which witness every extremum and crossing."""
+        return self.values
+
     def jump(self, t) -> np.ndarray:
         return self.eval(t) - self.left_limit(t)
 
@@ -351,12 +355,7 @@ def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
     if tx is ty or (tx.shape == ty.shape and (tx == ty).all()):
         n = int(tx.searchsorted(q, "right"))
         return tx[:n], path_x.values[:n], path_y.values[:n]
-    times = np.concatenate((tx, ty))
-    times.sort()
-    fresh = np.empty(times.shape, dtype=bool)
-    fresh[0] = True
-    np.not_equal(times[1:], times[:-1], out=fresh[1:])
-    times = times[fresh]
+    times = _sorted_unique(np.concatenate((tx, ty)))
     times = times[: int(times.searchsorted(q, "right"))]
     first = path_x.values[_segment(tx, times)]
     second = path_y.values[_segment(ty, times)]

@@ -9,9 +9,11 @@ with p_j the projection of the breakpoint state x_j.  The formula is exact
 because the projection of every point on the segment from x_j to p_j is
 p_j itself, so the pull direction is frozen within a segment.  A
 ``PenalizedPath`` is the breakpoint core of ``path`` with this formula as
-the value held from each breakpoint; it writes its CSV as the step path of
-its values at its own breakpoints, and its JSON as its states and
-projections.
+the value held from each breakpoint.  Where no time has elapsed the
+formula gives the stored state x_j itself, not fl(p_j + (x_j - p_j)), so a
+path takes its states at its own breakpoints bit for bit: its CSV holds
+its states, and the moduli read them as a step path's values.  Its JSON
+holds its states and projections.
 
 The same relax-and-step recurrence, batched over paths and with an
 optional integrator term, is the one kernel every solver and Euler scheme
@@ -43,9 +45,9 @@ class PenalizedPath(_Breakpoints):
     """Piecewise-exponential path from the penalized equation.
 
     Stores breakpoint states (its ``values``, also named ``states``), their
-    projections, and the rate ``n``; everything else (values between
-    breakpoints, left limits, variation of the penalty term) is evaluated
-    from the closed form.  Immutable.
+    projections, all finite, and the rate ``n``; everything else (values
+    between breakpoints, left limits, variation of the penalty term) is
+    evaluated from the closed form.  Immutable.
     """
 
     __slots__ = ("n", "projections")
@@ -56,7 +58,7 @@ class PenalizedPath(_Breakpoints):
         p = _rows_of(projections, self.times.shape[0])
         if p.shape != self.values.shape:
             raise ValueError(f"projections {p.shape} do not match the states")
-        self._hold(n=n, projections=p)
+        self._hold(n=n, projections=_finite(p))
 
     @classmethod
     def _batch(cls, n, times, states, projections, q) -> list:
@@ -72,7 +74,7 @@ class PenalizedPath(_Breakpoints):
             raise ValueError(f"projections {p.shape} do not match the states {v.shape}")
         return [
             object.__new__(cls)._hold(times=t, values=x, q=q, n=n, projections=px)
-            for x, px in zip(v, p)
+            for x, px in zip(v, _finite(p))
         ]
 
     @property
@@ -124,10 +126,9 @@ class PenalizedPath(_Breakpoints):
         return StepPath(times, self.eval_many(times), self.q)
 
     def to_csv_string(self) -> str:
-        """The CSV of the path sampled at its own breakpoints: the step
-        path ``to_step(self.times)``, holding this path's breakpoints."""
-        values = _finite(_rows_of(self.eval_many(self.times), self.times.shape[0]))
-        step = object.__new__(StepPath)._hold(times=self.times, values=values, q=self.q)
+        """The CSV of the step path of this path's states on its own
+        breakpoints, which is ``to_step(self.times)``'s."""
+        step = object.__new__(StepPath)._hold(times=self.times, values=self.values, q=self.q)
         return step.to_csv_string()
 
     def to_json(self) -> str:
@@ -166,8 +167,12 @@ def _rate(n) -> float:
 
 def _relaxed(states, projections, n, elapsed):
     """P + (X - P) exp(-n elapsed): the value reached from states X with
-    projections P after ``elapsed`` time (broadcast against X[..., 0])."""
-    return _pulled(states, projections, np.exp(-n * np.asarray(elapsed))[..., None])
+    projections P after ``elapsed`` time (broadcast against X[..., 0]).
+    Where no time has elapsed it is X itself, bit for bit; the formula
+    there gives fl(P + fl(X - P)), which can miss X."""
+    elapsed = np.asarray(elapsed)[..., None]
+    pulled = _pulled(states, projections, np.exp(-n * elapsed))
+    return np.where(elapsed == 0.0, states, pulled)
 
 
 def _pulled(states, projections, decay, out=None):
@@ -346,11 +351,13 @@ def _check_driver(domain, driver: StepPath) -> None:
 
 def _solve_row(domain, f, h, z, n, times):
     """:func:`_relax_and_step` on one path of (K+1, d) values, as its
-    (K+1, d) states and projections; a failed row raises NumericalError."""
+    (K+1, d) states and projections; a failed row raises NumericalError,
+    and so does a last projection past the float range, which no later
+    step turns into a failure."""
     states, projections, failed = _relax_and_step(
         domain, f, h[None], None if z is None else z[None], n, times
     )
-    if failed[0]:
+    if failed[0] or not np.isfinite(projections[0, -1]).all():
         raise NumericalError("state not finite or projection not certified")
     return states[0], projections[0]
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .path import StepPath, _median, modulus_bar, upcrossings_of_values
-from .penalty import PenalizedPath
+from .path import _median, modulus_bar, upcrossings_of_values
 
 __all__ = [
     "ks_statistic",
@@ -149,14 +148,6 @@ def _mean_pair_distance(u: np.ndarray, v: np.ndarray) -> float:
     return total / (u.shape[0] * v.shape[0])
 
 
-def _skeleton(path) -> np.ndarray:
-    """Values witnessing every extremum and crossing of a path: its step
-    values, or a penalized path's breakpoint and segment-end values."""
-    if isinstance(path, PenalizedPath):
-        return path.skeleton_values()
-    return path.values
-
-
 @dataclass(frozen=True)
 class STightnessReport:
     """Uniform witnesses for relative compactness of a path family:
@@ -190,9 +181,9 @@ def s_tightness_witness(
     """Evaluate sup norms and strict up-crossing counts over a family.
 
     ``levels`` is a sequence of (coord, a, b) with a < b; crossings are
-    counted on exact path skeletons (step values, or breakpoint plus
-    segment-end values for penalized paths, which are coordinatewise
-    monotone between those witnesses).
+    counted on exact path skeletons (``skeleton_values``: step values, or
+    breakpoint plus segment-end values for penalized paths, which are
+    coordinatewise monotone between those witnesses).
     """
     levels = tuple(levels)
     count_ceilings = np.asarray(count_ceilings, dtype=float)
@@ -201,7 +192,7 @@ def s_tightness_witness(
     sups = np.empty(len(paths))
     counts = np.empty((len(paths), len(levels)), dtype=int)
     for i, p in enumerate(paths):
-        sk = _skeleton(p)
+        sk = p.skeleton_values()
         sups[i] = np.max(np.linalg.norm(sk, axis=1))
         for j, (coord, a, b) in enumerate(levels):
             counts[i, j] = upcrossings_of_values(sk[:, coord], a, b)
@@ -231,13 +222,6 @@ class OscillationTable:
         return bool(np.all(p[:, 1:] <= p[:, :-1] + band))
 
 
-def _as_step(path) -> StepPath:
-    """Penalized paths enter moduli through their breakpoint states."""
-    if isinstance(path, PenalizedPath):
-        return StepPath(path.times, path.states, path.q)
-    return path
-
-
 def oscillation_diagnostic(
     x_paths,
     z_paths,
@@ -251,6 +235,8 @@ def oscillation_diagnostic(
     with modulus above epsilon.  The modulus is pathwise nondecreasing in
     delta, so the empirical tails are nonincreasing as delta shrinks up to
     ties; `monotone_within` allows the stated sampling band on top.
+    A penalized path enters through its states at its breakpoints, which
+    the moduli read as a step path's values.
     """
     if len(x_paths) != len(z_paths) or not x_paths:
         raise ValueError("need matching nonempty path families")
@@ -259,10 +245,8 @@ def oscillation_diagnostic(
     M = len(x_paths)
     mods = np.empty((M, deltas.shape[0]))
     for i, (xp, zp) in enumerate(zip(x_paths, z_paths)):
-        xs = _as_step(xp)
-        zs = _as_step(zp)
         for j, d in enumerate(deltas):
-            mods[i, j] = modulus_bar(xs, zs, d, q)
+            mods[i, j] = modulus_bar(xp, zp, d, q)
     probs = np.empty((epsilons.shape[0], deltas.shape[0]))
     for e, eps in enumerate(epsilons):
         probs[e] = np.mean(mods > eps, axis=0)

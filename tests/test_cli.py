@@ -772,6 +772,28 @@ class TestSimulateCommand:
         reasons = {f["error"] for f in failures}
         assert reasons == {"state not finite or projection not certified"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_last_projection_past_the_float_range(self, tmp_path, capsys, fmt):
+        # one step to a finite state whose half-space projection overflows:
+        # the row is a failure, and no artifact holds its projection
+        drift = {"kind": "drift", "rate": [-1.5e308, -1.5e308]}
+        cfg = dict(
+            SIMULATE_CFG,
+            domain={"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0},
+            driver={"dim": 2, "h": {"kind": "constant", "x0": [1.0, 1.0]}, "z": [drift]},
+            grid={"q": 1.0, "cells": 1},
+            paths=1,
+            keep_paths=1,
+        )
+        code, _ = run_config(tmp_path, "simulate", cfg, "--format", fmt)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failures: 1 ")
+        out = tmp_path / "run"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+        report = strict_json((out / "report.json").read_text())
+        error = "state not finite or projection not certified"
+        assert report["params"]["numerical_failures"] == [{"error": error, "path": 0}]
+
     def test_numerical_error_during_run(self, tmp_path, monkeypatch, capsys):
         import reflectsde.cli as cli_mod
 
@@ -918,6 +940,19 @@ def test_overflowing_driver_is_a_numerical_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["skorokhod", "penalize"])
+def test_overflowing_last_projection_is_a_numerical_error(tmp_path, capsys, command, fmt):
+    # a finite last state whose projection leaves the float range fails
+    # the run as an overflowing state does, in either format
+    domain = {"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0}
+    path = {"times": [0.0, 0.5], "values": [[1.0, 1.0], [-1.5e308, -1.5e308]], "q": 1.0}
+    code, made = run_config(tmp_path, command, {"domain": domain, "path": path}, "--format", fmt)
+    assert code == 2 and not made
+    err = capsys.readouterr().err
+    assert err == "numerical error: state not finite or projection not certified\n"
+
+
 @pytest.mark.parametrize(
     "command, config, statistic, table",
     [
@@ -951,6 +986,23 @@ def test_rows_without_threshold_are_null(tmp_path, command, config, statistic, t
     # the CSV table keeps writing a missing threshold as nan
     lines = (out / f"{table}.csv").read_text().splitlines()[1:]
     assert [line.split(",")[5] for line in lines] == ["nan"] * len(rows)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_kept_wedge_paths_take_their_states(seed):
+    # each kept simulate path on the benchmark's wedge, at the config's seed
+    # and another, takes its stored states at its breakpoints, and its CSV
+    # holds them
+    wedge = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WEDGE_CONFIG"]
+    _, kept = experiments.run_simulate(dict(wedge, seed=seed))
+    assert len(kept) == wedge["keep_paths"]
+    for path in kept.values():
+        values = path.eval_many(path.times)
+        assert values.tobytes() == path.states.tobytes()
+        assert np.array_equal(np.signbit(values), np.signbit(path.states))
+        assert path.eval(path.q).tobytes() == path.states[-1].tobytes()
+        written = StepPath.from_csv(path.to_csv_string())
+        assert written.values.tobytes() == path.states.tobytes()
 
 
 def test_cli_import_leaves_scipy_out():

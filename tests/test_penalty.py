@@ -1,5 +1,7 @@
 """Closed-form penalized paths and the a-priori bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from reflectsde.penalty import (
     VARIATION_FACTOR,
     PenalizedPath,
     _penalty_variation,
+    _pulled,
     _relax_and_step,
     _relaxed,
     _sup_deviation,
@@ -256,6 +259,39 @@ class TestBatchedClosedForm:
                     assert partial[i] == one.penalty_variation(t), (dim, name)
                     assert sup[i] == one.sup_deviation(domain.anchor), (dim, name)
 
+    # the formula's fl(P + fl(X - P)) keeps 0.0 but misses the other states:
+    # -0.0 comes back as 0.0, a subnormal is lost next to P, X - P overflows
+    @pytest.mark.parametrize(
+        "state, projection",
+        [
+            (0.0, 1.0),
+            (-0.0, 0.0),
+            (-0.0, 1.5),
+            (5e-324, 1.0),
+            (-5e-324, -2.0),
+            (1e300, -np.finfo(float).max),
+            (-1e300, np.finfo(float).max),
+        ],
+    )
+    def test_zero_elapsed_is_the_state(self, state, projection):
+        X = np.array([[[state, 0.5]] * 3] * 2)
+        P = np.array([[[projection, 0.25]] * 3] * 2)
+        elapsed = np.array([0.0, 0.5, 0.0])
+        with np.errstate(over="ignore"):
+            got = _relaxed(X, P, 8.0, elapsed)
+            want = _pulled(X, P, np.exp(-8.0 * elapsed)[:, None])
+        zero = elapsed == 0.0
+        assert same_bits(got[:, zero], X[:, zero])
+        assert np.array_equal(np.signbit(got[:, zero]), np.signbit(X[:, zero]))
+        # elsewhere the formula itself, as the kernel relaxes
+        assert same_bits(got[:, ~zero], want[:, ~zero])
+        # one path at its breakpoints, and at a horizon on its last one
+        path = PenalizedPath(8.0, [0.0, 0.5, 1.0], X[0], P[0], 1.0)
+        with np.errstate(over="ignore"):
+            assert same_bits(path.eval_many(path.times), X[0])
+            assert same_bits(path.eval(1.0), X[0, -1])
+            assert same_bits(path.eval(0.5), X[0, 1])
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes and bytes; ``tobytes`` is C-ordered, so layout aside."""
@@ -301,6 +337,9 @@ class TestBatchedPenalizedPaths:
         broken = states.copy()
         broken[3, 2, 1] = bad
         cases.append(((4.0, times, broken, projections, 1.0), 3))
+        broken = projections.copy()
+        broken[3, 1, 0] = bad
+        cases.append(((4.0, times, states, broken, 1.0), 3))
         for (n, t, x, p, q), row in cases:
             with pytest.raises(ValueError) as alone:
                 PenalizedPath(n, t, x[row], p[row], q)
@@ -328,13 +367,17 @@ class TestBatchedPenalizedPaths:
         step = written[-1]
         assert step.times is path.times and step.q == path.q
         assert not step.values.flags.writeable
-        # a non-finite value at a breakpoint is the step path's error
-        infinite = PenalizedPath(3.0, times, states[0], np.full((4, 2), np.inf), 1.0)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="path data must be finite"):
-                infinite.to_step(times)
-            with pytest.raises(ValueError, match="path data must be finite"):
-                infinite.to_csv_string()
+        # a non-finite projection is refused when the path is built, by the
+        # constructor, a batch and the JSON reader alike
+        infinite = np.full((4, 2), np.inf)
+        with pytest.raises(ValueError, match="path data must be finite"):
+            PenalizedPath(3.0, times, states[0], infinite, 1.0)
+        with pytest.raises(ValueError, match="path data must be finite"):
+            PenalizedPath._batch(3.0, times, states, infinite[None].repeat(5, 0), 1.0)
+        raw = json.loads(path.to_json())
+        raw["segments"][2]["projection"][1] = np.inf
+        with pytest.raises(ValueError, match="path data must be finite"):
+            PenalizedPath.from_json(json.dumps(raw))
 
 
 def reference_relax_and_step(domain, f, H, Z, n, times):

@@ -290,6 +290,36 @@ class TestOscillationDiagnostic:
         table = oscillation_diagnostic([x], [z], deltas=[0.2], epsilons=[0.1])
         assert table.probabilities.shape == (1, 1)
 
+    def test_penalized_paths_enter_as_their_states(self, rng, monkeypatch):
+        # the table of penalized pairs is that of the step paths of their
+        # states, on shared and on merged breakpoints, and none is built
+        tx = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 11))])
+        tz = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 7))])
+        deltas = [0.5, 0.2, 0.05]
+        for dim in (1, 2):
+            X = rng.normal(size=(6, tx.shape[0], dim))
+            x = PenalizedPath._batch(3.0, tx, X, np.maximum(X, 0.0), 1.0)
+            Z = rng.normal(size=(3, tz.shape[0], dim))
+            z = PenalizedPath._batch(3.0, tz, Z, np.minimum(Z, 0.5), 1.0) + x[:3]
+            xs, zs = ([StepPath(p.times, p.states, p.q) for p in f] for f in (x, z))
+            # every modulus value is an epsilon, so a changed bit moves a tail
+            mods = [stats.modulus_bar(a, b, d) for a, b in zip(xs, zs) for d in deltas]
+            epsilons = sorted(mods)
+            want = oscillation_diagnostic(xs, zs, deltas, epsilons)
+            built = []
+            inner = StepPath.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(args)
+                inner(self, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(StepPath, "__init__", counted)
+                got = oscillation_diagnostic(x, z, deltas, epsilons)
+            assert built == []
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            assert 0.0 < got.probabilities.mean() < 1.0
+
     def test_one_modulus_call_per_pair_and_delta(self, monkeypatch):
         # tracers wrap the module-level name and count (pair, delta) units
         calls = []

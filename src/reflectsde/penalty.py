@@ -215,7 +215,8 @@ def _penalty_variation(states, projections, n, times, q, t):
 
 
 def _project_live(domain, X, failed):
-    """Projections of the rows of X.
+    """Projections of the rows of X, one step of :func:`_relax_and_step`'s
+    failure rule.
 
     A row that is not finite, or that has no certified projection (NaN in
     the result a NumericalError carries), is marked in ``failed`` and
@@ -267,11 +268,15 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
 
     At n = inf the relaxation is the projection itself, pre_k = P(x_k).
     The coefficient enters only through ``f.contract``.  Returns (states,
-    projections, failed) with ``failed`` a per-row mask; see
-    :func:`_project_live` for when a row fails.  That is the one failure
-    rule of the package: the batch schemes return a failed row as NaN,
-    and the single-path solvers, which run their path as a one-row batch
-    (:func:`_solve_row`), raise NumericalError.
+    projections, failed) with ``failed`` a per-row mask, by the one
+    failure rule of the package: a row fails when a state or a projection
+    is not finite, or a projection is not certified.  The batch schemes
+    return a failed row as NaN throughout; the single-path solvers, which
+    run their path as a one-row batch (:func:`_solve_row`), raise
+    NumericalError.  Each step checks its states and certificates
+    (:func:`_project_live`); a projection that is not finite makes the
+    next state so, as it enters ``pre`` additively (NaN even where the
+    decay underflows to 0), so only the last one is checked, after the loop.
 
     ``at`` lists the grid indices whose states and projections are kept,
     strictly increasing in [0, K]; None keeps all K+1.  A kept state is
@@ -335,6 +340,7 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
             p = _project_live(domain, x, failed)
             if kept >= 0:
                 projections[kept] = p
+    failed |= ~np.isfinite(p).all(axis=1)
     return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
 
 
@@ -351,13 +357,11 @@ def _check_driver(domain, driver: StepPath) -> None:
 
 def _solve_row(domain, f, h, z, n, times):
     """:func:`_relax_and_step` on one path of (K+1, d) values, as its
-    (K+1, d) states and projections; a failed row raises NumericalError,
-    and so does a last projection past the float range, which no later
-    step turns into a failure."""
+    (K+1, d) states and projections; a failed row raises NumericalError."""
     states, projections, failed = _relax_and_step(
         domain, f, h[None], None if z is None else z[None], n, times
     )
-    if failed[0] or not np.isfinite(projections[0, -1]).all():
+    if failed[0]:
         raise NumericalError("state not finite or projection not certified")
     return states[0], projections[0]
 
@@ -367,8 +371,8 @@ def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> Penaliz
 
     Between driver jumps the state relaxes toward its projection at rate
     ``n``; at a jump the driver increment is added to the left limit.  The
-    driver must start inside the closed domain.  A state that leaves the
-    float range, or has no certified projection, raises NumericalError.
+    driver must start inside the closed domain.  A state or projection
+    that leaves the float range, or one not certified, raises NumericalError.
     """
     n = _rate(n)
     _check_driver(domain, driver)

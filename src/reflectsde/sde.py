@@ -722,10 +722,17 @@ def euler_projected(
     return StepPath(grid.times, states, grid.q)
 
 
-def _check_batch_inputs(domain, H_vals, Z_vals, grid):
+def _scheme_batch(domain, f, H_vals, Z_vals, n, grid, at=None):
+    """The body of both batch schemes: check the driver arrays against the
+    grid and domain, run the kernel and return its failed rows as NaN."""
     M, K1, d = H_vals.shape
     if Z_vals.shape != (M, K1, d) or K1 != grid.times.shape[0] or d != domain.dim:
         raise ValueError("driver value arrays do not match the grid/domain")
+    states, projections, failed = _relax_and_step(
+        domain, f, H_vals, Z_vals, n, grid.times, at
+    )
+    states[failed] = projections[failed] = np.nan
+    return states, projections
 
 
 def euler_penalized_batch(
@@ -743,8 +750,8 @@ def euler_penalized_batch(
     time-major (K+1, M, d) buffers, not C-contiguous arrays.  Single paths
     and batches run the same kernel, so row i agrees bit for bit with
     :func:`euler_penalized` on the same driver, and the driver arrays'
-    layout does not change a bit.  A row whose state stops being finite or
-    that has no certified projection is NaN throughout.
+    layout does not change a bit.  A row that fails by the kernel's rule
+    (see :func:`penalty._relax_and_step`) is NaN throughout.
 
     ``at`` keeps only the listed grid indices, strictly increasing in
     [0, K]: the result is then (M, len(at), d), equal bit for bit to the
@@ -752,13 +759,7 @@ def euler_penalized_batch(
     projections are stored.  A runner that reads the marginal at t = q
     passes ``at=[grid.cells]``.
     """
-    n = _rate(n)
-    _check_batch_inputs(domain, H_vals, Z_vals, grid)
-    states, projections, failed = _relax_and_step(
-        domain, f, H_vals, Z_vals, n, grid.times, at
-    )
-    states[failed] = projections[failed] = np.nan
-    return states, projections
+    return _scheme_batch(domain, f, H_vals, Z_vals, _rate(n), grid, at)
 
 
 def euler_projected_batch(
@@ -769,13 +770,10 @@ def euler_projected_batch(
     grid: Grid,
 ) -> np.ndarray:
     """Vectorized projected scheme over (M, K+1, d) driver values; rows
-    agree bit for bit with :func:`euler_projected`, failed rows are NaN.
-    The result is an (M, K+1, d) view of a time-major buffer, not a
-    C-contiguous array."""
-    _check_batch_inputs(domain, H_vals, Z_vals, grid)
-    states, _, failed = _relax_and_step(domain, f, H_vals, Z_vals, np.inf, grid.times)
-    states[failed] = np.nan
-    return states
+    agree bit for bit with :func:`euler_projected`, and a row that fails
+    by the kernel's rule is NaN throughout.  The result is an (M, K+1, d)
+    view of a time-major buffer, not a C-contiguous array."""
+    return _scheme_batch(domain, f, H_vals, Z_vals, np.inf, grid)[0]
 
 
 def stochastic_integral(

@@ -42,8 +42,8 @@ def solve_skorokhod(domain: ConvexDomain, driver: StepPath) -> SkorokhodSolution
     """Reflect a step driver: each driver jump moves the state, which is
     then projected back; the regulator collects the projection offsets.
 
-    The driver must start inside the closed domain.  A state that leaves
-    the float range, or has no certified projection, raises NumericalError.
+    The driver must start inside the closed domain.  A state or projection
+    that leaves the float range, or one not certified, raises NumericalError.
     """
     _check_driver(domain, driver)
     moved, xs = _solve_row(domain, None, driver.values, None, np.inf, driver.times)

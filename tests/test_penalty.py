@@ -32,6 +32,7 @@ from reflectsde.sde import (
     JumpSizes,
     euler_penalized,
     euler_penalized_batch,
+    euler_projected_batch,
     sample_driver_batch,
 )
 from reflectsde.skorokhod import solve_skorokhod
@@ -410,6 +411,7 @@ def reference_relax_and_step(domain, f, H, Z, n, times):
             p = np.full_like(x, np.nan)
             p[live] = P
             states[:, k], projections[:, k] = x, p
+    failed |= ~np.isfinite(p).all(axis=1)
     return states, projections, failed
 
 
@@ -490,6 +492,35 @@ class TestKernelReference:
             Z[3, 40:] = 80.0
             _, _, failed = self.check(domain, Identity(1), H, Z, n, times)
             assert failed.tolist() == [False, not broadcast, True, True]
+
+    @pytest.mark.parametrize("cells", [2, 3])
+    @pytest.mark.parametrize("n", [3.7, 1e6, np.inf])
+    def test_projection_past_the_float_range(self, n, cells):
+        # row 1 steps to (-1.5e308, -1.5e308) at t = 2/cells: a finite
+        # state whose projection on the half-space is (inf, inf), at the
+        # last grid point or at the one before it
+        domain = HalfSpace([0.6, 0.8], 0.0)
+        grid = Grid.regular(1.0, cells)
+        H = np.ones((3, cells + 1, 2))
+        Z = np.zeros((3, cells + 1, 2))
+        Z[0, 1:] = [-2.0, -2.0]
+        Z[1, 2:] = -1.5e308
+        Z[2, 1:] = [0.5, -0.3]
+        X, P, failed = self.check(domain, Identity(2), H, Z, n, grid.times)
+        assert failed.tolist() == [False, True, False]
+        assert np.isfinite(X[1, 2]).all() and np.isinf(P[1, 2]).all()
+
+        # each batch scheme returns the row as NaN throughout, and the other
+        # rows as the batch without it
+        def batch(rows):
+            if n == np.inf:
+                return [euler_projected_batch(domain, Identity(2), H[rows], Z[rows], grid)]
+            return euler_penalized_batch(domain, Identity(2), H[rows], Z[rows], n, grid)
+
+        kept = [0, 2]
+        for got, alone in zip(batch(slice(None)), batch(kept)):
+            assert np.isnan(got[1]).all()
+            assert same_bits(got[kept], alone) and np.isfinite(alone).all()
 
 
 class TestAprioriBounds:

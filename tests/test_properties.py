@@ -3,28 +3,38 @@
 Each test draws small batches with hypothesis, derandomized and with a
 fixed number of examples, so a run is deterministic and short: a domain
 of any of the four kinds in dimension 1 to 3, a driver, a regular or
-irregular grid, a rate up to 1e6 and a few paths, solved by the batch
-penalized scheme.  Results are compared by their bytes, which include the
-sign of a zero.
+irregular grid, a rate up to 1e6 and a few paths.  Results are compared
+by their bytes, which include the sign of a zero.  Module constants are
+patched inside a test body, since hypothesis runs a function-scoped
+fixture once for all examples.
 """
 
+from unittest.mock import patch
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reflectsde.domain import Ball, Box, HalfSpace, Polyhedron
+from reflectsde import sde
+from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath
-from reflectsde.penalty import PenalizedPath
+from reflectsde.penalty import PenalizedPath, _relax_and_step
 from reflectsde.sde import (
     Brownian,
+    BrownianDrift,
     CompoundPoisson,
     ConstantStart,
+    DiagAffine,
     Drift,
     DriverSpec,
     Grid,
     Identity,
     JumpSizes,
+    euler_penalized,
     euler_penalized_batch,
+    euler_projected,
+    euler_projected_batch,
     sample_driver_batch,
 )
 
@@ -77,6 +87,18 @@ def grids(draw):
 
 
 @st.composite
+def integrators(draw, dim):
+    """The parts of Z: a Brownian one, with an optional drift and an
+    optional compound-Poisson part."""
+    parts = [Brownian(draw(st.floats(0.1, 2.0)))]
+    if draw(st.booleans()):
+        parts.append(Drift([draw(coordinates) * 4.0] * dim))
+    if draw(st.booleans()):
+        parts.append(CompoundPoisson(3.0, JumpSizes("normal", (0.0, 1.0))))
+    return tuple(parts)
+
+
+@st.composite
 def penalized_batches(draw):
     """(n, times, states, projections, q) of a batch of finite rows, the
     horizon on the last breakpoint or past it."""
@@ -84,12 +106,8 @@ def penalized_batches(draw):
     domain = draw(domains(dim))
     grid = draw(grids())
     n = 10.0 ** draw(st.floats(-1.0, 6.0))
-    parts = [Brownian(draw(st.floats(0.1, 2.0)))]
-    if draw(st.booleans()):
-        parts.append(Drift([draw(coordinates) * 4.0] * dim))
-    if draw(st.booleans()):
-        parts.append(CompoundPoisson(3.0, JumpSizes("normal", (0.0, 1.0))))
-    spec = DriverSpec(dim=dim, h=ConstantStart(domain.anchor), z_components=tuple(parts))
+    parts = draw(integrators(dim))
+    spec = DriverSpec(dim=dim, h=ConstantStart(domain.anchor), z_components=parts)
     paths = draw(st.integers(1, 5))
     H, Z = sample_driver_batch(spec, grid, draw(st.integers(0, 2**32)), paths)
     states, projections = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid)
@@ -126,3 +144,140 @@ def test_batch_paths_take_their_states_at_their_breakpoints(batch):
             assert same_bits(got, want)
         assert path.to_json() == alone.to_json()
         assert path.to_csv_string() == alone.to_csv_string()
+
+
+@st.composite
+def free_terms(draw, x0):
+    """H frozen at ``x0``, or a Brownian motion with drift from it."""
+    if draw(st.booleans()):
+        return ConstantStart(x0)
+    return BrownianDrift(x0, draw(st.floats(0.1, 2.0)), draw(coordinates))
+
+
+@st.composite
+def sampled_batches(draw):
+    """(spec, grid, seed, paths, first_index) of a sampler call."""
+    dim = draw(st.integers(1, 3))
+    spec = DriverSpec(dim, draw(free_terms(np.zeros(dim))), draw(integrators(dim)))
+    seed, paths = draw(st.integers(0, 2**32)), draw(st.integers(1, 6))
+    return spec, draw(grids()), seed, paths, draw(st.integers(0, 2**64 - 8))
+
+
+@PROPERTY
+@given(sampled_batches(), st.data())
+def test_a_sampled_row_is_its_one_row_batch(call, data):
+    spec, grid, seed, paths, first = call
+    H, Z = sample_driver_batch(spec, grid, seed, paths, first)
+    for i in range(paths):
+        h, z = sample_driver_batch(spec, grid, seed, 1, first_index=first + i)
+        assert same_bits(H[i], h[0]) and same_bits(Z[i], z[0])
+    # a block of one row up to one of all of them
+    values = data.draw(st.integers(1, paths * grid.cells * spec.dim))
+    with patch.object(sde, "_BLOCK_VALUES", values):
+        blocked = sample_driver_batch(spec, grid, seed, paths, first)
+    assert same_bits(blocked[0], H) and same_bits(blocked[1], Z)
+
+
+@st.composite
+def overflowing_drivers(draw, dims=(1, 3)):
+    """(domain, grid, H, Z) of a few paths from the anchor whose Z takes,
+    besides a sampled integrator and a drift of total at most 5e306, a
+    jump of its own, at the last grid point half of the time: none, 1e300
+    or 1.7e308 with drawn signs, or 1.7e308 straight out of a half-space.
+    The driver values are finite, while the states and their projections
+    may leave the float range: a jump out of a half-space at the last
+    point leaves a finite state whose projection is not."""
+    dim = draw(st.integers(*dims))
+    domain = draw(domains(dim))
+    grid = draw(grids())
+    # each row takes each kind of jump with a fixed chance, from a
+    # generator of a drawn seed; the signs of the drift, then of each path
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    signs = rng.choice([-1.0, 1.0], (6, dim))
+    if isinstance(domain, HalfSpace):
+        signs[rng.random(6) < 0.5] = -np.sign(domain.normal)
+    drift = 5e306 * signs[0] / max(grid.q, 1.0)
+    parts = (*draw(integrators(dim)), Drift(drift))
+    spec = DriverSpec(dim, draw(free_terms(domain.anchor)), parts)
+    paths = draw(st.integers(1, 5))
+    H, Z = sample_driver_batch(spec, grid, draw(st.integers(0, 2**32)), paths)
+    Z = np.array(Z)
+    for row, sign in zip(Z, signs[1:]):
+        at = grid.cells if rng.random() < 0.5 else rng.integers(1, grid.cells + 1)
+        row[at:] += rng.choice([0.0, 1e300, 1.7e308], p=[0.25, 0.25, 0.5]) * sign
+    assert np.isfinite(H).all() and np.isfinite(Z).all()
+    return domain, grid, H, Z
+
+
+coefficients = st.sampled_from(["identity", "affine"])
+
+
+def coefficient(name, dim):
+    return Identity(dim) if name == "identity" else DiagAffine(dim, base=0.5, slope=0.25)
+
+
+@PROPERTY
+@given(overflowing_drivers(), coefficients, st.data())
+def test_a_kernel_row_is_its_one_row_run(driver, name, data):
+    domain, grid, H, Z = driver
+    f = coefficient(name, domain.dim)
+    if data.draw(st.booleans()):
+        f, Z = None, None
+    n = data.draw(st.just(np.inf) | st.floats(-1.0, 6.0).map(lambda e: 10.0**e))
+    states, projections, failed = _relax_and_step(domain, f, H, Z, n, grid.times)
+    for p in range(H.shape[0]):
+        z = None if Z is None else Z[p : p + 1]
+        row = _relax_and_step(domain, f, H[p : p + 1], z, n, grid.times)
+        assert same_bits(row[0][0], states[p]) and same_bits(row[1][0], projections[p])
+        assert row[2][0] == failed[p]
+    # keeping some grid points keeps their bits
+    points = st.lists(st.integers(0, grid.cells), min_size=1, unique=True)
+    at = sorted(data.draw(points))
+    kept = _relax_and_step(domain, f, H, Z, n, grid.times, at=at)
+    assert same_bits(kept[0], states[:, at]) and same_bits(kept[1], projections[:, at])
+    assert np.array_equal(kept[2], failed)
+
+
+def finite_or_nan(rows):
+    """Per row of (M, K+1, d) arrays: True when finite throughout, False
+    when NaN throughout, and a failed assertion otherwise."""
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    assert (finite | np.isnan(rows).all(axis=(1, 2))).all()
+    return finite
+
+
+def one_step_out_of_a_half_space():
+    """Two paths on the half-space of normal (0.6, 0.8), one of which
+    steps to (-1.5e308, -1.5e308) at the last grid point: a finite state
+    whose projection is (inf, inf)."""
+    H, Z = np.ones((2, 3, 2)), np.zeros((2, 3, 2))
+    Z[1, 2] = -1.5e308
+    return HalfSpace([0.6, 0.8], 0.0), Grid.regular(1.0, 2), H, Z
+
+
+@PROPERTY
+@given(overflowing_drivers(dims=(2, 3)), coefficients, st.floats(-1.0, 6.0))
+@example(driver=one_step_out_of_a_half_space(), name="identity", exponent=0.5)
+def test_a_row_is_finite_or_nan_and_a_path_raises_for_nan(driver, name, exponent):
+    domain, grid, H, Z = driver
+    f = coefficient(name, domain.dim)
+    n = 10.0**exponent
+    states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
+    finite = finite_or_nan(states)
+    assert np.array_equal(finite_or_nan(projections), finite)
+    projected = euler_projected_batch(domain, f, H, Z, grid)
+    finite_projected = finite_or_nan(projected)
+    for p in range(H.shape[0]):
+        h, z = (StepPath(grid.times, values[p], grid.q) for values in (H, Z))
+        if finite[p]:
+            path = euler_penalized(domain, f, h, z, n, grid)
+            assert same_bits(path.states, states[p])
+            assert same_bits(path.projections, projections[p])
+        else:
+            with pytest.raises(NumericalError):
+                euler_penalized(domain, f, h, z, n, grid)
+        if finite_projected[p]:
+            assert same_bits(euler_projected(domain, f, h, z, grid).values, projected[p])
+        else:
+            with pytest.raises(NumericalError):
+                euler_projected(domain, f, h, z, grid)

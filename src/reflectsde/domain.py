@@ -317,8 +317,16 @@ class Ball(ConvexDomain):
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         V = X - self.center
-        r = np.linalg.norm(V, axis=1)
+        with np.errstate(over="ignore"):
+            r = np.linalg.norm(V, axis=1)
         outside = r > self.radius
+        # a finite offset whose length overflows is outside; it is scaled by
+        # a power of two s first, which is exact: V / |V| = sV / |sV|
+        big = np.isinf(r) & np.isfinite(V).all(axis=1)
+        if big.any():
+            W = V[big]
+            W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=1))[1][:, None])
+            V[big], r[big] = W, np.linalg.norm(W, axis=1)
         # only rows outside are scaled: radius / r at the centre overflows
         scale = self.radius / np.where(outside, r, self.radius)
         return np.where(outside[:, None], self.center + V * scale[:, None], X)

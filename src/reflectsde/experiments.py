@@ -96,46 +96,58 @@ class _Optional:
 
 class _Tagged:
     """A section whose table is chosen by the value of its tag key; with a
-    default tag, an absent section holds that tag's defaults."""
+    default tag, an absent section holds that tag's defaults.  Each tag
+    names a pair: the constructor of what it builds, and its table."""
 
-    def __init__(self, tag: str, default=None, **tables):
-        self.tag, self.default, self.tables = tag, default, tables
+    def __init__(self, tag: str, default=None, **entries):
+        self.tag, self.default, self.entries = tag, default, entries
+        self.tables = {t: table for t, (_, table) in entries.items()}
+
+    def build(self, checked: dict, section: str, *args):
+        """What a checked section builds: its tag's constructor called with
+        ``args`` and the other keys, any error named by ``section``."""
+        rest = {k: v for k, v in checked.items() if k != self.tag}
+        with _Section(section):
+            return self.entries[checked[self.tag]][0](*args, **rest)
 
 
 _ANCHORED = {"anchor": _Optional(_Numbers), "anchor_clearance": _Optional(float)}
+_FACE = {"normal": _Numbers, "offset": float}
 _DOMAIN = _Tagged(
     "variant",
-    halfline=_ANCHORED,
-    halfspace={"normal": _Numbers, "offset": float, **_ANCHORED},
-    box={"lower": _Numbers, "upper": _Numbers, **_ANCHORED},
-    ball={"center": _Numbers, "radius": float, **_ANCHORED},
-    polyhedron={
-        **_ANCHORED,
-        "faces": [{"normal": _Numbers, "offset": float}],
-        "anchor": _Numbers,
-    },
+    halfline=(lambda **args: HalfSpace([1.0], 0.0, **args), _ANCHORED),
+    halfspace=(HalfSpace, {**_FACE, **_ANCHORED}),
+    box=(Box, {"lower": _Numbers, "upper": _Numbers, **_ANCHORED}),
+    ball=(Ball, {"center": _Numbers, "radius": float, **_ANCHORED}),
+    polyhedron=(
+        lambda faces, **args: Polyhedron([HalfSpace(**f) for f in faces], **args),
+        {**_ANCHORED, "faces": [_FACE], "anchor": _Numbers},
+    ),
 )
 _PATH = {"times": _Numbers, "values": _Numbers, "q": _Optional(float)}
 _SIGMA = {"sigma": _Optional(_Numbers)}
 _H = _Tagged(
     "kind",
-    constant={"x0": _Numbers},
-    brownian={"x0": _Numbers, **_SIGMA, "drift": _Optional(_Numbers)},
-    table=_PATH,
+    constant=(ConstantStart, {"x0": _Numbers}),
+    brownian=(BrownianDrift, {"x0": _Numbers, **_SIGMA, "drift": _Optional(_Numbers)}),
+    table=(lambda **path: TablePath(StepPath(**path)), _PATH),
 )
 _Z = _Tagged(
     "kind",
-    brownian=_SIGMA,
-    compound_poisson={"rate": float, "jumps": {"tag": str, "params": [float]}},
-    drift={"rate": _Numbers},
+    brownian=(Brownian, _SIGMA),
+    compound_poisson=(
+        lambda rate, jumps: CompoundPoisson(rate, JumpSizes(**jumps)),
+        {"rate": float, "jumps": {"tag": str, "params": [float]}},
+    ),
+    drift=(Drift, {"rate": _Numbers}),
 )
 _COEFFICIENT = _Tagged(
     "kind",
     "identity",
-    identity={},
-    constant={"matrix": _Numbers},
-    diag_affine={"base": float, "slope": float},
-    power_diag={"alpha": float, "cap": _Optional(float)},
+    identity=(Identity, {}),
+    constant=(lambda dim, matrix: ConstantMatrix(matrix), {"matrix": _Numbers}),
+    diag_affine=(DiagAffine, {"base": float, "slope": float}),
+    power_diag=(PowerDiagonal, {"alpha": float, "cap": _Optional(float)}),
 )
 _SEED = {"seed": 0}
 _SKOROKHOD = {"domain": _DOMAIN, "path": _PATH, "tol": 1e-9}
@@ -266,55 +278,22 @@ def _row(n, mesh, M, statistic, value, threshold=None, passed=True) -> dict:
     return dict(zip(keys, (n, mesh, M, statistic, value, threshold, bool(passed))))
 
 
-def _split(cfg: dict, tag: str):
-    args = dict(cfg)
-    return args.pop(tag), args
-
-
 def build_domain(cfg: dict) -> ConvexDomain:
     """The domain of a checked ``domain`` section."""
-    variant, args = _split(cfg, "variant")
-    with _Section("domain"):
-        if variant == "halfline":
-            return HalfSpace([1.0], 0.0, **args)
-        if variant == "polyhedron":
-            faces = [HalfSpace(**face) for face in args.pop("faces")]
-            return Polyhedron(faces, **args)
-        return {"halfspace": HalfSpace, "box": Box, "ball": Ball}[variant](**args)
-
-
-def _build_h(cfg: dict):
-    kind, args = _split(cfg, "kind")
-    with _Section("driver.h"):
-        if kind == "table":
-            return TablePath(StepPath(**args))
-        return {"constant": ConstantStart, "brownian": BrownianDrift}[kind](**args)
-
-
-def _build_z_component(cfg: dict):
-    kind, args = _split(cfg, "kind")
-    with _Section("driver.z"):
-        if kind == "compound_poisson":
-            return CompoundPoisson(args["rate"], JumpSizes(**args["jumps"]))
-        return {"brownian": Brownian, "drift": Drift}[kind](**args)
+    return _DOMAIN.build(cfg, "domain")
 
 
 def build_driver(cfg: dict) -> DriverSpec:
     """The driver of a checked ``driver`` section."""
     with _Section("driver"):
-        h = _build_h(cfg["h"])
-        z = tuple(map(_build_z_component, cfg["z"]))
+        h = _H.build(cfg["h"], "driver.h")
+        z = tuple(_Z.build(part, "driver.z") for part in cfg["z"])
         return DriverSpec(dim=cfg["dim"], h=h, z_components=z)
 
 
 def build_coefficient(cfg: dict, dim: int):
     """The coefficient of a checked ``coefficient`` section in dimension ``dim``."""
-    kind, args = _split(cfg, "kind")
-    with _Section("coefficient"):
-        if kind == "constant":
-            return ConstantMatrix(**args)
-        diagonal = {"identity": Identity, "diag_affine": DiagAffine}
-        return {**diagonal, "power_diag": PowerDiagonal}[kind](dim, **args)
+    return _COEFFICIENT.build(cfg, "coefficient", dim)
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -629,53 +608,43 @@ def tail_structure_study(
     """
     spec = DriverSpec(dim=1, h=ConstantStart(1.0), z_components=(Brownian(1.0),))
     grid = Grid.regular(q, cells)
-    clearance = _HALFLINE.anchor_clearance
     expected_energy = spec.expected_bracket(q) + spec.expected_variation(q) ** 2
 
-    def empirical_tails(run_seed):
+    def tails(run_seed):
+        """(rates, etas, 2) fractions: sup deviation >= eta, variation >= eta^2."""
         H, Z = sample_driver_batch(spec, grid, run_seed, paths)
-        out = {}
-        for n in n_list:
+        out = np.empty((len(n_list), len(etas), 2))
+        for i, n in enumerate(n_list):
             X, P = euler_penalized_batch(_HALFLINE, Identity(1), H, Z, float(n), grid)
             batch = (X, P, float(n), grid.times, grid.q)
             sup_dev = _sup_deviation(*batch, _HALFLINE.anchor)
-            out[n] = (sup_dev, _penalty_variation(*batch, grid.q))
+            variation = _penalty_variation(*batch, grid.q)
+            for j, eta in enumerate(etas):
+                out[i, j] = np.mean(sup_dev >= eta), np.mean(variation >= eta**2)
         return out
 
-    r = int(np.floor(q / delta)) + 1
-    c1 = 2.0 * SUP_FACTOR * r
+    c1 = 2.0 * SUP_FACTOR * (int(np.floor(q / delta)) + 1)
 
-    cal = empirical_tails(calibration_seed)
-    worst = 0.0
-    for n in n_list:
-        sup_dev, variation = cal[n]
-        for eta in etas:
-            lhs_dev = float(np.mean(sup_dev >= eta))
-            lhs_var = float(np.mean(variation >= eta**2))
-            # with H at the anchor both H terms vanish; the energy term
-            # must carry each inequality alone
-            needed = max(lhs_dev, lhs_var) * eta**2 / (4.0 * expected_energy)
-            worst = max(worst, needed)
-    c_one = headroom * worst
+    # with H at the anchor both H terms vanish; the energy term must carry
+    # each inequality alone
+    squares = np.array([eta**2 for eta in etas])
+    needed = tails(calibration_seed).max(axis=2) * squares / (4.0 * expected_energy)
+    c_one = headroom * float(needed.max(initial=0.0))
 
-    fresh = empirical_tails(seed)
+    fresh = tails(seed)
     params = dict(seed=seed, calibration_seed=calibration_seed, paths=paths)
     params.update(cells=cells, delta=delta, c_one=c_one, c1_threshold_divisor=c1)
     report = _study_report("tail-structure", **params, expected_energy=expected_energy)
     rows = []
-    for n in n_list:
-        sup_dev, variation = fresh[n]
-        for eta in etas:
-            rhs = 4.0 * c_one * expected_energy / eta**2
-            for form, lhs in (
-                ("deviation", float(np.mean(sup_dev >= eta))),
-                ("variation", float(np.mean(variation >= eta**2))),
-            ):
-                passed = lhs <= rhs + 1e-12
-                entry = (f"tail[{form},n={n:g},eta={eta:g}]", lhs, rhs, passed)
-                report.add_entry(*entry, paths, f"seed={seed}")
-                stat = f"tail_{form}[eta={eta:g}]"
-                rows.append(_row(float(n), q / cells, paths, stat, lhs, rhs, passed))
+    for (i, j, k), lhs in np.ndenumerate(fresh):
+        n, eta, lhs = n_list[i], etas[j], float(lhs)
+        form = ("deviation", "variation")[k]
+        rhs = 4.0 * c_one * expected_energy / eta**2
+        passed = lhs <= rhs + 1e-12
+        entry = (f"tail[{form},n={n:g},eta={eta:g}]", lhs, rhs, passed)
+        report.add_entry(*entry, paths, f"seed={seed}")
+        stat = f"tail_{form}[eta={eta:g}]"
+        rows.append(_row(float(n), q / cells, paths, stat, lhs, rhs, passed))
     report.tables["tails"] = rows
     return report
 
@@ -701,7 +670,8 @@ _COMMANDS = {
     "penalize": _PENALIZE,
     "simulate": _SIMULATE,
     "converge": _Tagged(
-        "benchmark", **{b: {**_SEED, **_study_defaults(b)} for b in _STUDIES}
+        "benchmark",
+        **{b: (s, {**_SEED, **_study_defaults(b)}) for b, s in _STUDIES.items()},
     ),
 }
 
@@ -740,10 +710,9 @@ def run_converge(cfg: dict):
     """Run a convergence study by its tag; keys of the config override the
     study's defaults."""
     params = _checked("converge", cfg)
-    benchmark, seed = params.pop("benchmark"), params.pop("seed")
     if params["paths"] < 1:
         raise ConfigError("converge: need at least one path")
     # a study rejects parameters it cannot run with by ValueError; one
     # whose arithmetic leaves the float range fails as a numerical error
-    with _Section("converge"), np.errstate(over="raise", invalid="raise"):
-        return _STUDIES[benchmark](seed, **params), {}
+    with np.errstate(over="raise", invalid="raise"):
+        return _COMMANDS["converge"].build(params, "converge"), {}

@@ -105,6 +105,27 @@ def _dim_vector(value, dim: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} does not fit dimension {dim}") from None
 
 
+# each drawn law: its parameters (a scale is nonnegative), the name of its
+# Generator draw (importing needs no numpy.random) and E |xi|^2
+_JUMP_LAWS = {
+    "normal": (
+        ("loc", "scale"),
+        "normal",
+        lambda dim, loc, scale: dim * (loc**2 + scale**2),
+    ),
+    "uniform": (
+        ("lo", "hi"),
+        "uniform",
+        lambda dim, lo, hi: dim * (lo * lo + lo * hi + hi * hi) / 3.0,
+    ),
+    "exponential": (
+        ("scale",),
+        "exponential",
+        lambda dim, scale: dim * 2.0 * scale**2,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class JumpSizes:
     """Jump size distribution: tag plus parameters, applied iid per
@@ -114,12 +135,13 @@ class JumpSizes:
     params: tuple = ()
 
     def __post_init__(self):
-        count = {"normal": 2, "uniform": 2, "exponential": 1}.get(self.tag)
-        if count is None and self.tag != "constant":
-            raise ValueError(f"unknown jump size tag {self.tag!r}")
-        if count is not None and len(self.params) != count:
-            raise ValueError(f"{self.tag} jumps take {count} parameter(s)")
-        if self.tag in ("normal", "exponential") and not self.params[-1] >= 0:
+        names = _JUMP_LAWS.get(self.tag, (None,))[0]
+        if names is None:
+            if self.tag != "constant":
+                raise ValueError(f"unknown jump size tag {self.tag!r}")
+        elif len(self.params) != len(names):
+            raise ValueError(f"{self.tag} jumps take {len(names)} parameter(s)")
+        elif names[-1] == "scale" and not self.params[-1] >= 0:
             raise ValueError(f"{self.tag} jump scale must be nonnegative")
 
     def _check_dim(self, dim: int) -> None:
@@ -128,33 +150,17 @@ class JumpSizes:
             raise ValueError("constant jump vector has wrong dimension")
 
     def sample(self, gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-        if self.tag == "normal":
-            loc, scale = self.params
-            return gen.normal(loc, scale, size=(count, dim))
-        if self.tag == "uniform":
-            lo, hi = self.params
-            return gen.uniform(lo, hi, size=(count, dim))
-        if self.tag == "exponential":
-            (scale,) = self.params
-            return gen.exponential(scale, size=(count, dim))
         if self.tag == "constant":
             self._check_dim(dim)
             return np.tile(np.asarray(self.params, dtype=float), (count, 1))
+        return getattr(gen, _JUMP_LAWS[self.tag][1])(*self.params, size=(count, dim))
 
     def second_moment(self, dim: int) -> float:
         """E |xi|^2 of a single jump."""
-        if self.tag == "normal":
-            loc, scale = self.params
-            return dim * (loc**2 + scale**2)
-        if self.tag == "uniform":
-            lo, hi = self.params
-            return dim * (lo * lo + lo * hi + hi * hi) / 3.0
-        if self.tag == "exponential":
-            (scale,) = self.params
-            return dim * 2.0 * scale**2
         if self.tag == "constant":
             vec = np.atleast_1d(np.asarray(self.params, dtype=float))
             return float(vec @ vec)
+        return _JUMP_LAWS[self.tag][2](dim, *self.params)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,28 @@ class TestBall:
         assert d.boundary_distance([2.0, 0.0]) == pytest.approx(1.0)
 
 
+class TestBallPastTheFloatRange:
+    @pytest.mark.filterwarnings("error")
+    def test_offset_whose_length_overflows(self):
+        # |x - centre| overflows for these finite offsets; the row is scaled
+        # by a power of two first, so it projects along its own direction
+        d = Ball([0.0, 0.0], 1.0)
+        X = np.array([[3e154, 4e154], [0.3, 0.4], [-1.7e308, 1.7e308], [3e153, 4e153]])
+        P = d.project_points(X)
+        want = [[0.6, 0.8], [0.3, 0.4], [-(0.5**0.5), 0.5**0.5], [0.6, 0.8]]
+        assert np.allclose(P, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(d.project_point(X[0]), P[0])
+        # rows whose length is finite keep their bits
+        finite = d.project_points(X[[1, 3]])
+        assert P[[1, 3]].tobytes() == finite.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_centre(self):
+        # the exact projection, (1e300 - 0.5, -2 + 2.4e-308), rounds to the centre
+        d = Ball([1e300, -2.0], 0.5)
+        assert np.array_equal(d.project_point([-1.7e308, 6.0]), [1e300, -2.0])
+
+
 class TestPolyhedron:
     def test_matches_qp_oracle(self, rng):
         d = make_domains()["polyhedron"]

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from reflectsde import path as path_module
 from reflectsde import sde
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
-from reflectsde.path import StepPath
+from reflectsde.path import StepPath, modulus_bar, modulus_second
 from reflectsde.penalty import PenalizedPath, _relax_and_step
 from reflectsde.sde import (
     Brownian,
@@ -281,3 +282,35 @@ def test_a_row_is_finite_or_nan_and_a_path_raises_for_nan(driver, name, exponent
         else:
             with pytest.raises(NumericalError):
                 euler_projected(domain, f, h, z, grid)
+
+
+@st.composite
+def step_pairs(draw):
+    """Two step paths of dimension 2 or 3, on one breakpoint array or on
+    two, with some breakpoints holding the value before them."""
+    dim = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    first = draw(grids())
+    pair = []
+    for grid in (first, first if draw(st.booleans()) else draw(grids())):
+        values = rng.normal(size=(grid.times.shape[0], dim))
+        for k in np.flatnonzero(rng.random(grid.cells) < 0.3) + 1:
+            values[k] = values[k - 1]
+        pair.append(StepPath(grid.times, values, grid.q))
+    return pair
+
+
+@PROPERTY
+@given(step_pairs(), st.floats(0.01, 2.0), st.integers(2, 64))
+def test_pair_blocks_change_no_modulus_bit(pair, delta, small):
+    x, y = pair
+
+    def moduli():
+        values = [modulus_bar(x, y, delta), modulus_bar(y, x, delta)]
+        return np.array([*values, modulus_second(x, delta), modulus_second(y, delta)])
+
+    want = moduli()
+    # one pair per block, a few, and the default
+    for pairs in (1, small):
+        with patch.object(path_module, "_PAIRS_PER_BLOCK", pairs):
+            assert same_bits(moduli(), want)

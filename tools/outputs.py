@@ -12,10 +12,14 @@ this process, and writes one ``--out`` directory per run under DIR:
   ``simulate-seed<seed>-<format>``;
 - ``penalize`` on the path of the ``halfline-threejump`` built-in at the
   rates in ``PENALIZE_RATES`` with ``delta`` 0.25, in ``--format csv`` and
-  ``json``, under ``penalize-<format>``.
+  ``json``, under ``penalize-<format>``;
+- ``simulate`` on each bad config of ``BAD_SIMULATE``, ``WEDGE_CONFIG``
+  with the value at one key path replaced, whose exit code and stderr go
+  to ``exit_code`` and ``stderr`` under ``error-<name>``.
 
 DIR must not exist or be empty.  The script prints each run's exit code
-and exits 1 if any run did not exit 0.  To compare a change with its
+and exits 1 if any run's code is not the one it expects: 0 for a good
+run, 1 (a config error) for a bad one.  To compare a change with its
 parent, copy this file into a checkout of the parent, run it there and
 here, and ``diff -r`` the two directories.  It writes nothing outside
 DIR apart from temporary config files.
@@ -24,6 +28,7 @@ DIR apart from temporary config files.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import runpy
@@ -41,6 +46,65 @@ SEEDS = (None, 11)
 FORMATS = ("csv", "json")
 PENALIZE_RATES = [1, 100, 1e4]
 
+# (name, key path, value): at least one error of each tagged section and
+# of each constructor a tag names
+BAD_SIMULATE = (
+    ("unknown-variant", ("domain",), {"variant": "cone"}),
+    ("halfline-anchor", ("domain",), {"variant": "halfline", "anchor": [-1.0]}),
+    (
+        "halfspace-normal",
+        ("domain",),
+        {"variant": "halfspace", "normal": [1.0, 1.0], "offset": 0.0},
+    ),
+    (
+        "box-bounds",
+        ("domain",),
+        {"variant": "box", "lower": [0.0, 1.0], "upper": [1.0, 1.0]},
+    ),
+    (
+        "ball-radius",
+        ("domain",),
+        {"variant": "ball", "center": [0.0, 0.0], "radius": -1.0},
+    ),
+    ("face-normal", ("domain", "faces", 1, "normal"), [0.5, -0.5]),
+    ("unknown-h", ("driver", "h", "kind"), "wiener"),
+    ("constant-h-start", ("driver", "h", "x0"), [1.0, 0.5, 0.0]),
+    (
+        "brownian-h-sigma",
+        ("driver", "h"),
+        {"kind": "brownian", "x0": [1.0, 0.3], "sigma": [[1.0, 0.0]]},
+    ),
+    (
+        "table-h-times",
+        ("driver", "h"),
+        {"kind": "table", "times": [0.0, 0.5, 0.5], "values": [[1.0, 0.3]] * 3},
+    ),
+    ("unknown-z", ("driver", "z", 0, "kind"), "levy"),
+    ("brownian-z-sigma", ("driver", "z", 0, "sigma"), [1.0, 2.0, 3.0]),
+    ("drift-rate", ("driver", "z", 1, "rate"), [1.0, 2.0, 3.0]),
+    ("poisson-rate", ("driver", "z", 2, "rate"), -1.0),
+    ("unknown-jumps", ("driver", "z", 2, "jumps", "tag"), "cauchy"),
+    ("normal-one-parameter", ("driver", "z", 2, "jumps", "params"), [0.5]),
+    (
+        "exponential-scale",
+        ("driver", "z", 2, "jumps"),
+        {"tag": "exponential", "params": [-1.0]},
+    ),
+    (
+        "constant-jump-length",
+        ("driver", "z", 2, "jumps"),
+        {"tag": "constant", "params": [1.0, 2.0, 3.0]},
+    ),
+    ("unknown-coefficient", ("coefficient", "kind"), "cubic"),
+    ("constant-matrix", ("coefficient",), {"kind": "constant", "matrix": [[1.0, 0.0]]}),
+    (
+        "diag-affine-base",
+        ("coefficient",),
+        {"kind": "diag_affine", "base": -1.0, "slope": 0.0},
+    ),
+    ("power-diag-alpha", ("coefficient",), {"kind": "power_diag", "alpha": 1.5}),
+)
+
 
 def penalize_config() -> dict:
     """``penalize`` on the ``halfline-threejump`` domain and path."""
@@ -54,33 +118,58 @@ def penalize_config() -> dict:
     }
 
 
-def runs(wedge: Path, penalize: Path):
-    """(directory name, CLI arguments without --out) of every run."""
+def bad_config(wedge_config: dict, keys: tuple, value) -> dict:
+    """``wedge_config`` with the value at the key path ``keys`` replaced."""
+    cfg = copy.deepcopy(wedge_config)
+    *parents, last = keys
+    section = cfg
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    return cfg
+
+
+def runs(wedge: Path, penalize: Path, bad: Path):
+    """(directory name, CLI arguments without --out, expected exit code)
+    of every run; a bad config's file is ``bad/<name>.json``."""
     for name in sorted(BUILTIN_CONFIGS):
-        yield name, [BUILTIN_CONFIGS[name]["experiment"], "--config", name]
+        yield name, [BUILTIN_CONFIGS[name]["experiment"], "--config", name], 0
     seed = json.loads(wedge.read_text())["seed"]
     for extra in SEEDS:
         flags = [] if extra is None else ["--seed", str(extra)]
         for fmt in FORMATS:
             args = ["simulate", "--config", str(wedge), *flags, "--format", fmt]
-            yield f"simulate-seed{seed if extra is None else extra}-{fmt}", args
+            yield f"simulate-seed{seed if extra is None else extra}-{fmt}", args, 0
     for fmt in FORMATS:
-        yield f"penalize-{fmt}", ["penalize", "--config", str(penalize), "--format", fmt]
+        args = ["penalize", "--config", str(penalize), "--format", fmt]
+        yield f"penalize-{fmt}", args, 0
+    for name, _, _ in BAD_SIMULATE:
+        yield f"error-{name}", ["simulate", "--config", str(bad / f"{name}.json")], 1
 
 
 def write_outputs(out: Path) -> dict:
     """Run every run into its directory under ``out``; returns the exit
-    codes by directory name."""
+    code and the expected one by directory name."""
     wedge_config = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WEDGE_CONFIG"]
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         wedge, penalize = Path(tmp) / "wedge.json", Path(tmp) / "penalize.json"
         wedge.write_text(json.dumps(wedge_config))
         penalize.write_text(json.dumps(penalize_config()))
-        for name, args in runs(wedge, penalize):
+        for name, keys, value in BAD_SIMULATE:
+            cfg = bad_config(wedge_config, keys, value)
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(cfg))
+        for name, args, expected in runs(wedge, penalize, Path(tmp)):
             # the pass/fail lines a run prints are in its report.json
+            stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()):
-                codes[name] = main([*args, "--out", str(out / name)])
+                with contextlib.redirect_stderr(stderr if expected else sys.stderr):
+                    code = main([*args, "--out", str(out / name)])
+            codes[name] = code, expected
+            if expected:
+                (out / name).mkdir(parents=True, exist_ok=True)
+                (out / name / "exit_code").write_text(f"{code}\n")
+                (out / name / "stderr").write_text(stderr.getvalue())
     return codes
 
 
@@ -94,9 +183,10 @@ def cli(argv=None) -> int:
         print(f"{out} exists and is not an empty directory", file=sys.stderr)
         return 2
     codes = write_outputs(out)
-    for name, code in codes.items():
-        print(f"{code} {name}")
-    return int(any(codes.values()))
+    for name, (code, expected) in codes.items():
+        miss = "" if code == expected else f" (expected {expected})"
+        print(f"{code} {name}{miss}")
+    return int(any(code != expected for code, expected in codes.values()))
 
 
 if __name__ == "__main__":

@@ -343,6 +343,15 @@ class Ball(ConvexDomain):
         return (v / r)[None, :]
 
 
+def _independent(AS) -> bool:
+    """Whether the k faces AS have a map: rank k, read from the Gram matrix
+    AS AS^T that the map inverts when k < d, since two faces at an angle
+    below about 1e-8 are independent while their Gram matrix rounds to a
+    singular one."""
+    k, d = AS.shape
+    return np.linalg.matrix_rank(AS if k == d else AS @ AS.T) == k
+
+
 class Polyhedron(ConvexDomain):
     """Finite intersection of half-spaces ``{x : A x >= b}``.
 
@@ -396,7 +405,7 @@ class Polyhedron(ConvexDomain):
         if count * (d + m + k_max) > _ENTRIES_PER_BLOCK:
             return None
         sets = [list(S) for k in range(k_max) for S in combinations(range(m), k + 1)]
-        maps = [self._set_map(S) for S in sets if np.linalg.matrix_rank(A[S]) == len(S)]
+        maps = [self._set_map(S) for S in sets if _independent(A[S])]
         return tuple(np.array(part) for part in zip(*maps))
 
     def _set_map(self, S):
@@ -486,7 +495,7 @@ class Polyhedron(ConvexDomain):
         E = np.vstack([A.T, np.ldexp(h, -np.frexp(h.max())[1])])
         u = _nnls(E, np.eye(d + 1)[d])
         S = None if u is None else np.flatnonzero(u > 0.0)
-        if S is None or len(S) != np.linalg.matrix_rank(A[S]):
+        if S is None or not _independent(A[S]):
             return np.full(d, np.nan)
         W, w = self._set_map(S)
         return self._certified_candidate(y[None], scale, W[None], w[None])[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
 from .path import StepPath, _median, _segment, _sorted_unique
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
-from .penalty import _penalty_variation, _rate, _relaxed_from, _sup_deviation
+from .penalty import _each, _Gaps, _Keep, _rate, _relaxed_from, _SupDistance
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, ConstantStart
 from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
@@ -404,18 +404,19 @@ def run_simulate(cfg: dict):
         inside = all(domain.contains(x0) for x0 in _sorted_unique(H[:, 0]))
     if not inside:
         raise ConfigError("simulate: driver.h must start inside the domain")
-    states, projections = euler_penalized_batch(domain, f, H, Z, n, grid)
-    finite = ~np.isnan(states[:, 0, 0])  # a failed row is NaN throughout
-    # one batch of the kept rows only, so no other row stays in memory
+    # the first keep rows' histories, the gap column and the finals
+    history = _Keep(None, grid.cells + 1, keep, domain.dim)
+    gaps = _Gaps(n, grid.times, grid.q, paths)
+    visit = _each(history, gaps)
+    finals = euler_penalized_batch(domain, f, H, Z, n, grid, [grid.cells], visit)[0][:, 0]
+    finite = ~np.isnan(finals[:, 0])  # a failed row is NaN throughout
     rows = [i for i in range(keep) if finite[i]]
-    batch = PenalizedPath._batch(n, grid.times, states[rows], projections[rows], grid.q)
+    states, projections = history.states[rows], history.projections[rows]
+    batch = PenalizedPath._batch(n, grid.times, states, projections, grid.q)
     kept = {f"path_{i}": path for i, path in zip(rows, batch)}
     # a finite gap above about 1e154 overflows the variation
     with np.errstate(over="ignore"):
-        variations = _penalty_variation(
-            states, projections, n, grid.times, grid.q, grid.q
-        )
-    finals = states[:, -1]
+        variations = gaps.variation(grid.q)
     ok = finite & np.isfinite(variations)
     failures = []
     for i in np.flatnonzero(~ok):
@@ -456,6 +457,13 @@ def _study_report(benchmark: str, **params) -> ExperimentReport:
 def _add_check(report, name: str, holds, paths: int, seed: int) -> None:
     """A pass/fail entry: value 0 when the check holds, else 1, against 1/2."""
     report.add_entry(name, 0.0 if holds else 1.0, 0.5, holds, paths, f"seed={seed}")
+
+
+def _nonempty(**ladders) -> None:
+    """Refuse a study's empty ladder by its key: a check over none passes."""
+    for key, ladder in ladders.items():
+        if len(ladder) == 0:
+            raise ValueError(f"{key} must not be empty")
 
 
 # the domain of every converge study
@@ -515,6 +523,7 @@ def oscillation_benchmark(
     The tails must be nonincreasing as delta shrinks, within twice the
     binomial band for the configured sample size.
     """
+    _nonempty(deltas=deltas, epsilons=epsilons)
     spec = DriverSpec(
         dim=1,
         h=ConstantStart(0.5),
@@ -555,6 +564,7 @@ def refinement_study(
     ``reference_factor`` times finer than the finest level.  Reports the
     median sup distance per level, which must decrease strictly.
     """
+    _nonempty(levels=levels)
     spec = DriverSpec(dim=1, h=ConstantStart(0.5), z_components=(Brownian(1.0),))
     f = DiagAffine(1, base=0.5, slope=0.25)
     finest_cells = max(int(c) for _, c in levels) * reference_factor
@@ -606,6 +616,7 @@ def tail_structure_study(
     eta) cell.  With H at the anchor the modulus and H-deviation terms
     vanish, so the bound reduces to the driver-energy term.
     """
+    _nonempty(n_list=n_list, etas=etas)
     spec = DriverSpec(dim=1, h=ConstantStart(1.0), z_components=(Brownian(1.0),))
     grid = Grid.regular(q, cells)
     expected_energy = spec.expected_bracket(q) + spec.expected_variation(q) ** 2
@@ -614,13 +625,20 @@ def tail_structure_study(
         """(rates, etas, 2) fractions: sup deviation >= eta, variation >= eta^2."""
         H, Z = sample_driver_batch(spec, grid, run_seed, paths)
         out = np.empty((len(n_list), len(etas), 2))
-        for i, n in enumerate(n_list):
-            X, P = euler_penalized_batch(_HALFLINE, Identity(1), H, Z, float(n), grid)
-            batch = (X, P, float(n), grid.times, grid.q)
-            sup_dev = _sup_deviation(*batch, _HALFLINE.anchor)
-            variation = _penalty_variation(*batch, grid.q)
+        for i, n in enumerate(map(float, n_list)):
+            sup = _SupDistance(_HALFLINE.anchor, n, grid.times, grid.q)
+            gaps = _Gaps(n, grid.times, grid.q, paths)
+            visit = _each(sup, gaps)
+            X, _ = euler_penalized_batch(_HALFLINE, Identity(1), H, Z, n, grid, [grid.cells], visit)
+            with np.errstate(over="ignore"):
+                both = np.array([sup.sup, gaps.variation(grid.q)])
+            # a failed row is NaN; the kernel ignores overflow, so a finite
+            # row's overflowed functional fails the run here
+            both[:, np.isnan(X[:, 0, 0])] = np.nan
+            if np.isinf(both).any():
+                raise FloatingPointError("overflow encountered in a sup distance or variation")
             for j, eta in enumerate(etas):
-                out[i, j] = np.mean(sup_dev >= eta), np.mean(variation >= eta**2)
+                out[i, j] = np.mean(both[0] >= eta), np.mean(both[1] >= eta**2)
         return out
 
     c1 = 2.0 * SUP_FACTOR * (int(np.floor(q / delta)) + 1)
@@ -629,7 +647,7 @@ def tail_structure_study(
     # each inequality alone
     squares = np.array([eta**2 for eta in etas])
     needed = tails(calibration_seed).max(axis=2) * squares / (4.0 * expected_energy)
-    c_one = headroom * float(needed.max(initial=0.0))
+    c_one = headroom * float(needed.max())
 
     fresh = tails(seed)
     params = dict(seed=seed, calibration_seed=calibration_seed, paths=paths)

@@ -81,17 +81,14 @@ class PenalizedPath(_Breakpoints):
     def states(self) -> np.ndarray:
         return self.values
 
-    def _rows(self):
-        """This path as the one-row batch of the closed-form functions."""
-        return self.values[None], self.projections[None], self.n, self.times, self.q
-
     def _held(self, j, t) -> np.ndarray:
         return _relaxed_from(self.values, self.projections, self.n, self.times, j, t)
 
     def segment_end_values(self) -> np.ndarray:
         """Value approached at the right end of each segment (the last one
         evaluated at the horizon)."""
-        return _segment_ends(*self._rows())[0]
+        spans = np.append(self.times[1:], self.q) - self.times
+        return _relaxed(self.values, self.projections, self.n, spans)
 
     def skeleton_values(self) -> np.ndarray:
         """Breakpoint and segment-end values interleaved in time order.
@@ -108,7 +105,8 @@ class PenalizedPath(_Breakpoints):
         """Supremum over [0, q] of the distance to a fixed point; exact,
         since the norm is convex and segments are line-segment images."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        return float(_sup_deviation(*self._rows(), point)[0])
+        sup = _SupDistance(point, self.n, self.times, self.q)
+        return float(_replay(sup, self.values[None], self.projections[None]).sup[0])
 
     def penalty_variation(self, t=None) -> float:
         """Euclidean variation of the penalty term up to t.
@@ -118,7 +116,8 @@ class PenalizedPath(_Breakpoints):
         is constant, so the sum over segments is exact.
         """
         t = self.q if t is None else self._check_time(t)
-        return float(_penalty_variation(*self._rows(), t)[0])
+        gaps = _Gaps(self.n, self.times, self.q, 1)
+        return float(_replay(gaps, self.values[None], self.projections[None]).variation(t)[0])
 
     def to_step(self, times) -> StepPath:
         """Sample onto the given breakpoints as a step path."""
@@ -187,33 +186,6 @@ def _relaxed_from(states, projections, n, times, j, t):
     return _relaxed(states[..., j, :], projections[..., j, :], n, t - times[j])
 
 
-def _segment_ends(states, projections, n, times, q):
-    """Values approached at the right end of each segment, the last one at
-    the horizon; with the breakpoint states they form the path's skeleton."""
-    return _relaxed(states, projections, n, np.append(times[1:], q) - times)
-
-
-def _sup_deviation(states, projections, n, times, q, point):
-    """Per-row supremum over [0, q] of the distance to ``point``, attained
-    on the skeleton since the norm is convex."""
-    ends = _segment_ends(states, projections, n, times, q)
-    sups = [np.max(np.linalg.norm(X - point, axis=2), axis=1) for X in (states, ends)]
-    return np.maximum(*sups)
-
-
-def _penalty_variation(states, projections, n, times, q, t):
-    """Per-row Euclidean variation of the penalty term up to t: each
-    segment starting before t adds |x_j - p_j| (1 - exp(-n span)).  The
-    sum runs over a C-ordered (M, m) array, which numpy sums row by row in
-    the order it sums one path; a column-ordered one drifts in the last bit,
-    so the gaps of time-major batches are copied to C order first."""
-    m = int(np.searchsorted(times, t))
-    spans = (np.minimum(np.append(times[1:], q), t) - times)[:m]
-    gaps = np.linalg.norm(states[:, :m] - projections[:, :m], axis=2)
-    gaps = np.ascontiguousarray(gaps)
-    return np.sum(gaps * (1.0 - np.exp(-n * spans)), axis=1)
-
-
 def _project_live(domain, X, failed):
     """Projections of the rows of X, one step of :func:`_relax_and_step`'s
     failure rule.
@@ -243,20 +215,7 @@ def _project_live(domain, X, failed):
     return out
 
 
-def _kept_indices(at, K1):
-    """The grid indices a run keeps: all K1 of them for None, else ``at``
-    as strictly increasing integers in [0, K1)."""
-    if at is None:
-        return np.arange(K1)
-    idx = np.asarray(at)
-    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
-        raise ValueError(f"at must be a nonempty list of grid indices, got {at!r}")
-    if idx[0] < 0 or idx[-1] >= K1 or np.any(idx[1:] <= idx[:-1]):
-        raise ValueError(f"at must increase strictly within [0, {K1 - 1}], got {at!r}")
-    return idx
-
-
-def _relax_and_step(domain, f, H, Z, n, times, at=None):
+def _relax_and_step(domain, f, H, Z, n, times, visit):
     """The relax-and-step recurrence behind every solver in the package.
 
     Over rows of (M, K+1, d) values H of the free term and Z of the
@@ -267,48 +226,39 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
         x_{k+1} = pre_k + (H_{k+1} - H_k) + f(pre_k) (Z_{k+1} - Z_k).
 
     At n = inf the relaxation is the projection itself, pre_k = P(x_k).
-    The coefficient enters only through ``f.contract``.  Returns (states,
-    projections, failed) with ``failed`` a per-row mask, by the one
-    failure rule of the package: a row fails when a state or a projection
-    is not finite, or a projection is not certified.  The batch schemes
-    return a failed row as NaN throughout; the single-path solvers, which
-    run their path as a one-row batch (:func:`_solve_row`), raise
-    NumericalError.  Each step checks its states and certificates
-    (:func:`_project_live`); a projection that is not finite makes the
-    next state so, as it enters ``pre`` additively (NaN even where the
-    decay underflows to 0), so only the last one is checked, after the loop.
+    The coefficient enters only through ``f.contract``.  Returns the
+    per-row mask ``failed``, by the one failure rule of the package: a row
+    fails when a state or a projection is not finite, or a projection is
+    not certified.  The batch schemes return a failed row as NaN
+    throughout; the single-path solvers, which run their path as a
+    one-row batch (:func:`_solve_row`), raise NumericalError.  Each step
+    checks its states and certificates (:func:`_project_live`); a
+    projection that is not finite makes the next state so, as it enters
+    ``pre`` additively (NaN even where the decay underflows to 0), so only
+    the last one is checked, after the loop.
 
-    ``at`` lists the grid indices whose states and projections are kept,
-    strictly increasing in [0, K]; None keeps all K+1.  A kept state is
-    written into its own output slab; any other lives in one of two
-    reused (M, d) scratch slabs until the next step has read it, and the
-    relaxation and the integrator increment each reuse one slab, so the
-    run holds O(M d) memory beyond the kept slabs.  Which points are kept
-    does not change a bit of the ones that are.
+    The kernel keeps nothing.  After each projection it calls ``visit(k,
+    x_k, p_k)`` with the (M, d) slabs at grid index k, and the visitor
+    keeps or reduces what the run needs (:class:`_Keep`,
+    :class:`_SupDistance`, :class:`_Gaps`).  The slabs are scratch that
+    later steps overwrite, so a visitor copies what it keeps.  It sees a
+    failing row's raw values, which its caller masks by ``failed``, and it
+    runs inside the kernel's ``np.errstate(over="ignore", invalid="ignore")``.
+    The relaxation and the integrator increment reuse one slab each, so a
+    run holds O(M d) memory besides its visitor's.
 
-    What does not depend on the rows is computed before the loop: the
-    decay factors of all steps in one ``np.exp`` (the same bits as one
-    scalar exp per step), and the increments of a free term that has one
-    row or is broadcast along rows, differenced on that row.
-
-    Each step reads grid point k of every row.  Time-major inputs (the
-    views :func:`sample_driver_batch` returns) give contiguous (M, d)
-    slabs; C-ordered ones are read at a stride, and a deterministic free
-    term may be a read-only view broadcast along rows.  The kept states
-    and projections are written as time-major (len(at), M, d) buffers and
-    returned as (M, len(at), d) views of them, not C-contiguous arrays.
+    The decay factors of all steps are one ``np.exp`` before the loop (the
+    same bits as one scalar exp per step), and so are the increments of a
+    free term that has one row or is broadcast along rows.  Each step reads
+    grid point k of every row: a contiguous (M, d) slab of time-major
+    inputs (as :func:`sample_driver_batch` returns them), a strided one of
+    C-ordered inputs or of a free term broadcast along rows.
     """
     M, K1, d = H.shape
     one_h = M == 1 or (M > 1 and H.strides[0] == 0)
     H = H.transpose(1, 0, 2)
     Z = None if Z is None else Z.transpose(1, 0, 2)
-    at = _kept_indices(at, K1)
-    states = np.empty((at.shape[0], M, d))
-    projections = np.empty_like(states)
-    slot = np.full(K1, -1)
-    slot[at] = np.arange(at.shape[0])
-    slot = slot.tolist()
-    scratch = np.empty((2, M, d)) if at.shape[0] < K1 else None
+    scratch = np.empty((2, M, d))
     relaxed = None if n == np.inf else np.empty((M, d))
     dZ = None if Z is None else np.empty((M, d))
     failed = np.zeros(M, dtype=bool)
@@ -318,11 +268,10 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
         decay = None if relaxed is None else np.exp(-n * (times[1:] - times[:-1]))
         dH = np.diff(H[:, 0], axis=0) if one_h else None
         for k in range(K1):
-            # x_k goes to its kept slab, else to the scratch slab x_{k-1} is
-            # not in: at n = inf pre_{k-1} is P(x_{k-1}), which a domain may
-            # return as x_{k-1} itself, and it is read while x_k is written
-            kept = slot[k]
-            slab = states[kept] if kept >= 0 else scratch[k % 2]
+            # x_k goes to the scratch slab x_{k-1} is not in: at n = inf
+            # pre_{k-1} is P(x_{k-1}), which a domain may return as x_{k-1}
+            # itself, and it is read while x_k is written
+            slab = scratch[k % 2]
             if k == 0:
                 slab[...] = H[0]
             else:
@@ -338,10 +287,90 @@ def _relax_and_step(domain, f, H, Z, n, times, at=None):
                     slab += f.contract(pre, np.subtract(Z[k], Z[k - 1], out=dZ))
             x = slab
             p = _project_live(domain, x, failed)
-            if kept >= 0:
-                projections[kept] = p
+            visit(k, x, p)
     failed |= ~np.isfinite(p).all(axis=1)
-    return states.transpose(1, 0, 2), projections.transpose(1, 0, 2), failed
+    return failed
+
+
+# Visitors of the kernel.  The reducing ones also take a slice k with (s, M,
+# d) blocks, as :func:`_replay` feeds a stored history, so a row reduces to
+# the same bits as it steps, from its history and as a one-row PenalizedPath.
+
+
+def _each(*visits):
+    """One visitor that calls each of ``visits`` in turn."""
+
+    def visit(k, x, p):
+        for each in visits:
+            each(k, x, p)
+
+    return visit
+
+
+def _replay(visit, states, projections):
+    """``visit`` fed the whole history of (M, m, d) stored ``states`` and
+    ``projections`` in one time-major block."""
+    visit(slice(None), states.transpose(1, 0, 2), projections.transpose(1, 0, 2))
+    return visit
+
+
+class _Keep:
+    """Visitor copying the states and projections of the first ``rows``
+    rows at the grid indices ``at``, strictly increasing in [0, K1) (None
+    for all K1), into time-major buffers: ``states`` and ``projections``
+    are (rows, len(at), d) views of them."""
+
+    def __init__(self, at, K1, rows, d):
+        idx = np.arange(K1) if at is None else np.asarray(at)
+        if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+            raise ValueError(f"at must be a nonempty list of grid indices, got {at!r}")
+        if idx[0] < 0 or idx[-1] >= K1 or np.any(idx[1:] <= idx[:-1]):
+            raise ValueError(f"at must increase strictly within [0, {K1 - 1}], got {at!r}")
+        self.states = np.empty((idx.size, rows, d)).transpose(1, 0, 2)
+        self.projections = np.empty((idx.size, rows, d)).transpose(1, 0, 2)
+        self.slot = dict(zip(idx.tolist(), range(idx.size)))
+
+    def __call__(self, k, x, p):
+        i, rows = self.slot.get(k), self.states.shape[0]
+        if i is not None:
+            self.states[:, i], self.projections[:, i] = x[:rows], p[:rows]
+
+
+class _SupDistance:
+    """Visitor holding each row's running supremum ``sup`` of the distance
+    to ``point`` over breakpoints and segment ends: over [0, q], since the
+    norm is convex and the path runs straight from one to the other."""
+
+    def __init__(self, point, n, times, q):
+        self.point, self.n, self.sup = point, n, -np.inf
+        self.spans = np.append(times[1:], q) - times
+
+    def __call__(self, k, x, p):
+        for values in (x, _relaxed(x, p, self.n, self.spans[k, None])):
+            dist = np.linalg.norm(values - self.point, axis=-1)
+            self.sup = np.maximum(self.sup, np.atleast_2d(dist).max(axis=0))
+
+
+class _Gaps:
+    """Visitor recording the gap |x_k - p_k| of each of ``rows`` rows at
+    every step, as a time-major (K+1, rows) column."""
+
+    def __init__(self, n, times, q, rows):
+        self.n, self.times, self.q = n, times, q
+        self.gaps = np.empty((times.shape[0], rows))
+
+    def __call__(self, k, x, p):
+        self.gaps[k] = np.linalg.norm(x - p, axis=-1)
+
+    def variation(self, t):
+        """Per-row variation of the penalty term up to t: each segment from
+        before t adds |x_j - p_j| (1 - exp(-n span)), summed over the
+        C-ordered transpose, as numpy sums one path (not down the column,
+        which drifts in the last bit)."""
+        m = int(np.searchsorted(self.times, t))
+        spans = (np.minimum(np.append(self.times[1:], self.q), t) - self.times)[:m]
+        gaps = np.ascontiguousarray(self.gaps[:m].T)
+        return np.sum(gaps * (1.0 - np.exp(-self.n * spans)), axis=1)
 
 
 def _check_driver(domain, driver: StepPath) -> None:
@@ -358,12 +387,10 @@ def _check_driver(domain, driver: StepPath) -> None:
 def _solve_row(domain, f, h, z, n, times):
     """:func:`_relax_and_step` on one path of (K+1, d) values, as its
     (K+1, d) states and projections; a failed row raises NumericalError."""
-    states, projections, failed = _relax_and_step(
-        domain, f, h[None], None if z is None else z[None], n, times
-    )
-    if failed[0]:
+    keep = _Keep(None, times.shape[0], 1, h.shape[1])
+    if _relax_and_step(domain, f, h[None], None if z is None else z[None], n, times, keep)[0]:
         raise NumericalError("state not finite or projection not certified")
-    return states[0], projections[0]
+    return keep.states[0], keep.projections[0]
 
 
 def solve_penalized(domain: ConvexDomain, driver: StepPath, n: float) -> PenalizedPath:

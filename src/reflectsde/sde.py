@@ -14,7 +14,8 @@ import numpy as np
 
 from .domain import ConvexDomain, _rows_times
 from .path import StepPath, _breakpoints
-from .penalty import PenalizedPath, _check_driver, _rate, _relax_and_step, _solve_row
+from .penalty import PenalizedPath, _check_driver, _each, _Keep, _rate, _relax_and_step
+from .penalty import _solve_row
 
 __all__ = [
     "Grid",
@@ -728,17 +729,18 @@ def euler_projected(
     return StepPath(grid.times, states, grid.q)
 
 
-def _scheme_batch(domain, f, H_vals, Z_vals, n, grid, at=None):
+def _scheme_batch(domain, f, H_vals, Z_vals, n, grid, at=None, visit=None):
     """The body of both batch schemes: check the driver arrays against the
-    grid and domain, run the kernel and return its failed rows as NaN."""
+    grid and domain, run the kernel keeping ``at`` (and visiting ``visit``)
+    and return the kept failed rows as NaN."""
     M, K1, d = H_vals.shape
     if Z_vals.shape != (M, K1, d) or K1 != grid.times.shape[0] or d != domain.dim:
         raise ValueError("driver value arrays do not match the grid/domain")
-    states, projections, failed = _relax_and_step(
-        domain, f, H_vals, Z_vals, n, grid.times, at
-    )
-    states[failed] = projections[failed] = np.nan
-    return states, projections
+    keep = _Keep(at, K1, M, d)
+    both = keep if visit is None else _each(keep, visit)
+    failed = _relax_and_step(domain, f, H_vals, Z_vals, n, grid.times, both)
+    keep.states[failed] = keep.projections[failed] = np.nan
+    return keep.states, keep.projections
 
 
 def euler_penalized_batch(
@@ -749,6 +751,7 @@ def euler_penalized_batch(
     n: float,
     grid: Grid,
     at=None,
+    visit=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized penalized scheme over (M, K+1, d) driver values.
 
@@ -761,11 +764,16 @@ def euler_penalized_batch(
 
     ``at`` keeps only the listed grid indices, strictly increasing in
     [0, K]: the result is then (M, len(at), d), equal bit for bit to the
-    full history at those indices, and no other grid point's states or
-    projections are stored.  A runner that reads the marginal at t = q
-    passes ``at=[grid.cells]``.
+    full history at those indices, and no other grid point is stored.  A
+    runner that reads the marginal at t = q passes ``at=[grid.cells]``.
+    ``visit(k, x, p)``, when given, sees the (M, d) states and projections
+    of every grid index k as the kernel steps, so a runner reduces rows
+    without holding their history.  Later steps overwrite the slabs, so it
+    copies what it keeps; it sees a failing row's raw values, which the
+    caller masks by the NaN rows of the result; it runs under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    return _scheme_batch(domain, f, H_vals, Z_vals, _rate(n), grid, at)
+    return _scheme_batch(domain, f, H_vals, Z_vals, _rate(n), grid, at, visit)
 
 
 def euler_projected_batch(

@@ -531,6 +531,13 @@ class TestConfigErrors:
                 "numerical error: overflow",
                 id="horizon-overflows",
             ),
+            pytest.param(
+                "tail-structure",
+                {"paths": 50, "cells": 8, "q": 1e308, "delta": 1e308},
+                2,
+                "numerical error: overflow",
+                id="distance-overflows",
+            ),
         ],
     )
     def test_study_errors(self, tmp_path, capsys, name, override, code, message):
@@ -540,6 +547,23 @@ class TestConfigErrors:
         assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("tail-structure", "etas"),
+            ("tail-structure", "n_list"),
+            ("cp-oscillation", "deltas"),
+            ("cp-oscillation", "epsilons"),
+            ("strong-refinement", "levels"),
+        ],
+    )
+    def test_empty_ladder(self, tmp_path, capsys, name, key):
+        # a check over no cell would pass, and an empty ladder has no finest level
+        _, cfg = fuzz_base(name)
+        code, made = run_config(tmp_path, "converge", dict(cfg, **{key: []}))
+        assert (code, made) == (1, False)
+        assert capsys.readouterr().err == f"config error: converge: {key} must not be empty\n"
 
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -899,7 +923,94 @@ THREEJUMP_ARTIFACTS = {
 }
 
 
+# simulate on a box, a ball and a half-space in d = 2-3, for report digests
+SIMULATE_DOMAINS = {
+    "simulate-box": {
+        "domain": {"variant": "box", "lower": [0, 0, 0], "upper": [1, 2, 1]},
+        "driver": {
+            "dim": 3,
+            "h": {"kind": "brownian", "x0": [0.5, 0.5, 0.5], "sigma": 0.7},
+            "z": [
+                {"kind": "brownian", "sigma": [1.0, 0.5, 2.0]},
+                {"kind": "drift", "rate": [0.5, 0.0, -0.5]},
+                {
+                    "kind": "compound_poisson",
+                    "rate": 2.0,
+                    "jumps": {"tag": "normal", "params": [0.0, 0.5]},
+                },
+            ],
+        },
+        "coefficient": {"kind": "diag_affine", "base": 0.5, "slope": 0.25},
+        "n": 50.0,
+    },
+    "simulate-ball": {
+        "domain": {"variant": "ball", "center": [0.5, 0.5], "radius": 1.0},
+        "driver": {
+            "dim": 2,
+            "h": {"kind": "constant", "x0": [0.5, 0.5]},
+            "z": [
+                {"kind": "brownian", "sigma": 1.5},
+                {
+                    "kind": "compound_poisson",
+                    "rate": 3.0,
+                    "jumps": {"tag": "uniform", "params": [-1.0, 1.0]},
+                },
+            ],
+        },
+        "coefficient": {"kind": "constant", "matrix": [[1.0, 0.0], [0.3, 1.0]]},
+        "n": 20.0,
+    },
+    "simulate-halfspace": {
+        "domain": {"variant": "halfspace", "normal": [0.0, 0.6, 0.8], "offset": -0.1},
+        "driver": {
+            "dim": 3,
+            "h": {"kind": "brownian", "x0": [0.0, 0.3, 0.4], "sigma": 0.5},
+            "z": [
+                {"kind": "brownian", "sigma": 1.0},
+                {"kind": "drift", "rate": [0.0, -1.0, -1.0]},
+            ],
+        },
+        "coefficient": {"kind": "power_diag", "alpha": 0.75},
+        "n": 400.0,
+    },
+}
+
+
 class TestArtifactBytes:
+    # exit code and report.json by sha256: tail-structure reduces every
+    # path to its sup distance and penalty variation (its small fuzz base
+    # fails a check, exit 3), and simulate reports the mean variation and
+    # the moments of the final states
+    REPORT_DIGESTS = {
+        "tail-structure": (
+            3, "82d5db4a7cd4a9fb4dc63d762e403f5ddf8ae4360976861867831b53703a91cd"
+        ),
+        "simulate": (
+            0, "15829918d72f98de8c2b0935ec66b442dbae2085305b6a6ed235b2fb2700a351"
+        ),
+        "simulate-ball": (
+            0, "6d54d4a9c854fbe5b3a654eb51f73e6d89796645cf2b9b5e07d4cdeb86a9103f"
+        ),
+        "simulate-box": (
+            0, "9c7ea4df70bfde88579daef6ddbc492407915d9192ebdec1e03d039f21671f08"
+        ),
+        "simulate-halfspace": (
+            0, "2bbfe766ed585eca2110af429e7937e3d211b6e22c5f674034ccef1d0223d8f2"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_report(self, tmp_path, name):
+        command, cfg = "simulate", SIMULATE_CFG
+        if name == "tail-structure":
+            command, cfg = fuzz_base(name)
+        elif name in SIMULATE_DOMAINS:
+            cfg = dict(SIMULATE_CFG, **SIMULATE_DOMAINS[name], paths=30)
+            cfg["grid"] = {"q": 1.0, "cells": 16}
+        code, _ = run_config(tmp_path, command, cfg)
+        digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes())
+        assert (code, digest.hexdigest()) == self.REPORT_DIGESTS[name]
+
     @pytest.mark.parametrize(
         "command, fmt", sorted(THREEJUMP_ARTIFACTS), ids="-".join
     )

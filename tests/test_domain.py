@@ -288,6 +288,22 @@ class TestPolyhedron:
         got = two_face_wedge(np.radians(30.0)).project_points(X)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("block", [None, 0], ids=["stacked", "nnls"])
+    def test_faces_at_an_angle_below_the_gram_resolution(self, block, monkeypatch, rng):
+        # two independent faces 6.7e-13 apart in d = 3: their Gram matrix
+        # rounds to a singular one, so they form no map, and each row
+        # outside projects onto the tighter face, as the QP oracle does
+        if block is not None:
+            monkeypatch.setattr("reflectsde.domain._ENTRIES_PER_BLOCK", block)
+        tilted = np.array([1.0, 0.0, 6.7e-13]) / np.linalg.norm([1.0, 0.0, 6.7e-13])
+        faces = [HalfSpace(tilted, 0.0), HalfSpace([1.0, 0.0, 0.0], -0.5)]
+        domain = Polyhedron(faces, anchor=[1.0, 0.0, 0.0])
+        X = rng.uniform(-3.0, 3.0, size=(50, 3))
+        P = domain.project_points(X)
+        for x, p in zip(X, P):
+            ref = projection_qp(np.array([tilted, [1.0, 0.0, 0.0]]), np.array([0.0, -0.5]), x)
+            assert np.linalg.norm(p - ref) < 1e-10
+
     def test_anchor_required(self):
         with pytest.raises(ValueError):
             Polyhedron([HalfSpace([1.0, 0.0], 0.0)], anchor=None)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import kernel_history
 
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath
@@ -11,11 +12,11 @@ from reflectsde.penalty import (
     SUP_FACTOR,
     VARIATION_FACTOR,
     PenalizedPath,
-    _penalty_variation,
+    _each,
+    _Gaps,
     _pulled,
-    _relax_and_step,
     _relaxed,
-    _sup_deviation,
+    _SupDistance,
     penalty_bounds,
     solve_penalized,
 )
@@ -168,6 +169,17 @@ class TestClosedForm:
         assert dense <= exact + 1e-12
         assert exact - dense <= 1e-4
 
+    def test_sup_deviation_reached_at_a_segment_end(self):
+        # the state at (8, -1) relaxes toward (8, 0), away from the point,
+        # and the jump back brings it nearer: the farthest point of the
+        # path is the end of that segment, beyond every breakpoint
+        driver = StepPath([0.0, 0.25, 0.5], [[3.0, 0.0], [8.0, -1.0], [3.0, -1.0]], q=1.0)
+        sol = solve_penalized(HalfSpace([0.0, 1.0], 0.0), driver, n=4.0)
+        point = np.array([3.0, -10.0])
+        end = np.linalg.norm(sol.segment_end_values()[1] - point)
+        assert sol.sup_deviation(point) == end
+        assert end > np.max(np.linalg.norm(sol.states - point, axis=1)) + 0.5
+
     def test_json_round_trip(self, rng):
         y = random_halfline_driver(rng)
         sol = solve_penalized(HALFLINE, y, n=3.5)
@@ -246,13 +258,14 @@ class TestBatchedClosedForm:
                     ),
                 )
                 H, Z = sample_driver_batch(spec, grid, seed=9, paths=6)
-                X, P = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid)
+                # the functionals as the kernel steps, by its visitors
+                sup = _SupDistance(domain.anchor, n, grid.times, q)
+                gaps = _Gaps(n, grid.times, q, 6)
+                visit = _each(sup, gaps)
+                X, P = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid, visit=visit)
                 assert np.any(X != P), (dim, name)
                 last = _relaxed(X[:, -1], P[:, -1], n, q - grid.q)
-                path = (X, P, n, grid.times, q)
-                variation = _penalty_variation(*path, q)
-                partial = _penalty_variation(*path, t)
-                sup = _sup_deviation(*path, domain.anchor)
+                variation, partial, sup = gaps.variation(q), gaps.variation(t), sup.sup
                 for i in range(6):
                     one = PenalizedPath(n, grid.times, X[i], P[i], q)
                     assert np.array_equal(last[i], one.eval(q)), (dim, name)
@@ -447,7 +460,7 @@ class TestKernelReference:
         return H, Z
 
     def check(self, domain, f, H, Z, n, times):
-        got = _relax_and_step(domain, f, H, Z, n, times)
+        got = kernel_history(domain, f, H, Z, n, times)
         want = reference_relax_and_step(domain, f, H, Z, n, times)
         assert same_bits(got[0], want[0])
         assert same_bits(got[1], want[1])

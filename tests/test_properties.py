@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import kernel_history
 
 from reflectsde import path as path_module
 from reflectsde import sde
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath, modulus_bar, modulus_second
-from reflectsde.penalty import PenalizedPath, _relax_and_step
+from reflectsde.penalty import PenalizedPath, _each, _Gaps, _Keep, _SupDistance
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
@@ -100,9 +101,9 @@ def integrators(draw, dim):
 
 
 @st.composite
-def penalized_batches(draw):
-    """(n, times, states, projections, q) of a batch of finite rows, the
-    horizon on the last breakpoint or past it."""
+def penalized_drivers(draw):
+    """(domain, grid, H, Z, n) of a few small drivers from the anchor,
+    which fail no row."""
     dim = draw(st.integers(1, 3))
     domain = draw(domains(dim))
     grid = draw(grids())
@@ -111,7 +112,15 @@ def penalized_batches(draw):
     spec = DriverSpec(dim=dim, h=ConstantStart(domain.anchor), z_components=parts)
     paths = draw(st.integers(1, 5))
     H, Z = sample_driver_batch(spec, grid, draw(st.integers(0, 2**32)), paths)
-    states, projections = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid)
+    return domain, grid, H, Z, n
+
+
+@st.composite
+def penalized_batches(draw):
+    """(n, times, states, projections, q) of a batch of finite rows, the
+    horizon on the last breakpoint or past it."""
+    domain, grid, H, Z, n = draw(penalized_drivers())
+    states, projections = euler_penalized_batch(domain, Identity(domain.dim), H, Z, n, grid)
     # small drivers do not fail a row
     assert np.isfinite(states).all() and np.isfinite(projections).all()
     q = grid.q + draw(st.sampled_from([0.0, 0.5]))
@@ -145,6 +154,34 @@ def test_batch_paths_take_their_states_at_their_breakpoints(batch):
             assert same_bits(got, want)
         assert path.to_json() == alone.to_json()
         assert path.to_csv_string() == alone.to_csv_string()
+
+
+@PROPERTY
+@given(penalized_drivers(), st.data())
+def test_the_kernels_visitors_are_the_path_functionals(driver, data):
+    domain, grid, H, Z, n = driver
+    dim = domain.dim
+    point = np.array(data.draw(st.lists(coordinates, min_size=dim, max_size=dim))) * 3.0
+    q = grid.q + data.draw(st.sampled_from([0.0, 0.5]))
+    t = data.draw(st.floats(0.0, q))
+    sup = _SupDistance(point, n, grid.times, q)
+    gaps = _Gaps(n, grid.times, q, H.shape[0])
+    visit = _each(sup, gaps)
+    states, projections = euler_penalized_batch(domain, Identity(dim), H, Z, n, grid, visit=visit)
+    paths = PenalizedPath._batch(n, grid.times, states, projections, q)
+    at_q, at_t = gaps.variation(q), gaps.variation(t)
+    ends = np.minimum(np.append(grid.times[1:], q), t)
+    for i, path in enumerate(paths):
+        assert same_bits(sup.sup[i], np.float64(path.sup_deviation(point)))
+        assert same_bits(at_q[i], np.float64(path.penalty_variation()))
+        assert same_bits(at_t[i], np.float64(path.penalty_variation(t)))
+        # the supremum over the skeleton, and n times the integral of the
+        # distance to the domain up to t, summed segment by segment
+        skeleton = np.linalg.norm(path.skeleton_values() - point, axis=1)
+        assert same_bits(sup.sup[i], np.max(skeleton))
+        gap = np.linalg.norm(states[i] - projections[i], axis=1)
+        pulls = gap * -np.expm1(-n * np.maximum(ends - grid.times, 0.0))
+        assert at_t[i] == pytest.approx(sum(pulls), rel=1e-12, abs=1e-300)
 
 
 @st.composite
@@ -225,18 +262,40 @@ def test_a_kernel_row_is_its_one_row_run(driver, name, data):
     if data.draw(st.booleans()):
         f, Z = None, None
     n = data.draw(st.just(np.inf) | st.floats(-1.0, 6.0).map(lambda e: 10.0**e))
-    states, projections, failed = _relax_and_step(domain, f, H, Z, n, grid.times)
+    states, projections, failed = kernel_history(domain, f, H, Z, n, grid.times)
     for p in range(H.shape[0]):
         z = None if Z is None else Z[p : p + 1]
-        row = _relax_and_step(domain, f, H[p : p + 1], z, n, grid.times)
+        row = kernel_history(domain, f, H[p : p + 1], z, n, grid.times)
         assert same_bits(row[0][0], states[p]) and same_bits(row[1][0], projections[p])
         assert row[2][0] == failed[p]
     # keeping some grid points keeps their bits
     points = st.lists(st.integers(0, grid.cells), min_size=1, unique=True)
     at = sorted(data.draw(points))
-    kept = _relax_and_step(domain, f, H, Z, n, grid.times, at=at)
+    kept = kernel_history(domain, f, H, Z, n, grid.times, at=at)
     assert same_bits(kept[0], states[:, at]) and same_bits(kept[1], projections[:, at])
     assert np.array_equal(kept[2], failed)
+
+
+@PROPERTY
+@given(overflowing_drivers(), coefficients, st.data())
+def test_a_visitor_changes_no_kept_bit(driver, name, data):
+    domain, grid, H, Z = driver
+    f = coefficient(name, domain.dim)
+    M, K1, d = H.shape
+    n = data.draw(st.floats(-1.0, 6.0).map(lambda e: 10.0**e))
+    points = st.lists(st.integers(0, grid.cells), min_size=1, unique=True).map(sorted)
+    at = data.draw(st.none() | points)
+    rows = data.draw(st.integers(0, M))
+    history = _Keep(None, K1, rows, d)
+    sup = _SupDistance(domain.anchor, n, grid.times, grid.q)
+    visit = _each(history, sup, _Gaps(n, grid.times, grid.q, M))
+    want = euler_penalized_batch(domain, f, H, Z, n, grid, at=at)
+    got = euler_penalized_batch(domain, f, H, Z, n, grid, at=at, visit=visit)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    # the kept rows are the full history's, raw where a row fails
+    full = kernel_history(domain, f, H, Z, n, grid.times)
+    assert same_bits(history.states, full[0][:rows])
+    assert same_bits(history.projections, full[1][:rows])
 
 
 def finite_or_nan(rows):

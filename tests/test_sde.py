@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import kernel_history
 
 from reflectsde.domain import (
     Ball,
@@ -16,7 +17,7 @@ from reflectsde.domain import (
 )
 from reflectsde import experiments, sde
 from reflectsde.path import StepPath
-from reflectsde.penalty import _penalty_variation, _relax_and_step, _sup_deviation
+from reflectsde.penalty import _Gaps, _replay, _SupDistance
 from reflectsde.penalty import solve_penalized
 from reflectsde.sde import (
     Brownian,
@@ -498,7 +499,7 @@ class TestKeptGridPoints:
     @staticmethod
     def run(domain, f, H, Z, n, grid, at=None):
         if n == np.inf:
-            return _relax_and_step(domain, f, H, Z, n, grid.times, at)
+            return kernel_history(domain, f, H, Z, n, grid.times, at)
         return euler_penalized_batch(domain, f, H, Z, n, grid, at=at)
 
     @pytest.mark.parametrize("coef", ["identity", "diag-affine"])
@@ -531,9 +532,13 @@ class TestKeptGridPoints:
 
         domain = Passthrough([1.0], -3.0, anchor=[0.0])
         (H, Z), grid = self.drivers(domain, drawn_h=True)
-        full = _relax_and_step(domain, Identity(1), H, Z, np.inf, grid.times)
+        full = kernel_history(domain, Identity(1), H, Z, np.inf, grid.times)
+        # the bits of the same half-space projecting into fresh arrays
+        plain = HalfSpace([1.0], -3.0, anchor=[0.0])
+        want = kernel_history(plain, Identity(1), H, Z, np.inf, grid.times)
+        assert same_bits(full[0], want[0]) and same_bits(full[1], want[1])
         for at in self.ATS:
-            kept = _relax_and_step(domain, Identity(1), H, Z, np.inf, grid.times, at)
+            kept = kernel_history(domain, Identity(1), H, Z, np.inf, grid.times, at)
             assert same_bits(kept[0], full[0][:, at]), at
             assert same_bits(kept[1], full[1][:, at]), at
 
@@ -680,13 +685,13 @@ class TestTimeMajorLayout:
             euler_projected_batch(domain, f, H, Z, grid),
             euler_projected_batch(domain, f, Hc, Zc, grid),
         )
-        rows = (states, projections, 32.0, grid.times, grid.q)
-        c_rows = (*map(np.ascontiguousarray, rows[:2]), *rows[2:])
+        # the stored rows through the kernel's reducing visitors
+        layouts = ((states, projections), tuple(map(np.ascontiguousarray, (states, projections))))
+        gaps = [_replay(_Gaps(32.0, grid.times, grid.q, 30), *rows) for rows in layouts]
+        sup = [_replay(_SupDistance(domain.anchor, 32.0, grid.times, grid.q), *rows) for rows in layouts]
         for t in (grid.q, grid.times[17] + 0.01):
-            assert same_bits(_penalty_variation(*rows, t), _penalty_variation(*c_rows, t))
-        assert same_bits(
-            _sup_deviation(*rows, domain.anchor), _sup_deviation(*c_rows, domain.anchor)
-        )
+            assert same_bits(gaps[0].variation(t), gaps[1].variation(t))
+        assert same_bits(sup[0].sup, sup[1].sup)
 
     def test_simulate_report_does_not_depend_on_layout(self, monkeypatch):
         cfg = {

@@ -10,12 +10,17 @@ this process, and writes one ``--out`` directory per run under DIR:
 - ``simulate`` on ``WEDGE_CONFIG`` from ``bench/workloads.py`` at its own
   seed and at ``--seed 11``, in ``--format csv`` and ``json``, under
   ``simulate-seed<seed>-<format>``;
+- ``simulate`` on a half-space, a ball and a box (``SIMULATE_DOMAINS``:
+  ``WEDGE_CONFIG`` with that domain and fewer paths and cells), in
+  ``--format csv`` and ``json``, under ``simulate-<domain>-<format>``;
 - ``penalize`` on the path of the ``halfline-threejump`` built-in at the
   rates in ``PENALIZE_RATES`` with ``delta`` 0.25, in ``--format csv`` and
   ``json``, under ``penalize-<format>``;
 - ``simulate`` on each bad config of ``BAD_SIMULATE``, ``WEDGE_CONFIG``
-  with the value at one key path replaced, whose exit code and stderr go
-  to ``exit_code`` and ``stderr`` under ``error-<name>``.
+  with the value at one key path replaced, and ``converge`` on each
+  built-in of ``EMPTY_LADDERS`` with that key's ladder empty, whose exit
+  code and stderr go to ``exit_code`` and ``stderr`` under
+  ``error-<name>``.
 
 DIR must not exist or be empty.  The script prints each run's exit code
 and exits 1 if any run's code is not the one it expects: 0 for a good
@@ -45,6 +50,22 @@ from reflectsde.experiments import BUILTIN_CONFIGS  # noqa: E402
 SEEDS = (None, 11)
 FORMATS = ("csv", "json")
 PENALIZE_RATES = [1, 100, 1e4]
+
+# the domains besides the wedge, each holding WEDGE_CONFIG's start inside
+SIMULATE_DOMAINS = {
+    "halfspace": {"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0},
+    "ball": {"variant": "ball", "center": [1.0, 0.5], "radius": 1.0},
+    "box": {"variant": "box", "lower": [0.0, 0.0], "upper": [2.0, 1.0]},
+}
+
+# (built-in, key) of each study's ladders, each run empty
+EMPTY_LADDERS = (
+    ("cp-oscillation", "deltas"),
+    ("cp-oscillation", "epsilons"),
+    ("strong-refinement", "levels"),
+    ("tail-structure", "etas"),
+    ("tail-structure", "n_list"),
+)
 
 # (name, key path, value): at least one error of each tagged section and
 # of each constructor a tag names
@@ -129,9 +150,9 @@ def bad_config(wedge_config: dict, keys: tuple, value) -> dict:
     return cfg
 
 
-def runs(wedge: Path, penalize: Path, bad: Path):
+def runs(wedge: Path, penalize: Path, tmp: Path):
     """(directory name, CLI arguments without --out, expected exit code)
-    of every run; a bad config's file is ``bad/<name>.json``."""
+    of every run; any other config's file is ``tmp/<name>.json``."""
     for name in sorted(BUILTIN_CONFIGS):
         yield name, [BUILTIN_CONFIGS[name]["experiment"], "--config", name], 0
     seed = json.loads(wedge.read_text())["seed"]
@@ -140,11 +161,18 @@ def runs(wedge: Path, penalize: Path, bad: Path):
         for fmt in FORMATS:
             args = ["simulate", "--config", str(wedge), *flags, "--format", fmt]
             yield f"simulate-seed{seed if extra is None else extra}-{fmt}", args, 0
+    for name in SIMULATE_DOMAINS:
+        for fmt in FORMATS:
+            args = ["simulate", "--config", str(tmp / f"{name}.json"), "--format", fmt]
+            yield f"simulate-{name}-{fmt}", args, 0
     for fmt in FORMATS:
         args = ["penalize", "--config", str(penalize), "--format", fmt]
         yield f"penalize-{fmt}", args, 0
     for name, _, _ in BAD_SIMULATE:
-        yield f"error-{name}", ["simulate", "--config", str(bad / f"{name}.json")], 1
+        yield f"error-{name}", ["simulate", "--config", str(tmp / f"{name}.json")], 1
+    for builtin, key in EMPTY_LADDERS:
+        name = f"{builtin}-empty-{key}"
+        yield f"error-{name}", ["converge", "--config", str(tmp / f"{name}.json")], 1
 
 
 def write_outputs(out: Path) -> dict:
@@ -156,8 +184,16 @@ def write_outputs(out: Path) -> dict:
         wedge, penalize = Path(tmp) / "wedge.json", Path(tmp) / "penalize.json"
         wedge.write_text(json.dumps(wedge_config))
         penalize.write_text(json.dumps(penalize_config()))
+        small = {"grid": {"q": 1.0, "cells": 32}, "paths": 32, "keep_paths": 4}
+        configs = {
+            name: {**wedge_config, **small, "domain": domain}
+            for name, domain in SIMULATE_DOMAINS.items()
+        }
         for name, keys, value in BAD_SIMULATE:
-            cfg = bad_config(wedge_config, keys, value)
+            configs[name] = bad_config(wedge_config, keys, value)
+        for builtin, key in EMPTY_LADDERS:
+            configs[f"{builtin}-empty-{key}"] = {**BUILTIN_CONFIGS[builtin], key: []}
+        for name, cfg in configs.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(cfg))
         for name, args, expected in runs(wedge, penalize, Path(tmp)):
             # the pass/fail lines a run prints are in its report.json

@@ -4,10 +4,19 @@ Drivers are sampled as step paths frozen at grid points; the scheme relaxes
 toward the domain between grid points (exactly, via the closed form) and
 adds driver and diffusion increments at grid points, with the coefficient
 evaluated at the pre-jump value.
+
+Each drawing part of a path draws from its own Philox stream, keyed by
+(seed, path index, component), so a path's values do not depend on the
+batch, the block or the thread that draws it.  Long Brownian rows are drawn
+on two threads when the process may use two CPUs, and keep every bit
+(see :func:`sample_driver_batch`).
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +180,7 @@ class Brownian:
 
     sigma: object = 1.0
     draws = True
+    _normal_fill = True
 
     def _check_dim(self, dim: int) -> None:
         sigma = np.asarray(self.sigma, dtype=float)
@@ -215,6 +225,7 @@ class CompoundPoisson:
     rate: float
     jumps: JumpSizes
     draws = True
+    _normal_fill = False
 
     def __post_init__(self):
         if not self.rate >= 0:
@@ -303,6 +314,7 @@ class BrownianDrift:
     sigma: object = 1.0
     drift: object = 0.0
     draws = True
+    _normal_fill = True
 
     def _check_dim(self, dim: int) -> None:
         _dim_vector(self.x0, dim, "h start")
@@ -473,6 +485,50 @@ def _row_streams(gen: np.random.Generator, keys: np.ndarray):
 # transposed write gained nothing, and no slower than 2^16 to 2^19
 _BLOCK_VALUES = 1 << 17
 
+# threads that draw the rows of a part whose row draw is one
+# standard_normal fill; two is the count a 2-core host can check
+_WORKERS = 2
+
+# values per row (K d) from which such a part is drawn on threads.  A
+# Brownian Z of M = 4000 rows on a 2-core x86-64 host, one thread -> two:
+# K = 256 50 -> 83 ms, K = 512 84 -> 80 ms, K = 1024 150 -> 104 ms,
+# K = 2048 311 -> 203 ms
+_THREAD_ROW_VALUES = 1024
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_threads(work, calls) -> None:
+    """``work(*call)`` for each call, each on a thread of its own that runs
+    in a copy of this thread's context, so that numpy's errstate, a
+    context variable, holds there too.  Every thread is joined before
+    this returns or raises the exception of the earliest call that raised."""
+    errors = [None] * len(calls)
+
+    def run(i):
+        try:
+            work(*calls[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        for i in range(len(calls))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
 
 def sample_driver(
     spec: DriverSpec, grid: Grid, seed: int, path_index: int = 0
@@ -515,6 +571,24 @@ def sample_driver_batch(
     so :func:`sample_driver` is bit-identical to the matching row, and the
     block size changes no bit.
 
+    A part whose row draw is one ``standard_normal`` fill (a Brownian
+    component or H, flagged ``_normal_fill``), whose rows hold at least ``_THREAD_ROW_VALUES``
+    (K d) values and which spans at least two blocks, is drawn on
+    ``_WORKERS`` threads, or on as many as the process has CPUs if that is
+    fewer but at least two: numpy releases the GIL inside the fill and the
+    block arithmetic.  Each thread takes a contiguous share of the rows
+    with its own Philox and a scratch of 1/``_WORKERS`` block, and draws,
+    scales and writes (or, for a later component, adds) its rows into its
+    own columns of H or Z.  Since a row's values depend only on its stream
+    and its own arithmetic, which thread draws it changes no bit.  The
+    running sum over grid points, which spans all rows, is taken after
+    the threads are joined.  The threads run in copies of the caller's
+    context, so its ``np.errstate`` holds there; an exception in a thread
+    is raised in the caller once all are joined, and no thread outlives
+    the call.  A compound Poisson part stays on one thread: its per-row
+    work (counts, sizes, the scatter's index) holds the GIL, and two
+    threads drew it slower than one (K = 1024, M = 4000: 246 -> 373 ms).
+
     H and Z are (M, K+1, d) views of time-major (K+1, M, d) buffers, not
     C-contiguous arrays: each grid point's values are one contiguous
     (M, d) slab, which is how the schemes read them.  A deterministic H
@@ -530,31 +604,55 @@ def sample_driver_batch(
     K, dim = dt.shape[0], spec.dim
     shape = (K + 1, paths, dim)
     rows = range(first_index, first_index + paths)
-    gen = np.random.Generator(np.random.Philox(0))
     block = max(1, _BLOCK_VALUES // (K * dim))
 
-    def drawn(fill, grid_values, component):
-        """Each block of rows in turn, as its row slice and the (rows,
-        len(grid_values), d) scratch block that ``fill`` draws into from
-        the rows' streams of ``component``."""
+    def draw(part, fill, grid_values, component, store):
+        """Every row of ``part``, block by block, on this thread or, for
+        long rows of a normal fill, on threads that each take a share of
+        the rows with a generator and scratch of their own: ``fill`` draws
+        a block into a (rows, len(grid_values), d) scratch from the rows'
+        streams of ``component``, and ``store`` takes its row slice and
+        the block, and writes only those rows."""
         keys = _philox_keys(seed, rows, component)
-        scratch = np.empty((min(block, paths), grid_values.shape[0], dim))
-        for start in range(0, paths, block):
-            b = slice(start, min(start + block, paths))
-            out = scratch[: b.stop - start]
-            fill(_row_streams(gen, keys[b]), grid_values, out)
-            yield b, out
+
+        def rows_from(start, stop, size):
+            gen = np.random.Generator(np.random.Philox(0))
+            scratch = np.empty((min(size, stop - start), grid_values.shape[0], dim))
+            for begin in range(start, stop, size):
+                b = slice(begin, min(begin + size, stop))
+                out = scratch[: b.stop - begin]
+                fill(_row_streams(gen, keys[b]), grid_values, out)
+                store(b, out)
+
+        threaded = part._normal_fill and K * dim >= _THREAD_ROW_VALUES and paths > block
+        workers = min(_WORKERS, _cpus()) if threaded else 1
+        bounds = [paths * w // workers for w in range(workers + 1)]
+        calls = [(*bounds[w : w + 2], max(1, block // workers)) for w in range(workers)]
+        if workers == 1:
+            rows_from(*calls[0])
+        else:
+            _on_threads(rows_from, calls)
 
     if spec.h.draws:
         H = np.empty(shape)
-        for b, out in drawn(spec.h.values_rows, times, 0):
+
+        def write_h(b, out):
             H[:, b] = out.transpose(1, 0, 2)
+
+        draw(spec.h, spec.h.values_rows, times, 0, write_h)
     else:
         H = np.broadcast_to(spec.h.values(times, dim)[:, None], shape)
     Z = np.empty(shape)
     Z[0] = 0.0
     if not spec.z_components:
         Z[1:] = 0.0
+
+    def write_first(b, inc):
+        Z[1:, b] = inc.transpose(1, 0, 2)
+
+    def add_sum(b, inc):
+        Z[1:, b] += np.cumsum(inc, axis=1, out=inc).transpose(1, 0, 2)
+
     for c, comp in enumerate(spec.z_components, start=1):
         if not comp.draws:
             total = np.cumsum(comp.increments(dt, dim), axis=0)[:, None]
@@ -563,11 +661,7 @@ def sample_driver_batch(
             else:
                 Z[1:] += total
             continue
-        for b, inc in drawn(comp.increments_rows, dt, c):
-            if c == 1:
-                Z[1:, b] = inc.transpose(1, 0, 2)
-            else:
-                Z[1:, b] += np.cumsum(inc, axis=1, out=inc).transpose(1, 0, 2)
+        draw(comp, comp.increments_rows, dt, c, write_first if c == 1 else add_sum)
         if c == 1:
             for k in range(1, K + 1):
                 np.add(Z[k - 1], Z[k], out=Z[k])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import reflectsde
 from reflectsde.cli import main
 from reflectsde.domain import HalfSpace, NumericalError
-from reflectsde import experiments
+from reflectsde import experiments, sde
 from reflectsde.experiments import build_driver, builtin_config, config_digest
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
@@ -709,6 +709,28 @@ class TestSimulateCommand:
         assert sorted(f["path"] for f in failures) == bad
         reasons = {f["error"] for f in failures}
         assert "penalty variation not finite" in reasons
+
+    def test_threaded_draws_fail_as_on_one(self, tmp_path, capsys, monkeypatch):
+        # a Brownian of sigma 1e308 on 1024 cells, drawn on two threads:
+        # the rows whose running sum overflows fail as on one thread
+        cfg = dict(SIMULATE_CFG, grid={"q": 1.0, "cells": 1024}, paths=300)
+        huge = {"kind": "brownian", "sigma": 1e308}
+        cfg["driver"] = dict(SIMULATE_CFG["driver"], z=[huge])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sde, "_cpus", lambda: 2)
+        runs = []
+        for workers in (2, 1):
+            monkeypatch.setattr(sde, "_WORKERS", workers)
+            out = tmp_path / f"run{workers}"
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            report = json.loads((out / "report.json").read_text())
+            runs.append((code, capsys.readouterr().err, report))
+        assert runs[0] == runs[1]
+        code, err, report = runs[0]
+        failures = report["params"]["numerical_failures"]
+        assert code == 2 and err.startswith("numerical failures")
+        assert 0 < len(failures) < 300
 
     def test_kept_paths_hold_only_kept_rows(self):
         # one batch of the kept, unfailed rows: no other row stays in memory

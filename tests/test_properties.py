@@ -209,9 +209,12 @@ def test_a_sampled_row_is_its_one_row_batch(call, data):
     for i in range(paths):
         h, z = sample_driver_batch(spec, grid, seed, 1, first_index=first + i)
         assert same_bits(H[i], h[0]) and same_bits(Z[i], z[0])
-    # a block of one row up to one of all of them
+    # a block of one row up to one of all of them, and rows of any length
+    # drawn on one thread or on two
     values = data.draw(st.integers(1, paths * grid.cells * spec.dim))
-    with patch.object(sde, "_BLOCK_VALUES", values):
+    workers = data.draw(st.sampled_from([1, 2]))
+    threads = {"_WORKERS": workers, "_THREAD_ROW_VALUES": 1, "_cpus": lambda: 2}
+    with patch.multiple(sde, _BLOCK_VALUES=values, **threads):
         blocked = sample_driver_batch(spec, grid, seed, paths, first)
     assert same_bits(blocked[0], H) and same_bits(blocked[1], Z)
 

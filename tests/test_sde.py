@@ -1,7 +1,10 @@
 """Grids, driver sampling, coefficients, and the Euler schemes."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +453,136 @@ class TestBlockSize:
             tracemalloc.stop()
         assert Z.nbytes == (K + 1) * M * 8
         assert peak < Z.nbytes + 2 * 2**20
+
+
+class TestThreadedRows:
+    """A part whose row draw is one normal fill draws rows of at least
+    ``_THREAD_ROW_VALUES`` values on worker threads.  Which thread draws a
+    row changes no bit of H or Z, signed zeros included; the caller's
+    errstate holds in the workers, a worker's exception is raised in the
+    caller, and no worker outlives the call."""
+
+    # 1024 values a row in d = 1 and d = 2, so a block holds 128 rows
+    GRIDS = {
+        1: Grid(np.concatenate([[0.0], np.cumsum(1.0 + np.arange(1024) % 3)]) / 2048.0),
+        2: Grid.regular(1.0, 512),
+    }
+    # two blocks, the last of one row, and five, the last of 37 rows
+    PATHS = (129, 549)
+
+    @staticmethod
+    def spec(name):
+        jumps = CompoundPoisson(3.0, JumpSizes("normal", (0.0, 0.5)))
+        if name == "brownian":
+            return DriverSpec(1, ConstantStart(0.0), (Brownian(1.0),))
+        if name == "d2-brownian-drift-h":
+            h = BrownianDrift([0.5, -0.5], 0.4, [-0.2, 0.3])
+            return DriverSpec(2, h, (Brownian([0.6, 1.2]),))
+        if name == "d2-jumps-between":
+            parts = (Brownian(0.7), jumps, Brownian([[0.3, 0.1], [0.0, 1.1]]))
+            return DriverSpec(2, ConstantStart([0.0, 0.0]), parts)
+        return TestBlockSize.spec(name, 1)
+
+    SPECS = (*TestBlockSize.SPECS, "brownian", "d2-brownian-drift-h", "d2-jumps-between")
+    on_threads = staticmethod(sde._on_threads)
+
+    @staticmethod
+    def sampled(monkeypatch, spec, paths, workers, first_index=0):
+        """The batch, and the thread count of each part drawn on threads."""
+        monkeypatch.setattr(sde, "_WORKERS", workers)
+        monkeypatch.setattr(sde, "_cpus", lambda: workers)
+        threaded = []
+
+        def spy(work, calls):
+            threaded.append(len(calls))
+            TestThreadedRows.on_threads(work, calls)
+
+        monkeypatch.setattr(sde, "_on_threads", spy)
+        grid = TestThreadedRows.GRIDS[spec.dim]
+        got = sample_driver_batch(spec, grid, 13, paths, first_index)
+        return got, threaded
+
+    @pytest.mark.parametrize("paths", PATHS)
+    @pytest.mark.parametrize("name", SPECS)
+    def test_threads_change_no_bit(self, monkeypatch, name, paths):
+        spec = self.spec(name)
+        want, serial = self.sampled(monkeypatch, spec, paths, 1)
+        got, threaded = self.sampled(monkeypatch, spec, paths, 2)
+        parts = (spec.h, *spec.z_components)
+        assert serial == []
+        assert threaded == [2] * sum(getattr(p, "_normal_fill", False) for p in parts)
+        for a, b in zip(got, want):
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+            assert same_bits(a, b)
+
+    def test_more_workers_than_cores_change_no_bit(self, monkeypatch):
+        # four workers switching every microsecond or so: a row drawn or
+        # added twice, or lost, changes Z
+        spec = self.spec("d2-jumps-between")
+        want, _ = self.sampled(monkeypatch, spec, 549, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, threaded = self.sampled(monkeypatch, spec, 549, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [4, 4]
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("name", ["d2-brownian-drift-h", "d2-jumps-between"])
+    def test_row_p_is_its_one_row_batch(self, monkeypatch, name):
+        spec, grid = self.spec(name), self.GRIDS[2]
+        (H, Z), threaded = self.sampled(monkeypatch, spec, 549, 2, first_index=3)
+        assert threaded
+        # each end of the workers' shares and of their blocks of 64 rows
+        for i in (0, 63, 64, 273, 274, 275, 337, 338, 548):
+            h, z = sample_driver_batch(spec, grid, 13, 1, first_index=3 + i)
+            assert same_bits(H[i], h[0]) and same_bits(Z[i], z[0]), i
+
+    # 1023 cells of 1/1023 and one of 10^4: sigma 1e306 overflows only in
+    # the last cell's scaling, in the rows whose last normal exceeds 1.8,
+    # and the running sum then adds a finite value to an infinite one
+    WIDE = Grid(np.append(np.linspace(0.0, 1.0, 1024), 1e4 + 1.0))
+    HUGE = DriverSpec(1, ConstantStart(0.0), (Brownian(1e306),))
+
+    def test_overflow_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(sde, "_cpus", lambda: 2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                sample_driver_batch(self.HUGE, self.WIDE, 1, 300)
+
+    def test_ignored_overflow_warns_nowhere(self, monkeypatch):
+        monkeypatch.setattr(sde, "_cpus", lambda: 2)
+        with np.errstate(over="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, Z = sample_driver_batch(self.HUGE, self.WIDE, 1, 300)
+        assert caught == []
+        # rows of both workers overflow
+        assert np.isinf(Z[:150, -1]).any() and np.isinf(Z[150:, -1]).any()
+        assert not np.isnan(Z).any()
+        monkeypatch.setattr(sde, "_WORKERS", 1)
+        with np.errstate(over="ignore"):
+            assert same_bits(Z, sample_driver_batch(self.HUGE, self.WIDE, 1, 300)[1])
+
+    def test_a_workers_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(sde, "_cpus", lambda: 2)
+        second = {tuple(key) for key in _philox_keys(1, range(150, 300), 1).tolist()}
+        row_streams = sde._row_streams
+
+        def failing(gen, keys):
+            if tuple(keys[0].tolist()) in second:
+                raise RuntimeError("a row of the second worker")
+            return row_streams(gen, keys)
+
+        monkeypatch.setattr(sde, "_row_streams", failing)
+        before = threading.active_count()
+        with np.errstate(over="ignore"):
+            with pytest.raises(RuntimeError, match="second worker"):
+                sample_driver_batch(self.HUGE, self.WIDE, 1, 300)
+            assert threading.active_count() == before
+            monkeypatch.setattr(sde, "_row_streams", row_streams)
+            sample_driver_batch(self.HUGE, self.WIDE, 1, 300)
+        assert threading.active_count() == before
 
 
 class TestSampleArguments:

@@ -13,6 +13,9 @@ this process, and writes one ``--out`` directory per run under DIR:
 - ``simulate`` on a half-space, a ball and a box (``SIMULATE_DOMAINS``:
   ``WEDGE_CONFIG`` with that domain and fewer paths and cells), in
   ``--format csv`` and ``json``, under ``simulate-<domain>-<format>``;
+- ``simulate`` on ``WEDGE_CONFIG`` with a Brownian H and rows long enough
+  to be drawn on worker threads (``BROWNIAN_H``), in ``--format csv`` and
+  ``json``, under ``simulate-brownian-h-<format>``;
 - ``penalize`` on the path of the ``halfline-threejump`` built-in at the
   rates in ``PENALIZE_RATES`` with ``delta`` 0.25, in ``--format csv`` and
   ``json``, under ``penalize-<format>``;
@@ -57,6 +60,10 @@ SIMULATE_DOMAINS = {
     "ball": {"variant": "ball", "center": [1.0, 0.5], "radius": 1.0},
     "box": {"variant": "box", "lower": [0.0, 0.0], "upper": [2.0, 1.0]},
 }
+
+# a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
+# the Brownian Z's hold 1024 values, which are drawn on worker threads
+BROWNIAN_H = {"kind": "brownian", "x0": [1.0, 0.2679491924311227], "sigma": 0.5}
 
 # (built-in, key) of each study's ladders, each run empty
 EMPTY_LADDERS = (
@@ -166,6 +173,9 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
             args = ["simulate", "--config", str(tmp / f"{name}.json"), "--format", fmt]
             yield f"simulate-{name}-{fmt}", args, 0
     for fmt in FORMATS:
+        args = ["simulate", "--config", str(tmp / "brownian-h.json"), "--format", fmt]
+        yield f"simulate-brownian-h-{fmt}", args, 0
+    for fmt in FORMATS:
         args = ["penalize", "--config", str(penalize), "--format", fmt]
         yield f"penalize-{fmt}", args, 0
     for name, _, _ in BAD_SIMULATE:
@@ -189,6 +199,9 @@ def write_outputs(out: Path) -> dict:
             name: {**wedge_config, **small, "domain": domain}
             for name, domain in SIMULATE_DOMAINS.items()
         }
+        long_rows = {"grid": {"q": 1.0, "cells": 512}, "paths": 300, "keep_paths": 4}
+        driver = {**wedge_config["driver"], "h": BROWNIAN_H}
+        configs["brownian-h"] = {**wedge_config, **long_rows, "driver": driver}
         for name, keys, value in BAD_SIMULATE:
             configs[name] = bad_config(wedge_config, keys, value)
         for builtin, key in EMPTY_LADDERS:

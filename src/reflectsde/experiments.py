@@ -20,9 +20,9 @@ import json
 import numpy as np
 
 from .domain import Ball, Box, ConvexDomain, HalfSpace, Polyhedron
-from .path import StepPath, _median, _segment, _sorted_unique
+from .path import StepPath, _median, _sorted_unique
 from .penalty import SUP_FACTOR, PenalizedPath, penalty_bounds, solve_penalized
-from .penalty import _each, _Gaps, _Keep, _rate, _relaxed_from, _SupDistance
+from .penalty import _each, _Gaps, _Keep, _rate, _SupDistance
 from .skorokhod import solve_skorokhod, verify_solution
 from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, ConstantStart
 from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
@@ -524,17 +524,15 @@ def oscillation_benchmark(
     binomial band for the configured sample size.
     """
     _nonempty(deltas=deltas, epsilons=epsilons)
-    spec = DriverSpec(
-        dim=1,
-        h=ConstantStart(0.5),
-        z_components=(CompoundPoisson(rate, JumpSizes("normal", (0.0, 0.6))),),
-    )
+    jumps = CompoundPoisson(rate, JumpSizes("normal", (0.0, 0.6)))
+    spec = DriverSpec(dim=1, h=ConstantStart(0.5), z_components=(jumps,))
     grid = Grid.regular(q, cells)
     H, Z = sample_driver_batch(spec, grid, seed, paths)
-    states, _ = euler_penalized_batch(_HALFLINE, Identity(1), H, Z, n, grid)
-    # penalized paths enter moduli through their breakpoint states; one
-    # batch, so every pair holds one breakpoint array
-    steps = StepPath._batch(grid.times, np.concatenate((states, Z)), grid.q)
+    # the moduli read the states alone, a failed row as NaN; one batch, one breakpoint array
+    kept = _Keep(None, grid.cells + 1, paths, 1, projections=False)
+    finals, _ = euler_penalized_batch(_HALFLINE, Identity(1), H, Z, n, grid, [grid.cells], kept)
+    kept.states[np.isnan(finals[:, 0, 0])] = np.nan
+    steps = StepPath._batch(grid.times, np.concatenate((kept.states, Z)), grid.q)
     xs, zs = steps[:paths], steps[paths:]
     table = oscillation_diagnostic(xs, zs, deltas, epsilons, q)
     params = dict(seed=seed, paths=paths, n=n, cells=cells, rate=rate)
@@ -562,7 +560,8 @@ def refinement_study(
     All schemes consume restrictions of one finest-grid driver per path
     (shared increments); the reference is the projected scheme on a grid
     ``reference_factor`` times finer than the finest level.  Reports the
-    median sup distance per level, which must decrease strictly.
+    median sup distance per level, which must decrease strictly.  Each row
+    reduces as the kernel steps; a failed row or an overflow fails the run.
     """
     _nonempty(levels=levels)
     spec = DriverSpec(dim=1, h=ConstantStart(0.5), z_components=(Brownian(1.0),))
@@ -570,23 +569,20 @@ def refinement_study(
     finest_cells = max(int(c) for _, c in levels) * reference_factor
     fine = Grid.regular(q, finest_cells)
     H_fine, Z_fine = sample_driver_batch(spec, fine, seed, paths)
-    ref_vals = euler_projected_batch(_HALFLINE, f, H_fine, Z_fine, fine)
+    reference = euler_projected_batch(_HALFLINE, f, H_fine, Z_fine, fine).transpose(1, 0, 2)
 
-    rows = []
-    medians = []
+    rows, medians = [], []
     for n, cells in levels:
-        factor = finest_cells // int(cells)
+        n, factor = float(n), finest_cells // int(cells)
         coarse = fine.coarsen(factor)
-        Hc = H_fine[:, ::factor]
-        Zc = Z_fine[:, ::factor]
-        states, projections = euler_penalized_batch(_HALFLINE, f, Hc, Zc, float(n), coarse)
-        # the penalized paths at every fine grid point
-        ts = fine.times
-        j = _segment(coarse.times, ts)
-        vals = _relaxed_from(states, projections, float(n), coarse.times, j, ts)[:, :, 0]
-        med = float(_median(np.max(np.abs(vals - ref_vals[:, :, 0]), axis=1)))
+        sup = _SupDistance(reference, n, coarse.times, q, fine.times)
+        H, Z = H_fine[:, ::factor], Z_fine[:, ::factor]
+        finals, _ = euler_penalized_batch(_HALFLINE, f, H, Z, n, coarse, [coarse.cells], sup)
+        if np.isnan(finals).any() or not np.isfinite(sup.sup).all():
+            raise FloatingPointError("a path failed, or its sup distance overflowed")
+        med = float(_median(sup.sup))
         medians.append(med)
-        rows.append(_row(float(n), q / cells, paths, "median_sup_distance", med))
+        rows.append(_row(n, q / cells, paths, "median_sup_distance", med))
 
     ladder = [[float(n), int(c)] for n, c in levels]
     report = _study_report("strong-refinement", seed=seed, paths=paths, levels=ladder)

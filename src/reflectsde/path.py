@@ -5,7 +5,7 @@ the check of breakpoints and horizon (which ``sde.Grid`` runs too),
 immutability, the time check, and evaluation, batched evaluation and left
 limits over one hook, the value held from breakpoint j at time t.  A step
 path holds ``values[j]``; a penalized path relaxes toward the projection
-(``penalty._relaxed_from``).  Each path type serializes itself, to CSV and
+(``penalty._relaxed``).  Each path type serializes itself, to CSV and
 to JSON.  Paths built from one batch on one grid (``_Breakpoints._batch``)
 are checked and copied once and hold one breakpoint array, which the
 interlaced moduli recognise by identity before comparing breakpoints.
@@ -198,11 +198,6 @@ class StepPath(_Breakpoints):
 
     __slots__ = ()
 
-    @classmethod
-    def constant(cls, value, q: float) -> "StepPath":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(np.zeros(1), v[None, :], q)
-
     def _held(self, j, t) -> np.ndarray:
         return self.values.take(j, axis=0)
 
@@ -212,17 +207,6 @@ class StepPath(_Breakpoints):
 
     def jump(self, t) -> np.ndarray:
         return self.eval(t) - self.left_limit(t)
-
-    def total_variation(self, t=None) -> float:
-        """Coordinatewise variation: sum over coordinates of |jump| sums."""
-        t = self.q if t is None else self._check_time(t)
-        if self.times.shape[0] == 1:
-            return 0.0
-        mask = self.times[1:] <= t
-        if not mask.any():
-            return 0.0
-        diffs = np.diff(self.values, axis=0)[mask]
-        return float(np.sum(np.abs(diffs)))
 
     def to_csv(self, stream) -> None:
         """Write breakpoints as ``t,x_1,..,x_d`` with round-trip floats.

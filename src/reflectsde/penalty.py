@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConvexDomain, DomainViolationError, NumericalError
-from .path import StepPath, _Breakpoints, _breakpoints, _finite, _rows_of, modulus_prime
+from .path import StepPath, _Breakpoints, _breakpoints, _finite, _rows_of, _segment, modulus_prime
 
 __all__ = [
     "PenalizedPath",
@@ -82,7 +82,7 @@ class PenalizedPath(_Breakpoints):
         return self.values
 
     def _held(self, j, t) -> np.ndarray:
-        return _relaxed_from(self.values, self.projections, self.n, self.times, j, t)
+        return _relaxed(self.values[j], self.projections[j], self.n, t - self.times[j])
 
     def segment_end_values(self) -> np.ndarray:
         """Value approached at the right end of each segment (the last one
@@ -119,14 +119,9 @@ class PenalizedPath(_Breakpoints):
         gaps = _Gaps(self.n, self.times, self.q, 1)
         return float(_replay(gaps, self.values[None], self.projections[None]).variation(t)[0])
 
-    def to_step(self, times) -> StepPath:
-        """Sample onto the given breakpoints as a step path."""
-        times = np.asarray(times, dtype=float)
-        return StepPath(times, self.eval_many(times), self.q)
-
     def to_csv_string(self) -> str:
         """The CSV of the step path of this path's states on its own
-        breakpoints, which is ``to_step(self.times)``'s."""
+        breakpoints, where the path's values are its states."""
         step = object.__new__(StepPath)._hold(times=self.times, values=self.values, q=self.q)
         return step.to_csv_string()
 
@@ -180,12 +175,6 @@ def _pulled(states, projections, decay, out=None):
     return np.add(projections, out, out=out)
 
 
-def _relaxed_from(states, projections, n, times, j, t):
-    """Values at times t relaxed from breakpoints j, of one path's (m, d)
-    states and projections or of rows of (M, m, d) ones."""
-    return _relaxed(states[..., j, :], projections[..., j, :], n, t - times[j])
-
-
 def _project_live(domain, X, failed):
     """Projections of the rows of X, one step of :func:`_relax_and_step`'s
     failure rule.
@@ -200,6 +189,7 @@ def _project_live(domain, X, failed):
     fresh = np.isfinite(X).all()
     if not fresh:
         failed |= ~np.isfinite(X).all(axis=1)
+        X[failed] = np.nan  # held as NaN: a raw NaN's sign bit would depend on the batch
     live = slice(None) if fresh else np.flatnonzero(~failed)
     try:
         P = domain.project_points(X[live])
@@ -239,13 +229,13 @@ def _relax_and_step(domain, f, H, Z, n, times, visit):
 
     The kernel keeps nothing.  After each projection it calls ``visit(k,
     x_k, p_k)`` with the (M, d) slabs at grid index k, and the visitor
-    keeps or reduces what the run needs (:class:`_Keep`,
-    :class:`_SupDistance`, :class:`_Gaps`).  The slabs are scratch that
-    later steps overwrite, so a visitor copies what it keeps.  It sees a
-    failing row's raw values, which its caller masks by ``failed``, and it
-    runs inside the kernel's ``np.errstate(over="ignore", invalid="ignore")``.
-    The relaxation and the integrator increment reuse one slab each, so a
-    run holds O(M d) memory besides its visitor's.
+    keeps or reduces what the run needs (:class:`_Keep`, :class:`_SupDistance`,
+    :class:`_Gaps`).  The slabs are scratch that later steps overwrite, so a
+    visitor copies what it keeps.  It sees a failing row raw before it
+    fails and NaN from then on, which its caller masks by ``failed``, under
+    the kernel's ``np.errstate(over="ignore", invalid="ignore")``.  The
+    relaxation and the integrator increment reuse one slab each, so a run
+    holds O(M d) memory besides its visitor's.
 
     The decay factors of all steps are one ``np.exp`` before the loop (the
     same bits as one scalar exp per step), and so are the increments of a
@@ -292,9 +282,9 @@ def _relax_and_step(domain, f, H, Z, n, times, visit):
     return failed
 
 
-# Visitors of the kernel.  The reducing ones also take a slice k with (s, M,
-# d) blocks, as :func:`_replay` feeds a stored history, so a row reduces to
-# the same bits as it steps, from its history and as a one-row PenalizedPath.
+# Visitors of the kernel.  The reducing ones also take k = slice(None) with
+# the whole (m, M, d) history, as :func:`_replay` feeds it, so a row reduces
+# to the same bits as it steps, from its history and as a one-row PenalizedPath.
 
 
 def _each(*visits):
@@ -308,47 +298,61 @@ def _each(*visits):
 
 
 def _replay(visit, states, projections):
-    """``visit`` fed the whole history of (M, m, d) stored ``states`` and
-    ``projections`` in one time-major block."""
+    """``visit`` fed the whole (M, m, d) ``states`` and ``projections``."""
     visit(slice(None), states.transpose(1, 0, 2), projections.transpose(1, 0, 2))
     return visit
 
 
 class _Keep:
-    """Visitor copying the states and projections of the first ``rows``
-    rows at the grid indices ``at``, strictly increasing in [0, K1) (None
-    for all K1), into time-major buffers: ``states`` and ``projections``
-    are (rows, len(at), d) views of them."""
+    """Visitor copying the states, and unless ``projections`` is false the
+    projections, of the first ``rows`` rows at the strictly increasing grid
+    indices ``at`` in [0, K1) (None for all) into time-major buffers, of
+    which ``states`` and ``projections`` (or None) are (rows, len(at), d) views."""
 
-    def __init__(self, at, K1, rows, d):
+    def __init__(self, at, K1, rows, d, projections=True):
         idx = np.arange(K1) if at is None else np.asarray(at)
         if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
             raise ValueError(f"at must be a nonempty list of grid indices, got {at!r}")
         if idx[0] < 0 or idx[-1] >= K1 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError(f"at must increase strictly within [0, {K1 - 1}], got {at!r}")
         self.states = np.empty((idx.size, rows, d)).transpose(1, 0, 2)
-        self.projections = np.empty((idx.size, rows, d)).transpose(1, 0, 2)
+        self.projections = np.empty((idx.size, rows, d)).transpose(1, 0, 2) if projections else None
         self.slot = dict(zip(idx.tolist(), range(idx.size)))
 
     def __call__(self, k, x, p):
         i, rows = self.slot.get(k), self.states.shape[0]
         if i is not None:
-            self.states[:, i], self.projections[:, i] = x[:rows], p[:rows]
+            self.states[:, i] = x[:rows]
+            if self.projections is not None:
+                self.projections[:, i] = p[:rows]
 
 
 class _SupDistance:
     """Visitor holding each row's running supremum ``sup`` of the distance
-    to ``point`` over breakpoints and segment ends: over [0, q], since the
-    norm is convex and the path runs straight from one to the other."""
+    to a ``reference``: a point, at every breakpoint and segment end (so
+    over [0, q], as the path runs straight between them and the norm is
+    convex), or (len(fine), M, d) time-major rows at the times ``fine`` in
+    [times[0], q], each step relaxing its state to those in its segment."""
 
-    def __init__(self, point, n, times, q):
-        self.point, self.n, self.sup = point, n, -np.inf
-        self.spans = np.append(times[1:], q) - times
+    def __init__(self, reference, n, times, q, fine=None):
+        if fine is None:
+            fine = np.stack([times, np.append(times[1:], q)], axis=1).ravel()
+            seg = np.repeat(np.arange(times.shape[0]), 2)
+            reference = np.broadcast_to(reference, (fine.size, 1, reference.shape[-1]))
+        else:
+            seg = _segment(times, fine)
+        self.seg, self.elapsed, self.reference = seg, fine - times[seg], reference
+        self.n, self.sup = n, -np.inf
+        self.ends = np.searchsorted(seg, np.arange(times.shape[0] + 1))
 
     def __call__(self, k, x, p):
-        for values in (x, _relaxed(x, p, self.n, self.spans[k, None])):
-            dist = np.linalg.norm(values - self.point, axis=-1)
-            self.sup = np.maximum(self.sup, np.atleast_2d(dist).max(axis=0))
+        if isinstance(k, slice):
+            x, p = x[self.seg], p[self.seg]
+        else:
+            k = slice(self.ends[k], self.ends[k + 1])
+        values = _relaxed(x, p, self.n, self.elapsed[k, None])
+        dist = np.linalg.norm(values - self.reference[k], axis=-1)
+        self.sup = np.maximum(self.sup, dist.max(axis=0))
 
 
 class _Gaps:

@@ -370,12 +370,6 @@ class DriverSpec:
         """|V|_q of the deterministic finite-variation part."""
         return q * sum(c.variation_rate(self.dim) for c in self.z_components)
 
-    def fixed_jump_times(self) -> np.ndarray:
-        """Deterministic jump times of H (where marginal limits can fail)."""
-        if isinstance(self.h, TablePath):
-            return np.array(self.h.path.times[1:])
-        return np.empty(0)
-
 
 # numpy's SeedSequence constants (O'Neill's seed_seq scheme, PCG 2015)
 _POOL_SIZE = 4
@@ -690,18 +684,6 @@ class Coefficient:
         X = np.tile(np.asarray(x, dtype=float), (self.dim, 1))
         return self.contract(X, np.eye(self.dim)).T
 
-    def growth_ratio(self, gen, samples: int = 2000, scale: float = 50.0) -> float:
-        """Largest sampled ratio ||f(x)||_F / (1 + |x|); admissible
-        coefficients keep this bounded."""
-        X = gen.uniform(-scale, scale, size=(samples, self.dim))
-        worst = 0.0
-        for x in X:
-            worst = max(
-                worst,
-                float(np.linalg.norm(self.mat(x)) / (1.0 + np.linalg.norm(x))),
-            )
-        return worst
-
 
 class Identity(Coefficient):
     def __init__(self, dim: int):
@@ -765,14 +747,6 @@ class PowerDiagonal(Coefficient):
     def contract(self, X, dZ):
         return self.diag(X) * dZ
 
-    def modulus_gap(self, x, y) -> float:
-        """dim * (|x-y|^2)^alpha - ||f(x)-f(y)||_F^2; nonnegative."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gap2 = float(np.sum((x - y) ** 2))
-        fdiff = self.diag(x) - self.diag(y)
-        return self.dim * gap2**self.alpha - float(np.sum(fdiff**2))
-
 
 def _path_values(domain, f, H, Z, grid):
     """Check one path's inputs; H and Z at the grid points, (K+1, d) each."""
@@ -826,14 +800,17 @@ def euler_projected(
 def _scheme_batch(domain, f, H_vals, Z_vals, n, grid, at=None, visit=None):
     """The body of both batch schemes: check the driver arrays against the
     grid and domain, run the kernel keeping ``at`` (and visiting ``visit``)
-    and return the kept failed rows as NaN."""
+    and return the kept failed rows as NaN.  The projected scheme (n = inf)
+    returns its states alone, so it keeps no projections (None)."""
     M, K1, d = H_vals.shape
     if Z_vals.shape != (M, K1, d) or K1 != grid.times.shape[0] or d != domain.dim:
         raise ValueError("driver value arrays do not match the grid/domain")
-    keep = _Keep(at, K1, M, d)
+    keep = _Keep(at, K1, M, d, projections=n < np.inf)
     both = keep if visit is None else _each(keep, visit)
     failed = _relax_and_step(domain, f, H_vals, Z_vals, n, grid.times, both)
-    keep.states[failed] = keep.projections[failed] = np.nan
+    keep.states[failed] = np.nan
+    if keep.projections is not None:
+        keep.projections[failed] = np.nan
     return keep.states, keep.projections
 
 
@@ -880,7 +857,8 @@ def euler_projected_batch(
     """Vectorized projected scheme over (M, K+1, d) driver values; rows
     agree bit for bit with :func:`euler_projected`, and a row that fails
     by the kernel's rule is NaN throughout.  The result is an (M, K+1, d)
-    view of a time-major buffer, not a C-contiguous array."""
+    view of a time-major buffer, not a C-contiguous array.  The path is
+    its states, so the run keeps no projection history."""
     return _scheme_batch(domain, f, H_vals, Z_vals, np.inf, grid)[0]
 
 

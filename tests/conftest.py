@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers
 
+from reflectsde.path import StepPath
 from reflectsde.penalty import _Keep, _relax_and_step
 
 ACCEPTANCE_LINES = []
@@ -10,6 +12,11 @@ ACCEPTANCE_LINES = []
 
 def record_acceptance(name: str, passed: bool, detail: str) -> None:
     ACCEPTANCE_LINES.append((name, passed, detail))
+
+
+def constant_path(value, q) -> StepPath:
+    """The step path holding ``value`` on [0, q]."""
+    return StepPath([0.0], [np.atleast_1d(np.asarray(value, dtype=float))], q)
 
 
 def kernel_history(domain, f, H, Z, n, times, at=None):
@@ -21,6 +28,25 @@ def kernel_history(domain, f, H, Z, n, times, at=None):
     keep = _Keep(at, K1, M, d)
     failed = _relax_and_step(domain, f, H, Z, n, times, keep)
     return keep.states, keep.projections, failed
+
+
+class NoConstantsProvider(providers.HypothesisProvider):
+    """Hypothesis's own provider without its pool of constants.
+
+    With a small chance per choice, hypothesis draws one of the literals of
+    the local modules loaded so far (``providers._get_local_constants``),
+    so what a derandomized test draws would change with the modules
+    collected beside it or with a literal edited anywhere in the package.
+    Property tests select this backend (``settings(backend=...)``) so that
+    their draws depend on their own strategies alone.
+    """
+
+    def _maybe_draw_constant(self, choice_type, constraints, *, p=0.05):
+        return None
+
+
+NO_CONSTANTS = "reflectsde-no-constants"
+providers.AVAILABLE_PROVIDERS[NO_CONSTANTS] = NoConstantsProvider
 
 
 def pytest_terminal_summary(terminalreporter):

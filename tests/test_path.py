@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import constant_path
 
 import reflectsde.path as path_module
 from reflectsde.path import (
@@ -182,13 +183,6 @@ class TestStepPathBasics:
             p.q = 2.0
         assert not p.values.flags.writeable
 
-    def test_total_variation(self):
-        p = StepPath([0.0, 0.3, 0.6], [[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]], q=1.0)
-        assert p.total_variation() == pytest.approx(1 + 2 + 2 + 3)
-        assert p.total_variation(0.3) == pytest.approx(3.0)
-        assert p.total_variation(0.29) == 0.0
-        assert StepPath.constant([5.0], 2.0).total_variation() == 0.0
-
     def test_dimension_normalization(self):
         p = StepPath([0.0, 0.5], [1.0, 2.0], q=1.0)
         assert p.values.shape == (2, 1)
@@ -335,7 +329,7 @@ class TestPartitionModulus:
             assert modulus_prime(p, delta) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_path_zero(self):
-        assert modulus_prime(StepPath.constant(3.0, 1.0), 0.25) == 0.0
+        assert modulus_prime(constant_path(3.0, 1.0), 0.25) == 0.0
 
     def test_monotone_in_delta(self, rng):
         times = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, 5)]))
@@ -396,7 +390,7 @@ class TestPartitionModulus:
         assert modulus_prime(p, 0.25, q=0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_bad_delta(self):
-        p = StepPath.constant(0.0, 1.0)
+        p = constant_path(0.0, 1.0)
         with pytest.raises(ValueError):
             modulus_prime(p, 0.0)
         with pytest.raises(ValueError):
@@ -427,7 +421,7 @@ class TestInterlacedModuli:
     def test_constant_second_path_kills_modulus(self, rng):
         times = np.sort(np.concatenate([[0.0], rng.uniform(0, 1, 4)]))
         x = StepPath(times, rng.normal(size=(5, 1)), q=1.0)
-        y = StepPath.constant(7.0, 1.0)
+        y = constant_path(7.0, 1.0)
         assert modulus_bar(x, y, 0.5) == 0.0
 
     def test_matches_lattice_scan_1d(self, rng):

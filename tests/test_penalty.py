@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import kernel_history
+from conftest import constant_path, kernel_history
 
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath
@@ -189,14 +189,6 @@ class TestClosedForm:
         assert np.array_equal(back.states, sol.states)
         assert np.array_equal(back.projections, sol.projections)
 
-    def test_to_step_samples_closed_form(self, rng):
-        y = random_halfline_driver(rng)
-        sol = solve_penalized(HALFLINE, y, n=6.0)
-        grid = np.linspace(0, 1, 11)
-        step = sol.to_step(grid)
-        assert np.array_equal(step.values, sol.eval_many(grid))
-        assert step.q == sol.q
-
     def test_validation(self):
         y = StepPath([0.0], [[0.5]], q=1.0)
         with pytest.raises(ValueError):
@@ -230,7 +222,7 @@ class TestClosedForm:
             "PenalizedPath": lambda: PenalizedPath(n, [0.0], [[1.0]], [[1.0]], 1.0),
             "solve_penalized": lambda: solve_penalized(HALFLINE, y, n),
             "euler_penalized": lambda: euler_penalized(
-                HALFLINE, Identity(1), y, StepPath.constant(0.0, 1.0), n, grid
+                HALFLINE, Identity(1), y, constant_path(0.0, 1.0), n, grid
             ),
             "euler_penalized_batch": lambda: euler_penalized_batch(
                 HALFLINE, Identity(1), H, np.zeros_like(H), n, grid
@@ -368,7 +360,7 @@ class TestBatchedPenalizedPaths:
     def test_csv_is_the_step_path_on_its_own_breakpoints(self, rng, monkeypatch):
         times, states, projections = self.batch(rng)
         path = PenalizedPath(3.0, times, states[0] + 0.25, projections[0], 1.0)
-        want = path.to_step(times).to_csv_string()
+        want = StepPath(times, path.eval_many(times), 1.0).to_csv_string()
         written = []
         inner = StepPath.to_csv_string
 
@@ -398,7 +390,8 @@ def reference_relax_and_step(domain, f, H, Z, n, times):
     """The relax-and-step recurrence one step at a time, as the oracle of
     the kernel: each step's decay is a scalar exp of its length, the free
     term is differenced row by row, and the failure rule is applied to
-    every row at every step.  Returns the full (M, K+1, d) history."""
+    every row at every step, a failed row's state NaN from the step it
+    fails.  Returns the full (M, K+1, d) history."""
     M, K1, d = H.shape
     states = np.empty((M, K1, d))
     projections = np.empty_like(states)
@@ -415,6 +408,7 @@ def reference_relax_and_step(domain, f, H, Z, n, times):
                 if Z is not None:
                     x = x + f.contract(pre, Z[:, k] - Z[:, k - 1])
             failed |= ~np.isfinite(x).all(axis=1)
+            x[failed] = np.nan
             live = np.flatnonzero(~failed)
             try:
                 P = domain.project_points(x[live])
@@ -538,7 +532,7 @@ class TestKernelReference:
 
 class TestAprioriBounds:
     def test_frozen_multipliers(self):
-        y = StepPath.constant(0.0, 1.0)  # boundary point, distance 1 to anchor
+        y = constant_path(0.0, 1.0)  # boundary point, distance 1 to anchor
         b = penalty_bounds(HALFLINE, y, delta=0.5)
         assert b.cells == 3
         assert b.modulus == 0.0
@@ -550,7 +544,7 @@ class TestAprioriBounds:
         assert VARIATION_FACTOR == 55.0
 
     def test_driver_at_anchor_gives_zero_bounds(self):
-        y = StepPath.constant(1.0, 1.0)
+        y = constant_path(1.0, 1.0)
         b = penalty_bounds(HALFLINE, y, delta=0.25)
         assert b.sup_deviation == 0.0
         assert b.bound_sup == 0.0
@@ -564,7 +558,7 @@ class TestAprioriBounds:
         assert not b.precondition_ok
 
     def test_anchor_override(self):
-        y = StepPath.constant(0.5, 1.0)
+        y = constant_path(0.5, 1.0)
         b = penalty_bounds(HALFLINE, y, delta=0.5, anchor=[2.0])
         assert b.clearance == pytest.approx(2.0)
         assert b.sup_deviation == pytest.approx(1.5)
@@ -588,7 +582,7 @@ class TestAprioriBounds:
                 assert sol.penalty_variation() <= b.bound_var + 1e-9
 
     def test_delta_validation(self):
-        y = StepPath.constant(0.5, 1.0)
+        y = constant_path(0.5, 1.0)
         with pytest.raises(ValueError):
             penalty_bounds(HALFLINE, y, delta=1.5)
         with pytest.raises(ValueError):

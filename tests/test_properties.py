@@ -6,22 +6,26 @@ of any of the four kinds in dimension 1 to 3, a driver, a regular or
 irregular grid, a rate up to 1e6 and a few paths.  Results are compared
 by their bytes, which include the sign of a zero.  Module constants are
 patched inside a test body, since hypothesis runs a function-scoped
-fixture once for all examples.
+fixture once for all examples.  The draws come from a backend without
+hypothesis's pool of module literals (``conftest.NoConstantsProvider``), so
+they do not change with the modules collected beside this one.
 """
 
+import inspect
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from conftest import kernel_history
+from hypothesis.internal.conjecture import providers
+from conftest import NO_CONSTANTS, NoConstantsProvider, kernel_history
 
 from reflectsde import path as path_module
 from reflectsde import sde
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
-from reflectsde.path import StepPath, modulus_bar, modulus_second
-from reflectsde.penalty import PenalizedPath, _each, _Gaps, _Keep, _SupDistance
+from reflectsde.path import StepPath, _segment, modulus_bar, modulus_second
+from reflectsde.penalty import PenalizedPath, _each, _Gaps, _Keep, _relaxed, _SupDistance
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
@@ -46,6 +50,7 @@ PROPERTY = settings(
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
+    backend=NO_CONSTANTS,
 )
 
 coordinates = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -90,14 +95,14 @@ def grids(draw):
 
 @st.composite
 def integrators(draw, dim):
-    """The parts of Z: a Brownian one, with an optional drift and an
-    optional compound-Poisson part."""
+    """The parts of Z in a drawn order: a Brownian one, with an optional
+    drift and an optional compound-Poisson part."""
     parts = [Brownian(draw(st.floats(0.1, 2.0)))]
     if draw(st.booleans()):
         parts.append(Drift([draw(coordinates) * 4.0] * dim))
     if draw(st.booleans()):
         parts.append(CompoundPoisson(3.0, JumpSizes("normal", (0.0, 1.0))))
-    return tuple(parts)
+    return tuple(draw(st.permutations(parts)))
 
 
 @st.composite
@@ -129,6 +134,44 @@ def penalized_batches(draw):
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_the_backend_rests_on_hypothesis_internals():
+    # a later hypothesis that moves these names fails here, not silently
+    # by drawing from the pool again
+    assert providers.AVAILABLE_PROVIDERS[NO_CONSTANTS] is NoConstantsProvider
+    hook = providers.HypothesisProvider._maybe_draw_constant
+    params = ["self", "choice_type", "constraints", "p"]
+    assert list(inspect.signature(hook).parameters) == params
+    for name in ("draw_integer", "draw_float", "draw_string", "draw_bytes"):
+        draw = getattr(providers.HypothesisProvider, name)
+        assert "_maybe_draw_constant" in draw.__code__.co_names
+    pool = providers.HypothesisProvider._local_constants.func
+    assert "_get_local_constants" in pool.__code__.co_names
+    assert callable(providers._get_local_constants)
+
+
+def drawn(backend):
+    """The examples a derandomized test on ``backend`` draws, as reprs."""
+    seen = []
+
+    @settings(PROPERTY, backend=backend)
+    @given(st.lists(st.floats(-2.0, 2.0) | st.integers(-(2**40), 2**40), max_size=4))
+    def record(values):
+        seen.append(repr(values))
+
+    record()
+    return seen
+
+
+def test_property_draws_are_derandomized_without_the_pool():
+    pool = patch.object(providers, "_get_local_constants", side_effect=LookupError("pool"))
+    with pool:
+        first = drawn(NO_CONSTANTS)
+        # the default backend reads the pool of module literals
+        with pytest.raises(LookupError, match="pool"):
+            drawn("hypothesis")
+    assert len(first) == PROPERTY.max_examples and first == drawn(NO_CONSTANTS)
 
 
 @PROPERTY
@@ -299,6 +342,50 @@ def test_a_visitor_changes_no_kept_bit(driver, name, data):
     full = kernel_history(domain, f, H, Z, n, grid.times)
     assert same_bits(history.states, full[0][:rows])
     assert same_bits(history.projections, full[1][:rows])
+
+
+@st.composite
+def refinements(draw):
+    """(domain, fine grid, factor, H, Z, n) in dimension 1: a few paths on
+    a fine grid, regular or not, of 1 to 8 coarse cells of ``factor`` (1 to
+    4) fine cells each, and a last path whose Z turns infinite at a drawn
+    fine point, so that it fails."""
+    domain = draw(domains(1))
+    factor = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 8)) * factor
+    if draw(st.booleans()):
+        fine = Grid.regular(draw(st.floats(0.25, 2.0)), cells)
+    else:
+        steps = draw(st.lists(st.floats(0.01, 0.5), min_size=cells, max_size=cells))
+        fine = Grid(np.concatenate([[0.0], np.cumsum(steps)]))
+    spec = DriverSpec(1, draw(free_terms(domain.anchor)), draw(integrators(1)))
+    paths = draw(st.integers(1, 5))
+    H, Z = sample_driver_batch(spec, fine, draw(st.integers(0, 2**32)), paths + 1)
+    Z = np.array(Z)
+    Z[-1, draw(st.integers(1, cells)) :] = np.inf
+    return domain, fine, factor, H, Z, 10.0 ** draw(st.floats(-1.0, 6.0))
+
+
+@PROPERTY
+@given(refinements(), coefficients)
+def test_the_sup_distance_to_a_reference_is_its_array_form(refinement, name):
+    domain, fine, factor, H, Z, n = refinement
+    f = coefficient(name, 1)
+    coarse = fine.coarsen(factor)
+    reference = euler_projected_batch(domain, f, H, Z, fine)
+    H, Z = H[:, ::factor], Z[:, ::factor]
+    # the array form: each full history relaxed to every fine point, then
+    # abs and max, a failed row NaN throughout
+    states, projections = euler_penalized_batch(domain, f, H, Z, n, coarse)
+    j = _segment(coarse.times, fine.times)
+    values = _relaxed(states[:, j], projections[:, j], n, fine.times - coarse.times[j])
+    want = np.max(np.abs(values - reference)[:, :, 0], axis=1)
+    # as the kernel steps, a failed row masked by the NaN of its final state
+    sup = _SupDistance(reference.transpose(1, 0, 2), n, coarse.times, coarse.q, fine.times)
+    finals = euler_penalized_batch(domain, f, H, Z, n, coarse, [coarse.cells], sup)[0]
+    sup.sup[np.isnan(finals[:, 0, 0])] = np.nan
+    assert same_bits(sup.sup, want) and np.isnan(want[-1])
+    assert np.isfinite(want[:-1]).all()
 
 
 def finite_or_nan(rows):

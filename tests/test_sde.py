@@ -204,12 +204,6 @@ class TestComponents:
         )
         assert spec.expected_bracket(2.0) == pytest.approx(2.0 * (1.0 + 0.5))
         assert spec.expected_variation(2.0) == pytest.approx(0.5)
-        assert spec.fixed_jump_times().size == 0
-
-    def test_fixed_jump_times_from_table(self):
-        table = TablePath(StepPath([0.0, 0.5], [[0.5], [1.0]], q=1.0))
-        spec = DriverSpec(dim=1, h=table)
-        assert np.array_equal(spec.fixed_jump_times(), [0.5])
 
 
 class TestReproducibility:
@@ -1006,14 +1000,14 @@ class TestCoefficients:
             DiagAffine(1, base=-0.1, slope=0.0)
         # dimension-one ratio (0.5 + 0.25 |x|) / (1 + |x|) is at most 0.5
         g = DiagAffine(1, base=0.5, slope=0.25)
-        assert g.growth_ratio(np.random.default_rng(0)) <= 0.5 + 1e-12
+        assert growth_ratio(g, np.random.default_rng(0)) <= 0.5 + 1e-12
 
     def test_power_diagonal_modulus(self, rng):
         f = PowerDiagonal(2, alpha=0.5, cap=10.0)
         for scale in (1e-6, 1.0, 100.0):
             X = rng.normal(scale=scale, size=(500, 2))
             Y = rng.normal(scale=scale, size=(500, 2))
-            gaps = [f.modulus_gap(x, y) for x, y in zip(X, Y)]
+            gaps = [modulus_gap(f, x, y) for x, y in zip(X, Y)]
             assert min(gaps) >= -1e-12
         assert np.allclose(f.diag(np.array([4.0, 25.0])), [2.0, np.sqrt(10.0)])
         with pytest.raises(ValueError):
@@ -1024,7 +1018,7 @@ class TestCoefficients:
             PowerDiagonal(1, alpha=0.5, cap=0.0)
 
     def test_growth_ratio_identity(self):
-        assert Identity(3).growth_ratio(np.random.default_rng(1)) <= np.sqrt(3)
+        assert growth_ratio(Identity(3), np.random.default_rng(1)) <= np.sqrt(3)
 
     def test_only_contract_is_defined(self):
         for cls in (Identity, ConstantMatrix, DiagAffine, PowerDiagonal):
@@ -1044,7 +1038,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contract_alone_runs_every_scheme(self, d):
         f = Twist(d)
-        assert f.growth_ratio(np.random.default_rng(2)) <= 1.25 * np.sqrt(d)
+        assert growth_ratio(f, np.random.default_rng(2)) <= 1.25 * np.sqrt(d)
         domain = Ball(np.zeros(d), 1.0)
         spec = DriverSpec(d, ConstantStart(np.zeros(d)), (Brownian(1.5),))
         grid = Grid.regular(1.0, 20)
@@ -1065,6 +1059,29 @@ class TestCoefficients:
                 f.mat(proj.values[k]) @ (zv[k + 1] - zv[k]) for k in range(grid.cells)
             )
             assert np.allclose(stochastic_integral(f, proj, z, grid), want, atol=1e-12)
+
+
+def growth_ratio(f, gen, samples: int = 2000, scale: float = 50.0) -> float:
+    """Largest sampled ratio ||f(x)||_F / (1 + |x|) of a coefficient f;
+    admissible coefficients keep this bounded (linear growth)."""
+    X = gen.uniform(-scale, scale, size=(samples, f.dim))
+    worst = 0.0
+    for x in X:
+        worst = max(
+            worst,
+            float(np.linalg.norm(f.mat(x)) / (1.0 + np.linalg.norm(x))),
+        )
+    return worst
+
+
+def modulus_gap(f, x, y) -> float:
+    """dim * (|x-y|^2)^alpha - ||f(x)-f(y)||_F^2 of a PowerDiagonal f;
+    nonnegative (its Holder modulus)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gap2 = float(np.sum((x - y) ** 2))
+    fdiff = f.diag(x) - f.diag(y)
+    return f.dim * gap2**f.alpha - float(np.sum(fdiff**2))
 
 
 class Twist(Coefficient):

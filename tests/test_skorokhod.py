@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import constant_path
 
 from reflectsde.domain import (
     Ball,
@@ -213,7 +214,7 @@ class TestVerifier:
     def test_flags_containment_violation(self):
         y = StepPath([0.0, 0.5], [[0.5], [-0.5]], q=1.0)
         x = StepPath([0.0, 0.5], [[0.5], [-0.5]], q=1.0)
-        k = StepPath.constant(0.0, 1.0)
+        k = constant_path(0.0, 1.0)
         report = verify_solution(HALFLINE, SkorokhodSolution(x=x, k=k, driver=y))
         assert not report.containment_ok
         assert report.containment_residual == pytest.approx(0.5)

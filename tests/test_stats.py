@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import constant_path
 import scipy.stats
 
 from reflectsde import stats
@@ -207,7 +208,7 @@ class TestSTightness:
         zigzag = StepPath(
             [0.0, 0.2, 0.4, 0.6], [[0.0], [1.0], [0.0], [1.0]], q=1.0
         )
-        flat = StepPath.constant(0.3, 1.0)
+        flat = constant_path(0.3, 1.0)
         report = s_tightness_witness(
             [zigzag, flat],
             levels=[(0, 0.25, 0.75)],
@@ -241,7 +242,7 @@ class TestSTightness:
         assert report.ok
 
     def test_ceiling_count_mismatch(self):
-        flat = StepPath.constant(0.0, 1.0)
+        flat = constant_path(0.0, 1.0)
         with pytest.raises(ValueError):
             s_tightness_witness(
                 [flat], [(0, 0.0, 1.0)], sup_ceiling=1.0, count_ceilings=[1, 2]
@@ -250,8 +251,8 @@ class TestSTightness:
 
 class TestOscillationDiagnostic:
     def test_constant_paths_all_zero(self):
-        xs = [StepPath.constant(0.5, 1.0) for _ in range(4)]
-        zs = [StepPath.constant(0.0, 1.0) for _ in range(4)]
+        xs = [constant_path(0.5, 1.0) for _ in range(4)]
+        zs = [constant_path(0.0, 1.0) for _ in range(4)]
         table = oscillation_diagnostic(xs, zs, deltas=[0.1, 0.4], epsilons=[0.05])
         assert np.array_equal(table.deltas, [0.4, 0.1])  # sorted descending
         assert np.all(table.probabilities == 0.0)
@@ -268,7 +269,7 @@ class TestOscillationDiagnostic:
         assert table.monotone_within(0.0)
 
     def test_validation(self):
-        x = StepPath.constant(0.0, 1.0)
+        x = constant_path(0.0, 1.0)
         with pytest.raises(ValueError):
             oscillation_diagnostic([x], [], deltas=[0.1], epsilons=[0.1])
         with pytest.raises(ValueError):
@@ -286,7 +287,7 @@ class TestOscillationDiagnostic:
 
     def test_accepts_penalized_paths(self):
         x = PenalizedPath(2.0, [0.0, 0.5], [[0.5], [2.0]], [[0.5], [1.0]], 1.0)
-        z = StepPath.constant(0.0, 1.0)
+        z = constant_path(0.0, 1.0)
         table = oscillation_diagnostic([x], [z], deltas=[0.2], epsilons=[0.1])
         assert table.probabilities.shape == (1, 1)
 

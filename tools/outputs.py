@@ -6,7 +6,9 @@ checkout, so that two checkouts compare with one ``diff -r``.
 runs the package of the checkout this script sits in (its ``src``), in
 this process, and writes one ``--out`` directory per run under DIR:
 
-- each built-in config, under its own name;
+- each built-in config, under its own name, and the ``converge``
+  built-ins of ``CONVERGE_SEEDS`` at ``--seed 11`` too, under
+  ``<name>-seed11``;
 - ``simulate`` on ``WEDGE_CONFIG`` from ``bench/workloads.py`` at its own
   seed and at ``--seed 11``, in ``--format csv`` and ``json``, under
   ``simulate-seed<seed>-<format>``;
@@ -51,6 +53,8 @@ from reflectsde.cli import main  # noqa: E402
 from reflectsde.experiments import BUILTIN_CONFIGS  # noqa: E402
 
 SEEDS = (None, 11)
+# the converge built-ins also run at a second seed
+CONVERGE_SEEDS = ("cp-oscillation", "strong-refinement")
 FORMATS = ("csv", "json")
 PENALIZE_RATES = [1, 100, 1e4]
 
@@ -162,6 +166,8 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
     of every run; any other config's file is ``tmp/<name>.json``."""
     for name in sorted(BUILTIN_CONFIGS):
         yield name, [BUILTIN_CONFIGS[name]["experiment"], "--config", name], 0
+    for name in CONVERGE_SEEDS:
+        yield f"{name}-seed11", ["converge", "--config", name, "--seed", "11"], 0
     seed = json.loads(wedge.read_text())["seed"]
     for extra in SEEDS:
         flags = [] if extra is None else ["--seed", str(extra)]

@@ -82,6 +82,13 @@ def _rows_times(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scales(X, past=2.0**500):
+    """Power of two s per row of X: 1.0 (bits kept) where its largest magnitude is at most
+    ``past``, else one into [0.5, 1), exact short of subnormals (Blue, ACM TOMS 1978)."""
+    size = np.abs(X).max(axis=-1)
+    return np.ldexp(1.0, np.where(size > past, -np.frexp(size)[1], 0))
+
+
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Minimizer of |A x - b| over x >= 0 by Lawson & Hanson's active-set
     method (Solving Least Squares Problems, 1974, ch. 23), or None after
@@ -199,9 +206,7 @@ class ConvexDomain:
 
     def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
         x = _vec(x, self.dim)
-        # a distance past the float range, or one that inf - inf made NaN,
-        # belongs to a point far outside
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # far outside: inf
             return bool(np.linalg.norm(x - self.project_point(x)) <= tol)
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -238,11 +243,18 @@ class HalfSpace(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        s = _rows_times(X, self.normal[None, :])
-        s -= self.offset
-        out = np.multiply(s, self.normal)
-        np.subtract(X, out, out=out)
-        np.copyto(out, X, where=s >= 0.0)
+        n = self.normal[None, :]
+        # an inside row keeps its bits: min(s, z) n is +0 for z = copysign(0, n), ties too
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _rows_times(X, n)
+            s -= self.offset
+            out = np.minimum(s, np.copysign(0.0, self.normal))
+            out *= self.normal
+            np.subtract(X, out, out=out)
+        if not s.min(initial=0.0) > -np.inf:  # a slack overflowed, or is NaN
+            far = np.flatnonzero(s == -np.inf)
+            Y, t = X[far], _scales(X[far])[:, None]
+            out[far] = (t * Y - (_rows_times(t * Y, n) - t * self.offset) * n) / t
         return out
 
     def boundary_distance(self, x) -> float:
@@ -316,17 +328,18 @@ class Ball(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        V = X - self.center
         with np.errstate(over="ignore"):
+            V = X - self.center
             r = np.linalg.norm(V, axis=1)
         outside = r > self.radius
-        # a finite offset whose length overflows is outside; it is scaled by
-        # a power of two s first, which is exact: V / |V| = sV / |sV|
-        big = np.isinf(r) & np.isfinite(V).all(axis=1)
-        if big.any():
-            W = V[big]
-            W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=1))[1][:, None])
-            V[big], r[big] = W, np.linalg.norm(W, axis=1)
+        # where |V| overflows, W = V / 2 is finite: |sW| = s |V| / 2, and V takes W's direction
+        far = np.isinf(r) & np.isfinite(X).all(axis=1)
+        if far.any():
+            W = 0.5 * X[far] - 0.5 * self.center
+            s = _scales(W)
+            length = np.linalg.norm(s[:, None] * W, axis=1)
+            outside[far] = length > 0.5 * s * self.radius
+            V[far], r[far] = s[:, None] * W / length[:, None], 1.0
         # only rows outside are scaled: radius / r at the centre overflows
         scale = self.radius / np.where(outside, r, self.radius)
         return np.where(outside[:, None], self.center + V * scale[:, None], X)
@@ -431,12 +444,11 @@ class Polyhedron(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float)
-        rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
-        # a row y past 2^512 takes a power of two s: P(y) = P_{s b}(s y) / s
-        Y = out[rows]
-        size = np.abs(Y).max(axis=1)
-        scales = np.where(size > 2.0**512, np.ldexp(1.0, -np.frexp(size)[1]), 1.0)
-        Y *= scales[:, None]
+        with np.errstate(over="ignore"):  # a far row's slack keeps its sign
+            rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
+        # a far row y takes a power of two s: P(y) = P_{s b}(s y) / s
+        scales = _scales(out[rows])
+        Y = out[rows] * scales[:, None]
         if self._maps is None:
             P = [self._least_distance(y, s) for y, s in zip(Y, scales[:, None])]
         else:
@@ -492,7 +504,7 @@ class Polyhedron(ConvexDomain):
         to a largest entry in [0.5, 1): r[d] = -1 / (1 + |z|^2)."""
         A, d = self._normals, self.dim
         h = scale * self._offsets - A @ y
-        E = np.vstack([A.T, np.ldexp(h, -np.frexp(h.max())[1])])
+        E = np.vstack([A.T, h * _scales(h.clip(0.0), 0.0)])
         u = _nnls(E, np.eye(d + 1)[d])
         S = None if u is None else np.flatnonzero(u > 0.0)
         if S is None or not _independent(A[S]):

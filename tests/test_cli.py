@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import OverflowingHalfSpace
 
 import reflectsde
 from reflectsde.cli import main
@@ -85,6 +86,17 @@ PENALIZE_CFG = {
     **{k: v for k, v in builtin_config("halfline-threejump").items() if k != "tol"},
     "experiment": "penalize",
 }
+
+
+def overflowing_domains(monkeypatch):
+    """Build each configured half-space as an ``OverflowingHalfSpace``."""
+    build = experiments.build_domain
+
+    def overflowing(cfg):
+        domain = build(cfg)
+        return OverflowingHalfSpace(domain.normal, domain.offset)
+
+    monkeypatch.setattr(experiments, "build_domain", overflowing)
 
 
 def run_config(tmp_path, command, cfg, *flags):
@@ -819,9 +831,11 @@ class TestSimulateCommand:
         assert reasons == {"state not finite or projection not certified"}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_last_projection_past_the_float_range(self, tmp_path, capsys, fmt):
-        # one step to a finite state whose half-space projection overflows:
-        # the row is a failure, and no artifact holds its projection
+    def test_last_projection_past_the_float_range(self, tmp_path, capsys, monkeypatch, fmt):
+        # one step to a finite state whose projection on the test
+        # half-space is infinite: the row is a failure, and no artifact
+        # holds its projection
+        overflowing_domains(monkeypatch)
         drift = {"kind": "drift", "rate": [-1.5e308, -1.5e308]}
         cfg = dict(
             SIMULATE_CFG,
@@ -1075,9 +1089,12 @@ def test_overflowing_driver_is_a_numerical_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["skorokhod", "penalize"])
-def test_overflowing_last_projection_is_a_numerical_error(tmp_path, capsys, command, fmt):
-    # a finite last state whose projection leaves the float range fails
-    # the run as an overflowing state does, in either format
+def test_overflowing_last_projection_is_a_numerical_error(
+    tmp_path, capsys, monkeypatch, command, fmt
+):
+    # a finite last state whose projection on the test half-space is
+    # infinite fails the run as an overflowing state does, in either format
+    overflowing_domains(monkeypatch)
     domain = {"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0}
     path = {"times": [0.0, 0.5], "values": [[1.0, 1.0], [-1.5e308, -1.5e308]], "q": 1.0}
     code, made = run_config(tmp_path, command, {"domain": domain, "path": path}, "--format", fmt)

@@ -1,5 +1,7 @@
 """Projection laws, anchors, and cone checks for the built-in domains."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -11,6 +13,7 @@ from reflectsde.domain import (
     NumericalError,
     Polyhedron,
     _rows_times,
+    _scales,
     anchor_gap,
     cone_residual,
     project,
@@ -122,20 +125,44 @@ class TestHalfSpace:
         assert d.anchor_clearance == 0.5
 
     # edge values for the oracle: signed zeros, the smallest subnormal and
-    # a larger one, infinities, NaN and the ends of the float range
+    # a larger one, infinities, NaN and the ends of the float range, where
+    # a slack can overflow
     EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.0,
-             np.inf, -np.inf, np.nan, 1e308, -1e308)
+             np.inf, -np.inf, np.nan, 1e308, -1e308, 1.7e308, -1.7e308)
     NORMALS = {
         1: ([1.0], [-1.0]),
         2: ([0.6, -0.8], [0.0, 1.0]),
         3: ([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0], [0.0, 0.0, -1.0]),
     }
 
+    @pytest.mark.parametrize("offset", [0.0, -0.0])
+    @pytest.mark.parametrize(
+        "normal", [[1.0], [-1.0], [0.0, 1.0], [-0.0, -1.0], [0.6, -0.8], [-0.6, 0.8]]
+    )
+    def test_rows_of_zero_slack_keep_their_bits(self, normal, offset):
+        # a row of slack +0 or -0 subtracts min(s, z) n for the zeros z of
+        # n's signs: +0, which keeps every entry's bits, only where
+        # np.minimum returns z on a tie of zeros, alone and in a long batch
+        domain = HalfSpace(normal, offset, anchor=normal)
+        entries = [[0.0, -0.0] + ([2.5, -2.5] if n == 0.0 else []) for n in normal]
+        X = np.array(list(itertools.product(*entries)))
+        # slacks of both signs, but -0 - (-0) is +0
+        s = _rows_times(X, domain.normal[None, :])[:, 0] - offset
+        assert np.all(s == 0.0) and not np.signbit(s).all()
+        assert np.signbit(s).any() != np.signbit(offset)
+        for rows in (X, np.tile(X, (300, 1))):
+            assert domain.project_points(rows).tobytes() == rows.tobytes()
+
     @staticmethod
     def where_oracle(domain, X):
-        """The half-space projection as one np.where over both branches."""
-        s = _rows_times(X, domain.normal[None, :])[:, 0] - domain.offset
-        return np.where(s[:, None] >= 0.0, X, X - s[:, None] * domain.normal)
+        """The half-space projection as one np.where over both branches, of
+        each row whose slack overflows to -inf scaled first by its power of
+        two t: P(x) = P_{t offset}(t x) / t."""
+        n = domain.normal[None, :]
+        s = _rows_times(X, n)[:, 0] - domain.offset
+        t = np.where(s == -np.inf, _scales(X), 1.0)[:, None]
+        s = _rows_times(t * X, n) - t * domain.offset
+        return np.where(s >= 0.0, t * X, t * X - s * n) / t
 
     @pytest.mark.parametrize("offset", [0.0, -0.0, 5e-324, -1.0, 1e300, -1e300])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -200,8 +227,8 @@ class TestBall:
         assert d.contains([0.5, 0.5])
 
     def test_point_past_the_float_range_is_outside(self):
-        # x - centre overflows, and scaling it computes inf * 0; the NaN
-        # distance reads as outside, without an invalid-value warning
+        # x - centre overflows; the point projects to the centre, and its
+        # distance from it, past the float range, reads as outside
         assert not Ball([-1e308, 0.0], 1.0).contains([1e308, 0.0])
 
     def test_boundary_distance(self):
@@ -230,6 +257,51 @@ class TestBallPastTheFloatRange:
         # the exact projection, (1e300 - 0.5, -2 + 2.4e-308), rounds to the centre
         d = Ball([1e300, -2.0], 0.5)
         assert np.array_equal(d.project_point([-1.7e308, 6.0]), [1e300, -2.0])
+
+
+@pytest.mark.filterwarnings("error")
+class TestFarRows:
+    """A finite row past the float range's square root projects to its
+    exact point within round-off, without a warning, on each domain."""
+
+    def test_half_space_whose_inner_product_overflows(self):
+        # n.x = -2.1e308; the exact point is about (-2.4e307, 1.8e307)
+        P = HalfSpace([0.6, 0.8], 0.0).project_points(np.array([[-1.5e308, -1.5e308]]))
+        assert np.allclose(P, [[-2.4e307, 1.8e307]], rtol=1e-14, atol=0.0)
+
+    def test_half_line_of_a_far_offset(self):
+        # x - offset = -2e308 overflows; the exact point is the offset
+        d = HalfSpace([1.0], 1e308, anchor=[1.7e308])
+        P = d.project_points(np.array([[-1e308], [1.5e308]]))
+        assert np.array_equal(P, [[1e308], [1.5e308]])
+
+    def test_ball_of_a_far_centre(self):
+        # x - centre = 2e308 overflows; the exact point, (-1e308 + 1, 0),
+        # rounds to the centre
+        d = Ball([-1e308, 0.0], 1.0)
+        assert np.array_equal(d.project_point([1e308, 0.0]), [-1e308, 0.0])
+
+    def test_ball_of_a_radius_near_the_float_range(self):
+        # radius / |sV| for the scaled offset would overflow: the far rows
+        # take their direction times the radius
+        d = Ball([1e308, 0.0], 1.7e308)
+        P = d.project_points(np.array([[-1e308, 0.0], [-1.7e308, 1.7e308]]))
+        u = np.array([-2.7, 1.7]) / np.hypot(2.7, 1.7)
+        want = [[-0.7e308, 0.0], [1e308 + 1.7e308 * u[0], 1.7e308 * u[1]]]
+        assert np.allclose(P, want, rtol=1e-14, atol=0.0)
+
+    def test_wide_ball_keeps_a_point_whose_offset_length_overflows(self):
+        # |x - centre| = 1e300 is inside the radius 2e300, though its
+        # square overflows
+        d = Ball([0.0, 1e300], 2e300)
+        X = np.array([[0.0, 0.0], [0.0, -1.5e300]])
+        assert np.allclose(d.project_points(X), [[0.0, 0.0], [0.0, -1e300]], rtol=1e-15, atol=0.0)
+
+    def test_wedge_rows_whose_slacks_overflow(self):
+        # a face slack of the first row overflows before it is scaled
+        wedge = two_face_wedge(np.radians(30.0))
+        X = np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]])
+        assert np.array_equal(wedge.project_points(X), [[1.7e308, 0.0], [0.0, 0.0]])
 
 
 class TestPolyhedron:

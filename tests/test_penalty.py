@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import constant_path, kernel_history
+from conftest import OverflowingHalfSpace, constant_path, kernel_history
 
 from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.path import StepPath
@@ -504,9 +504,9 @@ class TestKernelReference:
     @pytest.mark.parametrize("n", [3.7, 1e6, np.inf])
     def test_projection_past_the_float_range(self, n, cells):
         # row 1 steps to (-1.5e308, -1.5e308) at t = 2/cells: a finite
-        # state whose projection on the half-space is (inf, inf), at the
-        # last grid point or at the one before it
-        domain = HalfSpace([0.6, 0.8], 0.0)
+        # state whose projection on the test half-space is (-inf, -inf), at
+        # the last grid point or at the one before it
+        domain = OverflowingHalfSpace([0.6, 0.8], 0.0)
         grid = Grid.regular(1.0, cells)
         H = np.ones((3, cells + 1, 2))
         Z = np.zeros((3, cells + 1, 2))

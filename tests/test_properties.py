@@ -12,14 +12,15 @@ they do not change with the modules collected beside this one.
 """
 
 import inspect
+import math
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
-from conftest import NO_CONSTANTS, NoConstantsProvider, kernel_history
+from conftest import NO_CONSTANTS, NoConstantsProvider, OverflowingHalfSpace, kernel_history
 
 from reflectsde import path as path_module
 from reflectsde import sde
@@ -134,6 +135,76 @@ def penalized_batches(draw):
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the longest row drawn, and the relative tolerance of the projection laws
+# on it: a far row is projected to within a few rounding errors of its size
+LONGEST = 1.7e308
+FAR_RTOL = 1e-12
+
+
+@st.composite
+def far_projections(draw):
+    """(domain, X): a drawn domain scaled about the origin by 1, 1e150,
+    1e300 or 1e306, a ball's radius scaled by 1, the same or 8.5e307 (up
+    to 1.7e308), and 1 to 6 finite rows of length at most 1.7e308, about
+    the origin or the anchor.  Each domain holds a point within
+    1.8e306 of the origin, so the exact projection of each row is a
+    finite one; a longer row's need not be: (a, -a) projects onto the
+    half-space of normal (0.6, 0.8) as (1.12 a, -0.84 a)."""
+    dim = draw(st.integers(1, 3))
+    domain = draw(domains(dim))
+    size = draw(st.sampled_from([1.0, 1e150, 1e300, 1e306]))
+    if isinstance(domain, HalfSpace):
+        domain = HalfSpace(domain.normal, size * domain.offset, anchor=size * domain.anchor)
+    elif isinstance(domain, Box):
+        domain = Box(size * domain.lower, size * domain.upper)
+    elif isinstance(domain, Ball):
+        radius = domain.radius * draw(st.sampled_from([1.0, size, 8.5e307]))
+        domain = Ball(size * domain.center, radius)
+    else:
+        anchor = size * domain.anchor
+        faces = [HalfSpace(h.normal, size * h.offset, anchor=anchor) for h in domain.faces]
+        # faces at a small angle meet far out: a vertex, or its
+        # multipliers, may lie past the float range
+        with np.errstate(over="raise"):
+            try:
+                domain = Polyhedron(faces, anchor=anchor)
+            except FloatingPointError:
+                assume(False)
+    rows = []
+    magnitudes = st.sampled_from([1.0, 1e150, 1e300, 1e306, 1e308, LONGEST])
+    for _ in range(draw(st.integers(1, 6))):
+        v = np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim)))
+        row = draw(st.sampled_from([0.0, 1.0])) * domain.anchor + draw(magnitudes) * v
+        length = math.hypot(*row)
+        rows.append(row * (LONGEST / length) if length > LONGEST else row)
+    return domain, np.array(rows)
+
+
+def quarter_distance(a, b) -> float:
+    """A quarter of |a - b|, which is finite for rows of length up to
+    about 3.6e308."""
+    return math.hypot(*(0.25 * a - 0.25 * b))
+
+
+@PROPERTY
+@given(far_projections())
+def test_a_finite_row_projects_to_a_finite_row(projection):
+    # a RuntimeWarning fails the test (pyproject's filterwarnings)
+    domain, X = projection
+    P = domain.project_points(X)
+    assert np.isfinite(P).all()
+    for i, (x, p) in enumerate(zip(X, P)):
+        assert same_bits(domain.project_points(X[i : i + 1])[0], p)
+        # idempotent, and nonexpansive toward every row of the batch, each
+        # within FAR_RTOL of the sizes involved
+        size = math.hypot(*x) + math.hypot(*domain.anchor) + domain.anchor_clearance
+        tol = FAR_RTOL * size / 4.0
+        assert quarter_distance(domain.project_point(p), p) <= tol
+        for y, q in zip(X, P):
+            bound = quarter_distance(x, y) + tol + FAR_RTOL * math.hypot(*y) / 4.0
+            assert quarter_distance(p, q) <= bound
 
 
 def test_the_backend_rests_on_hypothesis_internals():
@@ -268,11 +339,14 @@ def overflowing_drivers(draw, dims=(1, 3)):
     besides a sampled integrator and a drift of total at most 5e306, a
     jump of its own, at the last grid point half of the time: none, 1e300
     or 1.7e308 with drawn signs, or 1.7e308 straight out of a half-space.
-    The driver values are finite, while the states and their projections
-    may leave the float range: a jump out of a half-space at the last
-    point leaves a finite state whose projection is not."""
+    The driver values are finite, while the states may leave the float
+    range.  Half of the half-spaces are ``OverflowingHalfSpace``: a jump
+    of 1.7e308 at the last point leaves a finite state whose projection
+    is not."""
     dim = draw(st.integers(*dims))
     domain = draw(domains(dim))
+    if isinstance(domain, HalfSpace) and draw(st.booleans()):
+        domain = OverflowingHalfSpace(domain.normal, domain.offset)
     grid = draw(grids())
     # each row takes each kind of jump with a fixed chance, from a
     # generator of a drawn seed; the signs of the drift, then of each path
@@ -397,12 +471,12 @@ def finite_or_nan(rows):
 
 
 def one_step_out_of_a_half_space():
-    """Two paths on the half-space of normal (0.6, 0.8), one of which
+    """Two paths on the test half-space of normal (0.6, 0.8), one of which
     steps to (-1.5e308, -1.5e308) at the last grid point: a finite state
-    whose projection is (inf, inf)."""
+    whose projection is (-inf, -inf)."""
     H, Z = np.ones((2, 3, 2)), np.zeros((2, 3, 2))
     Z[1, 2] = -1.5e308
-    return HalfSpace([0.6, 0.8], 0.0), Grid.regular(1.0, 2), H, Z
+    return OverflowingHalfSpace([0.6, 0.8], 0.0), Grid.regular(1.0, 2), H, Z
 
 
 @PROPERTY

@@ -15,6 +15,10 @@ this process, and writes one ``--out`` directory per run under DIR:
 - ``simulate`` on a half-space, a ball and a box (``SIMULATE_DOMAINS``:
   ``WEDGE_CONFIG`` with that domain and fewer paths and cells), in
   ``--format csv`` and ``json``, under ``simulate-<domain>-<format>``;
+- ``simulate`` on a half-space, a ball and the wedge (``FAR_DRIFTS``:
+  ``WEDGE_CONFIG`` with that domain, one cell, the identity coefficient
+  and a drift that steps past 1e307), in ``--format csv`` and ``json``,
+  under ``simulate-far-<domain>-<format>``;
 - ``simulate`` on ``WEDGE_CONFIG`` with a Brownian H and rows long enough
   to be drawn on worker threads (``BROWNIAN_H``), in ``--format csv`` and
   ``json``, under ``simulate-brownian-h-<format>``;
@@ -63,6 +67,16 @@ SIMULATE_DOMAINS = {
     "halfspace": {"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0},
     "ball": {"variant": "ball", "center": [1.0, 0.5], "radius": 1.0},
     "box": {"variant": "box", "lower": [0.0, 0.0], "upper": [2.0, 1.0]},
+}
+
+# (domain, None for the wedge; drift rate) of a run whose one step goes
+# past 1e307: out of the half-space, where a state's inner product with
+# the normal overflows, out of the wedge, which scales such a row, and
+# into the ball, where its squared distance from the centre overflows
+FAR_DRIFTS = {
+    "halfspace": (SIMULATE_DOMAINS["halfspace"], [-1.5e308, -1.5e308]),
+    "ball": ({"variant": "ball", "center": [1.0, 0.5], "radius": 1.7e308}, [1e308, -1e308]),
+    "wedge": (None, [-1.5e308, -1.5e308]),
 }
 
 # a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
@@ -178,6 +192,10 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
         for fmt in FORMATS:
             args = ["simulate", "--config", str(tmp / f"{name}.json"), "--format", fmt]
             yield f"simulate-{name}-{fmt}", args, 0
+    for name in FAR_DRIFTS:
+        for fmt in FORMATS:
+            args = ["simulate", "--config", str(tmp / f"far-{name}.json"), "--format", fmt]
+            yield f"simulate-far-{name}-{fmt}", args, 0
     for fmt in FORMATS:
         args = ["simulate", "--config", str(tmp / "brownian-h.json"), "--format", fmt]
         yield f"simulate-brownian-h-{fmt}", args, 0
@@ -208,6 +226,19 @@ def write_outputs(out: Path) -> dict:
         long_rows = {"grid": {"q": 1.0, "cells": 512}, "paths": 300, "keep_paths": 4}
         driver = {**wedge_config["driver"], "h": BROWNIAN_H}
         configs["brownian-h"] = {**wedge_config, **long_rows, "driver": driver}
+        one_step = {"grid": {"q": 1.0, "cells": 1}, "paths": 8, "keep_paths": 2}
+        for name, (domain, rate) in FAR_DRIFTS.items():
+            z = [
+                dict(part, rate=rate) if part["kind"] == "drift" else part
+                for part in wedge_config["driver"]["z"]
+            ]
+            configs[f"far-{name}"] = {
+                **wedge_config,
+                **one_step,
+                "domain": domain or wedge_config["domain"],
+                "driver": {**wedge_config["driver"], "z": z},
+                "coefficient": {"kind": "identity"},
+            }
         for name, keys, value in BAD_SIMULATE:
             configs[name] = bad_config(wedge_config, keys, value)
         for builtin, key in EMPTY_LADDERS:

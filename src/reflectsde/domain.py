@@ -7,7 +7,9 @@ projects the rows of an (m, d) array (``project_points``);
 alone or in any batch.  Every domain carries a designated strictly
 interior anchor point together with a validated lower bound on its
 distance to the boundary; the a-priori bounds in
-:mod:`reflectsde.penalty` are stated relative to that anchor.
+:mod:`reflectsde.penalty` are stated relative to that anchor.  A far row
+is scaled by a power of two (``_scales``), in the projections and in
+``_lengths``, the one row length the path functionals take.
 """
 
 from __future__ import annotations
@@ -89,6 +91,19 @@ def _scales(X, past=2.0**500):
     return np.ldexp(1.0, np.where(size > past, -np.frexp(size)[1], 0))
 
 
+def _lengths(D: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of the last axis, as sqrt(sum(D * D)); a
+    finite row whose sum of squares overflows is measured scaled by ``_scales``."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt((D * D).sum(axis=-1))
+        far = np.isinf(out)
+        if far.any():
+            far &= np.isfinite(D).all(axis=-1)
+            s = _scales(D[far])
+            out[far] = _lengths(s[:, None] * D[far]) / s
+    return out
+
+
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Minimizer of |A x - b| over x >= 0 by Lawson & Hanson's active-set
     method (Solving Least Squares Problems, 1974, ch. 23), or None after
@@ -149,9 +164,10 @@ class ConvexDomain:
 
     Subclasses provide ``project_points`` (row-wise nearest points of an
     (m, d) array, exact up to rounding; the single-point ``project_point``
-    is its one-row case),
-    ``boundary_distance`` (distance to the topological boundary, from
-    either side), and the active inward normals at a boundary point.
+    is its one-row case).  A flat-sided domain sets its faces
+    ``{x : A x >= b}`` as unit rows ``_normals`` and ``_offsets``, from
+    which the slacks, the interior clearance and the active inward normals
+    follow; a ball defines its clearance and normals itself.
     ``anchor_clearance`` is validated at construction: it must be positive
     and must not exceed the exact boundary distance of the anchor, so a
     conservative value is allowed and every bound built on it stays valid.
@@ -160,6 +176,8 @@ class ConvexDomain:
     dim: int
     anchor: np.ndarray
     anchor_clearance: float
+    _normals: np.ndarray
+    _offsets: np.ndarray
 
     def _init_anchor(self, anchor, clearance) -> None:
         if anchor is None:
@@ -185,9 +203,13 @@ class ConvexDomain:
     def _default_anchor(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _slacks(self, X: np.ndarray) -> np.ndarray:
+        """Face margins of the rows of X, positive inside, (m, faces)."""
+        return _rows_times(X, self._normals) - self._offsets
+
     def _interior_clearance(self, point: np.ndarray) -> float:
-        """Signed distance to the boundary, positive inside."""
-        raise NotImplementedError
+        """Signed distance to the boundary, positive inside: the least slack."""
+        return float(np.min(self._slacks(point[None])))
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (m, d) array."""
@@ -213,10 +235,15 @@ class ConvexDomain:
         """Unit inward normals of the faces active at boundary point ``b``.
 
         Returns an (m, d) array, empty if ``b`` is not within ``tol`` of the
-        boundary.  For smooth pieces there is a single row; at box corners
-        and polyhedron edges one row per active face.
+        boundary: a face is active where its slack is within ``tol`` of 0,
+        and none is where some slack is below ``-tol``.  For smooth pieces
+        there is a single row; at box corners and polyhedron edges one row
+        per active face.
         """
-        raise NotImplementedError
+        slacks = self._slacks(_vec(b, self.dim)[None])[0]
+        if np.min(slacks) < -tol:
+            return np.empty((0, self.dim))
+        return self._normals[np.abs(slacks) <= tol]
 
 
 class HalfSpace(ConvexDomain):
@@ -233,13 +260,11 @@ class HalfSpace(ConvexDomain):
         self.normal = n
         self.offset = float(offset)
         self.dim = n.shape[0]
+        self._normals, self._offsets = n[None], np.array([self.offset])
         self._init_anchor(anchor, anchor_clearance)
 
     def _default_anchor(self) -> np.ndarray:
         return (self.offset + 1.0) * self.normal
-
-    def _interior_clearance(self, point: np.ndarray) -> float:
-        return float(self.normal @ point - self.offset)
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -260,11 +285,6 @@ class HalfSpace(ConvexDomain):
     def boundary_distance(self, x) -> float:
         return abs(self._interior_clearance(_vec(x, self.dim)))
 
-    def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        if self.boundary_distance(b) <= tol:
-            return self.normal[None, :].copy()
-        return np.empty((0, self.dim))
-
 
 class Box(ConvexDomain):
     """Axis-aligned box ``[lower_i, upper_i]`` in each coordinate."""
@@ -279,32 +299,17 @@ class Box(ConvexDomain):
         self.lower = lo
         self.upper = hi
         self.dim = lo.shape[0]
+        # faces x_i >= lo_i, then -x_i >= -hi_i, per coordinate; + 0.0 clears -0.0
+        eye = np.eye(self.dim)
+        self._normals = np.stack([eye, -eye], axis=1).reshape(-1, self.dim) + 0.0
+        self._offsets = np.stack([lo, -hi], axis=1).ravel()
         self._init_anchor(anchor, anchor_clearance)
 
     def _default_anchor(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def _interior_clearance(self, point: np.ndarray) -> float:
-        return float(min(np.min(point - self.lower), np.min(self.upper - point)))
-
     def project_points(self, X: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(X, dtype=float), self.lower, self.upper)
-
-    def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        b = _vec(b, self.dim)
-        if self.boundary_distance(b) > tol:
-            return np.empty((0, self.dim))
-        rows = []
-        for i in range(self.dim):
-            if abs(b[i] - self.lower[i]) <= tol:
-                e = np.zeros(self.dim)
-                e[i] = 1.0
-                rows.append(e)
-            if abs(self.upper[i] - b[i]) <= tol:
-                e = np.zeros(self.dim)
-                e[i] = -1.0
-                rows.append(e)
-        return np.array(rows) if rows else np.empty((0, self.dim))
 
 
 class Ball(ConvexDomain):
@@ -401,16 +406,11 @@ class Polyhedron(ConvexDomain):
         self._init_anchor(anchor, anchor_clearance)
         self._maps = self._active_set_maps()
 
-    def _interior_clearance(self, point: np.ndarray) -> float:
-        return float(np.min(self._normals @ point - self._offsets))
-
-    def _slacks(self, X: np.ndarray) -> np.ndarray:
-        """Face margins of the rows of X, positive inside, (m, faces)."""
-        return _rows_times(X, self._normals) - self._offsets
-
     def _active_set_maps(self):
         """(W, w): ``_set_map`` stacked over every independent active set, or
-        None if the values of one row would not fit in one block."""
+        None if the values of one row would not fit in one block.  A set
+        whose faces meet past the float range has a map that is not finite;
+        its candidate scores -inf, so it is left out."""
         A = self._normals
         m, d = A.shape
         k_max = min(m, d)
@@ -418,7 +418,9 @@ class Polyhedron(ConvexDomain):
         if count * (d + m + k_max) > _ENTRIES_PER_BLOCK:
             return None
         sets = [list(S) for k in range(k_max) for S in combinations(range(m), k + 1)]
-        maps = [self._set_map(S) for S in sets if _independent(A[S])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps = [self._set_map(S) for S in sets if _independent(A[S])]
+        maps = [(W, w) for W, w in maps if np.isfinite(W).all() and np.isfinite(w).all()]
         return tuple(np.array(part) for part in zip(*maps))
 
     def _set_map(self, S):
@@ -511,14 +513,6 @@ class Polyhedron(ConvexDomain):
             return np.full(d, np.nan)
         W, w = self._set_map(S)
         return self._certified_candidate(y[None], scale, W[None], w[None])[0]
-
-    def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        b = _vec(b, self.dim)
-        slacks = self._slacks(b[None])[0]
-        if np.min(slacks) < -tol:
-            return np.empty((0, self.dim))
-        active = np.abs(slacks) <= tol
-        return self._normals[active].copy()
 
 
 def project(domain: ConvexDomain, x) -> ProjectionResult:

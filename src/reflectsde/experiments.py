@@ -414,7 +414,7 @@ def run_simulate(cfg: dict):
     states, projections = history.states[rows], history.projections[rows]
     batch = PenalizedPath._batch(n, grid.times, states, projections, grid.q)
     kept = {f"path_{i}": path for i, path in zip(rows, batch)}
-    # a finite gap above about 1e154 overflows the variation
+    # a gap past the float range, or gaps summing past it, overflow the variation
     with np.errstate(over="ignore"):
         variations = gaps.variation(grid.q)
     ok = finite & np.isfinite(variations)
@@ -435,12 +435,13 @@ def run_simulate(cfg: dict):
     entry = ("numerical_failures", count, max_failures, count <= max_failures)
     report.add_entry(*entry, paths, f"seed={seed}")
     if ok.any():
-        # finite finals can sum past the float range: that statistic is null
+        # finite finals and variations can sum past the float range: that statistic is null
         with np.errstate(over="ignore"):
             for j, column in enumerate(finals[ok].T, start=1):
                 report.params[f"final_mean_{j}"] = _finite_or_none(np.mean(column))
                 report.params[f"final_std_{j}"] = _finite_or_none(np.std(column))
-        report.params["mean_penalty_variation"] = float(np.mean(variations[ok]))
+            mean_variation = _finite_or_none(np.mean(variations[ok]))
+        report.params["mean_penalty_variation"] = mean_variation
     return report, kept
 
 

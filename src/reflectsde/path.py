@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .domain import _lengths
+
 __all__ = [
     "StepPath",
     "modulus_prime",
@@ -259,7 +261,7 @@ class StepPath(_Breakpoints):
 def _reach(points: np.ndarray) -> np.ndarray:
     """r[j] = largest distance from points[j] to an earlier point; r[0] = 0.
 
-    Each distance is sqrt(sum(diff * diff)) of diff = points[j] - points[i].
+    Each distance is ``domain._lengths`` of diff = points[j] - points[i].
     Rows are taken in blocks of at most ``_PAIRS_PER_BLOCK`` pairs, so the
     temporaries stay bounded for any number of points.  (Pairs of paths in
     dimension one take the running-extremes scan of :func:`modulus_bar`.)
@@ -305,7 +307,7 @@ def modulus_prime(path: StepPath, delta: float, q=None) -> float:
     diam = np.zeros((L, L))
     for a in range(L - 2, -1, -1):
         diff = path.values[a + 1 : L] - path.values[a]
-        reach = np.maximum.accumulate(np.sqrt(np.sum(diff * diff, axis=1)))
+        reach = np.maximum.accumulate(_lengths(diff))
         diam[a, a + 1 :] = np.maximum(diam[a + 1, a + 1 :], reach)
 
     def feasible(eps):
@@ -344,11 +346,6 @@ def _merged_pair(path_x: StepPath, path_y: StepPath, q: float):
     first = path_x.values[_segment(tx, times)]
     second = path_y.values[_segment(ty, times)]
     return times, first, second
-
-
-def _lengths(diff: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the rows of the last axis, as sqrt(sum(d * d))."""
-    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def modulus_second(path: StepPath, delta: float, q=None) -> float:

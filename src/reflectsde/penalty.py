@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConvexDomain, DomainViolationError, NumericalError
+from .domain import ConvexDomain, DomainViolationError, NumericalError, _lengths
 from .path import StepPath, _Breakpoints, _breakpoints, _finite, _rows_of, _segment, modulus_prime
 
 __all__ = [
@@ -351,7 +351,7 @@ class _SupDistance:
         else:
             k = slice(self.ends[k], self.ends[k + 1])
         values = _relaxed(x, p, self.n, self.elapsed[k, None])
-        dist = np.linalg.norm(values - self.reference[k], axis=-1)
+        dist = _lengths(values - self.reference[k])
         self.sup = np.maximum(self.sup, dist.max(axis=0))
 
 
@@ -364,7 +364,7 @@ class _Gaps:
         self.gaps = np.empty((times.shape[0], rows))
 
     def __call__(self, k, x, p):
-        self.gaps[k] = np.linalg.norm(x - p, axis=-1)
+        self.gaps[k] = _lengths(x - p)
 
     def variation(self, t):
         """Per-row variation of the penalty term up to t: each segment from
@@ -462,9 +462,7 @@ def penalty_bounds(
             raise ValueError("bound anchor must be strictly interior")
     mod = modulus_prime(driver, delta, q)
     keep = driver.times <= q
-    sup_dev = float(
-        np.max(np.linalg.norm(driver.values[keep] - anchor, axis=1))
-    )
+    sup_dev = float(np.max(_lengths(driver.values[keep] - anchor)))
     cells = int(np.floor(q / delta)) + 1
     return PenaltyBounds(
         precondition_ok=bool(mod < float(clearance) / 2.0),

@@ -210,8 +210,7 @@ class Brownian:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim == 0:
             return dim * float(sigma) ** 2
-        if sigma.ndim == 1:
-            return float(np.sum(sigma**2))
+        # a vector's or a matrix's squares, summed
         return float(np.sum(sigma * sigma))
 
     def variation_rate(self, dim: int) -> float:
@@ -331,9 +330,6 @@ class BrownianDrift:
         inc += x0
         out[:, 0] = x0
         out += _dim_vector(self.drift, dim, "h drift")[None, :] * times[:, None]
-
-    def expected_bracket_rate(self, dim: int) -> float:
-        return Brownian(self.sigma).expected_bracket_rate(dim)
 
 
 @dataclass(frozen=True)

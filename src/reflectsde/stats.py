@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import _lengths
 from .path import _median, modulus_bar, upcrossings_of_values
 
 __all__ = [
@@ -144,7 +145,7 @@ def _mean_pair_distance(u: np.ndarray, v: np.ndarray) -> float:
     block = max(1, _PAIRS_PER_BLOCK // v.shape[0])
     for start in range(0, u.shape[0], block):
         diff = u[start : start + block, None, :] - v[None, :, :]
-        total += float(np.sum(np.sqrt(np.sum(diff * diff, axis=2))))
+        total += float(np.sum(_lengths(diff)))
     return total / (u.shape[0] * v.shape[0])
 
 
@@ -193,7 +194,7 @@ def s_tightness_witness(
     counts = np.empty((len(paths), len(levels)), dtype=int)
     for i, p in enumerate(paths):
         sk = p.skeleton_values()
-        sups[i] = np.max(np.linalg.norm(sk, axis=1))
+        sups[i] = np.max(_lengths(sk))
         for j, (coord, a, b) in enumerate(levels):
             counts[i, j] = upcrossings_of_values(sk[:, coord], a, b)
     return STightnessReport(

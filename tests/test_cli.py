@@ -201,6 +201,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "command, cfg, flags, message",
+        [
+            pytest.param(
+                "penalize", dict(PENALIZE_CFG, n_list=[]), [],
+                "penalize: empty rate sweep", id="empty-rate-sweep",
+            ),
+            pytest.param(
+                "simulate", SIMULATE_CFG, ["--paths", "0"],
+                "simulate: need at least one path", id="no-paths",
+            ),
+        ],
+    )
+    def test_runner_refuses(self, tmp_path, capsys, command, cfg, flags, message):
+        assert run_config(tmp_path, command, cfg, *flags) == (1, False)
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_experiment_mismatch(self, tmp_path, capsys):
         code = main(["penalize", "--config", "halfline-threejump", "--out", str(tmp_path)])
         assert code == 1
@@ -543,13 +560,6 @@ class TestConfigErrors:
                 "numerical error: overflow",
                 id="horizon-overflows",
             ),
-            pytest.param(
-                "tail-structure",
-                {"paths": 50, "cells": 8, "q": 1e308, "delta": 1e308},
-                2,
-                "numerical error: overflow",
-                id="distance-overflows",
-            ),
         ],
     )
     def test_study_errors(self, tmp_path, capsys, name, override, code, message):
@@ -719,8 +729,34 @@ class TestSimulateCommand:
                 )
             ]
         assert sorted(f["path"] for f in failures) == bad
-        reasons = {f["error"] for f in failures}
-        assert "penalty variation not finite" in reasons
+        # in d = 1 a finite state's gap is at most about 1e308, and these
+        # gaps do not sum past the float range: only the draws fail
+        assert {f["error"] for f in failures} == {"driver values not finite"}
+
+    def test_gaps_summing_past_the_float_range(self, tmp_path, capsys):
+        # a drift of -1.5e308 per coordinate out of a half-space: each of the
+        # 32 steps leaves a finite gap of about 6.9e306, and each path's
+        # variation sums to about 2.0e308, past the float range
+        drift = {"kind": "drift", "rate": [-1.5e308, -1.5e308]}
+        cfg = dict(
+            SIMULATE_CFG,
+            domain={"variant": "halfspace", "normal": [0.6, 0.8], "offset": 0.0},
+            driver={"dim": 2, "h": {"kind": "constant", "x0": [1.0, 1.0]}, "z": [drift]},
+        )
+        code, _ = run_config(tmp_path, "simulate", cfg, "--format", "json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failures: 20 ")
+        out = tmp_path / "run"
+        report = strict_json((out / "report.json").read_text())
+        error = "penalty variation not finite"
+        assert report["params"]["numerical_failures"] == [
+            {"error": error, "path": i} for i in range(20)
+        ]
+        # the states are finite, and the kept paths hold them
+        sol = PenalizedPath.from_json((out / "path_0.json").read_text())
+        assert np.isfinite(sol.values).all() and np.isfinite(sol.projections).all()
+        with np.errstate(over="ignore"):
+            assert sol.penalty_variation() == np.inf
 
     def test_threaded_draws_fail_as_on_one(self, tmp_path, capsys, monkeypatch):
         # a Brownian of sigma 1e308 on 1024 cells, drawn on two threads:
@@ -891,6 +927,22 @@ class TestConvergeCommand:
         assert (out / "convergence.csv").exists()
         table = (out / "convergence.csv").read_text().splitlines()
         assert table[0] == "n,mesh,M,statistic,value,threshold,pass"
+
+    def test_distances_whose_squares_overflow(self, tmp_path, capsys):
+        # on a horizon of 1e308 the paths reach about 1e154, where a squared
+        # distance overflows: the sup distances and variations are measured
+        # by the far-row rule, and the study writes its report.  Its checks
+        # fail: 4 times its energy of 1e308 overflows, and C(1) comes out 0.
+        cfg = tmp_path / "cfg.json"
+        override = {"paths": 50, "cells": 8, "q": 1e308, "delta": 1e308}
+        cfg.write_text(json.dumps({**builtin_config("tail-structure"), **override}))
+        out = tmp_path / "run"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "" and "FAIL tail[deviation" in captured.out
+        report = strict_json((out / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert report["params"]["expected_energy"] == 1e308
 
     def test_penalize_rate_sweep(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1487,6 +1539,20 @@ class TestConfigSchema:
         # each of these ran and exited 0 before the config schema existed
         assert run_config(tmp_path, command, cfg, *flags) == (1, False)
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_absent_coefficient_is_the_identity(self, tmp_path):
+        # a tagged section with a default is built from it when left out
+        absent = {k: v for k, v in SIMULATE_CFG.items() if k != "coefficient"}
+        written = []
+        for name, cfg in (("absent", absent), ("identity", SIMULATE_CFG)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("[!m]*")})
+        # the report and the kept paths, all but the manifest of the config
+        assert sorted(written[0]) == ["path_0.csv", "path_1.csv", "report.json"]
+        assert written[0] == written[1]
 
     def test_penalize_takes_n_or_n_list(self, tmp_path, capsys):
         cfg = dict(PENALIZE_CFG, n=5.0, n_list=[1.0, 2.0])

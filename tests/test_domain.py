@@ -12,6 +12,7 @@ from reflectsde.domain import (
     HalfSpace,
     NumericalError,
     Polyhedron,
+    _lengths,
     _rows_times,
     _scales,
     anchor_gap,
@@ -205,6 +206,20 @@ class TestBox:
         assert normals.shape == (2, 2)
         assert {tuple(row) for row in normals} == {(1.0, 0.0), (0.0, 1.0)}
 
+    def test_normals_in_face_order(self):
+        # x_i >= lo_i, then -x_i >= -hi_i, per coordinate; no entry is -0.0
+        d = Box([0.0, 0.0], [1e-12, 1e-12])
+        normals = d.inward_normals([0.0, 0.0])
+        assert normals.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        assert not np.signbit(normals[normals == 0.0]).any()
+
+    def test_corner_within_tol_per_coordinate(self):
+        # the least slack decides: 0.9 tol outside in each coordinate is
+        # 1.27 tol from the corner, and both faces are active
+        d = Box([0.0, 0.0], [1.0, 1.0])
+        normals = d.inward_normals([-0.9, -0.9], tol=1.0)
+        assert normals.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Box([0.0, 1.0], [1.0, 1.0])
@@ -260,6 +275,34 @@ class TestBallPastTheFloatRange:
 
 
 @pytest.mark.filterwarnings("error")
+class TestLengths:
+    """Row lengths: sqrt(sum(D * D)) wherever that sum is finite, and the
+    far-row rule where a finite row's sum of squares overflows."""
+
+    def test_bits_of_sqrt_of_summed_squares(self, rng):
+        D = rng.standard_normal((4, 5, 3)) * np.array([1e-3, 1.0, 1e150])
+        assert _lengths(D).tobytes() == np.sqrt((D * D).sum(axis=-1)).tobytes()
+
+    def test_rows_whose_squares_overflow(self):
+        D = np.array(
+            [[3e200, -4e200], [1e308, 0.0], [1.7e308, 1.7e308], [np.inf, 1.0], [np.nan, 1e300]]
+        )
+        # raising on overflow, as a study runs: the rule ignores what it mends
+        with np.errstate(over="raise"):
+            got = _lengths(D)
+        assert np.allclose(got[:2], [5e200, 1e308], rtol=1e-15, atol=0.0)
+        # a length past the float range is inf; a row with NaN is NaN
+        assert got[2] == got[3] == np.inf and np.isnan(got[4])
+
+    def test_leading_axes(self):
+        D = np.full((2, 3, 2), 1e300)
+        D[0, 1] = 1.0
+        want = np.full((2, 3), np.sqrt(2.0) * 1e300)
+        want[0, 1] = np.sqrt(2.0)
+        assert np.allclose(_lengths(D), want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
 class TestFarRows:
     """A finite row past the float range's square root projects to its
     exact point within round-off, without a warning, on each domain."""
@@ -302,6 +345,20 @@ class TestFarRows:
         wedge = two_face_wedge(np.radians(30.0))
         X = np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]])
         assert np.array_equal(wedge.project_points(X), [[1.7e308, 0.0], [0.0, 0.0]])
+
+    def test_polyhedron_whose_faces_meet_past_the_float_range(self):
+        # the faces meet near x = 2e309, so that vertex has no finite map;
+        # a row below both projects onto the second face
+        a = 1e-3
+        far = HalfSpace([np.sin(a), np.cos(a)], 1e306, anchor=[0.0, 2e306])
+        faces = [HalfSpace([0.0, 1.0], -1e306, anchor=[0.0, 0.0]), far]
+        d = Polyhedron(faces, anchor=[0.0, 2e306])
+        # the stacked maps are those of the two single faces, all finite
+        W, w = d._maps
+        assert len(w) == 2 and np.isfinite(W).all() and np.isfinite(w).all()
+        y = np.array([0.0, -1e307])
+        want = y + (1e306 - far.normal @ y) * far.normal
+        assert np.allclose(d.project_point(y), want, rtol=1e-14, atol=0.0)
 
 
 class TestPolyhedron:
@@ -386,6 +443,23 @@ class TestPolyhedron:
         offsets = np.array([h.offset for h in d.faces])
         expected = np.min(normals @ d.anchor - offsets)
         assert d.anchor_clearance == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "name, outside",
+    [
+        ("halfspace", [-50.0, -50.0]),
+        ("box", [-5.0, -1.0]),
+        ("ball", [-50.0, -50.0]),
+        ("polyhedron", [-5.0, 0.0]),
+    ],
+)
+def test_no_inward_normals_off_the_boundary(name, outside):
+    # the anchor, and a point outside by more than tol, which on the box
+    # and the polyhedron lies on another face
+    d = make_domains()[name]
+    for x in (d.anchor, outside):
+        assert d.inward_normals(x).shape == (0, 2)
 
 
 class TestProjectionLaws:

@@ -17,7 +17,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
 from conftest import NO_CONSTANTS, NoConstantsProvider, OverflowingHalfSpace, kernel_history
@@ -166,12 +166,9 @@ def far_projections(draw):
         anchor = size * domain.anchor
         faces = [HalfSpace(h.normal, size * h.offset, anchor=anchor) for h in domain.faces]
         # faces at a small angle meet far out: a vertex, or its
-        # multipliers, may lie past the float range
-        with np.errstate(over="raise"):
-            try:
-                domain = Polyhedron(faces, anchor=anchor)
-            except FloatingPointError:
-                assume(False)
+        # multipliers, may lie past the float range, and the domain
+        # builds without that set's map
+        domain = Polyhedron(faces, anchor=anchor)
     rows = []
     magnitudes = st.sampled_from([1.0, 1e150, 1e300, 1e306, 1e308, LONGEST])
     for _ in range(draw(st.integers(1, 6))):

@@ -19,6 +19,10 @@ this process, and writes one ``--out`` directory per run under DIR:
   ``WEDGE_CONFIG`` with that domain, one cell, the identity coefficient
   and a drift that steps past 1e307), in ``--format csv`` and ``json``,
   under ``simulate-far-<domain>-<format>``;
+- ``simulate`` on ``WEDGE_CONFIG`` with the half-space of
+  ``SIMULATE_DOMAINS``, the identity coefficient and a Brownian part of
+  sigma ``FAR_SIGMA``, whose gaps square past the float range, in
+  ``--format csv`` and ``json``, under ``simulate-far-gaps-<format>``;
 - ``simulate`` on ``WEDGE_CONFIG`` with a Brownian H and rows long enough
   to be drawn on worker threads (``BROWNIAN_H``), in ``--format csv`` and
   ``json``, under ``simulate-brownian-h-<format>``;
@@ -78,6 +82,10 @@ FAR_DRIFTS = {
     "ball": ({"variant": "ball", "center": [1.0, 0.5], "radius": 1.7e308}, [1e308, -1e308]),
     "wedge": (None, [-1.5e308, -1.5e308]),
 }
+
+# sigma of the Brownian part of a run whose gaps, about 1e200, square past
+# the float range while their lengths and variations are finite
+FAR_SIGMA = 1e200
 
 # a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
 # the Brownian Z's hold 1024 values, which are drawn on worker threads
@@ -197,6 +205,9 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
             args = ["simulate", "--config", str(tmp / f"far-{name}.json"), "--format", fmt]
             yield f"simulate-far-{name}-{fmt}", args, 0
     for fmt in FORMATS:
+        args = ["simulate", "--config", str(tmp / "far-gaps.json"), "--format", fmt]
+        yield f"simulate-far-gaps-{fmt}", args, 0
+    for fmt in FORMATS:
         args = ["simulate", "--config", str(tmp / "brownian-h.json"), "--format", fmt]
         yield f"simulate-brownian-h-{fmt}", args, 0
     for fmt in FORMATS:
@@ -239,6 +250,19 @@ def write_outputs(out: Path) -> dict:
                 "driver": {**wedge_config["driver"], "z": z},
                 "coefficient": {"kind": "identity"},
             }
+        z = [
+            dict(part, sigma=FAR_SIGMA) if part["kind"] == "brownian" else part
+            for part in wedge_config["driver"]["z"]
+        ]
+        configs["far-gaps"] = {
+            **wedge_config,
+            "grid": {"q": 1.0, "cells": 16},
+            "paths": 16,
+            "keep_paths": 2,
+            "domain": SIMULATE_DOMAINS["halfspace"],
+            "driver": {**wedge_config["driver"], "z": z},
+            "coefficient": {"kind": "identity"},
+        }
         for name, keys, value in BAD_SIMULATE:
             configs[name] = bad_config(wedge_config, keys, value)
         for builtin, key in EMPTY_LADDERS:

@@ -409,8 +409,9 @@ class Polyhedron(ConvexDomain):
     def _active_set_maps(self):
         """(W, w): ``_set_map`` stacked over every independent active set, or
         None if the values of one row would not fit in one block.  A set
-        whose faces meet past the float range has a map that is not finite;
-        its candidate scores -inf, so it is left out."""
+        whose faces meet past the float range has no finite candidate and
+        is left out.  A slack constant of +inf, at a face far on the other
+        side, never scores: that set is kept."""
         A = self._normals
         m, d = A.shape
         k_max = min(m, d)
@@ -418,27 +419,28 @@ class Polyhedron(ConvexDomain):
         if count * (d + m + k_max) > _ENTRIES_PER_BLOCK:
             return None
         sets = [list(S) for k in range(k_max) for S in combinations(range(m), k + 1)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            maps = [self._set_map(S) for S in sets if _independent(A[S])]
-        maps = [(W, w) for W, w in maps if np.isfinite(W).all() and np.isfinite(w).all()]
+        maps = [self._set_map(S) for S in sets if _independent(A[S])]
+        maps = [(W, w) for W, w in maps if np.isfinite(w[:d]).all()]
         return tuple(np.array(part) for part in zip(*maps))
 
     def _set_map(self, S):
         """Affine map y -> W y + w of the independent active set S: the d
         coordinates of its candidate, the m face slacks there and its
-        multipliers, padded with zeros to min(m, d)."""
+        multipliers, padded with zeros to min(m, d).  Faces far apart may
+        give constants past the float range, inf or NaN, without a warning."""
         A, b, d = self._normals, self._offsets, self.dim
         AS, bS = A[S], b[S]
-        if len(S) == d:
-            inv_t = np.linalg.inv(AS).T
-            C, c = np.zeros((d, d)), np.linalg.solve(AS, bS)
-            M, mu = -inv_t, inv_t @ c
-        else:
-            G = np.linalg.inv(AS @ AS.T)
-            M, mu = -G @ AS, G @ bS
-            C, c = np.eye(d) + AS.T @ M, AS.T @ mu
-        # the faces of S hold with equality at their own candidate
-        slack_map, slack = A @ C, A @ c - b
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(S) == d:
+                inv_t = np.linalg.inv(AS).T
+                C, c = np.zeros((d, d)), np.linalg.solve(AS, bS)
+                M, mu = -inv_t, inv_t @ c
+            else:
+                G = np.linalg.inv(AS @ AS.T)
+                M, mu = -G @ AS, G @ bS
+                C, c = np.eye(d) + AS.T @ M, AS.T @ mu
+            # the faces of S hold with equality at their own candidate
+            slack_map, slack = A @ C, A @ c - b
         slack_map[S], slack[S] = 0.0, 0.0
         pad = np.zeros((min(A.shape) - len(S), d))
         W = np.vstack([C, slack_map, M, pad])
@@ -490,7 +492,8 @@ class Polyhedron(ConvexDomain):
         best = score.argmax(axis=1)
         rows = np.arange(len(Y))
         P = V[rows, best, :d]
-        scale = 1.0 + np.abs(w).max()  # the constants whose rounding tol absorbs
+        # the finite constants, whose rounding tol absorbs
+        scale = 1.0 + np.abs(w[np.isfinite(w)]).max(initial=0.0)
         tol = PROJECTION_TOL * (scales * scale + np.abs(Y).max(axis=1))
         P[score[rows, best] < -tol] = np.nan
         return P

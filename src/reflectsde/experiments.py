@@ -617,6 +617,10 @@ def tail_structure_study(
     spec = DriverSpec(dim=1, h=ConstantStart(1.0), z_components=(Brownian(1.0),))
     grid = Grid.regular(q, cells)
     expected_energy = spec.expected_bracket(q) + spec.expected_variation(q) ** 2
+    # the bounds are 4 C(1) times the energy over eta^2, in Python floats,
+    # which overflow without raising
+    if not np.isfinite(4.0 * expected_energy):
+        raise FloatingPointError("overflow encountered in the expected driver energy")
 
     def tails(run_seed):
         """(rates, etas, 2) fractions: sup deviation >= eta, variation >= eta^2."""

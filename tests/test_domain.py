@@ -360,6 +360,28 @@ class TestFarRows:
         want = y + (1e306 - far.normal @ y) * far.normal
         assert np.allclose(d.project_point(y), want, rtol=1e-14, atol=0.0)
 
+    def test_slab_whose_opposite_slacks_overflow(self):
+        # at a face of [-1e308, 1e308] the other face's slack is 2e308, +inf:
+        # that candidate is kept, for it is the projection
+        o = [0.0]
+        slab = Polyhedron([HalfSpace([1.0], -1e308, anchor=o), HalfSpace([-1.0], -1e308, anchor=o)], anchor=o)
+        assert len(slab._maps[1]) == 2
+        P = slab.project_points(np.array([[0.0], [-1.5e308], [1.5e308]]))
+        assert np.array_equal(P, [[0.0], [-1e308], [1e308]])
+        # the tolerance scales with the finite constants alone: the lower
+        # face's candidate, -1e308, does not certify the row 1, whose
+        # projection it is not
+        W, w = slab._maps
+        assert np.isnan(slab._certified_candidate(np.array([[1.0]]), np.ones(1), W[:1], w[:1])).all()
+
+    def test_slab_and_a_third_face(self):
+        o = [0.0, 0.0]
+        faces = [HalfSpace([1.0, 0.0], -1e308, anchor=o), HalfSpace([-1.0, 0.0], -1e308, anchor=o)]
+        d = Polyhedron(faces + [HalfSpace([0.0, 1.0], -1.0, anchor=o)], anchor=o)
+        X = np.array([[0.0, 0.0], [-1.5e308, 0.0], [1.5e308, -5.0], [3.0, -7.0]])
+        want = [[0.0, 0.0], [-1e308, 0.0], [1e308, -1.0], [3.0, -1.0]]
+        assert np.array_equal(d.project_points(X), want)
+
 
 class TestPolyhedron:
     def test_matches_qp_oracle(self, rng):

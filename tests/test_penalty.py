@@ -265,6 +265,26 @@ class TestBatchedClosedForm:
                     assert partial[i] == one.penalty_variation(t), (dim, name)
                     assert sup[i] == one.sup_deviation(domain.anchor), (dim, name)
 
+    @pytest.mark.filterwarnings("error")
+    def test_functionals_of_far_rows(self):
+        # paths on a half-space through 0 scaled by 2^664, near 1e200, where
+        # a squared length overflows: every step scales exactly, and so do
+        # the sup distance and the variation, which stay finite
+        grid, n, s = Grid.regular(1.0, 16), 32.0, 2.0**664
+        domain = DOMAINS[2]["halfspace"]
+        spec = DriverSpec(dim=2, h=ConstantStart([0.0, 0.0]), z_components=(Brownian(1.0), Drift([-4.0, -4.0])))
+        H, Z = sample_driver_batch(spec, grid, seed=5, paths=4)
+        got = []
+        for scale in (1.0, s):
+            sup = _SupDistance(np.zeros(2), n, grid.times, grid.q)
+            gaps = _Gaps(n, grid.times, grid.q, 4)
+            visit = _each(sup, gaps)
+            euler_penalized_batch(domain, Identity(2), scale * H, scale * Z, n, grid, visit=visit)
+            got.append((sup.sup, gaps.variation(grid.q)))
+        (sup, variation), (far_sup, far_variation) = got
+        assert np.all(variation > 0.0)
+        assert np.array_equal(far_sup, s * sup) and np.array_equal(far_variation, s * variation)
+
     # the formula's fl(P + fl(X - P)) keeps 0.0 but misses the other states:
     # -0.0 comes back as 0.0, a subnormal is lost next to P, X - P overflows
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ interior anchor point together with a validated lower bound on its
 distance to the boundary; the a-priori bounds in
 :mod:`reflectsde.penalty` are stated relative to that anchor.  A far row
 is scaled by a power of two (``_scales``), in the projections and in
-``_lengths``, the one row length the path functionals take.
+``_lengths``, the one row length the package takes.
 """
 
 from __future__ import annotations
@@ -92,8 +92,10 @@ def _scales(X, past=2.0**500):
 
 
 def _lengths(D: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the rows of the last axis, as sqrt(sum(D * D)); a
-    finite row whose sum of squares overflows is measured scaled by ``_scales``."""
+    """Euclidean lengths of the rows of the last axis, or of one row, as sqrt(sum(D * D));
+    a finite row whose sum of squares overflows is measured scaled by ``_scales``."""
+    if D.ndim == 1:
+        return _lengths(D[None])[0]
     with np.errstate(over="ignore"):
         out = np.sqrt((D * D).sum(axis=-1))
         far = np.isinf(out)
@@ -219,17 +221,23 @@ class ConvexDomain:
         """Nearest point of one point: the one-row ``project_points``."""
         return self.project_points(_vec(x, self.dim)[None])[0]
 
+    def _distances(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Projections of the rows of X and their distances |x - P(x)|, the
+        one place a point's distance to the domain is measured."""
+        P = self.project_points(X)
+        with np.errstate(over="ignore"):  # far outside: x - P(x) may be inf
+            return P, _lengths(X - P)
+
     def boundary_distance(self, x) -> float:
+        """The interior clearance inside, else the distance to the domain."""
         x = _vec(x, self.dim)
         inside = self._interior_clearance(x)
         if inside >= 0.0:
             return float(inside)
-        return float(np.linalg.norm(x - self.project_point(x)))
+        return float(self._distances(x[None])[1][0])
 
     def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
-        x = _vec(x, self.dim)
-        with np.errstate(over="ignore", invalid="ignore"):  # far outside: inf
-            return bool(np.linalg.norm(x - self.project_point(x)) <= tol)
+        return bool(self._distances(_vec(x, self.dim)[None])[1][0] <= tol)
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
         """Unit inward normals of the faces active at boundary point ``b``.
@@ -251,10 +259,7 @@ class HalfSpace(ConvexDomain):
 
     def __init__(self, normal, offset: float, anchor=None, anchor_clearance=None):
         n = _vec(normal)
-        # a normal near the float range has infinite length: not a unit one
-        with np.errstate(over="ignore"):
-            length = np.linalg.norm(n)
-        if abs(length - 1.0) > UNIT_TOL:
+        if abs(_lengths(n) - 1.0) > UNIT_TOL:
             raise ValueError("half-space normal must have unit length")
         n.setflags(write=False)
         self.normal = n
@@ -264,7 +269,8 @@ class HalfSpace(ConvexDomain):
         self._init_anchor(anchor, anchor_clearance)
 
     def _default_anchor(self) -> np.ndarray:
-        return (self.offset + 1.0) * self.normal
+        # a unit step below |offset| = 2**20; past 2**53 that rounds away, as would |n|^2's error
+        return (self.offset + max(1.0, abs(self.offset) * 2.0**-20)) * self.normal
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -281,9 +287,6 @@ class HalfSpace(ConvexDomain):
             Y, t = X[far], _scales(X[far])[:, None]
             out[far] = (t * Y - (_rows_times(t * Y, n) - t * self.offset) * n) / t
         return out
-
-    def boundary_distance(self, x) -> float:
-        return abs(self._interior_clearance(_vec(x, self.dim)))
 
 
 class Box(ConvexDomain):
@@ -329,34 +332,31 @@ class Ball(ConvexDomain):
         return self.center.copy()
 
     def _interior_clearance(self, point: np.ndarray) -> float:
-        return self.radius - float(np.linalg.norm(point - self.center))
+        with np.errstate(over="ignore"):  # an offset past the float range: outside
+            return self.radius - float(_lengths(point - self.center))
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         with np.errstate(over="ignore"):
             V = X - self.center
-            r = np.linalg.norm(V, axis=1)
+        r = _lengths(V)
         outside = r > self.radius
         # where |V| overflows, W = V / 2 is finite: |sW| = s |V| / 2, and V takes W's direction
         far = np.isinf(r) & np.isfinite(X).all(axis=1)
         if far.any():
             W = 0.5 * X[far] - 0.5 * self.center
             s = _scales(W)
-            length = np.linalg.norm(s[:, None] * W, axis=1)
+            length = _lengths(s[:, None] * W)
             outside[far] = length > 0.5 * s * self.radius
             V[far], r[far] = s[:, None] * W / length[:, None], 1.0
         # only rows outside are scaled: radius / r at the centre overflows
         scale = self.radius / np.where(outside, r, self.radius)
         return np.where(outside[:, None], self.center + V * scale[:, None], X)
 
-    def boundary_distance(self, x) -> float:
-        return abs(self._interior_clearance(_vec(x, self.dim)))
-
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        b = _vec(b, self.dim)
-        v = self.center - b
-        r = np.linalg.norm(v)
-        if abs(self.radius - np.linalg.norm(b - self.center)) > tol or r == 0.0:
+        v = self.center - _vec(b, self.dim)
+        r = _lengths(v)
+        if abs(self.radius - r) > tol or r == 0.0:
             return np.empty((0, self.dim))
         return (v / r)[None, :]
 
@@ -515,19 +515,21 @@ class Polyhedron(ConvexDomain):
         if S is None or not _independent(A[S]):
             return np.full(d, np.nan)
         W, w = self._set_map(S)
+        # a far face's h hides the others' below the NNLS's rounding, and its constant widens
+        # the stacked tolerance: each slack and multiplier is certified by its own constant too
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = W[d:] @ y + scale * w[d:]
+            tol = PROJECTION_TOL * (scale * (1.0 + np.abs(w[d:])) + np.abs(y).max())
+        if np.any(V < -tol):
+            return np.full(d, np.nan)
         return self._certified_candidate(y[None], scale, W[None], w[None])[0]
 
 
 def project(domain: ConvexDomain, x) -> ProjectionResult:
     """Nearest point of ``x`` in the domain, with penetration distance."""
-    x = _vec(x, domain.dim)
-    p = domain.project_point(x)
-    penetration = float(np.linalg.norm(x - p))
-    return ProjectionResult(
-        point=p,
-        penetration=penetration,
-        on_boundary=domain.boundary_distance(p) <= BOUNDARY_TOL,
-    )
+    P, dist = domain._distances(_vec(x, domain.dim)[None])
+    on_boundary = domain.boundary_distance(P[0]) <= BOUNDARY_TOL
+    return ProjectionResult(P[0], float(dist[0]), on_boundary)
 
 
 def anchor_gap(domain: ConvexDomain, x) -> float:
@@ -540,11 +542,10 @@ def anchor_gap(domain: ConvexDomain, x) -> float:
     signed quantity so tests can assert it never dips below -1e-9.
     """
     x = _vec(x, domain.dim)
-    p = domain.project_point(x)
-    displacement = x - p
-    dist = float(np.linalg.norm(displacement))
-    inner = float((x - domain.anchor) @ displacement)
-    return inner / domain.anchor_clearance - dist
+    P, dist = domain._distances(x[None])
+    with np.errstate(over="ignore"):  # far outside the inner product is +inf
+        inner = float((x - domain.anchor) @ (x - P[0]))
+    return inner / domain.anchor_clearance - float(dist[0])
 
 
 def cone_residual(normals, v) -> float:
@@ -558,4 +559,4 @@ def cone_residual(normals, v) -> float:
     lam = _nnls(N.T, v)
     if lam is None:
         raise NumericalError("cone residual: the NNLS did not finish")
-    return float(np.linalg.norm(N.T @ lam - v))
+    return float(_lengths(N.T @ lam - v))

@@ -101,19 +101,12 @@ def _segment(times: np.ndarray, ts):
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array, or the distinct rows of a 2-D
-    one, in ascending (lexicographic) order: ``np.unique(values)``, or
-    ``np.unique(values, axis=0)`` for rows, on NaN-free input.  Rows are
-    sorted as one structured value each, as ``np.unique`` sorts them, so
-    the same one of equal rows (say 0.0 and -0.0) is kept."""
-    items = values
-    if values.ndim == 2:
-        fields = [(f"f{i}", values.dtype) for i in range(values.shape[1])]
-        items = np.ascontiguousarray(values).view(fields)[:, 0]
-    ordered = np.sort(items)
+    """The distinct values of a 1-D array in ascending order:
+    ``np.unique(values)`` on NaN-free input."""
+    ordered = np.sort(values)
     keep = np.ones(ordered.shape[0], dtype=bool)
     keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep].view(values.dtype).reshape(-1, *values.shape[1:])
+    return ordered[keep]
 
 
 def _median(values: np.ndarray):

@@ -123,7 +123,7 @@ def verify_solution(
     ys = y.eval_many(times)
 
     dec = float(np.max(_lengths(xs - ys - ks)))
-    contain = float(np.max(_lengths(xs - domain.project_points(xs))))
+    contain = float(np.max(domain._distances(xs)[1]))
 
     support = normal = 0.0
     steps = np.diff(ks, axis=0)

@@ -171,6 +171,24 @@ class TestSkorokhodCommand:
         assert payload["times"] == [0.0, 0.25, 0.5, 0.75]
         assert payload["values"][1] == [0.0]
 
+    def test_far_ball_checks_at_its_own_scale(self, tmp_path, capsys):
+        # a jump to (3e200, 4e200) out of a ball of radius 1e200: every
+        # length is finite, so the run ends in its checks, which are
+        # absolute (1e-9) at a scale of 1e200, not in a numerical error
+        cfg = {
+            "experiment": "skorokhod",
+            "domain": {"variant": "ball", "center": [0.0, 0.0], "radius": 1e200},
+            "path": {"times": [0.0, 0.5], "values": [[0.0, 0.0], [3e200, 4e200]], "q": 1.0},
+        }
+        assert run_config(tmp_path, "skorokhod", cfg) == (3, True)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "pass decomposition_residual",
+            "pass containment_residual",
+            "pass support_residual",
+            "FAIL normal_residual",
+        ]
+
 
 class TestConfigErrors:
     def test_unknown_builtin(self, tmp_path, capsys):
@@ -739,6 +757,22 @@ class TestSimulateCommand:
         # in d = 1 a finite state's gap is at most about 1e308, and these
         # gaps do not sum past the float range: only the draws fail
         assert {f["error"] for f in failures} == {"driver values not finite"}
+
+    def test_draws_summing_inf_and_minus_inf_stay_off_stderr(self, tmp_path):
+        # jumps of scale 1e308 at rate 16: some rows draw +inf and -inf,
+        # whose sums are NaN; such rows are counted as failures, and the
+        # run prints its one line of stderr and no warning
+        jumps = with_jumps("normal", [0.0, 1e308], rate=16.0)
+        cfg = dict(SIMULATE_CFG, grid={"q": 1.0, "cells": 8}, **jumps)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "run")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflectsde.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("numerical failures")
 
     def test_gaps_summing_past_the_float_range(self, tmp_path, capsys):
         # a drift of -1.5e308 per coordinate out of a half-space: each of the

@@ -125,6 +125,22 @@ class TestHalfSpace:
         d = HalfSpace([1.0], 0.0, anchor=[2.0], anchor_clearance=0.5)
         assert d.anchor_clearance == 0.5
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [1e16, -1e16, 1e308, -1e308])
+    @pytest.mark.parametrize("normal", [[1.0], [0.6, 0.8]])
+    def test_default_anchor_of_a_far_face(self, normal, offset):
+        # offset + 1 rounds back onto the face past 2**53: the default
+        # anchor steps in by |offset| * 2**-20 there
+        d = HalfSpace(normal, offset)
+        assert d.anchor_clearance == pytest.approx(abs(offset) * 2.0**-20, rel=1e-6)
+        assert d.anchor_clearance == d.boundary_distance(d.anchor)
+
+    def test_default_anchor_of_a_near_face(self):
+        # below 2**20 the default anchor is the unit step, bit for bit
+        for offset in (-3.5, 0.0, 2.0, 2.0**20 - 1.0):
+            d = HalfSpace([0.6, 0.8], offset)
+            assert d.anchor.tobytes() == ((offset + 1.0) * np.array([0.6, 0.8])).tobytes()
+
     # edge values for the oracle: signed zeros, the smallest subnormal and
     # a larger one, infinities, NaN and the ends of the float range, where
     # a slack can overflow
@@ -245,6 +261,7 @@ class TestBall:
         # x - centre overflows; the point projects to the centre, and its
         # distance from it, past the float range, reads as outside
         assert not Ball([-1e308, 0.0], 1.0).contains([1e308, 0.0])
+        assert Ball([-1e308, 0.0], 1.0).boundary_distance([1e308, 0.0]) == np.inf
 
     def test_boundary_distance(self):
         d = Ball([0.0, 0.0], 1.0)
@@ -293,6 +310,13 @@ class TestLengths:
         assert np.allclose(got[:2], [5e200, 1e308], rtol=1e-15, atol=0.0)
         # a length past the float range is inf; a row with NaN is NaN
         assert got[2] == got[3] == np.inf and np.isnan(got[4])
+
+    def test_single_row(self):
+        # the one-row case, far rows too
+        for row in ([3.0, -4.0], [3e200, -4e200], [1e308], [np.inf, 1.0]):
+            D = np.array(row)
+            assert _lengths(D).tobytes() == _lengths(D[None])[0].tobytes()
+        assert _lengths(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
 
     def test_leading_axes(self):
         D = np.full((2, 3, 2), 1e300)
@@ -374,6 +398,23 @@ class TestFarRows:
         W, w = slab._maps
         assert np.isnan(slab._certified_candidate(np.array([[1.0]]), np.ones(1), W[:1], w[:1])).all()
 
+    def test_least_distance_beside_a_far_slab(self):
+        # 82 faces take the NNLS path.  The slab's far offsets hide the
+        # near faces below the NNLS's rounding, so its candidate is the row
+        # itself; certified face by face, it is refused, not returned
+        o = [0.0, 0.0]
+        t = np.linspace(-0.5, 0.5, 80)
+        near = [HalfSpace(n, -1.0, anchor=o) for n in np.column_stack([np.sin(t), np.cos(t)])]
+        for width, want in ((1e3, [0.39408482, -0.91909587]), (1e308, None)):
+            slab = [HalfSpace([s, 0.0], -width, anchor=o) for s in (1.0, -1.0)]
+            d = Polyhedron(slab + near, anchor=o)
+            assert d._maps is None
+            if want is None:
+                with pytest.raises(NumericalError):
+                    d.project_point([3.0, -7.0])
+            else:
+                assert np.allclose(d.project_point([3.0, -7.0]), want, rtol=0.0, atol=1e-8)
+
     def test_slab_and_a_third_face(self):
         o = [0.0, 0.0]
         faces = [HalfSpace([1.0, 0.0], -1e308, anchor=o), HalfSpace([-1.0, 0.0], -1e308, anchor=o)]
@@ -381,6 +422,50 @@ class TestFarRows:
         X = np.array([[0.0, 0.0], [-1.5e308, 0.0], [1.5e308, -5.0], [3.0, -7.0]])
         want = [[0.0, 0.0], [-1e308, 0.0], [1e308, -1.0], [3.0, -1.0]]
         assert np.array_equal(d.project_points(X), want)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDistances:
+    """A finite point far outside: its distance to the domain, its
+    penetration and its anchor gap are finite or +inf, never NaN, and no
+    step warns."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            Box([0.0, 0.0], [1.0, 1.0]),
+            Polyhedron([HalfSpace(n, -1.0) for n in ([-1.0, 0.0], [0.0, -1.0])], anchor=[0.0, 0.0]),
+        ],
+        ids=["box", "polyhedron"],
+    )
+    def test_point_whose_squares_overflow(self, domain):
+        x = [1e200, 1e200]
+        want = np.sqrt(2.0) * 1e200
+        assert domain.boundary_distance(x) == pytest.approx(want, rel=1e-15)
+        res = project(domain, x)
+        assert np.array_equal(res.point, [1.0, 1.0]) and res.on_boundary
+        assert res.penetration == pytest.approx(want, rel=1e-15)
+        assert not domain.contains(x)
+        gap = anchor_gap(domain, x)
+        assert gap >= 0.0 and not np.isnan(gap)
+
+    def test_boundary_of_a_wide_ball(self):
+        d = Ball([0.0, 0.0], 1e200)
+        b = [0.6e200, 0.8e200]
+        assert d.boundary_distance(b) == pytest.approx(0.0, abs=1e-9)
+        assert np.allclose(d.inward_normals(b), [[-0.6, -0.8]], rtol=1e-15, atol=0.0)
+        assert d.contains(b)
+
+    def test_distance_is_the_length_of_the_displacement(self, rng):
+        # outside a half-space or a ball too, |x - P(x)|, not |clearance|
+        for d in make_domains().values():
+            X = rng.uniform(-3.0, 3.0, size=(50, 2))
+            P, dist = d._distances(X)
+            assert P.tobytes() == d.project_points(X).tobytes()
+            assert dist.tobytes() == _lengths(X - P).tobytes()
+            for x, r in zip(X, dist):
+                assert d.boundary_distance(x) == (r if r > 0.0 else d._interior_clearance(x))
+                assert project(d, x).penetration == r
 
 
 class TestPolyhedron:

@@ -667,11 +667,6 @@ def test_sorted_unique_is_np_unique(pool):
                 if POOLS[pool] is None
                 else _values(rng, POOLS[pool], (n, d))
             )
-            for values, want in (
-                (X[:, 0], np.unique(X[:, 0])),
-                (X.ravel(), np.unique(X)),
-                (X, np.unique(X, axis=0)),
-                (np.broadcast_to(X[:1], X.shape), np.unique(X[:1], axis=0)),
-            ):
+            for values, want in ((X[:, 0], np.unique(X[:, 0])), (X.ravel(), np.unique(X))):
                 got = path_module._sorted_unique(values)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()

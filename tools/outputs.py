@@ -23,6 +23,9 @@ this process, and writes one ``--out`` directory per run under DIR:
   ``SIMULATE_DOMAINS``, the identity coefficient and a Brownian part of
   sigma ``FAR_SIGMA``, whose gaps square past the float range, in
   ``--format csv`` and ``json``, under ``simulate-far-gaps-<format>``;
+- ``simulate`` on ``WEDGE_CONFIG`` with the face ``FAR_FACE`` added, whose
+  default anchor lies past 2**53, in ``--format csv`` and ``json``, under
+  ``simulate-far-face-<format>``;
 - ``simulate`` on ``WEDGE_CONFIG`` with a Brownian H and rows long enough
   to be drawn on worker threads (``BROWNIAN_H``), in ``--format csv`` and
   ``json``, under ``simulate-brownian-h-<format>``;
@@ -86,6 +89,10 @@ FAR_DRIFTS = {
 # sigma of the Brownian part of a run whose gaps, about 1e200, square past
 # the float range while their lengths and variations are finite
 FAR_SIGMA = 1e200
+
+# a face x >= -1e16 beyond the wedge, built without an anchor: offset + 1
+# rounds back onto it, so its default anchor takes a longer step
+FAR_FACE = {"normal": [1.0, 0.0], "offset": -1e16}
 
 # a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
 # the Brownian Z's hold 1024 values, which are drawn on worker threads
@@ -208,6 +215,9 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
         args = ["simulate", "--config", str(tmp / "far-gaps.json"), "--format", fmt]
         yield f"simulate-far-gaps-{fmt}", args, 0
     for fmt in FORMATS:
+        args = ["simulate", "--config", str(tmp / "far-face.json"), "--format", fmt]
+        yield f"simulate-far-face-{fmt}", args, 0
+    for fmt in FORMATS:
         args = ["simulate", "--config", str(tmp / "brownian-h.json"), "--format", fmt]
         yield f"simulate-brownian-h-{fmt}", args, 0
     for fmt in FORMATS:
@@ -263,6 +273,8 @@ def write_outputs(out: Path) -> dict:
             "driver": {**wedge_config["driver"], "z": z},
             "coefficient": {"kind": "identity"},
         }
+        faces = [*wedge_config["domain"]["faces"], FAR_FACE]
+        configs["far-face"] = {**wedge_config, "domain": {**wedge_config["domain"], "faces": faces}}
         for name, keys, value in BAD_SIMULATE:
             configs[name] = bad_config(wedge_config, keys, value)
         for builtin, key in EMPTY_LADDERS:

@@ -7,9 +7,9 @@ projects the rows of an (m, d) array (``project_points``);
 alone or in any batch.  Every domain carries a designated strictly
 interior anchor point together with a validated lower bound on its
 distance to the boundary; the a-priori bounds in
-:mod:`reflectsde.penalty` are stated relative to that anchor.  A far row
-is scaled by a power of two (``_scales``), in the projections and in
-``_lengths``, the one row length the package takes.
+:mod:`reflectsde.penalty` are stated relative to that anchor.  A far or
+near row is scaled by a power of two (``_scales``), in the projections and
+in ``_lengths``, the one row length the package takes.
 """
 
 from __future__ import annotations
@@ -85,24 +85,31 @@ def _rows_times(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _scales(X, past=2.0**500):
-    """Power of two s per row of X: 1.0 (bits kept) where its largest magnitude is at most
-    ``past``, else one into [0.5, 1), exact short of subnormals (Blue, ACM TOMS 1978)."""
+    """Power of two s <= 2**1023 per row of X that brings its largest magnitude into [0.5, 1)
+    where that is above ``past``, or nonzero and below 2**-500; else 1.0 (bits kept), as for
+    zero, inf and NaN rows.  Exact short of subnormals (Blue, ACM TOMS 1978)."""
     size = np.abs(X).max(axis=-1)
-    return np.ldexp(1.0, np.where(size > past, -np.frexp(size)[1], 0))
+    scaled = (size > past) | ((size > 0.0) & (size < 2.0**-500))
+    return np.ldexp(1.0, np.where(scaled, np.minimum(-np.frexp(size)[1], 1023), 0))
 
 
 def _lengths(D: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the rows of the last axis, or of one row, as sqrt(sum(D * D));
-    a finite row whose sum of squares overflows is measured scaled by ``_scales``."""
+    a finite nonzero row whose length so computed is inf or below 2**-500 is scaled by
+    ``_scales``, where its squares neither overflow nor underflow."""
     if D.ndim == 1:
         return _lengths(D[None])[0]
     with np.errstate(over="ignore"):
-        out = np.sqrt((D * D).sum(axis=-1))
-        far = np.isinf(out)
-        if far.any():
-            far &= np.isfinite(D).all(axis=-1)
-            s = _scales(D[far])
-            out[far] = _lengths(s[:, None] * D[far]) / s
+        squares = D * D
+        out = np.sqrt(squares.sum(axis=-1))
+        if not 2.0**-500 <= out.min(initial=1.0) <= out.max(initial=1.0) < np.inf:
+            odd = (out < 2.0**-500) | (out == np.inf)
+            # a row of length 0 is a zero row unless some nonzero entry's square underflowed
+            if np.count_nonzero(squares) == np.count_nonzero(D):
+                odd &= out != 0.0
+            if odd.any():
+                s = _scales(D[odd])
+                out[odd] = np.sqrt(np.square(s[:, None] * D[odd]).sum(axis=-1)) / s
     return out
 
 
@@ -110,11 +117,12 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Minimizer of |A x - b| over x >= 0 by Lawson & Hanson's active-set
     method (Solving Least Squares Problems, 1974, ch. 23), or None after
     ``_NNLS_MAX_ITER`` steps; it ends, certified, when no gradient
-    A^T (b - A x) is above rounding.  An entering column whose coefficient
-    comes out not positive (rounding, dependent columns) is passed over
-    for that step, else the loop cycles."""
+    A^T (b - A x) is above rounding, relative to b's largest entry.  An
+    entering column whose coefficient comes out not positive (rounding,
+    dependent columns) is passed over for that step, else the loop cycles."""
     n = A.shape[1]
     tol = 10 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum(0).max(initial=0)
+    tol *= np.abs(b).max(initial=0)
 
     def solve(columns):
         z = np.zeros(n)
@@ -337,24 +345,17 @@ class Ball(ConvexDomain):
 
     def project_points(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        with np.errstate(over="ignore"):
-            V = X - self.center
-        r = _lengths(V)
-        outside = r > self.radius
-        # where |V| overflows, W = V / 2 is finite: |sW| = s |V| / 2, and V takes W's direction
-        far = np.isinf(r) & np.isfinite(X).all(axis=1)
-        if far.any():
-            W = 0.5 * X[far] - 0.5 * self.center
-            s = _scales(W)
-            length = _lengths(s[:, None] * W)
-            outside[far] = length > 0.5 * s * self.radius
-            V[far], r[far] = s[:, None] * W / length[:, None], 1.0
+        # W = (x - c) / 2 never overflows; c + W r / |W| is c + V r / |V| bitwise where V is finite
+        W = 0.5 * X - 0.5 * self.center
+        r = _lengths(W)
+        outside = r > 0.5 * self.radius
         # only rows outside are scaled: radius / r at the centre overflows
         scale = self.radius / np.where(outside, r, self.radius)
-        return np.where(outside[:, None], self.center + V * scale[:, None], X)
+        return np.where(outside[:, None], self.center + W * scale[:, None], X)
 
     def inward_normals(self, b, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        v = self.center - _vec(b, self.dim)
+        with np.errstate(over="ignore"):  # an offset past the float range: off the sphere
+            v = self.center - _vec(b, self.dim)
         r = _lengths(v)
         if abs(self.radius - r) > tol or r == 0.0:
             return np.empty((0, self.dim))
@@ -405,6 +406,9 @@ class Polyhedron(ConvexDomain):
             raise ValueError("polyhedron requires an explicit interior anchor")
         self._init_anchor(anchor, anchor_clearance)
         self._maps = self._active_set_maps()
+        # a near row's s keeps s times every finite offset and map constant below 2**1000
+        c = np.abs(np.append(self._offsets, () if self._maps is None else self._maps[1]))
+        self._near_cap = np.ldexp(1.0, np.clip(1000 - np.frexp(c[c < np.inf].max())[1], 0, 1023))
 
     def _active_set_maps(self):
         """(W, w): ``_set_map`` stacked over every independent active set, or
@@ -450,8 +454,8 @@ class Polyhedron(ConvexDomain):
         out = np.array(X, dtype=float)
         with np.errstate(over="ignore"):  # a far row's slack keeps its sign
             rows = np.flatnonzero(self._slacks(out).min(axis=1) < 0.0)
-        # a far row y takes a power of two s: P(y) = P_{s b}(s y) / s
-        scales = _scales(out[rows])
+        # a far or near row y takes a power of two s: P(y) = P_{s b}(s y) / s
+        scales = np.minimum(_scales(out[rows]), self._near_cap)
         Y = out[rows] * scales[:, None]
         if self._maps is None:
             P = [self._least_distance(y, s) for y, s in zip(Y, scales[:, None])]

@@ -321,13 +321,13 @@ def run_skorokhod(cfg: dict):
         check = verify_solution(domain, solution, tol=tol)
     report = ExperimentReport(params={"experiment": "skorokhod", "tol": tol})
     states, jumps = driver.times.shape[0], check.jumps_checked
-    for name, residual, ok, size in (
-        ("decomposition", check.decomposition_residual, check.decomposition_ok, states),
-        ("containment", check.containment_residual, check.containment_ok, states),
-        ("support", check.support_residual, check.support_ok, jumps),
-        ("normal", check.normal_residual, check.normal_ok, jumps),
+    for name, residual, threshold, ok, size in (
+        ("decomposition", check.decomposition_residual, tol, check.decomposition_ok, states),
+        ("containment", check.containment_residual, tol, check.containment_ok, states),
+        ("support", check.support_residual, check.boundary_tol, check.support_ok, jumps),
+        ("normal", check.normal_residual, check.boundary_tol, check.normal_ok, jumps),
     ):
-        report.add_entry(f"{name}_residual", residual, tol, ok, size, "deterministic")
+        report.add_entry(f"{name}_residual", residual, threshold, ok, size, "deterministic")
     return report, {"x": solution.x, "k": solution.k}
 
 

@@ -15,11 +15,8 @@ in any dimension.  The partition modulus bisects over the diameters of
 runs of segment values.  The interlaced moduli need, for each breakpoint
 value, its largest distance to an earlier one in a window.  For a pair of
 one-dimensional paths the scan takes it from the running minimum and
-maximum, in O(L), compares the squares fl(x * x) of the distances and
-takes one square root per call: sqrt(fl(x * x)) is nondecreasing in |x|,
-also where x * x underflows or overflows, so the root of the largest
-minimum has the bits of the largest minimum of roots.  Otherwise
-``_reach`` gives the distances by a blocked pairwise scan.
+maximum, in O(L), as |differences|; otherwise ``_reach`` gives the
+distances by a blocked pairwise scan.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import bisect
 import csv
 import io
 import json
-import math
 
 import numpy as np
 
@@ -370,11 +366,8 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
     When both paths are one-dimensional the scan reads the value columns
     and takes that distance, in O(k - lo), from the running minimum and
     maximum: rounded subtraction is monotone, so the largest
-    |fl(x_u - x_s)| is taken at one of them.  Each distance is
-    sqrt(fl(x * x)) of a difference x, as in higher dimensions, and that is
-    nondecreasing in |x|, also where x * x underflows or overflows; so the
-    scan compares the squares fl(x * x) and takes one square root, of the
-    largest min(far^2, d^2), with the same bits as rooting every factor.
+    |fl(x_u - x_s)| is taken at one of them.  That is the length
+    ``domain._lengths`` gives a one-entry difference.
     """
     qx = min(path_x.q, path_y.q)
     q = qx if q is None else float(q)
@@ -401,13 +394,12 @@ def modulus_bar(path_x: StepPath, path_y: StepPath, delta: float, q=None) -> flo
             # farther extreme: where one is negative, the other is larger
             low, high = np.minimum.accumulate(earlier), np.maximum.accumulate(earlier)
             far = np.maximum(u - low, high - u)
-            d = y[k] - y[lo + 1 : k]
-            out = max(out, np.minimum(far * far, d * d).max())
+            out = max(out, np.minimum(far, np.abs(y[k] - y[lo + 1 : k])).max())
         else:
             a = _reach(first[lo:k])[1:]
             b = _lengths(second[k] - second[lo + 1 : k])
             out = max(out, np.minimum(a, b).max())
-    return math.sqrt(out) if one_dim else float(out)
+    return float(out)
 
 
 def upcrossings_of_values(values, a: float, b: float) -> int:

@@ -90,6 +90,8 @@ class VerificationReport:
     normal_residual: float
     normal_ok: bool
     jumps_checked: int
+    # the threshold of the support and normal checks: max(tol, BOUNDARY_TOL)
+    boundary_tol: float
 
     @property
     def ok(self) -> bool:
@@ -126,13 +128,14 @@ def verify_solution(
     contain = float(np.max(domain._distances(xs)[1]))
 
     support = normal = 0.0
+    boundary_tol = max(tol, BOUNDARY_TOL)
     steps = np.diff(ks, axis=0)
     jumps = np.flatnonzero(_lengths(steps) > tol)
     for j in jumps:
         state = xs[j + 1]
         support = max(support, float(domain.boundary_distance(state)))
         # distance of the jump from the cone of the active normals
-        normals = domain.inward_normals(state, tol=max(tol, BOUNDARY_TOL))
+        normals = domain.inward_normals(state, tol=boundary_tol)
         normal = max(normal, cone_residual(normals, steps[j]))
 
     return VerificationReport(
@@ -141,8 +144,9 @@ def verify_solution(
         containment_residual=contain,
         containment_ok=contain <= tol,
         support_residual=support,
-        support_ok=support <= max(tol, BOUNDARY_TOL),
+        support_ok=support <= boundary_tol,
         normal_residual=normal,
-        normal_ok=normal <= max(tol, BOUNDARY_TOL),
+        normal_ok=normal <= boundary_tol,
         jumps_checked=len(jumps),
+        boundary_tol=boundary_tol,
     )

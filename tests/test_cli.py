@@ -190,6 +190,25 @@ class TestSkorokhodCommand:
         ]
 
 
+    def test_boundary_checks_report_the_threshold_they_apply(self, tmp_path, capsys):
+        # support and normal pass at max(tol, BOUNDARY_TOL), and the report
+        # says so; the jump out of a ball of radius 1e-20 lies in the normal
+        # cone within rounding of its length, 4e-20
+        cfg = {
+            "experiment": "skorokhod",
+            "domain": {"variant": "ball", "center": [0.0, 0.0], "radius": 1e-20},
+            "path": {"times": [0.0, 0.5], "values": [[0.0, 0.0], [3e-20, 4e-20]], "q": 1.0},
+            "tol": 1e-30,
+        }
+        assert run_config(tmp_path, "skorokhod", cfg) == (0, True)
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert [entry["threshold"] for entry in report["entries"]] == [1e-30, 1e-30, 1e-9, 1e-9]
+        assert report["entries"][3]["value"] <= 1e-15 * 4e-20
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("pass normal_residual:")
+        assert lines[3].endswith("threshold=1e-09 (M=1, deterministic)")
+
+
 class TestConfigErrors:
     def test_unknown_builtin(self, tmp_path, capsys):
         code = main(["skorokhod", "--config", "no-such-config", "--out", str(tmp_path)])

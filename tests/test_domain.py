@@ -285,6 +285,16 @@ class TestBallPastTheFloatRange:
         assert P[[1, 3]].tobytes() == finite.tobytes()
 
     @pytest.mark.filterwarnings("error")
+    def test_offset_whose_squares_underflow(self):
+        # the halved offset is measured by the near-row rule: the ball of
+        # radius 2**-900 projects as the unit ball does, scaled
+        d, unit = Ball([0.0, 0.0], 2.0**-900), Ball([0.0, 0.0], 1.0)
+        x = np.array([3.0, 4.0])
+        assert np.array_equal(d.project_point(2.0**-900 * x), 2.0**-900 * unit.project_point(x))
+        P = d.project_point(2.0**-900 * x)
+        assert np.allclose(P / 2.0**-900, [0.6, 0.8], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
     def test_far_centre(self):
         # the exact projection, (1e300 - 0.5, -2 + 2.4e-308), rounds to the centre
         d = Ball([1e300, -2.0], 0.5)
@@ -293,8 +303,9 @@ class TestBallPastTheFloatRange:
 
 @pytest.mark.filterwarnings("error")
 class TestLengths:
-    """Row lengths: sqrt(sum(D * D)) wherever that sum is finite, and the
-    far-row rule where a finite row's sum of squares overflows."""
+    """Row lengths: sqrt(sum(D * D)) wherever that sum is finite and not
+    below 2**-1000, and the power-of-two rule where a finite nonzero row's
+    sum of squares overflows or underflows."""
 
     def test_bits_of_sqrt_of_summed_squares(self, rng):
         D = rng.standard_normal((4, 5, 3)) * np.array([1e-3, 1.0, 1e150])
@@ -310,6 +321,14 @@ class TestLengths:
         assert np.allclose(got[:2], [5e200, 1e308], rtol=1e-15, atol=0.0)
         # a length past the float range is inf; a row with NaN is NaN
         assert got[2] == got[3] == np.inf and np.isnan(got[4])
+
+    def test_rows_whose_squares_underflow(self):
+        D = np.array([[1e-200, 0.0], [3e-170, 4e-170], [5e-324, 0.0], [0.0, -0.0]])
+        assert _lengths(D).tolist() == [1e-200, 5e-170, 5e-324, 0.0]
+        # a row within 2**-500 of zero has the bits of its scaled length
+        D = np.array([[3.0, -4.0, 12.0], [1e-3, 2.0, 0.5]])
+        for k in (-500, -700, -1000):
+            assert _lengths(2.0**k * D).tobytes() == (2.0**k * _lengths(D)).tobytes()
 
     def test_single_row(self):
         # the one-row case, far rows too
@@ -348,6 +367,10 @@ class TestFarRows:
         d = Ball([-1e308, 0.0], 1.0)
         assert np.array_equal(d.project_point([1e308, 0.0]), [-1e308, 0.0])
 
+    def test_ball_normals_of_a_point_whose_offset_overflows(self):
+        # centre - b = -2e308 overflows: the point is off the sphere
+        assert Ball([-1e308, 0.0], 1.0).inward_normals([1e308, 0.0]).shape == (0, 2)
+
     def test_ball_of_a_radius_near_the_float_range(self):
         # radius / |sV| for the scaled offset would overflow: the far rows
         # take their direction times the radius
@@ -383,6 +406,13 @@ class TestFarRows:
         y = np.array([0.0, -1e307])
         want = y + (1e306 - far.normal @ y) * far.normal
         assert np.allclose(d.project_point(y), want, rtol=1e-14, atol=0.0)
+
+    def test_near_row_beside_a_far_face(self):
+        # a row within 2**-500 of zero is scaled up only so far that the
+        # face's offset times the scale stays finite
+        far = HalfSpace([1.0], 1e300, anchor=[2e300])
+        d = Polyhedron([far], anchor=[2e300])
+        assert np.array_equal(d.project_points(np.array([[1e-200], [-5e-324]])), [[1e300], [1e300]])
 
     def test_slab_whose_opposite_slacks_overflow(self):
         # at a face of [-1e308, 1e308] the other face's slack is 2e308, +inf:
@@ -656,6 +686,18 @@ class TestConeResidual:
     def test_no_normals_gives_the_norm(self):
         v = np.array([3.0, -4.0])
         assert cone_residual(np.empty((0, 2)), v) == 5.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_scales_with_the_vector(self):
+        # the NNLS stops at rounding relative to v: a vector in the cone
+        # reads 0 and one outside its own distance, at any scale
+        normals = [[-0.6, -0.8]]
+        inside, outside = np.array([-2.4, -3.2]), np.array([1.0, -3.0])
+        for k in range(-900, 1001, 100):
+            assert cone_residual(normals, 2.0**k * inside) == 0.0
+            assert cone_residual(normals, 2.0**k * outside) == 2.0**k * 2.6
+        # a regulator jump of length 4e-20 along the normal is in the cone
+        assert cone_residual(normals, [-2.4e-20, -3.2e-20]) <= 1e-15 * 4e-20
 
     def test_known_values(self):
         # outward jump on the half-line, and a corner of the unit square

@@ -8,6 +8,7 @@ import pytest
 from conftest import constant_path
 
 import reflectsde.path as path_module
+from reflectsde.domain import _lengths
 from reflectsde.path import (
     StepPath,
     modulus_bar,
@@ -75,9 +76,9 @@ def lattice_pair_modulus(px, py, delta, q, grid=120):
 
 
 def pairwise_reach(points):
-    """Largest distance to an earlier point from the full distance matrix."""
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    """Largest distance to an earlier point from the full distance matrix,
+    of exact lengths at any scale."""
+    dist = _lengths(points[:, None, :] - points[None, :, :])
     return np.array([dist[j, :j].max(initial=0.0) for j in range(len(points))])
 
 
@@ -95,15 +96,15 @@ def pairwise_modulus_bar(px, py, delta, q):
         if lo >= k - 1:
             continue
         a = pairwise_reach(X[lo:k])[1:]
-        b = np.linalg.norm(Y[k] - Y[lo + 1 : k], axis=1)
+        b = _lengths(Y[k] - Y[lo + 1 : k])
         best = max(best, float(np.max(np.minimum(a, b))))
     return best
 
 
 def per_start_modulus_bar(px, py, delta, q):
-    """modulus_bar of one-dimensional paths by the per-start formula with a
-    square root per factor: the earlier factor sqrt(far * far) from the
-    running extremes of the window, the later one sqrt(sum(d * d))."""
+    """modulus_bar of one-dimensional paths by the per-start formula with
+    exact lengths: the earlier factor from the running extremes of the
+    window, the later one |d|."""
     ts = np.union1d(px.times, py.times)
     ts = ts[ts <= q]
     X = px.eval_many(ts)[:, 0]
@@ -119,9 +120,8 @@ def per_start_modulus_bar(px, py, delta, q):
         low = np.minimum.accumulate(p[:-1])
         high = np.maximum.accumulate(p[:-1])
         far = np.maximum(np.abs(p[1:] - low), np.abs(high - p[1:]))
-        diff = Y[k] - Y[lo + 1 : k]
-        b = np.sqrt((diff * diff).sum(axis=-1))
-        best = max(best, float(np.minimum(np.sqrt(far * far), b).max()))
+        b = np.abs(Y[k, 0] - Y[lo + 1 : k, 0])
+        best = max(best, float(np.minimum(far, b).max()))
     return best
 
 
@@ -490,9 +490,9 @@ class TestInterlacedModuli:
     @pytest.mark.parametrize("kind", ["random", "tied", "increasing", "decreasing"])
     def test_running_extremes_match_pairwise_reach(self, rng, scale, kind):
         # the one-dimensional scan's earlier factor, read through the
-        # modulus: a second path jumping by 1e308 (its square overflows)
-        # just after breakpoint j leaves the largest pairwise distance
-        # among the first j + 1 points
+        # modulus: a second path jumping by 1e308, longer than any of those
+        # distances, just after breakpoint j leaves the largest pairwise
+        # distance among the first j + 1 points
         for length in (1, 2, 3, 17, 60):
             p = rng.normal(size=(length, 1))
             if kind == "tied":
@@ -501,21 +501,20 @@ class TestInterlacedModuli:
                 p = np.sort(p, axis=0)[:: 1 if kind == "increasing" else -1]
             p = p * scale
             x = StepPath(np.arange(length) / length, p, q=1.0)
-            # squares past the float range overflow to inf in both scans
-            with np.errstate(over="ignore"):
-                want = np.maximum.accumulate(pairwise_reach(p))
-                for j in range(length):
-                    t = (j + 0.5) / length
-                    y = StepPath([0.0, t], [[0.0], [1e308]], q=1.0)
-                    assert bits(modulus_bar(x, y, 2.0, t)) == bits(want[j])
+            want = np.maximum.accumulate(pairwise_reach(p))
+            for j in range(length):
+                t = (j + 0.5) / length
+                y = StepPath([0.0, t], [[0.0], [1e308]], q=1.0)
+                assert bits(modulus_bar(x, y, 2.0, t)) == bits(want[j])
 
-    # 1e-160: squares in the subnormal range, where sqrt(x * x) != |x|
+    # 1e-160: squares in the subnormal range, where sqrt(x * x) != |x|, so
+    # only the exact length matches
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-160, 1e-200, 1e200])
     @pytest.mark.parametrize("kind", ["random", "tied", "signed-zeros", "zero-steps"])
     @pytest.mark.parametrize("grids", ["shared", "equal", "merged", "disjoint"])
     def test_one_dim_scan_matches_per_start_roots(self, rng, scale, kind, grids):
-        # comparing squares and rooting once gives the bits of a root per
-        # factor, also where the squares underflow or overflow
+        # the running extremes give the bits of the exact length per factor,
+        # also where the squares would underflow or overflow
         pool = {
             "signed-zeros": [0.0, -0.0, 1.0, -1.0],
             "zero-steps": [0.0, -0.0, 0.0, -0.0, 1.0, -2.0],
@@ -547,10 +546,9 @@ class TestInterlacedModuli:
                 x, y = StepPath(tx, values[0], 1.0), StepPath(ty, values[1], 1.0)
             q = 1.0 if trial % 3 == 0 else float(rng.uniform(0.1, 1.0))
             delta = 3.0 if trial % 4 == 1 else float(rng.uniform(0.01, 0.9))
-            with np.errstate(over="ignore"):
-                got = modulus_bar(x, y, delta, q)
-                want = per_start_modulus_bar(x, y, delta, q)
-                pairwise = pairwise_modulus_bar(x, y, delta, q)
+            got = modulus_bar(x, y, delta, q)
+            want = per_start_modulus_bar(x, y, delta, q)
+            pairwise = pairwise_modulus_bar(x, y, delta, q)
             assert bits(got) == bits(want) == bits(pairwise), (trial, q, delta)
 
     def test_shared_grid_is_recognised_by_identity(self, rng):

@@ -24,9 +24,12 @@ from conftest import NO_CONSTANTS, NoConstantsProvider, OverflowingHalfSpace, ke
 
 from reflectsde import path as path_module
 from reflectsde import sde
-from reflectsde.domain import Ball, Box, HalfSpace, NumericalError, Polyhedron
+from reflectsde.domain import BOUNDARY_TOL, Ball, Box, HalfSpace, NumericalError, Polyhedron
+from reflectsde.domain import anchor_gap
 from reflectsde.path import StepPath, _segment, modulus_bar, modulus_second
 from reflectsde.penalty import PenalizedPath, _each, _Gaps, _Keep, _relaxed, _SupDistance
+from reflectsde.penalty import solve_penalized
+from reflectsde.skorokhod import solve_skorokhod
 from reflectsde.sde import (
     Brownian,
     BrownianDrift,
@@ -143,6 +146,20 @@ LONGEST = 1.7e308
 FAR_RTOL = 1e-12
 
 
+def scaled(domain, size, radius=None):
+    """The domain with every length times ``size``: offsets, bounds, centre,
+    anchor and, unless ``radius`` is given, a ball's radius."""
+    anchor = size * domain.anchor
+    if isinstance(domain, HalfSpace):
+        return HalfSpace(domain.normal, size * domain.offset, anchor=anchor)
+    if isinstance(domain, Box):
+        return Box(size * domain.lower, size * domain.upper)
+    if isinstance(domain, Ball):
+        return Ball(size * domain.center, size * domain.radius if radius is None else radius)
+    faces = [HalfSpace(h.normal, size * h.offset, anchor=anchor) for h in domain.faces]
+    return Polyhedron(faces, anchor=anchor)
+
+
 @st.composite
 def far_projections(draw):
     """(domain, X): a drawn domain scaled about the origin by 1, 1e150,
@@ -155,20 +172,12 @@ def far_projections(draw):
     dim = draw(st.integers(1, 3))
     domain = draw(domains(dim))
     size = draw(st.sampled_from([1.0, 1e150, 1e300, 1e306]))
-    if isinstance(domain, HalfSpace):
-        domain = HalfSpace(domain.normal, size * domain.offset, anchor=size * domain.anchor)
-    elif isinstance(domain, Box):
-        domain = Box(size * domain.lower, size * domain.upper)
-    elif isinstance(domain, Ball):
+    radius = None
+    if isinstance(domain, Ball):
         radius = domain.radius * draw(st.sampled_from([1.0, size, 8.5e307]))
-        domain = Ball(size * domain.center, radius)
-    else:
-        anchor = size * domain.anchor
-        faces = [HalfSpace(h.normal, size * h.offset, anchor=anchor) for h in domain.faces]
-        # faces at a small angle meet far out: a vertex, or its
-        # multipliers, may lie past the float range, and the domain
-        # builds without that set's map
-        domain = Polyhedron(faces, anchor=anchor)
+    # faces at a small angle meet far out: a vertex, or its multipliers, may
+    # lie past the float range, and the domain builds without that set's map
+    domain = scaled(domain, size, radius)
     rows = []
     magnitudes = st.sampled_from([1.0, 1e150, 1e300, 1e306, 1e308, LONGEST])
     for _ in range(draw(st.integers(1, 6))):
@@ -534,3 +543,90 @@ def test_pair_blocks_change_no_modulus_bit(pair, delta, small):
     for pairs in (1, small):
         with patch.object(path_module, "_PAIRS_PER_BLOCK", pairs):
             assert same_bits(moduli(), want)
+
+
+@st.composite
+def scalable_problems(draw):
+    """(domain, rows, driver values, grid, n): a drawn domain in d = 1 to 3,
+    1 to 6 rows about the origin or its anchor, and a step driver from the
+    anchor on a drawn grid, at a rate n."""
+    dim = draw(st.integers(1, 3))
+    domain = draw(domains(dim))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim)))
+        rows.append(draw(st.sampled_from([0.0, 1.0])) * domain.anchor + 4.0 * v)
+    grid = draw(grids())
+    steps = draw(st.lists(coordinates, min_size=grid.cells * dim, max_size=grid.cells * dim))
+    values = domain.anchor + np.cumsum(np.reshape(steps, (grid.cells, dim)) * 2.0, axis=0)
+    values = np.vstack([domain.anchor, values])
+    n = draw(st.sampled_from([0.5, 2.0, 10.0]))
+    return domain, np.array(rows), values, grid, n
+
+
+def lengths_at(size, problem) -> dict:
+    """Every length of a problem with every length times ``size``: its rows'
+    projections, distances and boundary distances, the Skorokhod map's x and
+    k, a penalized path's sup deviation from the anchor and penalty
+    variation, and the interlaced moduli of the first coordinates of x and
+    the driver."""
+    domain, X, values, grid, n = problem
+    domain, X = scaled(domain, size), size * X
+    driver = StepPath(grid.times, size * values, grid.q)
+    P, dist = domain._distances(X)
+    solution = solve_skorokhod(domain, driver)
+    penalized = solve_penalized(domain, driver, n)
+    x1, y1 = (StepPath(grid.times, p.values[:, :1], grid.q) for p in (solution.x, driver))
+    delta = 0.3 * grid.q
+    return {
+        "projections": P,
+        "distances": dist,
+        "boundary": np.array([domain.boundary_distance(x) for x in X]),
+        "x": solution.x.values,
+        "k": solution.k.values,
+        "sup_deviation": np.array(penalized.sup_deviation(domain.anchor)),
+        "penalty_variation": np.array(penalized.penalty_variation()),
+        "moduli": np.array([modulus_bar(x1, y1, delta), modulus_bar(y1, x1, delta)]),
+    }
+
+
+# k in [-1000, 1000], its ends and the scales past 2**+-500 drawn often
+exponents = st.sampled_from([-1000, -900, -600, 600, 900, 1000]) | st.integers(-1000, 1000)
+
+
+# every warning fails, but the deprecations of the modules hypothesis
+# imports to explain a failure
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.filterwarnings("error")
+@PROPERTY
+@given(scalable_problems(), exponents)
+def test_every_length_scales_with_the_problem(problem, k):
+    # the Skorokhod map and the penalized equation are positively
+    # homogeneous: scaling every length by 2**k scales each length they give
+    # by 2**k, bit for bit wherever the arithmetic stays normal
+    base = lengths_at(1.0, problem)
+    domain, X, values = problem[:3]
+    given_lengths = [domain.anchor, X, values, *base.values()]
+    if isinstance(domain, Ball):
+        given_lengths += [domain.center, [domain.radius]]
+    elif isinstance(domain, Box):
+        given_lengths += [domain.lower, domain.upper]
+    else:
+        given_lengths += [domain._offsets]
+    sizes = np.abs(np.concatenate([np.ravel(v) for v in given_lengths]))
+    sizes = sizes[sizes > 0.0]
+    # k is bounded so that every length stays normal, the least with 16 bits to spare
+    low, high = np.frexp([sizes.min(), sizes.max()])[1]
+    k = int(np.clip(k, -1005 - low, 1000 - high))
+    size = 2.0**k
+    for name, got in lengths_at(size, problem).items():
+        assert same_bits(got, size * base[name]), (name, k)
+    # the anchor inequality's inner product is quadratic in the lengths
+    k = int(np.clip(k, -450 - low, 450 - high))
+    far = scaled(domain, 2.0**k)
+    gaps = [(anchor_gap(far, 2.0**k * x), 2.0**k * anchor_gap(domain, x)) for x in X]
+    assert same_bits(*np.array(gaps).T), k
+    # a tolerance-based predicate holds only away from the boundary
+    for x, dist in zip(X, base["distances"]):
+        if dist == 0.0 or dist * size > 2.0 * BOUNDARY_TOL:
+            assert scaled(domain, size).contains(size * x) == (dist == 0.0)

@@ -32,6 +32,10 @@ this process, and writes one ``--out`` directory per run under DIR:
 - ``penalize`` on the path of the ``halfline-threejump`` built-in at the
   rates in ``PENALIZE_RATES`` with ``delta`` 0.25, in ``--format csv`` and
   ``json``, under ``penalize-<format>``;
+- ``skorokhod`` on ``NEAR_BALL``, a jump out of a ball of radius 1e-200,
+  whose squared lengths underflow, under ``skorokhod-near-ball``; its
+  containment check, absolute at ``tol`` 1e-300, fails by rounding, so
+  its exit code and stderr go to ``exit_code`` and ``stderr`` too;
 - ``simulate`` on each bad config of ``BAD_SIMULATE``, ``WEDGE_CONFIG``
   with the value at one key path replaced, and ``converge`` on each
   built-in of ``EMPTY_LADDERS`` with that key's ladder empty, whose exit
@@ -40,10 +44,11 @@ this process, and writes one ``--out`` directory per run under DIR:
 
 DIR must not exist or be empty.  The script prints each run's exit code
 and exits 1 if any run's code is not the one it expects: 0 for a good
-run, 1 (a config error) for a bad one.  To compare a change with its
-parent, copy this file into a checkout of the parent, run it there and
-here, and ``diff -r`` the two directories.  It writes nothing outside
-DIR apart from temporary config files.
+run, 1 (a config error) for a bad one, 3 (a failed check) for the near
+ball.  To compare a change with its parent, copy this file into a
+checkout of the parent, run it there and here, and ``diff -r`` the two
+directories.  It writes nothing outside DIR apart from temporary config
+files.
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ FAR_FACE = {"normal": [1.0, 0.0], "offset": -1e16}
 # a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
 # the Brownian Z's hold 1024 values, which are drawn on worker threads
 BROWNIAN_H = {"kind": "brownian", "x0": [1.0, 0.2679491924311227], "sigma": 0.5}
+
+# a jump to (3e-200, 4e-200) out of a ball of radius 1e-200
+NEAR_BALL = {
+    "experiment": "skorokhod",
+    "domain": {"variant": "ball", "center": [0.0, 0.0], "radius": 1e-200},
+    "path": {"times": [0.0, 0.5], "values": [[0.0, 0.0], [3e-200, 4e-200]], "q": 1.0},
+    "tol": 1e-300,
+}
 
 # (built-in, key) of each study's ladders, each run empty
 EMPTY_LADDERS = (
@@ -223,6 +236,7 @@ def runs(wedge: Path, penalize: Path, tmp: Path):
     for fmt in FORMATS:
         args = ["penalize", "--config", str(penalize), "--format", fmt]
         yield f"penalize-{fmt}", args, 0
+    yield "skorokhod-near-ball", ["skorokhod", "--config", str(tmp / "near-ball.json")], 3
     for name, _, _ in BAD_SIMULATE:
         yield f"error-{name}", ["simulate", "--config", str(tmp / f"{name}.json")], 1
     for builtin, key in EMPTY_LADDERS:
@@ -275,6 +289,7 @@ def write_outputs(out: Path) -> dict:
         }
         faces = [*wedge_config["domain"]["faces"], FAR_FACE]
         configs["far-face"] = {**wedge_config, "domain": {**wedge_config["domain"], "faces": faces}}
+        configs["near-ball"] = NEAR_BALL
         for name, keys, value in BAD_SIMULATE:
             configs[name] = bad_config(wedge_config, keys, value)
         for builtin, key in EMPTY_LADDERS:

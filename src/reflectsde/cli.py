@@ -46,11 +46,12 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
+# each command's runner and its one-line help
 _RUNNERS = {
-    "skorokhod": run_skorokhod,
-    "penalize": run_penalize,
-    "simulate": run_simulate,
-    "converge": run_converge,
+    "skorokhod": (run_skorokhod, "reflect a step driver and verify the solution"),
+    "penalize": (run_penalize, "solve the penalized equation for a step driver"),
+    "simulate": (run_simulate, "run the penalized Euler scheme over sampled drivers"),
+    "converge": (run_converge, "run a named convergence benchmark"),
 }
 
 
@@ -60,12 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reflected paths and SDEs on convex domains via penalization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("skorokhod", "reflect a step driver and verify the solution"),
-        ("penalize", "solve the penalized equation for a step driver"),
-        ("simulate", "run the penalized Euler scheme over sampled drivers"),
-        ("converge", "run a named convergence benchmark"),
-    ):
+    for name, (_, help_text) in _RUNNERS.items():
         p = sub.add_parser(name, help=help_text)
         config = "path to a JSON config, or the name of a builtin one"
         p.add_argument("--config", required=True, help=config)
@@ -148,7 +144,8 @@ def main(argv=None) -> int:
         for key in ("seed", "paths"):
             if getattr(args, key) is not None:
                 cfg[key] = getattr(args, key)
-        report, artifacts = _RUNNERS[args.command](cfg)
+        run, _ = _RUNNERS[args.command]
+        report, artifacts = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

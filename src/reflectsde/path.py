@@ -6,9 +6,10 @@ immutability, the time check, and evaluation, batched evaluation and left
 limits over one hook, the value held from breakpoint j at time t.  A step
 path holds ``values[j]``; a penalized path relaxes toward the projection
 (``penalty._relaxed``).  Each path type serializes itself, to CSV and
-to JSON.  Paths built from one batch on one grid (``_Breakpoints._batch``)
-are checked and copied once and hold one breakpoint array, which the
-interlaced moduli recognise by identity before comparing breakpoints.
+to JSON.  One core, ``_paths``, checks and copies a batch on one grid
+once, and a constructor builds its one-row batch.  The paths of a batch
+hold one breakpoint array, which the interlaced moduli recognise by
+identity before comparing breakpoints.
 
 The partition modulus and the interlaced moduli are exact for step paths
 in any dimension.  The partition modulus bisects over the diameters of
@@ -67,23 +68,38 @@ def _breakpoints(times, q=None):
     return t, q
 
 
-def _rows_of(values, m: int, batch: bool = False) -> np.ndarray:
-    """One row per breakpoint as a read-only (m, d) C-ordered float copy;
-    with ``batch``, one such (m, d) block per path in one (M, m, d) copy."""
+def _rows_of(values, m: int) -> np.ndarray:
+    """One (m, d) block per path as a read-only C-ordered (M, m, d) float
+    copy; (M, m) values are one-dimensional paths."""
     v = np.array(values, dtype=float, order="C")
-    lead = int(batch)
-    if v.ndim == 1 + lead:
+    if v.ndim == 2:
         v = v[..., None]
-    if v.ndim != 2 + lead or v.shape[lead] != m:
-        raise ValueError(f"values {v.shape[lead:]} must be (m, d) for m = {m} breakpoints")
+    if v.ndim != 3 or v.shape[1] != m:
+        raise ValueError(f"values {v.shape[1:]} must be (m, d) for m = {m} breakpoints")
     v.setflags(write=False)
     return v
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError("path data must be finite")
-    return values
+def _paths(times, values, q, **more) -> list:
+    """The fields of each path of a batch on the breakpoints ``times`` and
+    horizon q: one (m, d) block per path of (M, m, d) ``values``, and of
+    each further per-breakpoint array in ``more`` (a penalized path's
+    projections).  The checks and copies are made once for the batch, in
+    order: breakpoints and horizon, then each array's shape, its match
+    with the values' and its finiteness.  Every path holds the same
+    breakpoint array and read-only views of one copy of each array.  A
+    single path is the one-row batch ``[values]``.
+    """
+    t, q = _breakpoints(times, q)
+    columns = {"values": values, **more}
+    for name, data in columns.items():
+        block = columns[name] = _rows_of(data, t.shape[0])
+        states = columns["values"].shape
+        if block.shape != states:
+            raise ValueError(f"{name} {block.shape} do not match the states {states}")
+        if not np.isfinite(block).all():
+            raise ValueError("path data must be finite")
+    return [dict(zip(columns, rows), times=t, q=q) for rows in zip(*columns.values())]
 
 
 def _segment(times: np.ndarray, ts):
@@ -127,18 +143,14 @@ class _Breakpoints:
     __slots__ = ("times", "values", "q")
 
     def __init__(self, times, values, q=None):
-        t, q = _breakpoints(times, q)
-        self._hold(times=t, values=_finite(_rows_of(values, t.shape[0])), q=q)
+        self._hold(**_paths(times, [values], q)[0])
 
     @classmethod
     def _batch(cls, times, values, q=None) -> list:
         """One path per (m, d) block of (M, m, d) ``values``, equal to
-        ``cls(times, values[i], q)``.  The constructor's checks and copies
-        are made once for the batch: every path holds the same breakpoint
-        array, and a read-only view of one copy of the values."""
-        t, q = _breakpoints(times, q)
-        v = _finite(_rows_of(values, t.shape[0], batch=True))
-        return [object.__new__(cls)._hold(times=t, values=row, q=q) for row in v]
+        ``cls(times, values[i], q)``, with the checks and copies made once
+        for the batch (:func:`_paths`)."""
+        return [object.__new__(cls)._hold(**fields) for fields in _paths(times, values, q)]
 
     def _hold(self, **fields):
         """Set fields the caller has checked; returns the path."""
@@ -199,8 +211,8 @@ class StepPath(_Breakpoints):
     def jump(self, t) -> np.ndarray:
         return self.eval(t) - self.left_limit(t)
 
-    def to_csv(self, stream) -> None:
-        """Write breakpoints as ``t,x_1,..,x_d`` with round-trip floats.
+    def to_csv_string(self) -> str:
+        """Breakpoints as ``t,x_1,..,x_d`` lines with round-trip floats.
 
         The bytes are those of :func:`csv.writer`: no field needs quoting
         and every line ends in ``\\r\\n``.
@@ -208,12 +220,7 @@ class StepPath(_Breakpoints):
         header = ",".join(["t"] + [f"x_{i + 1}" for i in range(self.dim)])
         line = ",".join(["%r"] * (self.dim + 1)) + "\r\n"
         flat = np.column_stack((self.times, self.values)).ravel().tolist()
-        stream.write(header + "\r\n" + line * len(self.times) % tuple(flat))
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        return header + "\r\n" + line * len(self.times) % tuple(flat)
 
     def to_json(self) -> str:
         """The horizon, breakpoints and values as one JSON object."""
@@ -222,7 +229,7 @@ class StepPath(_Breakpoints):
 
     @classmethod
     def from_csv(cls, stream, q=None) -> "StepPath":
-        """Read a path written by :meth:`to_csv`.
+        """Read a path written by :meth:`to_csv_string`.
 
         The horizon is not stored in the file; it defaults to the last
         breakpoint unless supplied.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConvexDomain, DomainViolationError, NumericalError, _lengths
-from .path import StepPath, _Breakpoints, _breakpoints, _finite, _rows_of, _segment, modulus_prime
+from .path import StepPath, _Breakpoints, _paths, _segment, modulus_prime
 
 __all__ = [
     "PenalizedPath",
@@ -54,28 +54,17 @@ class PenalizedPath(_Breakpoints):
 
     def __init__(self, n, times, states, projections, q):
         n = _rate(n)
-        super().__init__(times, states, q)
-        p = _rows_of(projections, self.times.shape[0])
-        if p.shape != self.values.shape:
-            raise ValueError(f"projections {p.shape} do not match the states")
-        self._hold(n=n, projections=_finite(p))
+        self._hold(n=n, **_paths(times, [states], q, projections=[projections])[0])
 
     @classmethod
     def _batch(cls, n, times, states, projections, q) -> list:
         """One path per (m, d) block of (M, m, d) ``states`` and
         ``projections``, equal to ``cls(n, times, states[i],
         projections[i], q)``, with the checks and copies made once for the
-        batch as in :meth:`_Breakpoints._batch`."""
+        batch (:func:`path._paths`)."""
         n = _rate(n)
-        t, q = _breakpoints(times, q)
-        v = _finite(_rows_of(states, t.shape[0], batch=True))
-        p = _rows_of(projections, t.shape[0], batch=True)
-        if p.shape != v.shape:
-            raise ValueError(f"projections {p.shape} do not match the states {v.shape}")
-        return [
-            object.__new__(cls)._hold(times=t, values=x, q=q, n=n, projections=px)
-            for x, px in zip(v, _finite(p))
-        ]
+        paths = _paths(times, states, q, projections=projections)
+        return [object.__new__(cls)._hold(n=n, **fields) for fields in paths]
 
     @property
     def states(self) -> np.ndarray:
@@ -122,8 +111,7 @@ class PenalizedPath(_Breakpoints):
     def to_csv_string(self) -> str:
         """The CSV of the step path of this path's states on its own
         breakpoints, where the path's values are its states."""
-        step = object.__new__(StepPath)._hold(times=self.times, values=self.values, q=self.q)
-        return step.to_csv_string()
+        return StepPath.to_csv_string(self)
 
     def to_json(self) -> str:
         """The rate, horizon and each breakpoint's state and projection."""

@@ -956,7 +956,7 @@ class TestSimulateCommand:
         def boom(cfg):
             raise NumericalError("projection diverged")
 
-        monkeypatch.setitem(cli_mod._RUNNERS, "simulate", boom)
+        monkeypatch.setitem(cli_mod._RUNNERS, "simulate", (boom, "simulate"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SIMULATE_CFG))
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
@@ -1684,3 +1684,14 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_help_names_each_command_with_its_help(self, capsys):
+        assert main(["--help"]) == 0
+        lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        commands = [
+            ["skorokhod", "reflect a step driver and verify the solution"],
+            ["penalize", "solve the penalized equation for a step driver"],
+            ["simulate", "run the penalized Euler scheme over sampled drivers"],
+            ["converge", "run a named convergence benchmark"],
+        ]
+        assert [line for line in lines if line and line[0] in dict(commands)] == commands

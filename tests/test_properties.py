@@ -276,6 +276,103 @@ def test_batch_paths_take_their_states_at_their_breakpoints(batch):
         assert path.to_csv_string() == alone.to_csv_string()
 
 
+@st.composite
+def one_paths(draw):
+    """Breakpoints, a horizon, and the states and projections of one path
+    of 1 to 6 breakpoints, in d = 1 to 3 or one-dimensional as (m,) arrays,
+    with signed zeros, a subnormal and a far value among them."""
+    m = draw(st.integers(1, 6))
+    spans = draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1, max_size=m - 1))
+    times = np.cumsum([0.0] + spans)
+    # the horizon at the last breakpoint or past it, and positive
+    q = float(times[-1]) + draw(st.sampled_from([0.0, 0.5])) or 1.0
+    shape = (m,) + draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    entries = st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, 1e300])
+    size = int(np.prod(shape))
+    states, projections = (
+        np.reshape(draw(st.lists(entries, min_size=size, max_size=size)), shape) for _ in range(2)
+    )
+    return times, q, states, projections
+
+
+def builders(inputs, n):
+    """For each path type, the builds from one path's ``inputs``: the path
+    alone, and a batch of that path's row ``rows`` times."""
+    times, q, states, projections = inputs
+    return [
+        (
+            lambda: StepPath(times, states, q),
+            lambda rows: StepPath._batch(times, [states] * rows, q),
+        ),
+        (
+            lambda: PenalizedPath(n, times, states, projections, q),
+            lambda rows: PenalizedPath._batch(n, times, [states] * rows, [projections] * rows, q),
+        ),
+    ]
+
+
+@PROPERTY
+@given(one_paths(), st.floats(1e-3, 1e6))
+def test_a_path_is_its_one_row_batch(inputs, n):
+    times = inputs[0]
+    for alone, batch in builders(inputs, n):
+        path, (row,), pair = alone(), batch(1), batch(2)
+        for other in (row, *pair):
+            assert type(other) is type(path)
+            for name in ("times", "values", "q") + type(path).__slots__:
+                got, want = getattr(path, name), getattr(other, name)
+                if isinstance(got, float):
+                    assert type(want) is float and got.hex() == want.hex()
+                    continue
+                assert got.dtype == want.dtype == float and same_bits(got, want)
+                assert not got.flags.writeable and got.flags.c_contiguous
+                assert got.ndim == (1 if name == "times" else 2)
+        # the checked breakpoints: a copy of the given ones, which every
+        # path of a batch shares
+        assert not np.shares_memory(path.times, times)
+        assert pair[0].times is pair[1].times
+
+
+def same_error(build):
+    """The ValueError message ``build`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# each malformation of one path's (times, q, states, projections, n),
+# every one of which a penalized path refuses
+MALFORMED = {
+    "repeated-breakpoint": lambda t, q, x, p, n: (np.append(t, t[-1]), q, x, p, n),
+    "late-start": lambda t, q, x, p, n: (t + 0.5, q + 0.5, x, p, n),
+    "nan-breakpoint": lambda t, q, x, p, n: (np.append(t, np.nan), q, x, p, n),
+    "early-horizon": lambda t, q, x, p, n: (t, t[-1] / 2 if t[-1] else -1.0, x, p, n),
+    "extra-row": lambda t, q, x, p, n: (t, q, np.concatenate((x, x[:1])), p, n),
+    "deep-states": lambda t, q, x, p, n: (t, q, x[..., None, None], p, n),
+    "ragged-states": lambda t, q, x, p, n: (t, q, [[0.0], [0.0, 0.0]] * len(t), p, n),
+    "word-state": lambda t, q, x, p, n: (t, q, [["x"]] * len(t), p, n),
+    "nan-state": lambda t, q, x, p, n: (t, q, np.where(x == x.flat[-1], np.nan, x), p, n),
+    "inf-state": lambda t, q, x, p, n: (t, q, np.where(x == x.flat[0], -np.inf, x), p, n),
+    "wide-projections": lambda t, q, x, p, n: (t, q, x, np.stack((p, p), axis=-1), n),
+    "short-projections": lambda t, q, x, p, n: (t, q, x, p[:-1], n),
+    "inf-projection": lambda t, q, x, p, n: (t, q, x, np.where(p == p.flat[-1], np.inf, p), n),
+    "zero-rate": lambda t, q, x, p, n: (t, q, x, p, 0.0),
+    "nan-rate": lambda t, q, x, p, n: (t, q, x, p, np.nan),
+}
+
+
+@PROPERTY
+@given(one_paths(), st.sampled_from(sorted(MALFORMED)))
+def test_a_malformed_path_raises_as_its_one_row_batch(inputs, name):
+    *broken, n = MALFORMED[name](*inputs, 4.0)
+    builds = builders(broken, n)
+    for alone, batch in builds:
+        assert same_error(alone) == same_error(lambda: batch(1))
+    assert same_error(builds[1][0]) is not None
+
+
 @PROPERTY
 @given(penalized_drivers(), st.data())
 def test_the_kernels_visitors_are_the_path_functionals(driver, data):

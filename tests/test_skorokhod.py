@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import constant_path
+from conftest import NO_CONSTANTS, constant_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectsde.domain import (
     Ball,
@@ -133,6 +135,63 @@ class TestCornerAndConfined:
         y = StepPath([0.0], [[0.5, 0.5]], q=1.0)
         with pytest.raises(ValueError):
             solve_skorokhod(HALFLINE, y)
+
+
+def two_sided_map(psi, a):
+    """(x, k) of the Skorokhod map on [0, a] of the breakpoint values
+    ``psi`` of a one-dimensional step path, by the explicit formula of
+    Kruk, Lehoczky, Ramanan and Shreve (Ann. Probab. 35, 2007):
+
+        x(t) = psi(t) - max(min((psi(0) - a)^+, inf_{u <= t} psi(u)),
+                            sup_{s <= t} min(psi(s) - a, inf_{s <= u <= t} psi(u))),
+
+    and k = x - psi.  A step path takes its infima and suprema at
+    breakpoints."""
+    xi = np.array(
+        [
+            max(
+                min(max(psi[0] - a, 0.0), psi[: t + 1].min()),
+                max(min(psi[s] - a, psi[s : t + 1].min()) for s in range(t + 1)),
+            )
+            for t in range(psi.shape[0])
+        ]
+    )
+    return psi - xi, -xi
+
+
+@st.composite
+def boxes_and_drivers(draw):
+    """A box in d = 1-3 at a scale 2^e, e in [-30, 30], with widths from
+    1/20 of the scale to twice it, and a step driver starting inside it
+    whose later values reach two widths past either side."""
+    dim = draw(st.integers(1, 3))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    fractions = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    lower = scale * np.array(draw(fractions))
+    width = scale * np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=dim, max_size=dim)))
+    m = draw(st.integers(1, 12))
+    start = draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim))
+    later = st.lists(st.floats(-2.0, 3.0), min_size=dim, max_size=dim)
+    # each value as lower + width * place, in widths from the lower corner
+    places = np.array([start] + [draw(later) for _ in range(m - 1)])
+    driver = StepPath(np.arange(m) / m, lower + width * places, q=1.0)
+    return Box(lower, lower + width), driver
+
+
+class TestBoxOracle:
+    @given(boxes_and_drivers())
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None, backend=NO_CONSTANTS
+    )
+    def test_reflection_is_the_coordinatewise_two_sided_map(self, problem):
+        box, driver = problem
+        sol = solve_skorokhod(box, driver)
+        scale = max(np.abs(box.lower).max(), np.abs(box.upper).max())
+        for i in range(box.dim):
+            psi = driver.values[:, i] - box.lower[i]
+            x, k = two_sided_map(psi, box.upper[i] - box.lower[i])
+            assert np.abs(sol.x.values[:, i] - (box.lower[i] + x)).max() <= 1e-12 * scale
+            assert np.abs(sol.k.values[:, i] - k).max() <= 1e-12 * scale
 
 
 class TestStability:

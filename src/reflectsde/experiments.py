@@ -28,7 +28,8 @@ from .sde import Brownian, BrownianDrift, CompoundPoisson, ConstantMatrix, Const
 from .sde import DiagAffine, Drift, DriverSpec, Grid, Identity, JumpSizes, PowerDiagonal
 from .sde import TablePath, euler_penalized_batch, euler_projected_batch
 from .sde import sample_driver_batch
-from .stats import ExperimentReport, ks_statistic, oscillation_diagnostic, reference_cdf
+from .stats import ExperimentReport, _nonempty, ks_statistic, oscillation_diagnostic
+from .stats import reference_cdf
 
 __all__ = [
     "ConfigError",
@@ -459,13 +460,6 @@ def _study_report(benchmark: str, **params) -> ExperimentReport:
 def _add_check(report, name: str, holds, paths: int, seed: int) -> None:
     """A pass/fail entry: value 0 when the check holds, else 1, against 1/2."""
     report.add_entry(name, 0.0 if holds else 1.0, 0.5, holds, paths, f"seed={seed}")
-
-
-def _nonempty(**ladders) -> None:
-    """Refuse a study's empty ladder by its key: a check over none passes."""
-    for key, ladder in ladders.items():
-        if len(ladder) == 0:
-            raise ValueError(f"{key} must not be empty")
 
 
 # the domain of every converge study

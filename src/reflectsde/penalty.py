@@ -433,11 +433,8 @@ def penalty_bounds(
     ``anchor`` overrides it).
     """
     q = driver.q if q is None else float(q)
-    if not 0.0 < q <= driver.q:
-        raise ValueError(f"q must lie in (0, {driver.q}]")
     delta = float(delta)
-    if not 0.0 < delta <= q:
-        raise ValueError("delta must lie in (0, q]")
+    mod = modulus_prime(driver, delta, q)
     if anchor is None:
         anchor = domain.anchor
         clearance = domain.anchor_clearance
@@ -448,7 +445,6 @@ def penalty_bounds(
         clearance = domain.boundary_distance(anchor)
         if not clearance > 0:
             raise ValueError("bound anchor must be strictly interior")
-    mod = modulus_prime(driver, delta, q)
     keep = driver.times <= q
     sup_dev = float(np.max(_lengths(driver.values[keep] - anchor)))
     cells = int(np.floor(q / delta)) + 1

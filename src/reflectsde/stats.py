@@ -56,11 +56,12 @@ def reference_cdf(tag: str, **params):
     and 0 below; ``normal`` (``loc``, ``scale``): erfc(-z / sqrt 2) / 2 for
     z = (x - loc) / scale; ``uniform`` (``lo``, ``hi``): (x - lo) / (hi - lo)
     clipped to [0, 1].  The error functions are the standard library's,
-    applied elementwise.  A scale that is not positive, or ``hi <= lo``,
-    raises ``ValueError``; a NaN argument gives NaN.
+    applied elementwise.  A parameter the law does not take, a scale that
+    is not positive, or ``hi <= lo`` raises ``ValueError``; a NaN argument
+    gives NaN.
     """
     if tag == "half_normal":
-        scale = float(params.get("scale", 1.0))
+        (scale,) = _law_params(tag, params, scale=1.0)
         if not scale > 0:
             raise ValueError(f"half-normal scale must be positive, got {scale}")
 
@@ -70,8 +71,7 @@ def reference_cdf(tag: str, **params):
 
         return half_normal
     if tag == "normal":
-        loc = float(params.get("loc", 0.0))
-        scale = float(params.get("scale", 1.0))
+        loc, scale = _law_params(tag, params, loc=0.0, scale=1.0)
         if not scale > 0:
             raise ValueError(f"normal scale must be positive, got {scale}")
 
@@ -81,8 +81,7 @@ def reference_cdf(tag: str, **params):
 
         return normal
     if tag == "uniform":
-        lo = float(params.get("lo", 0.0))
-        hi = float(params.get("hi", 1.0))
+        lo, hi = _law_params(tag, params, lo=0.0, hi=1.0)
         if not hi > lo:
             raise ValueError(f"uniform law needs lo < hi, got [{lo}, {hi}]")
 
@@ -91,6 +90,16 @@ def reference_cdf(tag: str, **params):
 
         return uniform
     raise ValueError(f"unknown reference law {tag!r}")
+
+
+def _law_params(tag: str, params: dict, **defaults) -> list:
+    """The parameters of law ``tag`` as floats, ``params`` over
+    ``defaults``; a name ``defaults`` lacks raises ``ValueError``."""
+    for name in params:
+        if name not in defaults:
+            takes = ", ".join(defaults)
+            raise ValueError(f"{tag} law takes {takes}, not {name!r}")
+    return [float(params.get(name, default)) for name, default in defaults.items()]
 
 
 def _elementwise(func, z: np.ndarray):
@@ -206,6 +215,13 @@ def s_tightness_witness(
     )
 
 
+def _nonempty(**ladders) -> None:
+    """Refuse an empty ladder by its key: a check over none passes."""
+    for key, ladder in ladders.items():
+        if len(ladder) == 0:
+            raise ValueError(f"{key} must not be empty")
+
+
 @dataclass(frozen=True)
 class OscillationTable:
     """Empirical tail of the interlaced pair modulus across delta."""
@@ -237,12 +253,14 @@ def oscillation_diagnostic(
     delta, so the empirical tails are nonincreasing as delta shrinks up to
     ties; `monotone_within` allows the stated sampling band on top.
     A penalized path enters through its states at its breakpoints, which
-    the moduli read as a step path's values.
+    the moduli read as a step path's values.  Families of different or no
+    length, and no deltas or epsilons, raise ``ValueError``.
     """
     if len(x_paths) != len(z_paths) or not x_paths:
         raise ValueError("need matching nonempty path families")
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     epsilons = np.asarray(epsilons, dtype=float)
+    _nonempty(deltas=deltas, epsilons=epsilons)
     M = len(x_paths)
     mods = np.empty((M, deltas.shape[0]))
     for i, (xp, zp) in enumerate(zip(x_paths, z_paths)):
@@ -292,9 +310,14 @@ def marginal_convergence(
     ``forbidden_times`` are rejected: at a deterministic driver jump the
     marginals converge to the wrong one-sided limit, so asking for them is
     an error, not a failure.  ``band`` is slack allowed on the monotone
-    flag (sampling noise of the statistic).
+    flag (sampling noise of the statistic).  An unknown ``statistic``, or
+    no cells or times, raises ``ValueError``.
     """
+    distances = {"ks": ks_statistic, "energy": energy_distance}
+    if statistic not in distances:
+        raise ValueError(f"unknown statistic {statistic!r}")
     t_list = [float(t) for t in t_list]
+    _nonempty(cells=cells, t_list=t_list)
     for t in t_list:
         for bad in np.atleast_1d(np.asarray(forbidden_times, dtype=float)):
             if t == float(bad):
@@ -307,13 +330,7 @@ def marginal_convergence(
     for cell in cells:
         for t in t_list:
             sample = np.asarray(cell.samples[t], dtype=float)
-            ref = reference(t)
-            if statistic == "ks":
-                value = ks_statistic(sample, ref)
-            elif statistic == "energy":
-                value = energy_distance(sample, ref)
-            else:
-                raise ValueError(f"unknown statistic {statistic!r}")
+            value = distances[statistic](sample, reference(t))
             rows.append(
                 {
                     "n": cell.n,

@@ -3,12 +3,14 @@
 ``outputs.sha256`` beside this file holds one line per file the tool
 writes, sorted by path: its SHA-256, its size in bytes and its path under
 the output directory.  A header names the Python and numpy versions and
-the machine type it was written under.  The test runs the tool into a
-temporary directory, hashes every file it wrote and compares the result
+the machine type it was written under.  The first test runs the tool into
+a temporary directory, hashes every file it wrote and compares the result
 with the digest, so a change that moves one byte of any run fails and
 names the runs it moved.  The bytes rest on numpy's Philox and normal
-streams and on the host's float library, so the test skips only where
-the header's versions or machine type differ from the running ones.
+streams and on the host's float library, so that test skips only where
+the header's versions or machine type differ from the running ones.  The
+second test checks that the tool refuses a wrong command line before it
+starts any run.
 
     PYTHONPATH=src python tests/test_outputs.py
 
@@ -69,6 +71,35 @@ def test_every_run_keeps_its_bytes(tmp_path):
     assert not runs, f"runs whose bytes differ from {DIGEST.name}: {runs}"
 
 
+@pytest.fixture
+def cli(monkeypatch):
+    """The tool's ``cli``, failing the test if it starts any run."""
+    tool = runpy.run_path(str(ROOT / "tools" / "outputs.py"))
+
+    def no_runs(out):
+        raise AssertionError(f"runs started into {out}")
+
+    monkeypatch.setitem(tool["cli"].__globals__, "write_outputs", no_runs)
+    return tool["cli"]
+
+
+def test_cli_refuses_bad_arguments_without_running(cli, tmp_path, capsys):
+    for argv in ([], ["a", "b"]):
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == "python tools/outputs.py DIR\n"
+    full = tmp_path / "full"
+    full.mkdir()
+    (full / "kept").write_text("kept")
+    assert cli([str(full)]) == 2
+    assert [file.name for file in full.iterdir()] == ["kept"]
+    assert "is not an empty directory" in capsys.readouterr().err
+    file = tmp_path / "file"
+    file.write_text("kept")
+    assert cli([str(file)]) == 2
+    assert file.read_text() == "kept"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "full"]
+
+
 def write_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         codes = run_tool(Path(tmp))
@@ -80,3 +111,4 @@ def write_digest() -> None:
 
 if __name__ == "__main__":
     write_digest()
+

@@ -607,6 +607,14 @@ class TestAprioriBounds:
             penalty_bounds(HALFLINE, y, delta=1.5)
         with pytest.raises(ValueError):
             penalty_bounds(HALFLINE, y, delta=0.0)
+    def test_q_validation(self):
+        # q is checked first, then delta, then the anchor
+        y = constant_path(0.5, 1.0)
+        for q in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\.0\]"):
+                penalty_bounds(HALFLINE, y, delta=0.0, q=q, anchor=[-1.0])
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, q\]"):
+            penalty_bounds(HALFLINE, y, delta=0.0, anchor=[-1.0])
 
 
 def _path_of_type(kind, times, values, q):

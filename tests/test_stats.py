@@ -68,6 +68,8 @@ class TestKsStatistic:
         assert uni(1.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             reference_cdf("levy")
+        with pytest.raises(ValueError, match="'sd'"):
+            reference_cdf("normal", sd=5.0)
 
 
 # scipy's frozen laws for the reference_cdf parameters
@@ -109,6 +111,10 @@ class TestReferenceCdf:
             ("normal", {"scale": float("nan")}),
             ("uniform", {"lo": 1.0, "hi": 1.0}),
             ("uniform", {"lo": 2.0, "hi": 1.0}),
+            # a parameter the law does not take
+            ("normal", {"sd": 5.0}),
+            ("half_normal", {"loc": 1.0}),
+            ("uniform", {"scale": 2.0}),
         ],
     )
     def test_degenerate_parameters_rejected(self, tag, params):
@@ -274,6 +280,10 @@ class TestOscillationDiagnostic:
             oscillation_diagnostic([x], [], deltas=[0.1], epsilons=[0.1])
         with pytest.raises(ValueError):
             oscillation_diagnostic([], [], deltas=[0.1], epsilons=[0.1])
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            oscillation_diagnostic([x], [x], deltas=[], epsilons=[0.1])
+        with pytest.raises(ValueError, match="epsilons must not be empty"):
+            oscillation_diagnostic([x], [x], deltas=[0.1], epsilons=[])
 
     def test_monotone_band(self):
         table = OscillationTable(
@@ -402,6 +412,14 @@ class TestMarginalConvergence:
             marginal_convergence(
                 cells, [0.5], lambda t: reference_cdf("normal"), statistic="mmd"
             )
+        # refused before the loop, so over no cells too; no cells or no
+        # times is a check over nothing
+        with pytest.raises(ValueError, match="unknown statistic"):
+            marginal_convergence([], [0.5], lambda t: None, statistic="mmd")
+        with pytest.raises(ValueError, match="cells must not be empty"):
+            marginal_convergence([], [0.5], lambda t: None, statistic="energy")
+        with pytest.raises(ValueError, match="t_list must not be empty"):
+            marginal_convergence(cells, [], lambda t: None)
 
     def test_band_tolerates_noise(self):
         def grid_samples(m):

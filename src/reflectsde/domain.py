@@ -23,10 +23,12 @@ import numpy as np
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 PROJECTION_TOL = 1e-12
-# Entries of the (rows, candidates, values) temporaries of one block.  A
-# polyhedron whose candidate values for one row do not fit in a block is
-# projected row by row through one NNLS, so the maps stay within a few.
-_ENTRIES_PER_BLOCK = 1 << 18
+# The one budget of every blocked loop: entries of a block's largest
+# temporary.  2^17, a 1 MB block, sampled the rbm driver (M = 10^4, K = 1024,
+# 2-core x86-64 host) fastest; 2^16 to 2^19 were no slower.  A polyhedron
+# whose candidate values for one row do not fit in a block is projected row
+# by row through one NNLS, so the maps stay within a few.
+_ENTRIES_PER_BLOCK = 1 << 17
 # NNLS steps before a solve counts as cycling on rounding: each adds one of
 # at most d + 1 columns; on up to 90 tangent planes in d <= 3 none took 9.
 _NNLS_MAX_ITER = 100
@@ -47,6 +49,11 @@ __all__ = [
     "anchor_gap",
     "cone_residual",
 ]
+
+
+def _rows_per_block(entries_per_row: int) -> int:
+    """Rows of ``entries_per_row`` entries that fit in one block; at least one."""
+    return max(1, _ENTRIES_PER_BLOCK // entries_per_row)
 
 
 class NumericalError(RuntimeError):
@@ -381,7 +388,7 @@ class Polyhedron(ConvexDomain):
     independent S, and a row outside takes the candidate whose worst slack
     or multiplier is largest: only the KKT point has none negative.  When
     one row's candidate values do not fit in one block of
-    ``_ENTRIES_PER_BLOCK`` entries (from 79 faces in d = 2 and 34 in d = 3),
+    ``_ENTRIES_PER_BLOCK`` entries (from 63 faces in d = 2 and 29 in d = 3),
     Lawson & Hanson's least-distance NNLS finds S for each row instead.  A
     row whose best score is below ``-PROJECTION_TOL`` times its scale, or
     whose NNLS stalls, gets NaN and makes the batch raise ``NumericalError``
@@ -462,7 +469,7 @@ class Polyhedron(ConvexDomain):
         else:
             P = np.empty_like(Y)
             W, w = self._maps
-            step = _ENTRIES_PER_BLOCK // w.size
+            step = _rows_per_block(w.size)
             for lo in range(0, len(Y), step):
                 block = slice(lo, lo + step)
                 P[block] = self._certified_candidate(Y[block], scales[block], W, w)

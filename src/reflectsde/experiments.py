@@ -559,7 +559,7 @@ def refinement_study(
     median sup distance per level, which must decrease strictly.  Each row
     reduces as the kernel steps; a failed row or an overflow fails the run.
     """
-    _nonempty(levels=levels)
+    _nonempty(levels=[n for n, _ in levels])  # the ladder of a level's rates
     spec = DriverSpec(dim=1, h=ConstantStart(0.5), z_components=(Brownian(1.0),))
     f = DiagAffine(1, base=0.5, slope=0.25)
     finest_cells = max(int(c) for _, c in levels) * reference_factor

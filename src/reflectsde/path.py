@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .domain import _lengths
+from .domain import _lengths, _rows_per_block
 
 __all__ = [
     "StepPath",
@@ -39,9 +39,6 @@ __all__ = [
     "upcrossings",
     "upcrossings_of_values",
 ]
-
-# bound on the point pairs whose distances are held at once in _reach
-_PAIRS_PER_BLOCK = 1_000_000
 
 
 def _breakpoints(times, q=None):
@@ -258,13 +255,13 @@ def _reach(points: np.ndarray) -> np.ndarray:
     """r[j] = largest distance from points[j] to an earlier point; r[0] = 0.
 
     Each distance is ``domain._lengths`` of diff = points[j] - points[i].
-    Rows are taken in blocks of at most ``_PAIRS_PER_BLOCK`` pairs, so the
+    Rows are taken in blocks of ``domain._rows_per_block``, so the
     temporaries stay bounded for any number of points.  (Pairs of paths in
     dimension one take the running-extremes scan of :func:`modulus_bar`.)
     """
-    L = points.shape[0]
+    L, d = points.shape
     out = np.zeros(L)
-    step = max(1, _PAIRS_PER_BLOCK // L)
+    step = _rows_per_block(L * d)
     for lo in range(1, L, step):
         hi = min(lo + step, L)
         diff = points[lo:hi, None, :] - points[None, : hi - 1, :]

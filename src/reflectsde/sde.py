@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConvexDomain, _rows_times
+from .domain import ConvexDomain, _rows_per_block, _rows_times
 from .path import StepPath, _breakpoints
 from .penalty import PenalizedPath, _check_driver, _each, _Keep, _rate, _relax_and_step
 from .penalty import _solve_row
@@ -468,13 +468,6 @@ def _row_streams(gen: np.random.Generator, keys: np.ndarray):
         yield gen
 
 
-# values per scratch block of driver rows: a block is drawn, scaled and
-# scattered while it is in cache, then written across the time-major
-# buffer.  On the rbm driver (M = 10^4, K = 1024, 2-core x86-64 host)
-# 2^17 values, a 1 MB block, sampled faster than 2^15, where the
-# transposed write gained nothing, and no slower than 2^16 to 2^19
-_BLOCK_VALUES = 1 << 17
-
 # threads that draw the rows of a part whose row draw is one
 # standard_normal fill; two is the count a 2-core host can check
 _WORKERS = 2
@@ -547,17 +540,17 @@ def sample_driver_batch(
     row's key in turn.  Parts that draw nothing (a constant or table H, a
     drift) get no stream, take no generator and are computed once.
 
-    The parts are sampled one after another, each over blocks of rows in
-    a cache-sized scratch buffer.  Only the raw draws (normals, jump counts
-    and sizes) are made row by row; ``sqrt(dt)`` and sigma scaling and the
-    jump scatter run over the block.  Z is the running sum of its first
-    component's increments plus the cumulative sums of the later ones, in
-    component order.  The first drawn component's increments are copied
-    into Z's time-major slabs, and one addition per grid point over all
-    rows, ``Z[k] = Z[k-1] + dZ[k]`` from ``Z[0] = 0.0``, makes the same
-    sequence of additions as a cumulative sum added to zeros (so a -0.0
-    sum reads +0.0).  A later component's cumulative sum is taken in the
-    block and added.  The arithmetic per row is the same as for one row,
+    The parts are sampled one after another, each over blocks of
+    ``domain._rows_per_block`` rows in a cache-sized scratch buffer.  Only
+    the raw draws (normals, jump counts and sizes) are made row by row;
+    ``sqrt(dt)`` and sigma scaling and the jump scatter run over the block.
+    Z is the running sum of its first component's increments plus the
+    cumulative sums of the later ones, in component order.  The first drawn
+    component's increments are copied into Z's time-major slabs, and one
+    addition per grid point over all rows, ``Z[k] = Z[k-1] + dZ[k]`` from
+    ``Z[0] = 0.0``, makes the same sequence of additions as a cumulative
+    sum added to zeros (so a -0.0 sum reads +0.0).  A later component's
+    cumulative sum is taken in the block and added.  The arithmetic per row is the same as for one row,
     so :func:`sample_driver` is bit-identical to the matching row, and the
     block size changes no bit.
 
@@ -594,7 +587,7 @@ def sample_driver_batch(
     K, dim = dt.shape[0], spec.dim
     shape = (K + 1, paths, dim)
     rows = range(first_index, first_index + paths)
-    block = max(1, _BLOCK_VALUES // (K * dim))
+    block = _rows_per_block(K * dim)
 
     def draw(part, fill, grid_values, component, store):
         """Every row of ``part``, block by block, on this thread or, for

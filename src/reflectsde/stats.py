@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import _lengths
+from .domain import _lengths, _rows_per_block
 from .path import _median, modulus_bar, upcrossings_of_values
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
 ]
 
 MIN_KS_SAMPLES = 100
-# pairs per block of the d > 1 energy distance: bounds its temporaries
-_PAIRS_PER_BLOCK = 10_000_000
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -113,17 +111,25 @@ def energy_distance(first, second) -> float:
     2 E|X - Y| - E|X - X'| - E|Y - Y'| over all pairs of the samples,
     including each point with itself; clipped at zero, and exactly zero
     for identical samples.  Works in any dimension; both samples must be
-    nonempty.  Samples of dimension one (1-D or shape (n, 1)) are centred
-    at their pooled median and sorted, and each mean is read from prefix
-    sums, in O((m + n) log(m + n)) time and O(m + n) memory.  Otherwise
-    the pairs are summed in blocks of about 10^7, in O(m n d) time.
+    nonempty, (m,) or (m, d) arrays of one dimension d.  Samples of
+    dimension one (1-D or shape (n, 1)) are centred at their pooled median
+    and sorted, and each mean is read from prefix sums, in
+    O((m + n) log(m + n)) time and O(m + n) memory.  Otherwise each row's
+    distances are summed in blocks of rows (``domain._rows_per_block``), in
+    O(m n d) time, and the result has the same bits at any block size.
     """
     a = np.asarray(first, dtype=float)
     b = np.asarray(second, dtype=float)
+    shapes = a.shape, b.shape
     if a.ndim == 1:
         a = a[:, None]
     if b.ndim == 1:
         b = b[:, None]
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(
+            "energy distance needs (m,) or (m, d) samples of one dimension, "
+            f"got {shapes[0]} and {shapes[1]}"
+        )
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("energy distance needs two nonempty samples")
     if a.shape[1] == 1 and b.shape[1] == 1:
@@ -149,13 +155,14 @@ def _mean_abs_sorted(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _mean_pair_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Mean Euclidean distance over all pairs of rows, in row blocks."""
-    total = 0.0
-    block = max(1, _PAIRS_PER_BLOCK // v.shape[0])
+    """Mean Euclidean distance over all pairs of rows: each row's sum over
+    v, in blocks of rows, then the row sums, so no bit depends on a block."""
+    rows = np.empty(u.shape[0])
+    block = _rows_per_block(v.size)
     for start in range(0, u.shape[0], block):
         diff = u[start : start + block, None, :] - v[None, :, :]
-        total += float(np.sum(_lengths(diff)))
-    return total / (u.shape[0] * v.shape[0])
+        rows[start : start + block] = np.sum(_lengths(diff), axis=1)
+    return float(np.sum(rows)) / (u.shape[0] * v.shape[0])
 
 
 @dataclass(frozen=True)
@@ -216,8 +223,11 @@ def s_tightness_witness(
 
 
 def _nonempty(**ladders) -> None:
-    """Refuse an empty ladder by its key: a check over none passes."""
+    """Refuse, by its key, a ladder that is not one-dimensional, or is
+    empty: a check over none passes."""
     for key, ladder in ladders.items():
+        if np.ndim(ladder) != 1:
+            raise ValueError(f"{key} must be a 1-D sequence, got shape {np.shape(ladder)}")
         if len(ladder) == 0:
             raise ValueError(f"{key} must not be empty")
 
@@ -254,13 +264,15 @@ def oscillation_diagnostic(
     ties; `monotone_within` allows the stated sampling band on top.
     A penalized path enters through its states at its breakpoints, which
     the moduli read as a step path's values.  Families of different or no
-    length, and no deltas or epsilons, raise ``ValueError``.
+    length, and deltas or epsilons that are not a nonempty 1-D ladder,
+    raise ``ValueError``.
     """
     if len(x_paths) != len(z_paths) or not x_paths:
         raise ValueError("need matching nonempty path families")
-    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    deltas = np.asarray(deltas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     _nonempty(deltas=deltas, epsilons=epsilons)
+    deltas = np.sort(deltas)[::-1]
     M = len(x_paths)
     mods = np.empty((M, deltas.shape[0]))
     for i, (xp, zp) in enumerate(zip(x_paths, z_paths)):
@@ -310,14 +322,15 @@ def marginal_convergence(
     ``forbidden_times`` are rejected: at a deterministic driver jump the
     marginals converge to the wrong one-sided limit, so asking for them is
     an error, not a failure.  ``band`` is slack allowed on the monotone
-    flag (sampling noise of the statistic).  An unknown ``statistic``, or
-    no cells or times, raises ``ValueError``.
+    flag (sampling noise of the statistic).  An unknown ``statistic``, no
+    cells or times, or a cell without a sample at one of the times raises
+    ``ValueError``.
     """
     distances = {"ks": ks_statistic, "energy": energy_distance}
     if statistic not in distances:
         raise ValueError(f"unknown statistic {statistic!r}")
-    t_list = [float(t) for t in t_list]
     _nonempty(cells=cells, t_list=t_list)
+    t_list = [float(t) for t in t_list]
     for t in t_list:
         for bad in np.atleast_1d(np.asarray(forbidden_times, dtype=float)):
             if t == float(bad):
@@ -327,8 +340,10 @@ def marginal_convergence(
                 )
     rows = []
     values = {t: [] for t in t_list}
-    for cell in cells:
+    for i, cell in enumerate(cells):
         for t in t_list:
+            if t not in cell.samples:
+                raise ValueError(f"cell {i} has no sample at t = {t}")
             sample = np.asarray(cell.samples[t], dtype=float)
             value = distances[statistic](sample, reference(t))
             rows.append(

@@ -1,9 +1,12 @@
 """Shared fixtures and the acceptance summary hook."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis.internal.conjecture import providers
 
+from reflectsde import domain
 from reflectsde.domain import HalfSpace
 from reflectsde.path import StepPath
 from reflectsde.penalty import _Keep, _relax_and_step
@@ -18,6 +21,13 @@ def record_acceptance(name: str, passed: bool, detail: str) -> None:
 def constant_path(value, q) -> StepPath:
     """The step path holding ``value`` on [0, q]."""
     return StepPath([0.0], [np.atleast_1d(np.asarray(value, dtype=float))], q)
+
+
+def entries_per_block(entries):
+    """A context in which every blocked loop of the package (driver rows,
+    polyhedron candidates, interlaced reach, energy pairs) takes
+    ``entries`` as its one budget, ``domain._ENTRIES_PER_BLOCK``."""
+    return patch.object(domain, "_ENTRIES_PER_BLOCK", entries)
 
 
 def kernel_history(domain, f, H, Z, n, times, at=None):

@@ -725,7 +725,7 @@ class TestActiveSetOracle:
         "dim, count", [(2, 11), (2, 45), (2, 90), (3, 11), (3, 33), (3, 90)]
     )
     def test_tangent_planes_satisfy_kkt(self, dim, count, rng):
-        # tangent planes of the unit sphere; from 79 faces in d = 2 and 34
+        # tangent planes of the unit sphere; from 63 faces in d = 2 and 29
         # in d = 3 the candidates of a row do not fit one block, so both
         # paths are checked.  projection_qp enumerates 2^m sets, out of
         # reach here, so the oracle is the KKT conditions: feasibility, and
@@ -733,7 +733,7 @@ class TestActiveSetOracle:
         normals = rng.normal(size=(count, dim))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         d = Polyhedron([HalfSpace(n, -1.0) for n in normals], anchor=np.zeros(dim))
-        assert (d._maps is None) == (count > {2: 78, 3: 33}[dim])
+        assert (d._maps is None) == (count > {2: 62, 3: 28}[dim])
         X = rng.normal(scale=3.0, size=(60, dim))
         P = d.project_points(X)
         assert np.min(normals @ P.T + 1.0) >= -1e-10

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import constant_path
+from conftest import constant_path, entries_per_block
 
 import reflectsde.path as path_module
 from reflectsde.domain import _lengths
@@ -467,8 +467,8 @@ class TestInterlacedModuli:
 
     # 1 and 3 pairs give one-row blocks on the short paths, 20 several rows;
     # the long paths take the running-extremes scan in dimension one
-    @pytest.mark.parametrize("pairs", [1, 3, 20])
-    def test_blocked_scan_is_bit_identical(self, pairs, rng, monkeypatch):
+    @pytest.mark.parametrize("entries", [1, 3, 20, 60])
+    def test_blocked_scan_is_bit_identical(self, entries, rng):
         cases = []
         for trial in range(31):
             long = trial >= 25
@@ -482,8 +482,8 @@ class TestInterlacedModuli:
             y = StepPath(ty, rng.normal(size=(my, dim)), q=1.0)
             cases.append((x, y, float(rng.uniform(0.05, 0.9))))
         whole = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
-        monkeypatch.setattr(path_module, "_PAIRS_PER_BLOCK", pairs)
-        blocked = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
+        with entries_per_block(entries):
+            blocked = [(modulus_bar(x, y, d), modulus_prime(x, d)) for x, y, d in cases]
         assert blocked == whole
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-200, 1e200])

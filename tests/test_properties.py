@@ -20,9 +20,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
-from conftest import NO_CONSTANTS, NoConstantsProvider, OverflowingHalfSpace, kernel_history
+from conftest import NO_CONSTANTS, NoConstantsProvider, OverflowingHalfSpace, entries_per_block
+from conftest import kernel_history
 
-from reflectsde import path as path_module
 from reflectsde import sde
 from reflectsde.domain import BOUNDARY_TOL, Ball, Box, HalfSpace, NumericalError, Polyhedron
 from reflectsde.domain import anchor_gap
@@ -431,7 +431,7 @@ def test_a_sampled_row_is_its_one_row_batch(call, data):
     values = data.draw(st.integers(1, paths * grid.cells * spec.dim))
     workers = data.draw(st.sampled_from([1, 2]))
     threads = {"_WORKERS": workers, "_THREAD_ROW_VALUES": 1, "_cpus": lambda: 2}
-    with patch.multiple(sde, _BLOCK_VALUES=values, **threads):
+    with entries_per_block(values), patch.multiple(sde, **threads):
         blocked = sample_driver_batch(spec, grid, seed, paths, first)
     assert same_bits(blocked[0], H) and same_bits(blocked[1], Z)
 
@@ -636,9 +636,9 @@ def test_pair_blocks_change_no_modulus_bit(pair, delta, small):
         return np.array([*values, modulus_second(x, delta), modulus_second(y, delta)])
 
     want = moduli()
-    # one pair per block, a few, and the default
-    for pairs in (1, small):
-        with patch.object(path_module, "_PAIRS_PER_BLOCK", pairs):
+    # one row per block, a few, and the default
+    for entries in (1, small):
+        with entries_per_block(entries):
             assert same_bits(moduli(), want)
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import kernel_history
+from conftest import entries_per_block, kernel_history
 
 from reflectsde.domain import (
     Ball,
@@ -408,28 +408,28 @@ class TestBlockSize:
     SPECS = ("drawn-first", "underflowing", "three-components", "brownian-drift-h")
 
     @staticmethod
-    def sampled(monkeypatch, spec, block):
-        monkeypatch.setattr(sde, "_BLOCK_VALUES", block)
-        return sample_driver_batch(spec, TestBlockSize.GRID, seed=13, paths=23)
+    def sampled(spec, block):
+        with entries_per_block(block):
+            return sample_driver_batch(spec, TestBlockSize.GRID, seed=13, paths=23)
 
-    def check(self, monkeypatch, spec):
-        want = self.sampled(monkeypatch, spec, 2**30)
+    def check(self, spec):
+        want = self.sampled(spec, 2**30)
         zeros_plus = TestFirstComponentWritten.added_to_zeros(spec, self.GRID, 13, 23)
         assert same_bits(want[1], zeros_plus)
         for block in (1, 7, 2**15):
-            got = self.sampled(monkeypatch, spec, block)
+            got = self.sampled(spec, block)
             for a, b in zip(got, want):
                 assert np.array_equal(np.signbit(a), np.signbit(b)), block
                 assert same_bits(a, b), block
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
-    def test_block_size_changes_no_bit(self, monkeypatch, name, d):
-        self.check(monkeypatch, self.spec(name, d))
+    def test_block_size_changes_no_bit(self, name, d):
+        self.check(self.spec(name, d))
 
-    def test_deterministic_first_component(self, monkeypatch):
+    def test_deterministic_first_component(self):
         spec = DriverSpec(2, ConstantStart([0.5, 0.5]), (Drift([-0.0, 1.0]), Brownian(1.0)))
-        self.check(monkeypatch, spec)
+        self.check(spec)
 
     def test_scratch_is_bounded(self):
         # tracemalloc sees numpy's buffers: beyond Z itself the sampler

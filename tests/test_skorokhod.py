@@ -14,6 +14,7 @@ from reflectsde.domain import (
     Polyhedron,
 )
 from reflectsde.path import StepPath
+from reflectsde.penalty import solve_penalized
 from reflectsde.skorokhod import (
     SkorokhodSolution,
     oracle_halfline,
@@ -192,6 +193,40 @@ class TestBoxOracle:
             x, k = two_sided_map(psi, box.upper[i] - box.lower[i])
             assert np.abs(sol.x.values[:, i] - (box.lower[i] + x)).max() <= 1e-12 * scale
             assert np.abs(sol.k.values[:, i] - k).max() <= 1e-12 * scale
+
+
+class TestPenalizedBoxMap:
+    @given(boxes_and_drivers())
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None, backend=NO_CONSTANTS
+    )
+    def test_penalization_approaches_the_two_sided_map(self, problem):
+        # The map's value at breakpoint j is x_j = P(x_{j-1} + dy_j), and the
+        # penalized state is x^n_j = p_{j-1} + (x^n_{j-1} - p_{j-1}) e_j + dy_j
+        # with projection p_j = P(x^n_j) and e_j = exp(-n (t_j - t_{j-1})).
+        # P is 1-Lipschitz, so |p_j - x_j| <= |x^n_j - x_{j-1} - dy_j|
+        # <= |p_{j-1} - x_{j-1}| + |x^n_{j-1} - p_{j-1}| e_j, and from
+        # p_0 = x_0 = y_0, a start inside the box,
+        #     |p_j - x_j| <= sum_{i<j} |x^n_i - p_i| exp(-n (t_{i+1} - t_i))
+        # with no constant.  The box clips each coordinate alone, so the
+        # bound holds coordinate by coordinate; beyond it each breakpoint
+        # allows 1e-12 of the box's scale for rounding.
+        box, driver = problem
+        scale = max(np.abs(box.lower).max(), np.abs(box.upper).max())
+        m = driver.times.shape[0]
+        rounding = 1e-12 * scale * np.arange(1, m + 1)
+        maps = [
+            box.lower[i] + two_sided_map(driver.values[:, i] - box.lower[i], width)[0]
+            for i, width in enumerate(box.upper - box.lower)
+        ]
+        for n in (1e2, 1e4, 1e6, 1e8):
+            path = solve_penalized(box, driver, n)
+            decay = np.exp(-n * np.diff(driver.times))
+            relaxed = np.abs(path.states - path.projections)[:-1] * decay[:, None]
+            bound = np.vstack([np.zeros(box.dim), np.cumsum(relaxed, axis=0)])
+            for i, x in enumerate(maps):
+                gap = np.abs(path.projections[:, i] - x)
+                assert np.all(gap <= bound[:, i] + rounding), (n, i)
 
 
 class TestStability:

@@ -1,10 +1,11 @@
 """Distributional diagnostics: KS, energy distance, tightness witnesses."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from conftest import constant_path
+from conftest import constant_path, entries_per_block
 import scipy.stats
 
 from reflectsde import stats
@@ -196,7 +197,7 @@ class TestEnergyDistance:
         assert energy_distance(u[:, None], v) == want
         assert energy_distance(u[:, None], u[::-1, None]) == 0.0
 
-    def test_pairwise_blocks_in_two_dimensions(self, rng, monkeypatch):
+    def test_pairwise_blocks_in_two_dimensions(self, rng):
         from scipy.spatial.distance import cdist
 
         a = rng.normal(size=(120, 2))
@@ -204,9 +205,36 @@ class TestEnergyDistance:
         want = (
             2 * np.mean(cdist(a, b)) - np.mean(cdist(a, a)) - np.mean(cdist(b, b))
         )
-        # 1000 pairs per block: a meets b in blocks of 12 rows
-        monkeypatch.setattr(stats, "_PAIRS_PER_BLOCK", 1000)
-        assert energy_distance(a, b) == pytest.approx(want, rel=1e-12)
+        # 1000 entries per block: a meets b's 160 values in blocks of 6 rows
+        with entries_per_block(1000):
+            assert energy_distance(a, b) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_block_size_changes_no_bit(self, rng, d):
+        # each row's distances are summed alone, then the row sums once:
+        # one row a block, a few, the default, and all rows in one block
+        a = rng.normal(size=(150, d))
+        b = rng.normal(loc=0.3, size=(97, d))
+        want = energy_distance(a, b)
+        for entries in (1, 7, 1 << 30):
+            with entries_per_block(entries):
+                assert energy_distance(a, b).hex() == want.hex(), entries
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([[0.0, 0.0], [1.0, 1.0]], [[0.0], [1.0]]),
+            ([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0, 2.0]]),
+            ([0.0, 1.0], [[0.0, 1.0]]),
+            (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+            (0.5, [0.5]),
+        ],
+        ids=["2-vs-1", "2-vs-3", "1-vs-2", "three-axes", "scalar"],
+    )
+    def test_samples_of_different_dimension_rejected(self, first, second):
+        shapes = f"{np.shape(first)} and {np.shape(second)}"
+        with pytest.raises(ValueError, match=f"one dimension, got {re.escape(shapes)}"):
+            energy_distance(first, second)
 
 
 class TestSTightness:
@@ -284,6 +312,20 @@ class TestOscillationDiagnostic:
             oscillation_diagnostic([x], [x], deltas=[], epsilons=[0.1])
         with pytest.raises(ValueError, match="epsilons must not be empty"):
             oscillation_diagnostic([x], [x], deltas=[0.1], epsilons=[])
+
+    @pytest.mark.parametrize(
+        "key, ladders",
+        [
+            ("deltas", {"deltas": 0.1, "epsilons": [0.1]}),
+            ("epsilons", {"deltas": [0.1], "epsilons": 0.1}),
+            ("deltas", {"deltas": [[0.1, 0.2]], "epsilons": [0.1]}),
+        ],
+        ids=["scalar-deltas", "scalar-epsilons", "2d-deltas"],
+    )
+    def test_ladder_must_be_one_dimensional(self, key, ladders):
+        x = constant_path(0.0, 1.0)
+        with pytest.raises(ValueError, match=f"{key} must be a 1-D sequence"):
+            oscillation_diagnostic([x], [x], **ladders)
 
     def test_monotone_band(self):
         table = OscillationTable(
@@ -420,6 +462,14 @@ class TestMarginalConvergence:
             marginal_convergence([], [0.5], lambda t: None, statistic="energy")
         with pytest.raises(ValueError, match="t_list must not be empty"):
             marginal_convergence(cells, [], lambda t: None)
+
+    def test_cell_without_a_sample_at_a_time(self):
+        cells = [
+            MarginalCell(n=1.0, mesh=0.1, samples={0.5: np.zeros(100), 0.7: np.zeros(100)}),
+            MarginalCell(n=2.0, mesh=0.05, samples={0.5: np.zeros(100)}),
+        ]
+        with pytest.raises(ValueError, match=r"cell 1 has no sample at t = 0\.7"):
+            marginal_convergence(cells, [0.5, 0.7], lambda t: reference_cdf("normal"))
 
     def test_band_tolerates_noise(self):
         def grid_samples(m):

@@ -335,6 +335,8 @@ class Ball(ConvexDomain):
 
     def __init__(self, center, radius: float, anchor=None, anchor_clearance=None):
         c = _vec(center)
+        if not np.isfinite(radius):
+            raise ValueError(f"ball radius must be finite, got {radius}")
         if not radius > 0:
             raise ValueError("ball radius must be positive")
         c.setflags(write=False)
@@ -390,10 +392,10 @@ class Polyhedron(ConvexDomain):
     one row's candidate values do not fit in one block of
     ``_ENTRIES_PER_BLOCK`` entries (from 63 faces in d = 2 and 29 in d = 3),
     Lawson & Hanson's least-distance NNLS finds S for each row instead.  A
-    row whose best score is below ``-PROJECTION_TOL`` times its scale, or
-    whose NNLS stalls, gets NaN and makes the batch raise ``NumericalError``
-    with the result.  The anchor is required (it certifies the interior is
-    nonempty); its clearance is checked against min_i(<n_i, anchor> - c_i).
+    row whose candidate ``_certified_candidate`` refuses, or whose NNLS
+    stalls, gets NaN and makes the batch raise ``NumericalError`` with the
+    result.  The anchor is required (it certifies the interior is nonempty);
+    its clearance is checked against min_i(<n_i, anchor> - c_i).
     """
 
     def __init__(self, halfspaces, anchor, anchor_clearance=None):
@@ -488,9 +490,11 @@ class Polyhedron(ConvexDomain):
         KKT point scores 0 up to rounding, and any other candidate scores
         below it by its violation.  The best-scoring candidate is taken, so
         one that is infeasible by less than the tolerance never wins over
-        the projection, however near to the row it lies.  Elementwise sums
-        over the d columns, as in ``_rows_times``, so a row gets the same
-        bits in any batch.
+        the projection, however near to the row it lies.  It is certified if
+        each of its slacks and multipliers is at least -PROJECTION_TOL (s (1 +
+        |its constant|) + max|y|), so a far face widens only its own entries'
+        tolerance; a NaN fails.  Elementwise sums over the d columns, as in
+        ``_rows_times``, so a row gets the same bits in any batch.
         """
         d = self.dim
         # the constant terms are linear in the offsets
@@ -503,10 +507,13 @@ class Polyhedron(ConvexDomain):
         best = score.argmax(axis=1)
         rows = np.arange(len(Y))
         P = V[rows, best, :d]
-        # the finite constants, whose rounding tol absorbs
-        scale = 1.0 + np.abs(w[np.isfinite(w)]).max(initial=0.0)
-        tol = PROJECTION_TOL * (scales * scale + np.abs(Y).max(axis=1))
-        P[score[rows, best] < -tol] = np.nan
+        size = np.abs(Y).max(axis=1)
+        # no entry's tolerance is below this floor: a row whose score clears it passes
+        low = np.flatnonzero(score[rows, best] < -PROJECTION_TOL * (scales + size))
+        b = best[low]
+        tol = PROJECTION_TOL * (scales[low, None] * (1.0 + np.abs(w[b, d:])) + size[low, None])
+        ok = (V[low, b, d:] >= -tol).all(axis=1) & (score[low, b] > -np.inf)
+        P[low[~ok]] = np.nan
         return P
 
     def _least_distance(self, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -526,13 +533,6 @@ class Polyhedron(ConvexDomain):
         if S is None or not _independent(A[S]):
             return np.full(d, np.nan)
         W, w = self._set_map(S)
-        # a far face's h hides the others' below the NNLS's rounding, and its constant widens
-        # the stacked tolerance: each slack and multiplier is certified by its own constant too
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = W[d:] @ y + scale * w[d:]
-            tol = PROJECTION_TOL * (scale * (1.0 + np.abs(w[d:])) + np.abs(y).max())
-        if np.any(V < -tol):
-            return np.full(d, np.nan)
         return self._certified_candidate(y[None], scale, W[None], w[None])[0]
 
 

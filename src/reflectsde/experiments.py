@@ -558,18 +558,23 @@ def refinement_study(
     ``reference_factor`` times finer than the finest level.  Reports the
     median sup distance per level, which must decrease strictly.  Each row
     reduces as the kernel steps; a failed row or an overflow fails the run.
+    ``levels`` that are not (rate, cells) pairs raise ``ValueError``.
     """
+    try:
+        levels = [(float(n), int(c)) for n, c in levels]
+    except (TypeError, ValueError):
+        raise ValueError(f"levels must be (rate, cells) pairs, got {levels!r}") from None
     _nonempty(levels=[n for n, _ in levels])  # the ladder of a level's rates
     spec = DriverSpec(dim=1, h=ConstantStart(0.5), z_components=(Brownian(1.0),))
     f = DiagAffine(1, base=0.5, slope=0.25)
-    finest_cells = max(int(c) for _, c in levels) * reference_factor
+    finest_cells = max(c for _, c in levels) * reference_factor
     fine = Grid.regular(q, finest_cells)
     H_fine, Z_fine = sample_driver_batch(spec, fine, seed, paths)
     reference = euler_projected_batch(_HALFLINE, f, H_fine, Z_fine, fine).transpose(1, 0, 2)
 
     rows, medians = [], []
     for n, cells in levels:
-        n, factor = float(n), finest_cells // int(cells)
+        factor = finest_cells // cells
         coarse = fine.coarsen(factor)
         sup = _SupDistance(reference, n, coarse.times, q, fine.times)
         H, Z = H_fine[:, ::factor], Z_fine[:, ::factor]
@@ -580,7 +585,7 @@ def refinement_study(
         medians.append(med)
         rows.append(_row(n, q / cells, paths, "median_sup_distance", med))
 
-    ladder = [[float(n), int(c)] for n, c in levels]
+    ladder = [list(level) for level in levels]
     report = _study_report("strong-refinement", seed=seed, paths=paths, levels=ladder)
     decreasing = all(m2 < m1 for m1, m2 in zip(medians, medians[1:]))
     _add_check(report, "median_sup_strictly_decreasing", decreasing, paths, seed)

@@ -66,6 +66,8 @@ class Grid:
 
     @classmethod
     def regular(cls, q: float, cells: int) -> "Grid":
+        _integer(cells, "cells")
+        _finite(q, "grid horizon q")
         if not (q > 0 and cells >= 1):
             raise ValueError("need q > 0 and at least one cell")
         return cls(np.linspace(0.0, float(q), int(cells) + 1))
@@ -107,12 +109,28 @@ class Grid:
         return f"Grid(cells={self.cells}, q={self.q}, mesh={self.mesh:g})"
 
 
+def _integer(value, what: str) -> None:
+    """Refuse, naming ``what``, a value that is not an integer or is a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming ``what`` if an
+    entry is not finite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite, got {value}")
+    return array
+
+
 def _dim_vector(value, dim: int, what: str) -> np.ndarray:
-    """``value`` broadcast to a (dim,) vector, or a ValueError naming ``what``."""
+    """``value`` broadcast to a finite (dim,) vector, or a ValueError naming ``what``."""
     try:
-        return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+        vector = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
     except ValueError:
         raise ValueError(f"{what} does not fit dimension {dim}") from None
+    return _finite(vector, what)
 
 
 # each drawn law: its parameters (a scale is nonnegative), the name of its
@@ -151,7 +169,8 @@ class JumpSizes:
                 raise ValueError(f"unknown jump size tag {self.tag!r}")
         elif len(self.params) != len(names):
             raise ValueError(f"{self.tag} jumps take {len(names)} parameter(s)")
-        elif names[-1] == "scale" and not self.params[-1] >= 0:
+        _finite(self.params, f"{self.tag} jump parameters")
+        if names and names[-1] == "scale" and not self.params[-1] >= 0:
             raise ValueError(f"{self.tag} jump scale must be nonnegative")
 
     def _check_dim(self, dim: int) -> None:
@@ -181,6 +200,9 @@ class Brownian:
     sigma: object = 1.0
     draws = True
     _normal_fill = True
+
+    def __post_init__(self):
+        _finite(self.sigma, "brownian sigma")
 
     def _check_dim(self, dim: int) -> None:
         sigma = np.asarray(self.sigma, dtype=float)
@@ -227,6 +249,7 @@ class CompoundPoisson:
     _normal_fill = False
 
     def __post_init__(self):
+        _finite(self.rate, "compound Poisson rate")
         if not self.rate >= 0:
             raise ValueError("compound Poisson rate must be nonnegative")
 
@@ -578,6 +601,7 @@ def sample_driver_batch(
     has no buffer: it is a read-only view of its (K+1, d) values
     broadcast along paths (stride 0 on the path axis).
     """
+    _integer(seed, "seed")
     if paths < 0:
         raise ValueError(f"paths must be nonnegative, got {paths}")
     if first_index < 0:
@@ -684,7 +708,7 @@ class Identity(Coefficient):
 
 class ConstantMatrix(Coefficient):
     def __init__(self, matrix):
-        A = np.atleast_2d(np.asarray(matrix, dtype=float))
+        A = np.atleast_2d(_finite(matrix, "coefficient matrix"))
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
         self.matrix = A
@@ -698,6 +722,7 @@ class DiagAffine(Coefficient):
     """Diagonal Lipschitz coefficient f(x) = diag(a + b |x_i|) with a, b >= 0."""
 
     def __init__(self, dim: int, base: float, slope: float):
+        _finite([base, slope], "diagonal affine base and slope")
         if base < 0 or slope < 0:
             raise ValueError("need nonnegative base and slope")
         self.dim = int(dim)

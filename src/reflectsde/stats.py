@@ -54,9 +54,9 @@ def reference_cdf(tag: str, **params):
     and 0 below; ``normal`` (``loc``, ``scale``): erfc(-z / sqrt 2) / 2 for
     z = (x - loc) / scale; ``uniform`` (``lo``, ``hi``): (x - lo) / (hi - lo)
     clipped to [0, 1].  The error functions are the standard library's,
-    applied elementwise.  A parameter the law does not take, a scale that
-    is not positive, or ``hi <= lo`` raises ``ValueError``; a NaN argument
-    gives NaN.
+    applied elementwise.  A parameter the law does not take or that is not
+    finite, a scale that is not positive, or ``hi <= lo`` raises
+    ``ValueError``; a NaN argument gives NaN.
     """
     if tag == "half_normal":
         (scale,) = _law_params(tag, params, scale=1.0)
@@ -92,12 +92,17 @@ def reference_cdf(tag: str, **params):
 
 def _law_params(tag: str, params: dict, **defaults) -> list:
     """The parameters of law ``tag`` as floats, ``params`` over
-    ``defaults``; a name ``defaults`` lacks raises ``ValueError``."""
+    ``defaults``; a name ``defaults`` lacks, or a value that is not finite,
+    raises ``ValueError``."""
     for name in params:
         if name not in defaults:
             takes = ", ".join(defaults)
             raise ValueError(f"{tag} law takes {takes}, not {name!r}")
-    return [float(params.get(name, default)) for name, default in defaults.items()]
+    values = [float(params.get(name, default)) for name, default in defaults.items()]
+    for name, value in zip(defaults, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{tag} law {name} must be finite, got {value}")
+    return values
 
 
 def _elementwise(func, z: np.ndarray):

@@ -263,6 +263,12 @@ class TestBall:
         assert not Ball([-1e308, 0.0], 1.0).contains([1e308, 0.0])
         assert Ball([-1e308, 0.0], 1.0).boundary_distance([1e308, 0.0]) == np.inf
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_radius_must_be_finite(self, radius):
+        # an infinite radius would warn in the projection
+        with pytest.raises(ValueError, match="ball radius must be finite"):
+            Ball([0.0, 0.0], radius)
+
     def test_boundary_distance(self):
         d = Ball([0.0, 0.0], 1.0)
         assert d.boundary_distance([0.25, 0.0]) == pytest.approx(0.75)
@@ -422,9 +428,9 @@ class TestFarRows:
         assert len(slab._maps[1]) == 2
         P = slab.project_points(np.array([[0.0], [-1.5e308], [1.5e308]]))
         assert np.array_equal(P, [[0.0], [-1e308], [1e308]])
-        # the tolerance scales with the finite constants alone: the lower
-        # face's candidate, -1e308, does not certify the row 1, whose
-        # projection it is not
+        # each entry's tolerance scales with its own constant: the lower
+        # face's candidate, -1e308, whose multiplier is about -1e308, does
+        # not certify the row 1, whose projection it is not
         W, w = slab._maps
         assert np.isnan(slab._certified_candidate(np.array([[1.0]]), np.ones(1), W[:1], w[:1])).all()
 
@@ -531,6 +537,22 @@ class TestPolyhedron:
         with np.errstate(over="ignore"):
             assert np.array_equal(wedge.project_point([-1e308, 0.25]), [0.0, 0.0])
         assert not wedge.contains([-1e308, 0.25])
+
+    @pytest.mark.parametrize("far", [False, True], ids=["wedge", "far-face"])
+    def test_no_other_candidate_certifies_a_row(self, far):
+        # the projection of (1, -0.5) is (1, 0); with that candidate's map left
+        # out, the best of the others, (0.5335, 0.3080) on the second face,
+        # has a multiplier of -0.93 and is refused.  A face x >= -1e16 adds
+        # constants near 1e16, which widen only their own entries' tolerance
+        wedge = two_face_wedge(np.radians(30.0))
+        faces = wedge.faces + (HalfSpace([1.0, 0.0], -1e16),) * far
+        d = Polyhedron(faces, anchor=wedge.anchor)
+        W, w = d._maps
+        y = np.array([1.0, -0.5])
+        others = ~np.all(W[:, :2] @ y + w[:, :2] == [1.0, 0.0], axis=1)
+        assert np.count_nonzero(~others) == 1
+        assert np.isnan(d._certified_candidate(y[None], np.ones(1), W[others], w[others])).all()
+        assert np.array_equal(d.project_point(y), [1.0, 0.0])
 
     def test_far_rows_land_on_the_apex_past_the_block_bound(self, monkeypatch):
         # a block too small for one row's candidates routes the wedge to

@@ -188,6 +188,53 @@ def far_projections(draw):
     return domain, np.array(rows)
 
 
+@st.composite
+def far_face_polyhedra(draw):
+    """(faces, anchor, X, far): 1 to 4 faces at most 2 from a drawn anchor
+    in d = 1 to 3, one more face ``far`` from it (1e8, 1e16 or 1e300) or
+    none (far = 0), and 1 to 6 rows within 4 of the origin or the anchor."""
+    dim = draw(st.integers(1, 3))
+    anchor = np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim)))
+    widths = [draw(st.floats(0.1, 2.0)) for _ in range(draw(st.integers(1, 4)))]
+    far = draw(st.sampled_from([0.0, 1e8, 1e16, 1e300]))
+    faces = []
+    for width in widths + [far] * (far > 0.0):
+        normal = unit(draw, dim)
+        faces.append(HalfSpace(normal, float(normal @ anchor) - width))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim)))
+        rows.append(draw(st.sampled_from([0.0, 1.0])) * anchor + 4.0 * v)
+    return faces, anchor, np.array(rows), far
+
+
+def certified(domain, X):
+    """Projections of the rows of X, NaN where a row is not certified."""
+    try:
+        return domain.project_points(X)
+    except NumericalError as exc:
+        return exc.result
+
+
+@PROPERTY
+@given(far_face_polyhedra())
+def test_both_polyhedron_paths_certify_the_same_bits(problem):
+    # the stacked maps and the least-distance NNLS end in one certificate,
+    # so a row both certify has one projection, whatever a far face adds
+    faces, anchor, X, far = problem
+    stacked = Polyhedron(faces, anchor=anchor)
+    with entries_per_block(1):
+        nnls = Polyhedron(faces, anchor=anchor)
+    assert stacked._maps is not None and nnls._maps is None
+    P, Q = certified(stacked, X), certified(nnls, X)
+    both = ~np.isnan(P).any(axis=1) & ~np.isnan(Q).any(axis=1)
+    assert same_bits(P[both], Q[both])
+    # the stacked maps certify every row, and so does the NNLS unless a face
+    # 1e16 or more away hides the others below its rounding
+    assert not np.isnan(P).any()
+    assert both.all() or far >= 1e16
+
+
 def quarter_distance(a, b) -> float:
     """A quarter of |a - b|, which is finite for rows of length up to
     about 3.6e308."""

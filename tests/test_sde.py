@@ -109,6 +109,24 @@ class TestGrid:
         with pytest.raises(AttributeError):
             g.times = np.array([0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "q, cells, message",
+        [
+            (1.0, 2.5, "cells must be an integer"),
+            (1.0, 4.0, "cells must be an integer"),
+            (1.0, True, "cells must be an integer"),
+            (np.inf, 4, "grid horizon q must be finite"),
+            (np.nan, 4, "grid horizon q must be finite"),
+        ],
+    )
+    def test_regular_refuses(self, q, cells, message):
+        # int() would build 2.5 cells as 2, and q = inf would warn in linspace
+        with pytest.raises(ValueError, match=message):
+            Grid.regular(q, cells)
+
+    def test_regular_takes_a_numpy_integer(self):
+        assert np.array_equal(Grid.regular(1.0, np.int64(4)).times, Grid.regular(1.0, 4).times)
+
     def test_coarsen_shares_floats(self):
         fine = Grid.regular(1.0, 8)
         coarse = fine.coarsen(4)
@@ -204,6 +222,41 @@ class TestComponents:
         )
         assert spec.expected_bracket(2.0) == pytest.approx(2.0 * (1.0 + 0.5))
         assert spec.expected_variation(2.0) == pytest.approx(0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    """A constructor refuses a parameter that is not finite, by its name;
+    the vector parameters of H and Z are checked when the spec is built."""
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: Brownian(NAN), "brownian sigma"),
+            (lambda: Brownian([1.0, INF]), "brownian sigma"),
+            (lambda: Brownian([[1.0, 0.0], [-INF, 1.0]]), "brownian sigma"),
+            (lambda: DriverSpec(2, ConstantStart([0.0, 0.0]), (Drift([1.0, NAN]),)), "drift rate"),
+            (lambda: DriverSpec(1, ConstantStart(INF)), "h start"),
+            (lambda: DriverSpec(1, BrownianDrift(NAN)), "h start"),
+            (lambda: DriverSpec(1, BrownianDrift(0.0, drift=-INF)), "h drift"),
+            (lambda: DriverSpec(1, BrownianDrift(0.0, sigma=INF)), "brownian sigma"),
+            (lambda: JumpSizes("normal", (0.0, INF)), "normal jump parameters"),
+            (lambda: JumpSizes("uniform", (NAN, 1.0)), "uniform jump parameters"),
+            (lambda: JumpSizes("exponential", (NAN,)), "exponential jump parameters"),
+            (lambda: JumpSizes("constant", (1.0, INF)), "constant jump parameters"),
+            (lambda: CompoundPoisson(INF, JumpSizes("normal", (0.0, 1.0))), "compound Poisson rate"),
+            (lambda: DiagAffine(1, NAN, 0.0), "diagonal affine base and slope"),
+            (lambda: DiagAffine(1, 0.5, INF), "diagonal affine base and slope"),
+            (lambda: ConstantMatrix([[1.0, 0.0], [0.0, NAN]]), "coefficient matrix"),
+        ],
+    )
+    def test_refused_by_name(self, build, name):
+        # NaN passes a "< 0" check and gives all-NaN rows, and a Poisson
+        # rate of inf would fail only when sampled
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build()
 
 
 class TestReproducibility:
@@ -591,6 +644,23 @@ class TestSampleArguments:
         spec = DriverSpec(1, BrownianDrift(0.0), (Brownian(1.0),))
         with pytest.raises(ValueError, match="first_index must be nonnegative"):
             sample_driver_batch(spec, Grid.regular(1.0, 4), 1, paths, first_index=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() would take seed 1.5 to seed 1's streams
+        spec = DriverSpec(1, ConstantStart(0.0), (Brownian(1.0),))
+        grid = Grid.regular(1.0, 4)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_driver_batch(spec, grid, seed, 2)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_driver(spec, grid, seed)
+
+    def test_seed_may_be_a_numpy_integer(self):
+        spec = DriverSpec(1, ConstantStart(0.0), (Brownian(1.0),))
+        grid = Grid.regular(1.0, 4)
+        got = sample_driver_batch(spec, grid, np.uint64(3), 2)
+        want = sample_driver_batch(spec, grid, 3, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("h", [BrownianDrift([0.5, 0.5]), ConstantStart([0.5, 0.5])])
     def test_no_paths_is_empty(self, h):

@@ -9,7 +9,7 @@ from conftest import constant_path, entries_per_block
 import scipy.stats
 
 from reflectsde import stats
-from reflectsde.experiments import oscillation_benchmark
+from reflectsde.experiments import oscillation_benchmark, refinement_study
 from reflectsde.path import StepPath
 from reflectsde.penalty import PenalizedPath
 from reflectsde.stats import (
@@ -121,6 +121,21 @@ class TestReferenceCdf:
     def test_degenerate_parameters_rejected(self, tag, params):
         with pytest.raises(ValueError):
             reference_cdf(tag, **params)
+
+    @pytest.mark.parametrize(
+        "tag, name, value",
+        [
+            ("half_normal", "scale", np.inf),
+            ("normal", "loc", np.nan),
+            ("normal", "scale", np.inf),
+            ("uniform", "lo", -np.inf),
+            ("uniform", "hi", np.inf),
+        ],
+    )
+    def test_parameter_must_be_finite(self, tag, name, value):
+        # a half-normal of scale inf would be 0 everywhere
+        with pytest.raises(ValueError, match=f"{tag} law {name} must be finite"):
+            reference_cdf(tag, **{name: value})
 
 
 def mean_abs_1d(u, v):
@@ -410,6 +425,17 @@ class TestOscillationDiagnostic:
         assert calls == []
         assert len(seen) == 8
         assert all(x.times is seen[0][0].times and z.times is x.times for x, z in seen)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [5.0, [(1e2,)], [(1e2, 4, 8)], [1e2, 4], [(1e2, 4), None], [("fast", 4)]],
+    ids=["scalar", "one-entry", "three-entries", "flat", "none", "rate-not-a-number"],
+)
+def test_refinement_levels_must_be_pairs(levels):
+    # unpacking would raise a TypeError or an error that does not name levels
+    with pytest.raises(ValueError, match=r"levels must be \(rate, cells\) pairs"):
+        refinement_study(seed=1, paths=4, levels=levels)
 
 
 class TestMarginalConvergence:

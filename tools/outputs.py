@@ -25,6 +25,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import runpy
 import sys
 import tempfile
@@ -63,6 +64,18 @@ FAR_SIGMA = 1e200
 # a face x >= -1e16 beyond the wedge, built without an anchor: offset + 1
 # rounds back onto it, so its default anchor takes a longer step
 FAR_FACE = {"normal": [1.0, 0.0], "offset": -1e16}
+
+def tangent_polygon(center) -> dict:
+    """The polygon of 64 faces tangent to the unit circle about ``center``,
+    anchored there: past the stacked maps' 63 faces in d = 2, so each row
+    outside goes through the least-distance NNLS."""
+    faces = []
+    for k in range(64):
+        normal = [-math.cos(2.0 * math.pi * k / 64), -math.sin(2.0 * math.pi * k / 64)]
+        offset = normal[0] * center[0] + normal[1] * center[1] - 1.0
+        faces.append({"normal": normal, "offset": offset})
+    return {"variant": "polyhedron", "anchor": list(center), "faces": faces}
+
 
 # a drawn H from WEDGE_CONFIG's start; on 512 cells in d = 2 its rows and
 # the Brownian Z's hold 1024 values, which are drawn on worker threads
@@ -190,6 +203,9 @@ def run_table(wedge: dict) -> dict:
     faces = [*wedge["domain"]["faces"], FAR_FACE]
     config = {**wedge, "domain": {**wedge["domain"], "faces": faces}}
     both_formats(table, "simulate-far-face", "simulate", config)
+    nnls = {"grid": {"q": 1.0, "cells": 32}, "paths": 16, "keep_paths": 4}
+    polygon = tangent_polygon(wedge["driver"]["h"]["x0"])
+    table["simulate-nnls"] = "simulate", {**wedge, **nnls, "domain": polygon}, [], 0
     long_rows = {"grid": {"q": 1.0, "cells": 512}, "paths": 300, "keep_paths": 4}
     config = {**wedge, **long_rows, "driver": {**wedge["driver"], "h": BROWNIAN_H}}
     both_formats(table, "simulate-brownian-h", "simulate", config)
